@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"ealb"
+	"ealb/internal/engine"
 	"ealb/internal/experiments"
 )
 
@@ -82,35 +83,36 @@ func main() {
 }
 
 // writeCSVs exports the per-interval metrics of every (size, band) panel
-// for external plotting of Figure 3.
+// for external plotting of Figure 3. The panels come from one figure2
+// sweep on a pool of opt.Parallel workers (negative: one per CPU).
 func writeCSVs(dir string, opt ealb.ExperimentOptions) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for _, size := range opt.Sizes {
-		for _, band := range experiments.PaperBands {
-			run, err := experiments.RunCluster(size, band, opt.Seed, opt.Intervals, nil)
-			if err != nil {
-				return err
-			}
-			name := fmt.Sprintf("figure3_n%d_load%.0f.csv", size, band.Mean()*100)
-			f, err := os.Create(filepath.Join(dir, name))
-			if err != nil {
-				return err
-			}
-			if err := experiments.WriteRatioCSV(f, run); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintln(os.Stderr, "wrote", filepath.Join(dir, name))
+	runs, err := experiments.Figure2On(engine.NewPool(opt.Parallel), opt.Sizes, opt.Seed, opt.Intervals)
+	if err != nil {
+		return err
+	}
+	for _, run := range runs {
+		name := filepath.Join(dir, fmt.Sprintf("figure3_n%d_load%.0f.csv", run.Size, run.Band.Mean()*100))
+		f, err := os.Create(name)
+		if err != nil {
+			return err
 		}
+		if err := experiments.WriteRatioCSV(f, run); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintln(os.Stderr, "wrote", name)
 	}
 	return nil
 }
 
+// parseSizes parses the -sizes list. Every size must lie in
+// (1, engine.MaxScenarioSize], the bound every panel's sweep enforces.
 func parseSizes(s string) ([]int, error) {
 	parts := strings.Split(s, ",")
 	out := make([]int, 0, len(parts))
@@ -118,6 +120,9 @@ func parseSizes(s string) ([]int, error) {
 		n, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil || n <= 1 {
 			return nil, fmt.Errorf("invalid cluster size %q", p)
+		}
+		if n > engine.MaxScenarioSize {
+			return nil, fmt.Errorf("cluster size %d exceeds the cap of %d servers", n, engine.MaxScenarioSize)
 		}
 		out = append(out, n)
 	}

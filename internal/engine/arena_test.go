@@ -8,8 +8,8 @@ import (
 	"ealb/internal/workload"
 )
 
-// TestArenaReuseIsInvisible: running the same cluster job repeatedly
-// through a one-worker pool forces every job after the first onto a
+// TestArenaReuseIsInvisible: running the same cluster cell repeatedly
+// through a one-worker pool forces every cell after the first onto a
 // rebuilt arena cluster, and each result — including the full interval
 // stream — must be byte-identical to a fresh direct run.
 func TestArenaReuseIsInvisible(t *testing.T) {
@@ -23,24 +23,27 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 	}
 
 	p := NewPool(1)
-	jobs := []ClusterJob{
-		// A differently-shaped job first, so the reference job's arena
+	scenarios := []Scenario{
+		// A differently-shaped cell first, so the reference cell's arena
 		// cluster is a rebuild from foreign state, not a fresh build.
-		{Size: 120, Band: workload.HighLoad(), Seed: 9, Intervals: 6},
-		{Size: 80, Band: workload.LowLoad(), Seed: 5, Intervals: 12},
-		{Size: 80, Band: workload.LowLoad(), Seed: 5, Intervals: 12},
+		{Size: 120, Band: "high", Seed: SeedOf(9), Intervals: 6},
+		{Size: 80, Band: "low", Seed: SeedOf(5), Intervals: 12},
+		{Size: 80, Band: "low", Seed: SeedOf(5), Intervals: 12},
 	}
-	runs, err := p.SweepCluster(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int{1, 2} {
-		got, err := json.Marshal(runs[i])
+	for i, s := range scenarios {
+		res, err := p.RunScenario(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			continue
+		}
+		got, err := json.Marshal(res.Cluster)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(got) != string(want) {
-			t.Errorf("arena-reused job %d diverged from direct RunCluster", i)
+			t.Errorf("arena-reused cell %d diverged from direct RunCluster", i)
 		}
 	}
 

@@ -139,24 +139,25 @@ func TestChurnArenaReuseIsInvisible(t *testing.T) {
 	wantChurned, _ := json.Marshal(directChurned)
 
 	p := NewPool(1)
-	jobs := []ClusterJob{
-		// churned → plain → churned: each rebuild starts from the other
-		// kind's wreckage (failed servers, armed deadlines, counters).
-		{Size: 80, Band: workload.LowLoad(), Seed: 5, Intervals: 12, Mutate: churn},
-		{Size: 80, Band: workload.LowLoad(), Seed: 5, Intervals: 12},
-		{Size: 80, Band: workload.LowLoad(), Seed: 5, Intervals: 12, Mutate: churn},
-	}
-	runs, err := p.SweepCluster(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range [][]byte{wantChurned, wantPlain, wantChurned} {
-		got, err := json.Marshal(runs[i])
+	plain := Scenario{Size: 80, Band: "low", Seed: SeedOf(5), Intervals: 12}
+	churned := plain
+	churned.MTBF, churned.MTTR = RateOf(15*60), RateOf(4*60) // 15τ and 4τ at τ = 60 s
+	// churned → plain → churned: each rebuild starts from the other
+	// kind's wreckage (failed servers, armed deadlines, counters).
+	for i, c := range []struct {
+		s    Scenario
+		want []byte
+	}{{churned, wantChurned}, {plain, wantPlain}, {churned, wantChurned}} {
+		res, err := p.RunScenario(context.Background(), c.s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(got) != string(want) {
-			t.Errorf("arena-reused job %d diverged from its direct run", i)
+		got, err := json.Marshal(res.Cluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(c.want) {
+			t.Errorf("arena-reused cell %d diverged from its direct run", i)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -15,52 +16,52 @@ import (
 	"ealb/internal/workload"
 )
 
-// sweepJobs is a small but non-trivial panel sweep: two sizes, both
+// panelSpec is a small but non-trivial panel sweep: two sizes, both
 // bands, two seeds.
-func sweepJobs() []ClusterJob {
-	var jobs []ClusterJob
-	for _, size := range []int{40, 60} {
-		for _, band := range []workload.Band{workload.LowLoad(), workload.HighLoad()} {
-			for _, seed := range []uint64{DefaultSeed, DefaultSeed + 1} {
-				jobs = append(jobs, ClusterJob{Size: size, Band: band, Seed: seed, Intervals: 8})
-			}
-		}
-	}
-	return jobs
+func panelSpec(sizes ...int) SweepSpec {
+	spec := SweepSpec{Sizes: sizes, Bands: []string{"low", "high"}, Seeds: []uint64{DefaultSeed, DefaultSeed + 1}}
+	spec.Intervals = 8
+	return spec
 }
 
 // TestParallelSweepMatchesSerial is the engine's core guarantee: the same
 // sweep on one worker and on many workers yields byte-identical results.
 func TestParallelSweepMatchesSerial(t *testing.T) {
-	serial, err := NewPool(1).SweepCluster(context.Background(), sweepJobs())
+	serial, err := NewPool(1).RunSweep(context.Background(), panelSpec(40, 60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(serial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		parallel, err := NewPool(workers).SweepCluster(context.Background(), sweepJobs())
+		parallel, err := NewPool(workers).RunSweep(context.Background(), panelSpec(40, 60))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Fatalf("sweep on %d workers differs from serial sweep", workers)
 		}
-		// Byte-level check on the rendered form, since DeepEqual on
-		// floats is what the renderers consume anyway.
-		if fmt.Sprintf("%+v", serial) != fmt.Sprintf("%+v", parallel) {
-			t.Fatalf("rendered sweep on %d workers differs from serial", workers)
+		// Byte-level check on the encoded form, which is what the
+		// service records and the renderers consume.
+		if got, _ := json.Marshal(parallel); string(got) != string(want) {
+			t.Fatalf("encoded sweep on %d workers differs from serial", workers)
 		}
 	}
 }
 
 func TestSweepAccountsEnergy(t *testing.T) {
 	p := NewPool(2)
-	runs, err := p.SweepCluster(context.Background(), sweepJobs()[:2])
+	spec := panelSpec(40)
+	spec.Bands = []string{"low"}
+	res, err := p.RunSweep(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want float64
-	for _, r := range runs {
-		want += r.Energy
+	for _, c := range res.Cells {
+		want += c.Cluster.Energy
 	}
 	st := p.Stats()
 	if st.SimulatedJoules != want {

@@ -24,7 +24,7 @@ func runHookedResume(t *testing.T, body string, keep func(cell int) bool) {
 		t.Fatal(err)
 	}
 
-	full, err := NewPool(3).RunExpanded(ctx, ex, nil)
+	full, err := NewPool(3).RunExpandedHooked(ctx, ex, RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

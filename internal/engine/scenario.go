@@ -356,9 +356,9 @@ type Result struct {
 }
 
 // RunScenario normalizes, validates and executes one scenario on the
-// pool, blocking until it completes. It is exactly a one-cell sweep —
-// the same execution path RunSweep uses, which is what keeps sweep
-// cells bit-identical to individual runs by construction. Cancelling
+// pool, blocking until it completes. It is exactly a one-cell sweep
+// through RunExpandedHooked — the path RunSweep takes too, which is what
+// keeps sweep cells bit-identical to individual runs by construction. Cancelling
 // the context stops the underlying simulations at their next preemption
 // point and returns ctx.Err() (possibly wrapped).
 func (p *Pool) RunScenario(ctx context.Context, s Scenario) (Result, error) {
@@ -370,7 +370,7 @@ func (p *Pool) RunScenario(ctx context.Context, s Scenario) (Result, error) {
 		spec:  SweepSpec{Scenario: Scenario{Kind: s.Kind}},
 		cells: []Scenario{s},
 	}
-	res, err := p.RunExpanded(ctx, ex, nil)
+	res, err := p.RunExpandedHooked(ctx, ex, RunHooks{})
 	if err != nil {
 		return Result{}, err
 	}

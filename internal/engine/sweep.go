@@ -107,8 +107,8 @@ func (sp SweepSpec) axisConflicts() error {
 
 // ExpandedSweep is a validated sweep: the normalized spec plus its
 // cross-product cells in deterministic order. Produced by
-// SweepSpec.Expand and executed with (*Pool).RunExpanded; the fields are
-// unexported so the cells always match the spec.
+// SweepSpec.Expand and executed with (*Pool).RunExpandedHooked; the
+// fields are unexported so the cells always match the spec.
 type ExpandedSweep struct {
 	spec  SweepSpec
 	cells []Scenario
@@ -349,60 +349,38 @@ type SweepResult struct {
 // slot. Cancelling the context stops running simulations at their next
 // interval and fails unstarted cells promptly.
 func (p *Pool) RunSweep(ctx context.Context, spec SweepSpec) (SweepResult, error) {
-	return p.RunSweepObserved(ctx, spec, nil)
-}
-
-// RunSweepObserved is RunSweep with a live interval observer: observe
-// (when non-nil) receives every completed interval of every cluster or
-// farm cell — a cluster.IntervalStats or farm.IntervalStats value,
-// matching the sweep kind — identified by the cell's expansion index,
-// while the sweep is still running. It is called from worker goroutines
-// and must be safe for concurrent use. Baseline comparison runs are not
-// observed.
-func (p *Pool) RunSweepObserved(ctx context.Context, spec SweepSpec, observe func(cell int, st any)) (SweepResult, error) {
 	ex, err := spec.Expand()
 	if err != nil {
 		return SweepResult{}, err
 	}
-	return p.RunExpanded(ctx, ex, observe)
-}
-
-// RunExpanded executes an already-expanded sweep, so callers that
-// expanded the spec for validation (the HTTP service does, on submit)
-// need not pay for a second expansion.
-func (p *Pool) RunExpanded(ctx context.Context, ex ExpandedSweep, observe func(cell int, st any)) (SweepResult, error) {
-	return p.RunExpandedTraced(ctx, ex, observe, nil)
-}
-
-// RunExpandedTraced is RunExpanded with decision tracing: tracerFor
-// (when non-nil) is consulted once per cluster or farm cell and may
-// return a per-cell tracer — nil to leave that cell untraced — which
-// receives the cell's decision events and phase timings while it runs.
-// Like observe, returned tracers are driven from worker goroutines and
-// must be safe for concurrent use. Tracing is strictly observational:
-// traced results are byte-identical to untraced ones (the engine's
-// trace invariance tests pin this against the golden digests). Policy
-// cells and baseline-comparison runs are never traced.
-func (p *Pool) RunExpandedTraced(ctx context.Context, ex ExpandedSweep, observe func(cell int, st any), tracerFor func(cell int) trace.Tracer) (SweepResult, error) {
-	return p.RunExpandedHooked(ctx, ex, RunHooks{Observe: observe, TracerFor: tracerFor})
+	return p.RunExpandedHooked(ctx, ex, RunHooks{})
 }
 
 // RunHooks customizes RunExpandedHooked. All cell indices refer to the
 // expansion order of the full sweep, even when Completed skips cells.
+// Every callback runs on worker goroutines, so it must be safe for
+// concurrent use.
 type RunHooks struct {
 	// Observe, when non-nil, receives every completed interval of every
-	// cluster or farm cell while the sweep runs (see RunSweepObserved).
+	// cluster or farm cell — a cluster.IntervalStats or farm.IntervalStats
+	// value, matching the sweep kind — identified by the cell's expansion
+	// index, while the sweep is still running. Baseline comparison runs
+	// are not observed.
 	Observe func(cell int, st any)
-	// TracerFor, when non-nil, supplies per-cell decision tracers (see
-	// RunExpandedTraced).
+	// TracerFor, when non-nil, is consulted once per cluster or farm cell
+	// and may return a per-cell tracer — nil to leave that cell untraced —
+	// which receives the cell's decision events and phase timings while
+	// it runs. Tracing is strictly observational: traced results are
+	// byte-identical to untraced ones (the engine's trace invariance tests
+	// pin this against the golden digests). Policy cells and
+	// baseline-comparison runs are never traced.
 	TracerFor func(cell int) trace.Tracer
 	// CellDone, when non-nil, is called once per executed cell as soon as
 	// the cell's Result is fully assembled — for cluster cells with a
 	// baseline comparison, after both runs finish. It is called from the
-	// worker goroutine that completed the cell's last job, so it must be
-	// safe for concurrent use; completion order across cells is
-	// nondeterministic (the Result values themselves are not). Cells
-	// satisfied from Completed do not fire it.
+	// worker goroutine that completed the cell's last job; completion
+	// order across cells is nondeterministic (the Result values themselves
+	// are not). Cells satisfied from Completed do not fire it.
 	CellDone func(cell int, res Result)
 	// Completed supplies checkpointed results by expansion index. Those
 	// cells are not re-executed: their results are merged verbatim into
@@ -413,9 +391,12 @@ type RunHooks struct {
 	Completed map[int]Result
 }
 
-// RunExpandedHooked is the general form of RunExpandedTraced: an
-// expanded sweep plus per-cell completion hooks and optional resumption
-// from checkpointed cells.
+// RunExpandedHooked executes an already-expanded sweep — so callers that
+// expanded the spec for validation (the HTTP service does, on submit)
+// need not pay for a second expansion — with optional live observation,
+// per-cell tracing, completion hooks and resumption from checkpointed
+// cells. It is the engine's one sweep executor: RunSweep and RunScenario
+// both end here.
 func (p *Pool) RunExpandedHooked(ctx context.Context, ex ExpandedSweep, h RunHooks) (SweepResult, error) {
 	p.runsStarted.Add(1)
 	res, err := p.runSweep(ctx, ex.spec, ex.cells, h)
@@ -483,13 +464,24 @@ func (p *Pool) runSweep(ctx context.Context, spec SweepSpec, cells []Scenario, h
 	return SweepResult{Spec: spec, Cells: full, Aggregates: Aggregates(full)}, nil
 }
 
+// runClusterCells flattens the cluster cells into one pool-level job
+// list: each cell's main run, followed by its always-on baseline when the
+// cell asks for a comparison. The baseline inherits the cell's churn so
+// the savings comparison stays apples-to-apples under failures; only the
+// main run is observed and traced.
 func (p *Pool) runClusterCells(ctx context.Context, cells []Scenario, results []Result, h RunHooks) error {
-	type slot struct {
-		cell     int
-		baseline bool
+	type job struct {
+		cell int
+		cfg  cluster.Config
 	}
-	var jobs []ClusterJob
-	var slots []slot
+	var jobs []job
+	// A cell completes when its last job does — two jobs with a baseline
+	// comparison, one otherwise. The worker that decrements a cell's
+	// counter to zero assembles the cell's Result and fires CellDone; the
+	// atomic decrement orders it after the other job's runs[] write.
+	mainJob := make([]int, len(cells))
+	baseJob := make([]int, len(cells))
+	remaining := make([]atomic.Int32, len(cells))
 	for ci, cell := range cells {
 		band, err := ParseBand(cell.Band)
 		if err != nil {
@@ -499,72 +491,39 @@ func (p *Pool) runClusterCells(ctx context.Context, cells []Scenario, results []
 		if err != nil {
 			return err
 		}
-		job := ClusterJob{
-			Size: cell.Size, Band: band, Seed: cell.SeedValue(), Intervals: cell.Intervals,
-			Mutate: func(c *cluster.Config) { c.Sleep = sleep; cell.applyChurn(c) },
-		}
+		cfg := cluster.DefaultConfig(cell.Size, band, cell.SeedValue())
+		cfg.Sleep = sleep
+		cell.applyChurn(&cfg)
+		base := cfg
+		base.Sleep = cluster.SleepNever
 		if h.Observe != nil {
-			ci := ci
-			job.Observe = func(st cluster.IntervalStats) { h.Observe(ci, st) }
+			cfg.OnInterval = func(st cluster.IntervalStats) { h.Observe(ci, st) }
 		}
 		if h.TracerFor != nil {
-			job.Tracer = h.TracerFor(ci)
+			cfg.Tracer = h.TracerFor(ci)
 		}
-		jobs = append(jobs, job)
-		slots = append(slots, slot{cell: ci})
+		mainJob[ci], baseJob[ci] = len(jobs), -1
+		jobs = append(jobs, job{cell: ci, cfg: cfg})
+		remaining[ci].Store(1)
 		if cell.CompareBaseline {
-			// The baseline inherits the cell's churn so the savings
-			// comparison stays apples-to-apples under failures.
-			jobs = append(jobs, ClusterJob{
-				Size: cell.Size, Band: band, Seed: cell.SeedValue(), Intervals: cell.Intervals,
-				Mutate: func(c *cluster.Config) { c.Sleep = cluster.SleepNever; cell.applyChurn(c) },
-			})
-			slots = append(slots, slot{cell: ci, baseline: true})
+			baseJob[ci] = len(jobs)
+			jobs = append(jobs, job{cell: ci, cfg: base})
+			remaining[ci].Store(2)
 		}
-	}
-	// A cell completes when its last job does — two jobs with a baseline
-	// comparison, one otherwise. The worker that decrements a cell's
-	// counter to zero assembles the cell's Result and fires CellDone; the
-	// atomic decrement orders it after the other job's runs[] write.
-	mainJob := make([]int, len(cells))
-	baseJob := make([]int, len(cells))
-	remaining := make([]atomic.Int32, len(cells))
-	for ci := range cells {
-		baseJob[ci] = -1
-	}
-	for ji, sl := range slots {
-		if sl.baseline {
-			baseJob[sl.cell] = ji
-		} else {
-			mainJob[sl.cell] = ji
-		}
-		remaining[sl.cell].Add(1)
 	}
 	runs := make([]ClusterRun, len(jobs))
 	return p.Map(ctx, len(jobs), func(ji int) error {
-		j := jobs[ji]
-		mutate := j.Mutate
-		if j.Observe != nil || j.Tracer != nil {
-			mutate = func(c *cluster.Config) {
-				if j.Mutate != nil {
-					j.Mutate(c)
-				}
-				if j.Observe != nil {
-					c.OnInterval = j.Observe
-				}
-				c.Tracer = j.Tracer
-			}
-		}
-		run, err := p.runClusterArena(ctx, j.Size, j.Band, j.Seed, j.Intervals, mutate)
+		j := &jobs[ji]
+		run, err := p.runClusterArena(ctx, j.cfg, cells[j.cell].Intervals)
 		if err != nil {
 			return fmt.Errorf("engine: sweep job %d (size=%d band=%v seed=%d): %w",
-				ji, j.Size, j.Band, j.Seed, err)
+				ji, j.cfg.Size, j.cfg.InitialLoad, j.cfg.Seed, err)
 		}
 		runs[ji] = run
 		p.addJoules(run.Energy)
 		p.addIntervals(uint64(len(run.Stats)))
 		p.addResilience(run.Failures, run.AppsLost)
-		ci := slots[ji].cell
+		ci := j.cell
 		if remaining[ci].Add(-1) != 0 {
 			return nil
 		}

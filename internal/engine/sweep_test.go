@@ -234,13 +234,17 @@ func TestRunSweepCancellationStopsMidSimulation(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"sizes":[100],"seeds":[1],"intervals":5000}`), &spec); err != nil {
 		t.Fatal(err)
 	}
+	ex, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := 0
-	_, err := NewPool(1).RunSweepObserved(ctx, spec, func(cell int, st any) {
+	_, err = NewPool(1).RunExpandedHooked(ctx, ex, RunHooks{Observe: func(cell int, st any) {
 		seen++
 		if seen == 2 {
 			cancel()
 		}
-	})
+	}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("sweep error = %v, want context.Canceled", err)
 	}
@@ -269,13 +273,17 @@ func TestSweepObserverSeesEveryInterval(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"sizes":[40,60],"seeds":[5],"intervals":4,"compare_baseline":true}`), &spec); err != nil {
 		t.Fatal(err)
 	}
+	ex, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var mu sync.Mutex
 	counts := make(map[int]int)
-	res, err := NewPool(4).RunSweepObserved(context.Background(), spec, func(cell int, st any) {
+	res, err := NewPool(4).RunExpandedHooked(context.Background(), ex, RunHooks{Observe: func(cell int, st any) {
 		mu.Lock()
 		counts[cell]++
 		mu.Unlock()
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

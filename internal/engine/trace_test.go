@@ -11,7 +11,7 @@ import (
 	"ealb/internal/trace"
 )
 
-// tracedScenarioDigest runs one scenario through RunExpandedTraced with
+// tracedScenarioDigest runs one scenario through RunExpandedHooked with
 // the given tracer attached to its single cell and hashes the
 // JSON-encoded interval stream — the same bytes clusterDigest and
 // farmDigest hash, so the result is directly comparable to the pinned
@@ -26,8 +26,8 @@ func tracedScenarioDigest(t *testing.T, workers int, s Scenario, tr trace.Tracer
 		spec:  SweepSpec{Scenario: Scenario{Kind: s.Kind}},
 		cells: []Scenario{s},
 	}
-	res, err := NewPool(workers).RunExpandedTraced(context.Background(), ex, nil,
-		func(int) trace.Tracer { return tr })
+	res, err := NewPool(workers).RunExpandedHooked(context.Background(), ex,
+		RunHooks{TracerFor: func(int) trace.Tracer { return tr }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func tracedScenarioDigest(t *testing.T, workers int, s Scenario, tr trace.Tracer
 }
 
 // TestEngineTraceInvariance replays the pinned churned golden scenarios
-// through RunExpandedTraced with a full tracer (recorder + discarded
+// through RunExpandedHooked with a full tracer (recorder + discarded
 // NDJSON writer) attached: the digests must still match the pins
 // byte-for-byte, and the tracer must have actually seen decisions —
 // failures included — so the invariance claim is not vacuous.

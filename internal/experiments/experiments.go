@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strconv"
 
 	"ealb/internal/cluster"
 	"ealb/internal/engine"
@@ -45,32 +46,46 @@ func RunCluster(size int, band workload.Band, seed uint64, intervals int, mutate
 	return engine.RunCluster(context.Background(), size, band, seed, intervals, mutate)
 }
 
-// panelJobs enumerates the (size × band) sweep of §5 in panel order.
-func panelJobs(sizes []int, seed uint64, intervals int) []engine.ClusterJob {
-	var jobs []engine.ClusterJob
-	for _, size := range sizes {
-		for _, band := range PaperBands {
-			jobs = append(jobs, engine.ClusterJob{Size: size, Band: band, Seed: seed, Intervals: intervals})
-		}
+// clusterSweep runs the sizes × bands × seeds cross-product of §5
+// cluster cells as one engine sweep and returns the cell results in
+// expansion order: sizes outermost, then bands, then seeds. Every cell
+// derives its random streams from its own seed and lands in its own
+// slot, so the result is identical on a pool of any width.
+func clusterSweep(p *engine.Pool, sizes []int, bands []workload.Band, seeds []uint64, intervals int, compareBaseline bool) ([]engine.Result, error) {
+	spec := engine.SweepSpec{Sizes: sizes, Seeds: seeds}
+	spec.Intervals = intervals
+	spec.CompareBaseline = compareBaseline
+	for _, b := range bands {
+		// 'f' with precision -1 is the shortest form that parses back to
+		// the same float and never carries an exponent, whose '-' would
+		// split the "lo-hi" spec in the wrong place.
+		spec.Bands = append(spec.Bands, strconv.FormatFloat(b.Lo, 'f', -1, 64)+"-"+strconv.FormatFloat(b.Hi, 'f', -1, 64))
 	}
-	return jobs
+	res, err := p.RunSweep(context.Background(), spec)
+	if err != nil {
+		return nil, err
+	}
+	return res.Cells, nil
 }
 
-// Figure2 runs the six §5 panels (three sizes × two load bands) and
-// returns the before/after regime distributions.
-func Figure2(sizes []int, seed uint64, intervals int) ([]ClusterRun, error) {
-	return Figure2On(engine.NewPool(1), sizes, seed, intervals)
+// clusterRuns extracts the cluster measurements of a clusterSweep.
+func clusterRuns(cells []engine.Result) []ClusterRun {
+	runs := make([]ClusterRun, len(cells))
+	for i, c := range cells {
+		runs[i] = *c.Cluster
+	}
+	return runs
 }
 
-// Figure2On is Figure2 dispatched through a worker pool. The panels are
-// independent simulations with per-panel RNG derivation, so the result is
-// identical to the serial sweep regardless of the pool's width.
+// Figure2On runs the §5 panels (each size × both load bands) on a worker
+// pool and returns the before/after regime distributions. The same runs
+// carry the Figure 3 ratio traces and the Table 2 statistics.
 func Figure2On(p *engine.Pool, sizes []int, seed uint64, intervals int) ([]ClusterRun, error) {
-	runs, err := p.SweepCluster(context.Background(), panelJobs(sizes, seed, intervals))
+	cells, err := clusterSweep(p, sizes, PaperBands, []uint64{seed}, intervals, false)
 	if err != nil {
 		return nil, fmt.Errorf("figure2: %w", err)
 	}
-	return runs, nil
+	return clusterRuns(cells), nil
 }
 
 // RenderFigure2 writes the regime histograms in the layout of the paper's
@@ -97,17 +112,6 @@ func RenderFigure2(w io.Writer, runs []ClusterRun) error {
 		fmt.Fprintf(w, "  sleeping: %d\n", r.Sleeping)
 	}
 	return nil
-}
-
-// Figure3 runs the six ratio-trace panels. The same runs also carry the
-// Table 2 statistics.
-func Figure3(sizes []int, seed uint64, intervals int) ([]ClusterRun, error) {
-	return Figure2(sizes, seed, intervals) // identical sweep, different rendering
-}
-
-// Figure3On is Figure3 dispatched through a worker pool.
-func Figure3On(p *engine.Pool, sizes []int, seed uint64, intervals int) ([]ClusterRun, error) {
-	return Figure2On(p, sizes, seed, intervals) // identical sweep, different rendering
 }
 
 // RenderFigure3 writes the in-cluster/local decision ratio traces.
@@ -144,13 +148,8 @@ func RenderTable2(w io.Writer, runs []ClusterRun) error {
 	return t.Render(w)
 }
 
-// SmallClusters runs the cluster-size extension from [19] that §5
-// mentions: sizes 20, 40, 60, 80.
-func SmallClusters(seed uint64, intervals int) ([]ClusterRun, error) {
-	return SmallClustersOn(engine.NewPool(1), seed, intervals)
-}
-
-// SmallClustersOn is SmallClusters dispatched through a worker pool.
+// SmallClustersOn runs the cluster-size extension from [19] that §5
+// mentions — sizes 20, 40, 60, 80 — on a worker pool.
 func SmallClustersOn(p *engine.Pool, seed uint64, intervals int) ([]ClusterRun, error) {
 	return Figure2On(p, []int{20, 40, 60, 80}, seed, intervals)
 }
@@ -166,44 +165,25 @@ type EnergySavings struct {
 	Ratio       float64 // AlwaysOn / EnergyAware
 }
 
-// RunEnergySavings measures the savings for one configuration.
-func RunEnergySavings(size int, band workload.Band, seed uint64, intervals int) (EnergySavings, error) {
-	rows, err := EnergySavingsSweepOn(engine.NewPool(1), []int{size}, []workload.Band{band}, seed, intervals)
-	if err != nil {
-		return EnergySavings{}, err
-	}
-	return rows[0], nil
-}
-
 // EnergySavingsSweepOn measures the savings for every (size, band)
-// configuration, running the energy-aware and always-on simulations of
-// all pairs through the pool.
+// configuration: each cell runs the energy-aware cluster and its
+// always-on baseline through the pool.
 func EnergySavingsSweepOn(p *engine.Pool, sizes []int, bands []workload.Band, seed uint64, intervals int) ([]EnergySavings, error) {
-	var jobs []engine.ClusterJob
-	for _, size := range sizes {
-		for _, band := range bands {
-			jobs = append(jobs,
-				engine.ClusterJob{Size: size, Band: band, Seed: seed, Intervals: intervals},
-				engine.ClusterJob{Size: size, Band: band, Seed: seed, Intervals: intervals,
-					Mutate: func(c *cluster.Config) { c.Sleep = cluster.SleepNever }})
-		}
-	}
-	runs, err := p.SweepCluster(context.Background(), jobs)
+	cells, err := clusterSweep(p, sizes, bands, []uint64{seed}, intervals, true)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]EnergySavings, 0, len(runs)/2)
-	for i := 0; i < len(runs); i += 2 {
-		aware, always := runs[i], runs[i+1]
-		row := EnergySavings{
+	out := make([]EnergySavings, len(cells))
+	for i, c := range cells {
+		aware := c.Cluster
+		out[i] = EnergySavings{
 			Size: aware.Size, Band: aware.Band,
 			EnergyAware: aware.Energy,
-			AlwaysOn:    always.Energy,
+			AlwaysOn:    c.AlwaysOnJoules,
 		}
 		if aware.Energy > 0 {
-			row.Ratio = always.Energy / aware.Energy
+			out[i].Ratio = c.AlwaysOnJoules / aware.Energy
 		}
-		out = append(out, row)
 	}
 	return out, nil
 }

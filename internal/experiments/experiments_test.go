@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ealb/internal/engine"
 	"ealb/internal/power"
 	"ealb/internal/regime"
 	"ealb/internal/workload"
@@ -65,7 +66,7 @@ func TestCrossoverNoCrossing(t *testing.T) {
 }
 
 func TestFigure2SweepAndRender(t *testing.T) {
-	runs, err := Figure2([]int{60}, 5, 20)
+	runs, err := Figure2On(engine.NewPool(1), []int{60}, 5, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestFigure2SweepAndRender(t *testing.T) {
 }
 
 func TestFigure3AndTable2Render(t *testing.T) {
-	runs, err := Figure3([]int{60}, 5, 20)
+	runs, err := Figure2On(engine.NewPool(1), []int{60}, 5, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +133,14 @@ func TestRenderHomogeneous(t *testing.T) {
 }
 
 func TestEnergySavings(t *testing.T) {
-	r, err := RunEnergySavings(100, workload.LowLoad(), 7, 30)
+	rows, err := EnergySavingsSweepOn(engine.NewPool(1), []int{100}, []workload.Band{workload.LowLoad()}, 7, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rows) != 1 {
+		t.Fatalf("got %d rows, want 1", len(rows))
+	}
+	r := rows[0]
 	if r.Ratio <= 1 {
 		t.Errorf("energy-aware must beat always-on at 30%% load, ratio %v", r.Ratio)
 	}
@@ -233,7 +238,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 }
 
 func TestRobustness(t *testing.T) {
-	r, err := RunRobustness(60, workload.LowLoad(), []uint64{1, 2, 3}, 15)
+	r, err := RunRobustnessOn(engine.NewPool(1), 60, workload.LowLoad(), []uint64{1, 2, 3}, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +261,7 @@ func TestRobustness(t *testing.T) {
 	if !strings.Contains(sb.String(), "Crossover interval") {
 		t.Error("robustness output missing table")
 	}
-	if _, err := RunRobustness(60, workload.LowLoad(), nil, 5); err == nil {
+	if _, err := RunRobustnessOn(engine.NewPool(1), 60, workload.LowLoad(), nil, 5); err == nil {
 		t.Error("no seeds must error")
 	}
 }

@@ -63,14 +63,14 @@ func Registry() map[string]Runner {
 			return RenderFigure2(w, runs)
 		},
 		"figure3": func(w io.Writer, opt Options) error {
-			runs, err := Figure3On(opt.pool(), opt.Sizes, opt.Seed, opt.Intervals)
+			runs, err := Figure2On(opt.pool(), opt.Sizes, opt.Seed, opt.Intervals)
 			if err != nil {
 				return err
 			}
 			return RenderFigure3(w, runs)
 		},
 		"table2": func(w io.Writer, opt Options) error {
-			runs, err := Figure3On(opt.pool(), opt.Sizes, opt.Seed, opt.Intervals)
+			runs, err := Figure2On(opt.pool(), opt.Sizes, opt.Seed, opt.Intervals)
 			if err != nil {
 				return err
 			}

@@ -1,13 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
+	"strings"
 
+	"ealb/internal/cluster"
 	"ealb/internal/engine"
-	"ealb/internal/metrics"
 	"ealb/internal/report"
+	"ealb/internal/stats"
 	"ealb/internal/workload"
 )
 
@@ -20,14 +21,9 @@ type Robustness struct {
 	Size      int
 	Band      workload.Band
 	Seeds     []uint64
-	Agg       metrics.Aggregate
+	Agg       seriesAggregate
 	Crossover []int // per-seed crossover intervals
 	Sleeping  []int // per-seed final sleep counts
-}
-
-// RunRobustness executes the sweep.
-func RunRobustness(size int, band workload.Band, seeds []uint64, intervals int) (Robustness, error) {
-	return RunRobustnessOn(engine.NewPool(1), size, band, seeds, intervals)
 }
 
 // RunRobustnessOn executes the per-seed sweep through a worker pool; the
@@ -37,22 +33,18 @@ func RunRobustnessOn(p *engine.Pool, size int, band workload.Band, seeds []uint6
 	if len(seeds) == 0 {
 		return Robustness{}, fmt.Errorf("experiments: robustness needs at least one seed")
 	}
-	jobs := make([]engine.ClusterJob, len(seeds))
-	for i, seed := range seeds {
-		jobs[i] = engine.ClusterJob{Size: size, Band: band, Seed: seed, Intervals: intervals}
-	}
-	results, err := p.SweepCluster(context.Background(), jobs)
+	cells, err := clusterSweep(p, []int{size}, []workload.Band{band}, seeds, intervals, false)
 	if err != nil {
 		return Robustness{}, err
 	}
 	out := Robustness{Size: size, Band: band, Seeds: seeds}
-	var runs []metrics.Series
-	for _, r := range results {
-		runs = append(runs, metrics.FromRun(r.Stats))
+	var runs []series
+	for _, r := range clusterRuns(cells) {
+		runs = append(runs, fromRun(r.Stats))
 		out.Crossover = append(out.Crossover, r.Crossover())
 		out.Sleeping = append(out.Sleeping, r.Sleeping)
 	}
-	agg, err := metrics.AggregateSeries(runs)
+	agg, err := aggregateSeries(runs)
 	if err != nil {
 		return Robustness{}, err
 	}
@@ -85,7 +77,7 @@ func (r Robustness) Render(w io.Writer) error {
 // WriteRatioCSV exports one cluster run's per-interval metrics for
 // external plotting (matplotlib regeneration of Figure 3).
 func WriteRatioCSV(w io.Writer, run ClusterRun) error {
-	return metrics.FromRun(run.Stats).WriteCSV(w)
+	return fromRun(run.Stats).writeCSV(w)
 }
 
 // robustnessRunner registers the experiment.
@@ -104,4 +96,105 @@ func robustnessRunner(w io.Writer, opt Options) error {
 		fmt.Fprintln(w)
 	}
 	return nil
+}
+
+// intervalRecord is one reallocation interval's measurements in flat,
+// portable form: a row of the Figure 3 CSV export.
+type intervalRecord struct {
+	Interval      int
+	Ratio         float64
+	Local         int
+	InCluster     int
+	Migrations    int
+	Sleeping      int
+	Woken         int
+	SLAViolations int
+	ClusterLoad   float64
+	EnergyJ       float64
+}
+
+// series is a full run's records.
+type series []intervalRecord
+
+// fromRun converts the simulator's native interval stats.
+func fromRun(sts []cluster.IntervalStats) series {
+	out := make(series, len(sts))
+	for i, st := range sts {
+		out[i] = intervalRecord{
+			Interval:      st.Index,
+			Ratio:         st.Ratio,
+			Local:         st.Decisions.Local,
+			InCluster:     st.Decisions.InCluster,
+			Migrations:    st.Migrations,
+			Sleeping:      st.Sleeping,
+			Woken:         st.Woken,
+			SLAViolations: st.SLAViolations,
+			ClusterLoad:   float64(st.ClusterLoad),
+			EnergyJ:       float64(st.IntervalEnergy),
+		}
+	}
+	return out
+}
+
+// csvHeader is the fixed column layout of writeCSV.
+var csvHeader = []string{
+	"interval", "ratio", "local", "incluster", "migrations",
+	"sleeping", "woken", "sla_violations", "cluster_load", "energy_j",
+}
+
+// writeCSV writes the series with a header row.
+func (s series) writeCSV(w io.Writer) error {
+	if _, err := io.WriteString(w, strings.Join(csvHeader, ",")+"\n"); err != nil {
+		return err
+	}
+	for _, r := range s {
+		_, err := fmt.Fprintf(w, "%d,%g,%d,%d,%d,%d,%d,%d,%g,%g\n",
+			r.Interval, r.Ratio, r.Local, r.InCluster, r.Migrations,
+			r.Sleeping, r.Woken, r.SLAViolations, r.ClusterLoad, r.EnergyJ)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// seriesAggregate holds per-interval statistics across several runs of
+// the same experiment with different seeds.
+type seriesAggregate struct {
+	Runs  int
+	Mean  []float64 // mean ratio per interval
+	Std   []float64 // sample std dev of the ratio per interval
+	Sleep []float64 // mean sleeping count per interval
+}
+
+// aggregateSeries combines K same-length runs. It errors on mismatched
+// lengths or empty input.
+func aggregateSeries(runs []series) (seriesAggregate, error) {
+	if len(runs) == 0 {
+		return seriesAggregate{}, fmt.Errorf("experiments: no runs to aggregate")
+	}
+	n := len(runs[0])
+	for i, r := range runs {
+		if len(r) != n {
+			return seriesAggregate{}, fmt.Errorf("experiments: run %d has %d intervals, run 0 has %d", i, len(r), n)
+		}
+	}
+	agg := seriesAggregate{
+		Runs:  len(runs),
+		Mean:  make([]float64, n),
+		Std:   make([]float64, n),
+		Sleep: make([]float64, n),
+	}
+	for t := 0; t < n; t++ {
+		var rec stats.Running
+		var sleep float64
+		for _, r := range runs {
+			rec.Add(r[t].Ratio)
+			sleep += float64(r[t].Sleeping)
+		}
+		agg.Mean[t] = rec.Mean()
+		agg.Std[t] = rec.SampleStdDev()
+		agg.Sleep[t] = sleep / float64(len(runs))
+	}
+	return agg, nil
 }
