@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ealb/internal/trace"
+	"ealb/internal/units"
 	"ealb/internal/workload"
 )
 
@@ -72,16 +73,27 @@ func BenchmarkClusterIntervalsTraced(b *testing.B) {
 }
 
 // BenchmarkClusterIntervalsChurn measures the steady-state interval cost
-// with the stochastic failure–repair process enabled (MTBF 20τ, MTTR 5τ
-// — failures nearly every interval at these sizes). The delta against
-// BenchmarkClusterIntervals is the price of churn: deadline scans plus
-// the orphan re-placement migrations failures trigger.
+// with the stochastic failure–repair process enabled. At 10² and 10³
+// servers it runs MTBF 20τ, MTTR 5τ — failures nearly every interval;
+// the delta against BenchmarkClusterIntervals is the price of churn:
+// deadline scans plus the orphan re-placement migrations failures
+// trigger. The 10⁵ shape uses the perfbench cluster-100k rates (MTBF
+// 14400 s, MTTR 300 s), so `go test -bench` reproduces that workload's
+// interval without the benchmark module.
 func BenchmarkClusterIntervalsChurn(b *testing.B) {
-	for _, size := range []int{100, 1000} {
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			cfg := DefaultConfig(size, workload.LowLoad(), 1)
-			cfg.MTBF = 20 * cfg.Tau
-			cfg.MTTR = 5 * cfg.Tau
+	const tau = 60 // DefaultConfig's τ
+	for _, shape := range []struct {
+		size       int
+		mtbf, mttr units.Seconds
+	}{
+		{100, 20 * tau, 5 * tau},
+		{1000, 20 * tau, 5 * tau},
+		{100000, 14400, 300},
+	} {
+		b.Run(fmt.Sprintf("size=%d", shape.size), func(b *testing.B) {
+			cfg := DefaultConfig(shape.size, workload.LowLoad(), 1)
+			cfg.MTBF = shape.mtbf
+			cfg.MTTR = shape.mttr
 			c, err := New(cfg)
 			if err != nil {
 				b.Fatal(err)

@@ -66,6 +66,9 @@ func (c *Cluster) FailServer(id server.ID) (replaced, lost int, err error) {
 			if _, err := s.Remove(h.App.ID); err != nil {
 				return replaced, lost, err
 			}
+			// A hosted-set change like any other: the acceptor search
+			// above may already have flushed this server's entry.
+			c.idx.markDirty(id)
 			lost++
 			continue
 		}

@@ -12,6 +12,7 @@ package cluster
 //
 //   - in-place demand mutation (evolveDemand)      → noteDemandChange
 //   - hosted-set changes (migrate, Admit, failure) → markDirty
+//   - orphan dropped as lost (FailServer)          → markDirty
 //   - sleep entry (applyBalance actSleep)          → onSleep
 //   - wake start (applyBalance actWake)            → onWake
 //   - crash (FailServer)                           → onCrash + markDirty
@@ -19,18 +20,25 @@ package cluster
 //   - Rebuild                                      → rebuildIndex
 //
 // Dirty-marked servers are reconciled by flushIndex — O(dirty), not
-// O(N) — which recomputes raw/load/regime from the server's own memoized
-// accessors and moves the server between regime buckets only when it
-// crossed a boundary. The membership sets hold exactly the servers that
-// are neither sleeping nor failed; a member mid-wake (ACPI transition in
-// flight) stays in its bucket and readers filter it with the busyUntil
-// column, which avoids any dependence on when a wake-completion event
-// fires relative to the interval tick.
+// O(N) — which recomputes raw/load/regime and the §4 cost column from the
+// server's own memoized accessors (RawDemand, Evaluate) and moves the
+// server between regime buckets only when it crossed a boundary. Every
+// reader flushes first, so the index is exact wherever it is read: the
+// leader's plan, the live acceptor search (findAcceptor), the end-of-
+// interval statistics, and the public fleet accessors. evolveDemand also
+// flushes after each server's application walk, while that server's
+// hosted list is still in cache, which leaves the later flushes little
+// to do. The membership sets hold exactly the servers that are neither
+// sleeping nor failed; a member mid-wake (ACPI transition in flight)
+// stays in its bucket and readers filter it with the busyUntil column,
+// which avoids any dependence on when a wake-completion event fires
+// relative to the interval tick.
 //
 // Determinism contract. Index reads yield bit-identical values to the
 // live accessors they mirror (raw demand is the server's own memoized
-// ordered sum; load/regime are derived with the same expressions), and
-// every consumer that folds floats sums in server-ID order exactly as the
+// ordered sum; load/regime are derived with the same expressions; the
+// cost column is the server's own memoized Evaluate result), and every
+// consumer that folds floats sums in server-ID order exactly as the
 // historical per-server scans did. Bucket iteration order is an artifact
 // of deterministic insertions and swap-removals, so it is reproducible;
 // consumers that need a canonical order sort by a total order (every plan
@@ -43,6 +51,11 @@ import (
 	"ealb/internal/server"
 	"ealb/internal/units"
 )
+
+// costs is one server's §4 cost estimates, as Evaluate reports them.
+type costs struct {
+	q, p, j units.Joules
+}
 
 // noPos marks a server as absent from the membership (or sleeper) set.
 const noPos = -1
@@ -57,6 +70,12 @@ type serverIndex struct {
 	load   []units.Fraction
 	reg    []regime.Region
 	bounds []regime.Boundaries
+
+	// cost mirrors each server's §4 Evaluate() estimates (q_k, p_k, j_k),
+	// valid for non-dirty entries. evalErr keeps the first Evaluate error
+	// a flush met; runInterval reports it, and Rebuild clears it.
+	cost    []costs
+	evalErr error
 
 	// sleeping and busyUntil mirror the ACPI axis: State().Sleeping()
 	// and the transition-completion time (Busy(now) ⇔ now < busyUntil).
@@ -90,6 +109,7 @@ func (ix *serverIndex) init(n int) {
 	ix.load = resize(ix.load, n)
 	ix.reg = resize(ix.reg, n)
 	ix.bounds = resize(ix.bounds, n)
+	ix.cost = resize(ix.cost, n)
 	ix.sleeping = resize(ix.sleeping, n)
 	ix.busyUntil = resize(ix.busyUntil, n)
 	ix.wakeLat = resize(ix.wakeLat, n)
@@ -100,6 +120,7 @@ func (ix *serverIndex) init(n int) {
 	clear(ix.load)
 	clear(ix.reg)
 	clear(ix.bounds)
+	clear(ix.cost)
 	clear(ix.sleeping)
 	clear(ix.busyUntil)
 	clear(ix.wakeLat)
@@ -113,6 +134,7 @@ func (ix *serverIndex) init(n int) {
 	}
 	ix.dirtyIDs = ix.dirtyIDs[:0]
 	ix.sleepers = ix.sleepers[:0]
+	ix.evalErr = nil
 }
 
 // markDirty queues one server for reconciliation at the next flush.
@@ -213,8 +235,9 @@ func (ix *serverIndex) onRepair(id server.ID) {
 
 // flushIndex reconciles every dirty-marked server: raw demand from the
 // server's memoized ordered sum, load and regime by the same expressions
-// the live accessors use, and a bucket move when the regime crossed a
-// boundary. Cost is O(dirty servers), and flushing twice is a no-op.
+// the live accessors use, the cost column from its memoized Evaluate, and
+// a bucket move when the regime crossed a boundary. Cost is O(dirty
+// servers), and flushing twice is a no-op.
 func (c *Cluster) flushIndex() {
 	ix := &c.idx
 	for _, id := range ix.dirtyIDs {
@@ -224,6 +247,7 @@ func (c *Cluster) flushIndex() {
 		r := ix.bounds[id].Classify(load)
 		ix.raw[id] = raw
 		ix.load[id] = load
+		c.storeCosts(id, s)
 		if r != ix.reg[id] {
 			if ix.bucketPos[id] != noPos {
 				ix.removeMember(id)
@@ -249,8 +273,18 @@ func (c *Cluster) rebuildIndex() {
 		ix.raw[i] = raw
 		ix.load[i] = raw.Clamp()
 		ix.reg[i] = ix.bounds[i].Classify(ix.load[i])
+		c.storeCosts(server.ID(i), s)
 		ix.addMember(server.ID(i))
 	}
+}
+
+// storeCosts refreshes one server's cost column from its Evaluate.
+func (c *Cluster) storeCosts(id server.ID, s *server.Server) {
+	ev, err := s.Evaluate()
+	if err != nil && c.idx.evalErr == nil {
+		c.idx.evalErr = err
+	}
+	c.idx.cost[id] = costs{q: ev.QCost, p: ev.PCost, j: ev.JCost}
 }
 
 // noteDemandChange records that a hosted application's demand on s was

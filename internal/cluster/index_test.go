@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"ealb/internal/regime"
@@ -12,9 +13,9 @@ import (
 )
 
 // verifyIndexAgainstRescan is the differential oracle: it re-derives every
-// server's raw demand, load, regime, ACPI mirror, and set membership from
-// the live *server.Server values — the full O(N) rescan the incremental
-// index replaced — and fails on any divergence. The comparisons are exact
+// server's raw demand, load, regime, §4 costs, ACPI mirror, and set
+// membership from the live *server.Server values — the full O(N) rescan
+// the incremental index replaced — and fails on any divergence. The comparisons are exact
 // (==, not within-epsilon): the index contract is that flushed entries are
 // bit-identical to the live accessors, because plan construction folds
 // these floats into digested statistics.
@@ -42,6 +43,13 @@ func verifyIndexAgainstRescan(t *testing.T, c *Cluster) {
 		}
 		if got, want := ix.reg[id], s.Regime(); got != want {
 			t.Fatalf("server %d: index regime %v, rescan %v", id, got, want)
+		}
+		ev, err := s.Evaluate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ix.cost[id], (costs{q: ev.QCost, p: ev.PCost, j: ev.JCost}); got != want {
+			t.Fatalf("server %d: index costs %+v, Evaluate %+v", id, got, want)
 		}
 		if got, want := ix.sleeping[id], s.Sleeping(); got != want {
 			t.Fatalf("server %d: index sleeping=%v, live %v", id, got, want)
@@ -121,6 +129,18 @@ func TestIndexDifferentialOracle(t *testing.T) {
 		// RunIntervals, exercising onCrash/onRepair under the oracle.
 		cfg.MTBF = 15 * cfg.Tau
 		cfg.MTTR = 4 * cfg.Tau
+		// Every interval's §4 cost averages, folded from the index's cost
+		// column, must equal a full live Evaluate rescan.
+		var c *Cluster
+		intervals := 0
+		cfg.OnInterval = func(st IntervalStats) {
+			intervals++
+			q, p, j := liveCostAverages(t, c)
+			if st.AvgQCost != q || st.AvgPCost != p || st.AvgJCost != j {
+				t.Fatalf("interval %d: cost averages q=%v p=%v j=%v, live rescan q=%v p=%v j=%v",
+					st.Index, st.AvgQCost, st.AvgPCost, st.AvgJCost, q, p, j)
+			}
+		}
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -161,5 +181,191 @@ func TestIndexDifferentialOracle(t *testing.T) {
 			}
 			verifyIndexAgainstRescan(t, c)
 		}
+		if intervals == 0 {
+			t.Fatalf("seed %d: no interval ran, so the cost averages went unchecked", seed)
+		}
 	}
+}
+
+// liveCostAverages computes the §4 cost averages the way the end-of-
+// interval scan did before the index carried a cost column: Evaluate on
+// every server that is live by its own accessors (not failed, not
+// sleeping, no transition in flight), summed in server-ID order.
+func liveCostAverages(t *testing.T, c *Cluster) (q, p, j units.Joules) {
+	t.Helper()
+	var sq, sp, sj float64
+	n := 0
+	for i, s := range c.servers {
+		if c.failed[i] || s.Sleeping() || s.CStateBusy(c.now) {
+			continue
+		}
+		ev, err := s.Evaluate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sq += float64(ev.QCost)
+		sp += float64(ev.PCost)
+		sj += float64(ev.JCost)
+		n++
+	}
+	if n == 0 {
+		return 0, 0, 0
+	}
+	return units.Joules(sq / float64(n)), units.Joules(sp / float64(n)), units.Joules(sj / float64(n))
+}
+
+// TestFailServerLostAppMarksDirty crashes servers of a full cluster until
+// one orphan fits nowhere and is dropped. The acceptor search flushes the
+// index while the victim still hosts its apps, so the drop must mark the
+// victim dirty again or its index entry keeps the pre-crash demand.
+func TestFailServerLostAppMarksDirty(t *testing.T) {
+	c := mustCluster(t, 40, workload.HighLoad(), 59)
+	totalLost := 0
+	for i := 0; i < 20; i++ {
+		id := server.ID(i)
+		_, lost, err := c.FailServer(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		totalLost += lost
+		c.flushIndex()
+		if got, want := c.idx.raw[id], c.servers[id].RawDemand(); got != want {
+			t.Fatalf("failed server %d (lost %d): index raw %v, rescan %v", id, lost, got, want)
+		}
+		verifyIndexAgainstRescan(t, c)
+	}
+	if totalLost == 0 {
+		t.Fatal("no orphan was lost; the dropped-app path went unexercised")
+	}
+}
+
+// liveFindAcceptor is the acceptor search as it was before it read the
+// index: every candidate is judged through its *server.Server accessors,
+// activity included. It is the reference the index-backed findAcceptor
+// must match — same winner, same RNG draws.
+func liveFindAcceptor(c *Cluster, demand units.Fraction, exclude *server.Server, limit acceptLimit) *server.Server {
+	var best *server.Server
+	for i := 0; i < candidateSample; i++ {
+		cand := c.servers[c.rng.Intn(len(c.servers))]
+		if cand == exclude || c.failed[cand.ID()] || cand.Sleeping() || cand.CStateBusy(c.now) {
+			continue
+		}
+		if !(cand.Load()+demand <= limit.limitAt(cand.Boundaries())) {
+			continue
+		}
+		if best == nil || cand.Load() > best.Load() {
+			best = cand
+		}
+	}
+	return best
+}
+
+// TestFindAcceptorMatchesLiveScan checks the index-backed acceptor search
+// against liveFindAcceptor over churned clusters holding sleeping, waking
+// and failed servers, with dirty index entries pending. Each query is
+// shaped like one of the three callers — growth routing (the growing
+// server excluded, optimal-high limit), failure re-placement (the victim
+// excluded, both limits) and admission (nothing excluded, both limits) —
+// and must return the same server and leave the protocol RNG at the same
+// position.
+func TestFindAcceptorMatchesLiveScan(t *testing.T) {
+	type query struct {
+		caller  string
+		exclude *server.Server
+		limit   acceptLimit
+	}
+	var sawSleeping, sawWaking, sawFailed, sawFound, sawNone bool
+	for _, seed := range []uint64{3, 2014, 0xfeed} {
+		cfg := DefaultConfig(80, workload.LowLoad(), seed)
+		if seed%2 == 0 {
+			cfg.InitialLoad = workload.HighLoad()
+		}
+		cfg.Sleep = SleepC6Only // slow wakes stay in flight across intervals
+		cfg.MTBF = 15 * cfg.Tau
+		cfg.MTTR = 4 * cfg.Tau
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := xrand.New(seed ^ 0x5a5a)
+		for step := 0; step < 30; step++ {
+			if _, err := c.RunIntervals(context.Background(), 1); err != nil {
+				t.Fatal(err)
+			}
+			// Wake one settled sleeper through the apply path, so its C6
+			// setup is still in flight at the queries below.
+			if rng.Bool(0.5) {
+				for _, id := range c.idx.sleepers {
+					if c.servers[id].CStateBusy(c.now) {
+						continue
+					}
+					wake := &balancePlan{actions: []action{{kind: actWake, src: id}}}
+					if err := c.applyBalance(wake); err != nil {
+						t.Fatal(err)
+					}
+					break
+				}
+			}
+			if rng.Bool(0.3) {
+				id := server.ID(rng.Intn(len(c.servers)))
+				if _, _, err := c.FailServer(id); err != nil && !c.Failed(id) {
+					t.Fatal(err)
+				}
+			}
+			// Leave index entries dirty: in-place demand changes on a few
+			// active servers, recorded but not yet flushed.
+			for k := 0; k < 3; k++ {
+				s := c.servers[rng.Intn(len(c.servers))]
+				if !c.activeID(s.ID()) || s.NumApps() == 0 {
+					continue
+				}
+				s.At(0).App.Evolve(rng, 0)
+				c.noteDemandChange(s)
+			}
+
+			for i, s := range c.servers {
+				sawSleeping = sawSleeping || s.Sleeping()
+				sawWaking = sawWaking || (!s.Sleeping() && s.CStateBusy(c.now))
+				sawFailed = sawFailed || c.failed[i]
+			}
+			grower := c.servers[rng.Intn(len(c.servers))]
+			victim := c.servers[rng.Intn(len(c.servers))]
+			queries := []query{
+				{"growth", grower, acceptToOptHigh},
+				{"failure", victim, acceptToOptHigh},
+				{"failure", victim, acceptToSoptHigh},
+				{"admission", nil, acceptToOptHigh},
+				{"admission", nil, acceptToSoptHigh},
+			}
+			for _, q := range queries {
+				demand := units.Fraction(0.01 + 0.3*rng.Float64())
+				start := *c.rng
+				got := c.findAcceptor(demand, q.exclude, q.limit)
+				gotRNG := *c.rng
+				*c.rng = start
+				want := liveFindAcceptor(c, demand, q.exclude, q.limit)
+				if got != want {
+					t.Fatalf("seed %d step %d %s query (demand %v, limit %d): index search returned %v, live scan %v",
+						seed, step, q.caller, demand, q.limit, serverName(got), serverName(want))
+				}
+				if gotRNG != *c.rng {
+					t.Fatalf("seed %d step %d %s query: RNG positions differ after the search", seed, step, q.caller)
+				}
+				sawFound = sawFound || got != nil
+				sawNone = sawNone || got == nil
+			}
+		}
+	}
+	if !sawSleeping || !sawWaking || !sawFailed || !sawFound || !sawNone {
+		t.Fatalf("coverage gap: sleeping=%v waking=%v failed=%v found=%v none=%v",
+			sawSleeping, sawWaking, sawFailed, sawFound, sawNone)
+	}
+}
+
+// serverName renders an acceptor result for failure messages.
+func serverName(s *server.Server) string {
+	if s == nil {
+		return "nil"
+	}
+	return fmt.Sprintf("server %d", s.ID())
 }

@@ -129,7 +129,10 @@ func (c *Cluster) RunIntervals(ctx context.Context, n int) ([]IntervalStats, err
 
 // runInterval executes one full reallocation interval at its end time
 // now: account energy, evolve demand (handling growth), run the leader
-// protocol (plan, then apply), and collect statistics.
+// protocol (plan, then apply), and collect statistics. The regime, load,
+// SLA and §4 cost statistics are read from the flushed index; only the
+// energy account walks the servers. An Evaluate error met by any flush
+// since the last Rebuild fails the interval.
 func (c *Cluster) runInterval(now units.Seconds) (IntervalStats, error) {
 	e0 := c.TotalEnergy()
 	c.now = now
@@ -230,20 +233,21 @@ func (c *Cluster) runInterval(now units.Seconds) (IntervalStats, error) {
 	st.IntervalEnergy = c.TotalEnergy() - e0
 
 	// The §4 end-of-interval cost evaluations (q_k, p_k, j_k), averaged
-	// over the active fleet.
+	// over the active fleet in server-ID order from the index's cost
+	// column — each entry is that server's own Evaluate result, so the
+	// sums are the ones a per-server Evaluate scan would fold.
+	if err := ix.evalErr; err != nil {
+		return IntervalStats{}, err
+	}
 	var q, p, j float64
 	n := 0
-	for _, s := range c.servers {
-		if !c.active(s) {
+	for i := range ix.cost {
+		if !c.activeID(server.ID(i)) {
 			continue
 		}
-		ev, err := s.Evaluate()
-		if err != nil {
-			return IntervalStats{}, err
-		}
-		q += float64(ev.QCost)
-		p += float64(ev.PCost)
-		j += float64(ev.JCost)
+		q += float64(ix.cost[i].q)
+		p += float64(ix.cost[i].p)
+		j += float64(ix.cost[i].j)
 		n++
 	}
 	if n > 0 {
@@ -314,6 +318,9 @@ func (c *Cluster) evolveDemand() error {
 				i++
 			}
 		}
+		// Reconcile while this server's hosted list is still in cache;
+		// the later readers' flushes then find little left to do.
+		c.flushIndex()
 	}
 	return nil
 }
@@ -373,13 +380,8 @@ const (
 // ping-pong churn).
 const acceptMargin = 0.04
 
-// bound returns the load limit the acceptor must stay under.
-func (l acceptLimit) bound(dst *server.Server) units.Fraction {
-	return l.limitAt(dst.Boundaries())
-}
-
-// limitAt is bound against a boundaries value directly — the plan step
-// reads boundaries from the leader's index columns, not the server.
+// limitAt returns the load limit an acceptor with boundaries b must stay
+// under — both acceptor searches read boundaries from the index columns.
 func (l acceptLimit) limitAt(b regime.Boundaries) units.Fraction {
 	switch l {
 	case acceptToOptLow:
@@ -393,33 +395,41 @@ func (l acceptLimit) limitAt(b regime.Boundaries) units.Fraction {
 	}
 }
 
-// fits reports whether dst can take demand without crossing the limit.
-func fits(dst *server.Server, demand units.Fraction, limit acceptLimit) bool {
-	return dst.Load()+demand <= limit.bound(dst)
-}
-
 // findAcceptor samples a bounded candidate list (the leader's
 // MsgCandidateList) and returns the best-fitting eligible server against
 // live loads: the most loaded one that still fits, concentrating load per
 // the paper's reformulated load balancing goal. Returns nil when no
-// candidate fits. The leader pass uses the projection-aware
-// planFindAcceptor instead; this live variant serves the paths that
-// migrate immediately — demand-growth routing and failure re-placement.
+// candidate fits; exclude may be nil. The leader pass uses the
+// projection-aware planFindAcceptor instead; this live variant serves the
+// paths that act immediately — demand-growth routing, failure
+// re-placement and admission.
+//
+// Candidates are judged from the flushed index columns (activity, load,
+// boundaries), which equal the live accessors bit for bit, so only the
+// winner is dereferenced. The RNG draws are one Intn per sample slot,
+// whatever the candidates turn out to be.
 func (c *Cluster) findAcceptor(demand units.Fraction, exclude *server.Server, limit acceptLimit) *server.Server {
-	var best *server.Server
+	c.flushIndex()
+	ix := &c.idx
+	skip := noServer
+	if exclude != nil {
+		skip = exclude.ID()
+	}
+	best := noServer
 	for i := 0; i < candidateSample; i++ {
-		cand := c.servers[c.rng.Intn(len(c.servers))]
-		if cand == exclude || !c.active(cand) {
+		id := server.ID(c.rng.Intn(len(c.servers)))
+		if id == skip || !c.activeID(id) {
 			continue
 		}
-		if !fits(cand, demand, limit) {
-			continue
-		}
-		if best == nil || cand.Load() > best.Load() {
-			best = cand
+		if load := ix.load[id]; load+demand <= limit.limitAt(ix.bounds[id]) &&
+			(best == noServer || load > ix.load[best]) {
+			best = id
 		}
 	}
-	return best
+	if best == noServer {
+		return nil
+	}
+	return c.servers[best]
 }
 
 // migrate moves one hosted application from src to dst, charging the
