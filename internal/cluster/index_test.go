@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"ealb/internal/regime"
@@ -368,4 +369,56 @@ func serverName(s *server.Server) string {
 		return "nil"
 	}
 	return fmt.Sprintf("server %d", s.ID())
+}
+
+// TestAcceptorSearchesAcceptExactTie pins the fit rule of both acceptor
+// searches at its boundary: a server whose load plus the demand equals
+// the limit exactly in float64 still fits (load+demand <= limit, not <).
+// In a two-server cluster with the other server excluded, that server
+// is the only eligible candidate, so a search that rejected the tie
+// would find no acceptor.
+func TestAcceptorSearchesAcceptExactTie(t *testing.T) {
+	c, err := New(DefaultConfig(2, workload.LowLoad(), 2014))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.flushIndex()
+	id, other := server.ID(0), server.ID(1)
+	if !c.activeID(id) {
+		id, other = other, id
+	}
+	if !c.activeID(id) {
+		t.Fatal("no active server")
+	}
+	load := c.idx.load[id]
+	tested := 0
+	for _, limit := range []acceptLimit{acceptToOptLow, acceptToOptMid, acceptToOptHigh, acceptToSoptHigh} {
+		bound := limit.limitAt(c.idx.bounds[id])
+		if bound <= load {
+			continue
+		}
+		// Find a demand whose sum with load rounds to the bound exactly.
+		demand := bound - load
+		for k := 0; k < 8 && load+demand != bound; k++ {
+			if load+demand < bound {
+				demand = units.Fraction(math.Nextafter(float64(demand), math.Inf(1)))
+			} else {
+				demand = units.Fraction(math.Nextafter(float64(demand), 0))
+			}
+		}
+		if load+demand != bound {
+			t.Fatalf("limit %d: no demand ties load %v with bound %v", limit, load, bound)
+		}
+		tested++
+		if got := c.findAcceptor(demand, c.servers[other], limit); got == nil || got.ID() != id {
+			t.Errorf("limit %d: findAcceptor rejected the server at an exact tie (load %v + demand %v = %v)", limit, load, demand, bound)
+		}
+		c.leader.beginPlan()
+		if got := c.planFindAcceptor(demand, other, limit); got != id {
+			t.Errorf("limit %d: planFindAcceptor rejected the server at an exact tie (load %v + demand %v = %v)", limit, load, demand, bound)
+		}
+	}
+	if tested == 0 {
+		t.Fatalf("load %v is at or above every accept limit; the test needs room", load)
+	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -22,12 +21,13 @@ import (
 // dropped from the stream.
 const maxTraceEventsPerCell = 1 << 17
 
-// tailTracer is the per-cell tracer of a traced run: decision events
-// feed the run's trace tail for live NDJSON streaming and the run store
-// (where finished runs stream from, so the live buffers can be released
-// at terminal status); phase timings feed the server-wide phase
-// histograms exported on /metrics. It is driven from engine worker
-// goroutines; the tail, store and histograms are all concurrency-safe.
+// tailTracer is the per-cell tracer of a traced run: each decision
+// event is encoded once and the same line feeds the run's trace tail
+// for live NDJSON streaming and the run store (where finished runs
+// stream from, so the live buffers can be released at terminal
+// status); phase timings feed the server-wide phase histograms
+// exported on /metrics. It is driven from engine worker goroutines;
+// the tail, store and histograms are all concurrency-safe.
 type tailTracer struct {
 	srv   *Server
 	tail  *tail
@@ -41,11 +41,13 @@ func (tt *tailTracer) Event(e trace.Event) {
 		tt.srv.traceDropped.Add(1)
 		return
 	}
-	tt.tail.observe(tt.cell, e)
-	if raw, err := json.Marshal(e); err == nil {
-		if err := tt.srv.store.AppendTrace(tt.runID, tt.cell, raw); err != nil {
-			tt.srv.logStoreError("trace", tt.runID, err)
-		}
+	raw, err := json.Marshal(e)
+	if err != nil {
+		return
+	}
+	tt.tail.append(tt.cell, raw)
+	if err := tt.srv.store.AppendTrace(tt.runID, tt.cell, raw); err != nil {
+		tt.srv.logStoreError("trace", tt.runID, err)
 	}
 }
 
@@ -148,79 +150,19 @@ func (w *statusWriter) status() int {
 	return w.code
 }
 
-// handleTrace streams one cell's decision events as newline-delimited
-// JSON, flushing after every batch. Like /intervals it tails a running
-// simulation live; once the run finishes, the live buffers are released
-// and the remainder streams from the run store (up to the per-cell cap,
-// and for the in-memory store its finished-run retention window), so
-// finished runs stay streamable without pinning every event in RAM.
+// handleTrace streams one cell's decision events as NDJSON (see
+// stream). Once the run is terminal the remainder streams from the run
+// store (up to the per-cell cap, and for the in-memory store its
+// finished-run retention window), so finished runs stay streamable
+// without pinning every event in RAM. Trace streams carry no status
+// line, unlike interval streams.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	run := s.snapshot(r.PathValue("id"))
-	if run == nil {
-		httpError(w, http.StatusNotFound, "no such run")
-		return
-	}
-	if run.traceTail == nil {
-		httpError(w, http.StatusConflict, `run has no decision trace (submit with "trace":true on a cluster or farm scenario)`)
-		return
-	}
-	cell := 0
-	if raw := r.URL.Query().Get("cell"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("invalid cell %q", raw))
-			return
-		}
-		cell = n
-	}
-	if cell >= run.traceTail.cellCount() {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("no such cell %d (run has %d)", cell, run.traceTail.cellCount()))
-		return
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	sent := 0
-	for {
-		items, done, released, wake := run.traceTail.after(cell, sent)
-		if released {
-			// Terminal: the live buffers are gone; stream the remainder
-			// from the store. Trace streams carry no status line (unlike
-			// interval tails) — that contract is unchanged.
-			if lines, err := s.store.Trace(run.ID, cell); err == nil && sent < len(lines) {
-				for _, ln := range lines[sent:] {
-					if err := enc.Encode(json.RawMessage(ln)); err != nil {
-						return
-					}
-				}
-				if flusher != nil {
-					flusher.Flush()
-				}
-			}
-			return
-		}
-		for _, e := range items {
-			if err := enc.Encode(e); err != nil {
-				return
-			}
-		}
-		if flusher != nil && len(items) > 0 {
-			flusher.Flush()
-		}
-		sent += len(items)
-		if len(items) > 0 {
-			continue // re-check before blocking: more may have arrived
-		}
-		if done {
-			return
-		}
-		select {
-		case <-wake:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	s.stream(w, r, func(run *Run) *tail { return run.traceTail },
+		`run has no decision trace (submit with "trace":true on a cluster or farm scenario)`,
+		func(run *Run, cell, sent int) [][]byte {
+			lines, _ := s.store.Trace(run.ID, cell) // an error cannot be reported mid-stream; the stream ends
+			return skip(lines, sent)
+		})
 }
 
 // histDef is one histogram family instance for /metrics exposition.

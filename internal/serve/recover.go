@@ -18,8 +18,9 @@ import (
 //
 // Call Recover after NewWith and before serving traffic. Runs whose
 // lease another replica holds are registered for read access but not
-// executed. Recover returns on the first store read error; individual
-// corrupt records are skipped with a log line instead.
+// executed; their streams serve the lines the shared store holds.
+// Recover returns on the first store read error; individual corrupt
+// records are skipped with a log line instead.
 func (s *Server) Recover(ctx context.Context) error {
 	recs, err := s.store.ListRuns()
 	if err != nil {
@@ -78,7 +79,20 @@ func (s *Server) recoverRun(rec store.Record) error {
 	streaming := kind == engine.KindCluster || kind == engine.KindFarm
 	traced := streaming && ex.Cells()[0].Trace
 
-	if terminal(rec.Status) {
+	// An interrupted run — queued or running when its process died — is
+	// claimed for resumption: a replica restarted under the same owner
+	// reclaims its own runs immediately, while a rival's live lease means
+	// that replica is (still) executing the run.
+	claimed := false
+	if !terminal(rec.Status) {
+		if claimed, err = s.store.Claim(rec.ID, s.owner, s.leaseTTL); err != nil {
+			return err
+		}
+	}
+	if !claimed {
+		// Read-only: released tails route interval readers to the recorded
+		// result or the store, and trace readers to the store. A rival's
+		// run streams what it has appended to the shared store so far.
 		if rec.Status == StatusDone && len(rec.Result) > 0 {
 			if rec.Single {
 				var res engine.Result
@@ -92,8 +106,6 @@ func (s *Server) recoverRun(rec store.Record) error {
 				}
 			}
 		}
-		// Released tails route interval readers to the recorded result
-		// or the store, and trace readers to the store.
 		if streaming {
 			run.tail = releasedTail(len(ex.Cells()))
 		}
@@ -101,25 +113,7 @@ func (s *Server) recoverRun(rec store.Record) error {
 			run.traceTail = releasedTail(len(ex.Cells()))
 		}
 		s.register(run, false)
-		return nil
-	}
-
-	// Interrupted. Claim it — a replica restarted under the same owner
-	// reclaims its own runs immediately; a rival's live lease means that
-	// replica is (still) executing the run, so register it read-only.
-	claimed, err := s.store.Claim(rec.ID, s.owner, s.leaseTTL)
-	if err != nil {
-		return err
-	}
-	if !claimed {
-		if streaming {
-			run.tail = newTail(len(ex.Cells()))
-		}
-		if traced {
-			run.traceTail = newTail(len(ex.Cells()))
-		}
-		s.register(run, false)
-		if s.logger != nil {
+		if !terminal(rec.Status) && s.logger != nil {
 			s.logger.Info("run leased elsewhere; not resuming", "run", rec.ID)
 		}
 		return nil
@@ -149,23 +143,23 @@ func (s *Server) recoverRun(rec store.Record) error {
 	if err := s.store.TruncateTrace(rec.ID, isCheckpointed); err != nil {
 		return err
 	}
-	if streaming {
-		run.tail = newTail(len(ex.Cells()))
-		//ealb:allow-nondet per-cell preload; cells are independent buffers
+	// Checkpointed cells never re-observe: seed their tails with the
+	// stored lines so live readers get them as streamed the first time.
+	seed := func(read func(id string, cell int) ([][]byte, error)) *tail {
+		t := newTail(len(ex.Cells()))
+		//ealb:allow-nondet per-cell seeding; cells are independent buffers
 		for cell := range resume {
-			if lines, err := s.store.Intervals(rec.ID, cell); err == nil {
-				run.tail.preload(cell, lines)
+			if lines, err := read(rec.ID, cell); err == nil {
+				t.append(cell, lines...)
 			}
 		}
+		return t
+	}
+	if streaming {
+		run.tail = seed(s.store.Intervals)
 	}
 	if traced {
-		run.traceTail = newTail(len(ex.Cells()))
-		//ealb:allow-nondet per-cell preload; cells are independent buffers
-		for cell := range resume {
-			if lines, err := s.store.Trace(rec.ID, cell); err == nil {
-				run.traceTail.preload(cell, lines)
-			}
-		}
+		run.traceTail = seed(s.store.Trace)
 	}
 	run.resume = resume
 	run.Status = StatusQueued

@@ -35,6 +35,12 @@
 // context.Context: DELETE cancels it, a ?wait=1 client disconnect
 // cancels it, and Shutdown drains or cancels all of them.
 //
+// Each interval stat and decision event is encoded to JSON once; the
+// same bytes go to the run store and to the run's in-memory tail, which
+// live readers copy straight to the response. At terminal status the
+// tail is released and readers finish from the recorded result or the
+// store. Runs a rival replica holds stream what the shared store holds.
+//
 // The service holds live runs in memory and writes every state
 // transition through a store.RunStore. The default in-memory store
 // keeps the historical single-process behaviour; `ealb-serve
@@ -119,12 +125,12 @@ type Run struct {
 	resume map[int]engine.Result
 	// cancel aborts the run's context (DELETE, Shutdown).
 	cancel context.CancelFunc
-	// tail buffers per-interval stats of cluster cells for live
-	// streaming; nil for policy runs. Released at every terminal status:
-	// done runs serve intervals from the recorded result,
-	// failed/cancelled ones from the store.
+	// tail buffers the per-interval NDJSON lines of cluster and farm
+	// cells for live streaming; nil for policy runs. Released at every
+	// terminal status: done runs serve intervals from the recorded
+	// result, failed/cancelled ones from the store.
 	tail *tail
-	// traceTail buffers decision events for runs submitted with
+	// traceTail buffers decision-event lines for runs submitted with
 	// "trace":true; nil otherwise. Also released at terminal status —
 	// events persist in the store (bounded by maxTraceEventsPerCell and
 	// the memory store's retention window), so finished runs stay
@@ -520,13 +526,16 @@ func (s *Server) execute(ctx context.Context, run *Run) {
 	hooks := engine.RunHooks{Completed: run.resume}
 	if run.tail != nil {
 		hooks.Observe = func(cell int, st any) {
-			run.tail.observe(cell, st)
-			// Persist the interval so failed/cancelled runs stream from
-			// the store once the live buffers are released.
-			if raw, err := json.Marshal(st); err == nil {
-				if err := s.store.AppendInterval(run.ID, cell, raw); err != nil {
-					s.logStoreError("interval", run.ID, err)
-				}
+			// Encode once: the tail and the store hold the same bytes, so
+			// a failed or cancelled run streams from the store exactly
+			// what it streamed live.
+			raw, err := json.Marshal(st)
+			if err != nil {
+				return
+			}
+			run.tail.append(cell, raw)
+			if err := s.store.AppendInterval(run.ID, cell, raw); err != nil {
+				s.logStoreError("interval", run.ID, err)
 			}
 		}
 	}
@@ -594,15 +603,14 @@ func (s *Server) execute(ctx context.Context, run *Run) {
 	if rerr := s.store.Release(run.ID, s.owner); rerr != nil {
 		s.logStoreError("release", run.ID, rerr)
 	}
-	// Release both tails unconditionally: the process no longer pins any
-	// finished run's stream buffers (the pre-store service kept
-	// failed-run intervals and every trace for its whole lifetime).
-	// Readers fall through to the recorded result or the store.
+	// Release both tails unconditionally: the process pins no finished
+	// run's stream buffers. Readers fall through to the recorded result
+	// or the store.
 	if run.tail != nil {
-		run.tail.finish(true)
+		run.tail.release()
 	}
 	if run.traceTail != nil {
-		run.traceTail.finish(true)
+		run.traceTail.release()
 	}
 	if s.logger != nil {
 		s.mu.Lock()
@@ -725,20 +733,44 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, s.snapshot(r.PathValue("id")))
 }
 
-// handleIntervals streams per-interval stats of one cluster cell as
-// newline-delimited JSON, flushing after every interval. It tails a
-// running (or still queued) simulation live: buffered intervals stream
-// immediately and new ones follow as the simulation produces them, until
-// the run reaches a terminal status. ?cell= selects a sweep cell by its
-// expansion index (default 0).
+// handleIntervals streams per-interval stats of one cluster or farm
+// cell as NDJSON (see stream). Once the run is terminal a done run
+// serves the remainder from its recorded result; a failed or cancelled
+// run — or one a rival replica is executing — serves it from the store
+// and closes with a {"error","status"} line, so a tail client sees why
+// no more intervals will come.
 func (s *Server) handleIntervals(w http.ResponseWriter, r *http.Request) {
+	s.stream(w, r, func(run *Run) *tail { return run.tail },
+		"run has no per-interval stats (not a cluster or farm scenario)",
+		func(run *Run, cell, sent int) [][]byte {
+			if run.Status == StatusDone {
+				return skip(run.cellStats(cell), sent)
+			}
+			// A store read error cannot be reported once lines may have
+			// been sent: the stream closes with the status line alone.
+			lines, _ := s.store.Intervals(run.ID, cell)
+			status, _ := json.Marshal(map[string]string{"status": run.Status, "error": run.Error}) // strings always encode
+			return append(skip(lines, sent), status)
+		})
+}
+
+// stream serves one cell of a run's NDJSON stream, flushing after every
+// batch. ?cell= selects a sweep cell by its expansion index (default 0).
+// pick chooses the run's tail (nil answers 409 with none). The stream
+// tails a queued or running run live: buffered lines go out at once and
+// new ones follow as the simulation produces them. Once the tail is
+// released, rest supplies the lines past the sent count from the run's
+// durable form (recorded result or store), and the stream ends.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, pick func(*Run) *tail, none string,
+	rest func(run *Run, cell, sent int) [][]byte) {
 	run := s.snapshot(r.PathValue("id"))
 	if run == nil {
 		httpError(w, http.StatusNotFound, "no such run")
 		return
 	}
-	if run.tail == nil {
-		httpError(w, http.StatusConflict, "run has no per-interval stats (not a cluster or farm scenario)")
+	t := pick(run)
+	if t == nil {
+		httpError(w, http.StatusConflict, none)
 		return
 	}
 	cell := 0
@@ -750,60 +782,42 @@ func (s *Server) handleIntervals(w http.ResponseWriter, r *http.Request) {
 		}
 		cell = n
 	}
-	if cell >= run.tail.cellCount() {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("no such cell %d (run has %d)", cell, run.tail.cellCount()))
+	if cell >= t.cellCount() {
+		httpError(w, http.StatusNotFound, fmt.Sprintf("no such cell %d (run has %d)", cell, t.cellCount()))
 		return
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(items []any) bool {
-		for _, st := range items {
-			if err := enc.Encode(st); err != nil {
+	write := func(lines [][]byte) bool {
+		for _, ln := range lines {
+			// Lines are shared with other readers and the store: write
+			// the newline separately rather than appending to them.
+			if _, err := w.Write(ln); err != nil {
 				return false
 			}
-			if flusher != nil {
-				flusher.Flush()
+			if _, err := w.Write(newline); err != nil {
+				return false
 			}
+		}
+		if flusher != nil && len(lines) > 0 {
+			flusher.Flush()
 		}
 		return true
 	}
 	sent := 0
 	for {
-		items, done, released, wake := run.tail.after(cell, sent)
+		lines, released, wake := t.after(cell, sent)
 		if released {
-			// The run reached a terminal status and the live buffers were
-			// dropped. A done run streams the remainder from its recorded
-			// result; a failed/cancelled one streams it from the store and
-			// closes with the terminal status line, so a tail client sees
-			// why no more intervals will come.
-			snap := s.snapshot(run.ID)
-			if snap.Status == StatusDone {
-				if stats := snap.cellStats(cell); sent < len(stats) {
-					emit(stats[sent:])
-				}
-				return
-			}
-			if lines, err := s.store.Intervals(run.ID, cell); err == nil && sent < len(lines) {
-				emit(rawLines(lines[sent:]))
-			}
-			emit([]any{map[string]string{"status": snap.Status, "error": snap.Error}})
+			write(rest(s.snapshot(run.ID), cell, sent))
 			return
 		}
-		if !emit(items) {
+		if !write(lines) {
 			return
 		}
-		sent += len(items)
-		if len(items) > 0 {
+		sent += len(lines)
+		if len(lines) > 0 {
 			continue // re-check before blocking: more may have arrived
-		}
-		if done {
-			// Defensive: finish now always releases, but close with the
-			// status line if a done-without-release state ever appears.
-			snap := s.snapshot(run.ID)
-			emit([]any{map[string]string{"status": snap.Status, "error": snap.Error}})
-			return
 		}
 		select {
 		case <-wake:
@@ -813,20 +827,21 @@ func (s *Server) handleIntervals(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// rawLines adapts stored NDJSON lines for the tail emit helpers:
-// json.RawMessage re-encodes verbatim, so stored bytes stream back
-// unmodified.
-func rawLines(lines [][]byte) []any {
-	out := make([]any, len(lines))
-	for i, ln := range lines {
-		out[i] = json.RawMessage(ln)
+var newline = []byte{'\n'}
+
+// skip returns lines past the first n (nil when n covers them all).
+func skip(lines [][]byte, n int) [][]byte {
+	if n >= len(lines) {
+		return nil
 	}
-	return out
+	return lines[n:]
 }
 
-// cellStats returns the recorded per-interval stats of one cluster or
-// farm cell of a finished run (nil when absent).
-func (run *Run) cellStats(cell int) []any {
+// cellStats encodes the recorded per-interval stats of one cluster or
+// farm cell of a finished run, one NDJSON line each (nil when absent).
+// The encoding is the one the live stream used, so a done run streams
+// the same bytes it streamed while running.
+func (run *Run) cellStats(cell int) [][]byte {
 	if run == nil {
 		return nil
 	}
@@ -837,120 +852,99 @@ func (run *Run) cellStats(cell int) []any {
 	case run.Sweep != nil && cell < len(run.Sweep.Cells):
 		res = &run.Sweep.Cells[cell]
 	}
-	if res == nil {
-		return nil
-	}
 	switch {
+	case res == nil:
+		return nil
 	case res.Cluster != nil:
-		out := make([]any, len(res.Cluster.Stats))
-		for i, st := range res.Cluster.Stats {
-			out[i] = st
-		}
-		return out
+		return marshalLines(res.Cluster.Stats)
 	case res.Farm != nil:
-		out := make([]any, len(res.Farm.Stats))
-		for i, st := range res.Farm.Stats {
-			out[i] = st
-		}
-		return out
+		return marshalLines(res.Farm.Stats)
 	}
 	return nil
 }
 
-// tail buffers the per-interval statistics of a run's cluster or farm
-// cells — items are cluster.IntervalStats or farm.IntervalStats values,
-// matching the run kind — so clients can stream them while the
-// simulation is still running. Once the run completes successfully the
-// buffers are released — the same data lives in the recorded result,
-// and the service keeps runs for its whole lifetime.
+// marshalLines encodes each item as one NDJSON line, stopping at the
+// first item that does not encode.
+func marshalLines[T any](items []T) [][]byte {
+	out := make([][]byte, 0, len(items))
+	for _, it := range items {
+		raw, err := json.Marshal(it)
+		if err != nil {
+			break
+		}
+		out = append(out, raw)
+	}
+	return out
+}
+
+// tail buffers the NDJSON lines of a run's cells — the exact bytes
+// handed to the store, encoded once — so clients can stream them while
+// the simulation is still running. At terminal status the buffers are
+// released: the same lines then live in the recorded result (done
+// runs) or the store (failed and cancelled runs, and trace streams).
 type tail struct {
 	n int // cell count, stable after construction
 
 	mu sync.Mutex
 	//ealb:guarded-by(mu)
-	cells [][]any
-	//ealb:guarded-by(mu)
-	done bool
+	cells [][][]byte
 	//ealb:guarded-by(mu)
 	released bool
 	//ealb:guarded-by(mu)
-	wake chan struct{} // closed and replaced on every append/finish
+	wake chan struct{} // closed and replaced on every append/release
 }
 
 func newTail(cells int) *tail {
-	return &tail{n: cells, cells: make([][]any, cells), wake: make(chan struct{})}
+	return &tail{n: cells, cells: make([][][]byte, cells), wake: make(chan struct{})}
 }
 
-// releasedTail builds a tail already in the terminal released state —
-// recovered terminal runs, whose streams live in the store or the
-// recorded result.
+// releasedTail builds a tail already released — runs this process does
+// not execute, whose streams live in the store or the recorded result.
 func releasedTail(cells int) *tail {
 	t := newTail(cells)
-	t.finish(true)
+	t.release()
 	return t
 }
 
 func (t *tail) cellCount() int { return t.n }
 
-// preload seeds a cell's buffer with stored stream lines before the run
-// (re)starts: a resumed run's checkpointed cells never re-observe, so
-// live tail clients get their intervals from the preloaded lines
-// instead. json.RawMessage entries encode verbatim, matching the
-// original stream bytes.
-func (t *tail) preload(cell int, lines [][]byte) {
+// append adds lines to a cell's buffer and wakes blocked readers. It is
+// called from engine worker goroutines, and by Recover to seed a resumed
+// run's checkpointed cells with their stored lines. The lines are
+// shared, never modified.
+func (t *tail) append(cell int, lines ...[]byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if cell < 0 || cell >= len(t.cells) || t.done {
+	if cell < 0 || cell >= len(t.cells) || t.released {
 		return
 	}
-	for _, ln := range lines {
-		t.cells[cell] = append(t.cells[cell], json.RawMessage(ln))
-	}
-}
-
-// observe appends one interval and wakes blocked readers. It is called
-// from engine worker goroutines.
-func (t *tail) observe(cell int, st any) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if cell < 0 || cell >= len(t.cells) || t.done {
-		return
-	}
-	t.cells[cell] = append(t.cells[cell], st)
+	t.cells[cell] = append(t.cells[cell], lines...)
 	close(t.wake)
 	t.wake = make(chan struct{})
 }
 
-// finish marks the run terminal and wakes blocked readers; release
-// additionally drops the interval buffers (the caller guarantees the
-// run's recorded result now holds them).
-func (t *tail) finish(release bool) {
+// release drops the buffers and wakes blocked readers; the caller
+// guarantees the run's durable form now holds every line.
+func (t *tail) release() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.done = true
-	if release {
-		t.released = true
-		t.cells = nil
-	}
+	t.released = true
+	t.cells = nil
 	close(t.wake)
 	t.wake = make(chan struct{})
 }
 
-// after returns the cell's intervals past from, the terminal/released
-// flags, and a channel that is closed on the next append/finish. When
-// released is true the buffers are gone and the caller must read the
-// run's recorded result instead.
-func (t *tail) after(cell, from int) (items []any, done, released bool, wake <-chan struct{}) {
+// after returns the cell's lines past from, whether the buffers were
+// released (the caller must then read the run's durable form), and a
+// channel that is closed on the next append or release.
+func (t *tail) after(cell, from int) (lines [][]byte, released bool, wake <-chan struct{}) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.released {
-		return nil, true, true, t.wake
+		return nil, true, t.wake
 	}
-	items = t.cells[cell]
-	if from > len(items) {
-		from = len(items)
-	}
-	return items[from:], t.done, false, t.wake
+	lines = t.cells[cell]
+	return lines[min(from, len(lines)):], false, t.wake
 }
 
 // metricDef describes one exported metric.

@@ -3,9 +3,12 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -312,20 +315,10 @@ func TestCancelledIntervalsServedFromStore(t *testing.T) {
 	_, run := postRun(t, ts, `{"size":300,"intervals":10000}`, false)
 
 	// Let at least one interval land, then cancel and drain.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
+	waitUntil(t, "an interval in the store", func() bool {
 		lines, err := s.store.Intervals(run.ID, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(lines) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no interval reached the store")
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
+		return err == nil && len(lines) > 0
+	})
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/runs/"+run.ID, nil)
 	del, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -346,34 +339,19 @@ func TestCancelledIntervalsServedFromStore(t *testing.T) {
 		t.Fatal("cancelled run's tail buffers were not released")
 	}
 
-	// ...but the stream still serves, from the store, with the terminal
-	// status line last.
-	resp, err := http.Get(ts.URL + "/v1/runs/" + run.ID + "/intervals")
+	// ...but the stream still serves, from the store, byte for byte,
+	// with the terminal status line last.
+	lines, err := s.store.Intervals(run.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
-	intervals, status := 0, ""
-	for dec.More() {
-		var line struct {
-			Sleeping *int   `json:"Sleeping"`
-			Status   string `json:"status"`
-		}
-		if err := dec.Decode(&line); err != nil {
-			t.Fatal(err)
-		}
-		if line.Status != "" {
-			status = line.Status
-			continue
-		}
-		if status != "" {
-			t.Fatal("interval line after the status line")
-		}
-		intervals++
+	errJSON, err := json.Marshal(snap.Error)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if intervals == 0 || status != StatusCancelled {
-		t.Fatalf("post-cancel stream: %d intervals, final status %q", intervals, status)
+	want := ndjson(lines) + `{"error":` + string(errJSON) + `,"status":"cancelled"}` + "\n"
+	if got := readAll(t, ts.URL+"/v1/runs/"+run.ID+"/intervals"); got != want {
+		t.Fatalf("post-cancel stream = %.300q…\nwant the %d stored lines then the status line", got, len(lines))
 	}
 
 	// The store eventually bounds cancelled-run streams too (the memory
@@ -397,28 +375,301 @@ func TestTraceServedFromStoreAfterFinish(t *testing.T) {
 	if !released {
 		t.Fatal("finished run's trace buffers were not released")
 	}
-	resp, err := http.Get(ts.URL + "/v1/runs/" + run.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
-	events := 0
-	for dec.More() {
-		var e map[string]any
-		if err := dec.Decode(&e); err != nil {
-			t.Fatal(err)
-		}
-		events++
-	}
-	if events == 0 {
-		t.Fatal("finished run streamed no trace events from the store")
-	}
+	// The stream is the store's lines byte for byte, with no status line.
 	lines, err := s.store.Trace(run.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if events != len(lines) {
-		t.Fatalf("streamed %d events, store holds %d", events, len(lines))
+	if len(lines) == 0 {
+		t.Fatal("finished run left no trace events in the store")
+	}
+	if got := readAll(t, ts.URL+"/v1/runs/"+run.ID+"/trace"); got != ndjson(lines) {
+		t.Fatalf("streamed %d bytes, want the store's %d lines (%d bytes)", len(got), len(lines), len(ndjson(lines)))
+	}
+}
+
+// readAll GETs url and returns the whole body, failing the test on any
+// error.
+func readAll(t *testing.T, url string) string {
+	t.Helper()
+	body, err := fetch(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// fetch GETs url and returns the whole body of a 200 answer. The client
+// deadline turns a stream that never ends into an error instead of a
+// hang.
+func fetch(url string) (string, error) {
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Get(url)
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return "", fmt.Errorf("GET %s: %w", url, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return "", fmt.Errorf("GET %s: status %d: %s", url, resp.StatusCode, raw)
+	}
+	return string(raw), nil
+}
+
+// ndjson joins lines the way the streams send them: each line, then
+// "\n".
+func ndjson(lines [][]byte) string {
+	var b strings.Builder
+	for _, ln := range lines {
+		b.Write(ln)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// waitUntil polls cond until it holds, failing the test after 30s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// TestRivalLeasedRunStreams is the regression for streams of a run
+// another replica is executing: such a run is registered read-only, and
+// its /intervals and /trace used to block until the client hung up,
+// because nothing fed or released its tail. Now both serve what the
+// shared store holds; /intervals closes with the run's status line.
+func TestRivalLeasedRunStreams(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1, d1 := diskServer(t, dir, 1, Options{Owner: "node-a"})
+	_, run := postRun(t, ts1, `{"size":300,"intervals":10000,"trace":true}`, false)
+	waitUntil(t, "an interval in the store", func() bool {
+		lines, err := d1.Intervals(run.ID, 0)
+		return err == nil && len(lines) > 0
+	})
+
+	// node-b opens the same directory while node-a holds the lease.
+	s2, ts2, d2 := diskServer(t, dir, 1, Options{Owner: "node-b"})
+	if err := s2.Recover(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if snap := s2.snapshot(run.ID); snap == nil || snap.Status != StatusRunning {
+		t.Fatalf("rival-leased run on node-b = %+v", snap)
+	}
+	intervals := readAll(t, ts2.URL+"/v1/runs/"+run.ID+"/intervals")
+	events := readAll(t, ts2.URL+"/v1/runs/"+run.ID+"/trace")
+
+	req, _ := http.NewRequest(http.MethodDelete, ts1.URL+"/v1/runs/"+run.ID, nil)
+	del, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del.Body.Close()
+	s1.Wait()
+
+	// The streams are prefixes, in whole lines, of what node-a appended
+	// before it stopped; the interval stream ends with the status line.
+	status := `{"error":"","status":"running"}` + "\n"
+	stored, err := d2.Intervals(run.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := strings.CutSuffix(intervals, status)
+	if !ok || body == "" || !strings.HasPrefix(ndjson(stored), body) || !strings.HasSuffix(body, "\n") {
+		t.Fatalf("rival /intervals = %.200q…, want stored lines then %q", intervals, status)
+	}
+	trace, err := d2.Trace(run.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if events == "" || !strings.HasPrefix(ndjson(trace), events) || !strings.HasSuffix(events, "\n") {
+		t.Fatalf("rival /trace = %.200q…, want a prefix of the stored lines", events)
+	}
+}
+
+// TestStreamByteContract pins the stream wire format on both stores:
+// a sweep cell's interval stream is json.Marshal of each recorded stat
+// plus "\n", and its trace stream is the store's lines with no status
+// line, for a reader attached before the run started, one attached
+// after it was done, and a resumed run's checkpointed cell.
+func TestStreamByteContract(t *testing.T) {
+	for _, backend := range []string{"memory", "disk"} {
+		t.Run(backend, func(t *testing.T) {
+			var st store.RunStore = store.NewMemory()
+			if backend == "disk" {
+				d, err := store.OpenDisk(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				st = d
+			}
+			t.Cleanup(func() { st.Close() })
+			body := `{"sizes":[40,300],"intervals":300,"trace":true}`
+
+			// Before start and after done: the pool's only slot is held,
+			// so the readers attach while the run cannot start.
+			pool := engine.NewPool(1)
+			s := NewWith(pool, Options{Store: st, Owner: "node-a"})
+			attached := make(chan struct{}, 2)
+			h := s.Handler()
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				select {
+				case attached <- struct{}{}:
+				default:
+				}
+				h.ServeHTTP(w, r)
+			}))
+			t.Cleanup(func() { s.Wait(); ts.Close() })
+			release := holdPool(t, pool)
+			_, run := postRun(t, ts, body, false)
+			<-attached // the submission
+			live := make([]string, 2)
+			var read sync.WaitGroup
+			for i, stream := range []string{"intervals", "trace"} {
+				read.Add(1)
+				go func() {
+					defer read.Done()
+					var err error
+					if live[i], err = fetch(ts.URL + "/v1/runs/" + run.ID + "/" + stream + "?cell=1"); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			<-attached
+			<-attached
+			release()
+			read.Wait()
+			s.Wait()
+			snap := s.snapshot(run.ID)
+			if snap.Status != StatusDone {
+				t.Fatalf("run = %+v", snap)
+			}
+			checkCell(t, st, ts.URL, snap, 1, live)
+
+			// A resumed run's checkpointed cell: interrupt after the first
+			// checkpoint, then restart over the same store.
+			_, run = postRun(t, ts, body, false)
+			waitUntil(t, "a cell checkpoint", func() bool {
+				cells, err := st.Cells(run.ID)
+				return err == nil && len(cells) > 0
+			})
+			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/runs/"+run.ID, nil)
+			del, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			del.Body.Close()
+			s.Wait()
+			cells, err := st.Cells(run.ID)
+			if err != nil || len(cells) != 1 {
+				t.Fatalf("interruption checkpointed %v (err %v); the test needs exactly one", cells, err)
+			}
+			rec, _, err := st.GetRun(run.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.Status, rec.Error, rec.Finished = StatusRunning, "", nil
+			if err := st.PutRun(rec); err != nil {
+				t.Fatal(err)
+			}
+
+			pool2 := engine.NewPool(1)
+			s2 := NewWith(pool2, Options{Store: st, Owner: "node-a"})
+			ts2 := httptest.NewServer(s2.Handler())
+			t.Cleanup(func() { s2.Wait(); ts2.Close() })
+			release = holdPool(t, pool2)
+			if err := s2.Recover(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			// The responses start while the resumed run waits for the pool,
+			// so their first lines come from the seeded tail.
+			ck := cells[0].Cell
+			client := &http.Client{Timeout: 10 * time.Second}
+			var resps []*http.Response
+			for _, stream := range []string{"intervals", "trace"} {
+				resp, err := client.Get(fmt.Sprintf("%s/v1/runs/%s/%s?cell=%d", ts2.URL, run.ID, stream, ck))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				resps = append(resps, resp)
+			}
+			release()
+			resumed := make([]string, len(resps))
+			for i, resp := range resps {
+				raw, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resumed[i] = string(raw)
+			}
+			s2.Wait()
+			snap = s2.snapshot(run.ID)
+			if snap.Status != StatusDone {
+				t.Fatalf("resumed run = %+v", snap)
+			}
+			checkCell(t, st, ts2.URL, snap, ck, resumed)
+		})
+	}
+}
+
+// holdPool occupies the pool's only slot until the returned release is
+// called (by the test, or else by cleanup); release returns once the
+// slot is free.
+func holdPool(t *testing.T, pool *engine.Pool) (release func()) {
+	t.Helper()
+	held, done, exited := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		pool.Map(context.Background(), 1, func(int) error {
+			close(held)
+			<-done
+			return nil
+		})
+	}()
+	<-held
+	var once sync.Once
+	release = func() { once.Do(func() { close(done); <-exited }) }
+	t.Cleanup(release)
+	return release
+}
+
+// checkCell asserts the interval and trace streams got (in that order)
+// match the contract for one cell of a done run, then that fresh reads
+// after the run finished match it too.
+func checkCell(t *testing.T, st store.RunStore, url string, snap *Run, cell int, got []string) {
+	t.Helper()
+	var want strings.Builder
+	for _, stat := range snap.Sweep.Cells[cell].Cluster.Stats {
+		raw, err := json.Marshal(stat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(raw)
+		want.WriteByte('\n')
+	}
+	trace, err := st.Trace(snap.ID, cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trace) == 0 {
+		t.Fatal("the store holds no trace lines")
+	}
+	wants := []string{want.String(), ndjson(trace)}
+	for i, stream := range []string{"intervals", "trace"} {
+		after := readAll(t, fmt.Sprintf("%s/v1/runs/%s/%s?cell=%d", url, snap.ID, stream, cell))
+		for _, tc := range []struct{ when, got string }{{"live", got[i]}, {"after done", after}} {
+			if tc.got != wants[i] {
+				t.Errorf("cell %d /%s read %s: %d bytes differ from the %d-byte contract", cell, stream, tc.when, len(tc.got), len(wants[i]))
+			}
+		}
 	}
 }

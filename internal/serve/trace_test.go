@@ -13,7 +13,7 @@ import (
 
 // TestTraceEndpoint: a run submitted with "trace":true streams its
 // decision events as NDJSON from /v1/runs/{id}/trace — after the run
-// finished too, since trace buffers are never released — and the events
+// finished too, from the store — and the events
 // decode into trace.Event values with sane coordinates.
 func TestTraceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
