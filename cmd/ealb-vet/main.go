@@ -1,6 +1,6 @@
 // Command ealb-vet is the project's semantic vet tool: it runs the
-// internal/lint analyzer suite (detrand, stablesort, hotalloc,
-// tracenil, jsontag, hotcall, planpure, lockguard) over fully
+// internal/lint analyzer suite (detrand, stablesort, tracenil,
+// jsontag, hotpath, planpure, lockguard) over fully
 // type-checked packages through the standard `go vet -vettool=`
 // protocol:
 //
@@ -27,7 +27,7 @@
 // fact table (internal/lint/facts.go: Allocates, Mutates, Nondet, per
 // declared function) to the vetx output file the go command supplies,
 // and reads its dependencies' tables back through the config's
-// PackageVetx map. That is how hotcall and planpure see through
+// PackageVetx map. That is how hotpath and planpure see through
 // package boundaries: the driver schedules dependencies first, so by
 // the time a package is analyzed every callee's facts are on disk.
 package main

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
-	"ealb/internal/engine"
 	"ealb/internal/power"
 	"ealb/internal/report"
 	"ealb/internal/units"
@@ -23,30 +21,23 @@ type DVFSStudy struct {
 }
 
 // RunDVFSStudy evaluates the QoS-safe best P-state across a demand sweep
-// for a standard volume server.
+// for a standard volume server. Each demand level is one closed-form
+// evaluation on its own DVFS model instance.
 func RunDVFSStudy() ([]DVFSStudy, error) {
-	return RunDVFSStudyOn(engine.NewPool(1))
-}
-
-// RunDVFSStudyOn runs the demand sweep through a worker pool. Each demand
-// level evaluates an independent DVFS model instance, so the sweep
-// parallelizes without shared P-state mutations.
-func RunDVFSStudyOn(p *engine.Pool) ([]DVFSStudy, error) {
 	demands := []units.Fraction{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 	out := make([]DVFSStudy, len(demands))
-	err := p.Map(context.Background(), len(demands), func(i int) error {
-		demand := demands[i]
+	for i, demand := range demands {
 		base, err := power.NewLinear(100, 200)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		d, err := power.NewDVFS(base, power.DefaultPStates())
 		if err != nil {
-			return err
+			return nil, err
 		}
 		nominal := d.Power(demand)
 		if err := d.SetState(d.BestStateFor(demand)); err != nil {
-			return err
+			return nil, err
 		}
 		scaled := d.Power(demand)
 		saving := 0.0
@@ -59,15 +50,11 @@ func RunDVFSStudyOn(p *engine.Pool) ([]DVFSStudy, error) {
 			Power:  scaled,
 			Saving: saving,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
 
-// RenderDVFSStudy writes the table for the serial demand sweep.
+// RenderDVFSStudy writes the table for the demand sweep.
 func RenderDVFSStudy(w io.Writer) error {
 	rows, err := RunDVFSStudy()
 	if err != nil {

@@ -118,7 +118,7 @@ func Registry() map[string]Runner {
 		"figure1":    figure1Runner,
 		"robustness": robustnessRunner,
 		"dvfs": func(w io.Writer, opt Options) error {
-			rows, err := RunDVFSStudyOn(opt.pool())
+			rows, err := RunDVFSStudy()
 			if err != nil {
 				return err
 			}

@@ -55,7 +55,7 @@ type FactInfo struct {
 // FactSet is everything the engine knows about one declared function.
 type FactSet struct {
 	// Allocates: the function (or a statically known callee, transitively)
-	// contains an unsanctioned allocation-prone construct — the hotalloc
+	// contains an unsanctioned allocation-prone construct — the hotpath
 	// vocabulary: map/slice literals, make/new, closures, fmt formatting,
 	// append to fresh storage.
 	Allocates *FactInfo `json:"allocates,omitempty"`
@@ -68,7 +68,7 @@ type FactSet struct {
 	// Nondet: the function reads a nondeterministic source — wall clock,
 	// math/rand, map iteration order — directly or transitively.
 	Nondet *FactInfo `json:"nondet,omitempty"`
-	// Hot marks //ealb:hotpath functions, so a caller's hotcall check can
+	// Hot marks //ealb:hotpath functions, so a caller's hotpath check can
 	// leave findings inside the callee to the callee's own package run.
 	Hot bool `json:"hot,omitempty"`
 	// Pure marks //ealb:pure functions, the plan-phase purity contract.
@@ -254,31 +254,71 @@ func calleeName(fn *types.Func) string {
 	return strings.TrimPrefix(name, "ealb/")
 }
 
-// scanDirect records fn's own direct behavior: allocation constructs,
-// nondeterministic reads, observable mutations, and its outgoing call
-// edges.
+// scanDirect records fn's own direct behavior: the first unsuppressed
+// allocation, nondeterministic read and observable mutation, and every
+// statically resolved call edge.
 func scanDirect(fs *funcState, fset *token.FileSet, files []*ast.File, info *types.Info, ns *notes, sx *scratchIndex) {
-	fd := fs.decl
-	aliases := buildAliases(fd, info, sx)
-	owned := paramObjects(fd, info)
-	posOf := func(p token.Pos) string { return fset.Position(p).String() }
-
-	allocate := func(pos token.Pos, what string) {
-		if fs.set.Allocates == nil && !ns.covered(noteAllowAlloc, fset, pos) {
-			fs.set.Allocates = &FactInfo{Via: what + " at " + posOf(pos)}
+	first := func(fact **FactInfo, marker string, s site) {
+		if *fact == nil && !ns.covered(marker, fset, s.pos) {
+			*fact = &FactInfo{Via: s.what + " at " + fset.Position(s.pos).String()}
 		}
+	}
+	bodySites(fs.decl, files, info, sx, func(s site) {
+		switch s.kind {
+		case siteAlloc:
+			first(&fs.set.Allocates, noteAllowAlloc, s)
+		case siteNondet:
+			first(&fs.set.Nondet, noteAllowNondet, s)
+		case siteMutate:
+			first(&fs.set.Mutates, noteAllowImpure, s)
+		case siteCall:
+			if s.edge.callee != nil {
+				fs.calls = append(fs.calls, s.edge)
+			}
+		}
+	})
+}
+
+// siteKind classifies one site of a function body.
+type siteKind uint8
+
+const (
+	siteAlloc  siteKind = iota // an allocation-prone construct
+	siteNondet                 // a read of a nondeterministic source
+	siteMutate                 // a write through the receiver or package-level state
+	siteCall                   // a call; edge.callee is nil when the call is dynamic
+)
+
+// site is one classified point of a function body.
+type site struct {
+	kind siteKind
+	pos  token.Pos
+	// what is the witness text: "allocates a map literal",
+	// "assigns through receiver state (c.n)".
+	what string
+	// hint is an alloc site's remedy, for hotpath's diagnostic.
+	hint string
+	// call and edge describe a call site.
+	call *ast.CallExpr
+	edge callEdge
+}
+
+// bodySites walks fd's body once and yields every site in source order,
+// suppressed or not: each consumer applies its own //ealb:allow-*
+// marker. It is the package's one classifier of what allocates, what
+// reads a nondeterministic source, what mutates caller-visible state,
+// and what calls what; the facts engine, hotpath and planpure all read
+// bodies through it.
+func bodySites(fd *ast.FuncDecl, files []*ast.File, info *types.Info, sx *scratchIndex, visit func(site)) {
+	aliases := buildAliases(fd, info, sx)
+	recv := receiverObject(fd, info)
+	alloc := func(pos token.Pos, what, hint string) {
+		visit(site{kind: siteAlloc, pos: pos, what: what, hint: hint})
 	}
 	nondet := func(pos token.Pos, what string) {
-		if fs.set.Nondet == nil && !ns.covered(noteAllowNondet, fset, pos) {
-			fs.set.Nondet = &FactInfo{Via: what + " at " + posOf(pos)}
-		}
+		visit(site{kind: siteNondet, pos: pos, what: what})
 	}
-	mutate := func(pos token.Pos, what string) {
-		if fs.set.Mutates == nil && !ns.covered(noteAllowImpure, fset, pos) {
-			fs.set.Mutates = &FactInfo{Via: what + " at " + posOf(pos)}
-		}
-	}
-	checkWrite := func(pos token.Pos, e ast.Expr) {
+	write := func(pos token.Pos, e ast.Expr) {
 		if localRebind(e, info) {
 			return
 		}
@@ -286,13 +326,55 @@ func scanDirect(fs *funcState, fset *token.FileSet, files []*ast.File, info *typ
 		if ci.scratch || ci.root == nil {
 			return
 		}
-		if owned.receiver != nil && ci.root == owned.receiver {
-			mutate(pos, "assigns through receiver state ("+exprString(e)+")")
+		if recv != nil && ci.root == recv {
+			visit(site{kind: siteMutate, pos: pos, what: "assigns through receiver state (" + exprString(e) + ")"})
 			return
 		}
 		if v, ok := ci.root.(*types.Var); ok && isPackageLevel(v) {
-			mutate(pos, "assigns package-level state ("+exprString(e)+")")
+			visit(site{kind: siteMutate, pos: pos, what: "assigns package-level state (" + exprString(e) + ")"})
 		}
+	}
+	classifyCall := func(call *ast.CallExpr, stack []ast.Node) {
+		pos := call.Pos()
+		if id, ok := call.Fun.(*ast.Ident); ok {
+			if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
+				switch id.Name {
+				case "make":
+					alloc(pos, "calls make", "allocate once outside the interval loop and reuse")
+				case "new":
+					alloc(pos, "calls new", "allocate once outside the interval loop and reuse")
+				case "append":
+					if len(call.Args) > 0 && freshStorage(info, files, call.Args[0]) {
+						alloc(pos, "appends to storage that is fresh on every call", "append into a persistent scratch slice instead")
+					}
+				}
+				return
+			}
+		}
+		// A formatting call returned directly or handed straight to panic
+		// is the cold failure path: the caller is already aborting, so the
+		// allocation never shows up in steady state.
+		if name, ok := qualifiedCall(info, call, "fmt"); ok && fmtFamily[name] && !returnedDirectly(call, stack) && !panicArgument(info, call, stack) {
+			alloc(pos, "formats with fmt."+name, "precompute, or annotate //ealb:allow-alloc with a reason")
+		}
+		if name, ok := qualifiedCall(info, call, "time"); ok {
+			switch name {
+			case "Now", "Since", "Until":
+				nondet(pos, "reads the wall clock via time."+name)
+			}
+		}
+		for _, randPkg := range []string{"math/rand", "math/rand/v2"} {
+			if name, ok := qualifiedCall(info, call, randPkg); ok {
+				nondet(pos, "draws from "+randPkg+"."+name)
+			}
+		}
+		edge := callEdge{callee: staticCallee(info, call), pos: pos}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+			if selection, ok := info.Selections[sel]; ok && selection.Kind() == types.MethodVal {
+				edge.scratchRecv = resolveChain(sel.X, info, sx, aliases).scratch
+			}
+		}
+		visit(site{kind: siteCall, pos: pos, call: call, edge: edge})
 	}
 
 	var stack []ast.Node
@@ -305,12 +387,12 @@ func scanDirect(fs *funcState, fset *token.FileSet, files []*ast.File, info *typ
 		case *ast.CompositeLit:
 			switch info.TypeOf(n).Underlying().(type) {
 			case *types.Map:
-				allocate(n.Pos(), "allocates a map literal")
+				alloc(n.Pos(), "allocates a map literal", "hoist it into persistent state")
 			case *types.Slice:
-				allocate(n.Pos(), "allocates a slice literal")
+				alloc(n.Pos(), "allocates a slice literal", "hoist it into a reused scratch buffer")
 			}
 		case *ast.FuncLit:
-			allocate(n.Pos(), "allocates a closure")
+			alloc(n.Pos(), "allocates a closure", "hoist it or annotate //ealb:allow-alloc with why the event is rare")
 		case *ast.RangeStmt:
 			if t := info.TypeOf(n.X); t != nil {
 				if _, isMap := t.Underlying().(*types.Map); isMap {
@@ -319,69 +401,16 @@ func scanDirect(fs *funcState, fset *token.FileSet, files []*ast.File, info *typ
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				checkWrite(n.Pos(), lhs)
+				write(n.Pos(), lhs)
 			}
 		case *ast.IncDecStmt:
-			checkWrite(n.Pos(), n.X)
+			write(n.Pos(), n.X)
 		case *ast.CallExpr:
-			scanCall(fs, n, stack, files, info, sx, aliases, allocate, nondet)
+			classifyCall(n, stack)
 		}
 		stack = append(stack, n)
 		return true
 	})
-}
-
-// scanCall classifies one call expression: builtin allocators, fmt
-// formatting, nondeterministic sources, and statically resolved call
-// edges for propagation.
-func scanCall(fs *funcState, call *ast.CallExpr, stack []ast.Node, files []*ast.File, info *types.Info, sx *scratchIndex, aliases map[types.Object]chainInfo, allocate, nondet func(token.Pos, string)) {
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-			switch id.Name {
-			case "make":
-				allocate(call.Pos(), "calls make")
-			case "new":
-				allocate(call.Pos(), "calls new")
-			case "append":
-				if len(call.Args) > 0 && freshStorage(info, files, call.Args[0]) {
-					allocate(call.Pos(), "appends to fresh storage")
-				}
-			}
-			return
-		}
-	}
-	if name, ok := qualifiedCall(info, call, "fmt"); ok && fmtFamily[name] {
-		// A formatting call returned directly or handed straight to panic
-		// is the cold failure path — the same structural exemption
-		// hotalloc applies: the caller is already aborting.
-		if !returnedDirectly(call, stack) && !panicArgument(info, call, stack) {
-			allocate(call.Pos(), "formats with fmt."+name)
-		}
-		return
-	}
-	if name, ok := qualifiedCall(info, call, "time"); ok {
-		switch name {
-		case "Now", "Since", "Until":
-			nondet(call.Pos(), "reads the wall clock via time."+name)
-		}
-	}
-	for _, randPkg := range []string{"math/rand", "math/rand/v2"} {
-		if name, ok := qualifiedCall(info, call, randPkg); ok {
-			nondet(call.Pos(), "draws from "+randPkg+"."+name)
-		}
-	}
-
-	callee := staticCallee(info, call)
-	if callee == nil {
-		return
-	}
-	edge := callEdge{callee: callee, pos: call.Pos()}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if selection, ok := info.Selections[sel]; ok && selection.Kind() == types.MethodVal {
-			edge.scratchRecv = resolveChain(sel.X, info, sx, aliases).scratch
-		}
-	}
-	fs.calls = append(fs.calls, edge)
 }
 
 // staticCallee resolves a call to the *types.Func it invokes, or nil for
@@ -415,22 +444,14 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// ownedObjects lists the objects a function body may write without the
-// write being an observable mutation of *caller* state: nothing — but
-// the receiver is tracked separately because receiver writes are the
-// mutation the Mutates fact reports.
-type ownedObjects struct {
-	receiver types.Object
-}
-
-// paramObjects records fn's receiver object (parameters and results are
-// implicitly owned by the caller and not tracked).
-func paramObjects(fd *ast.FuncDecl, info *types.Info) ownedObjects {
-	var o ownedObjects
+// receiverObject returns fd's named receiver, or nil. Receiver writes
+// are the mutation the Mutates fact reports; parameters and results are
+// the caller's own storage and are not tracked.
+func receiverObject(fd *ast.FuncDecl, info *types.Info) types.Object {
 	if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
-		o.receiver = info.Defs[fd.Recv.List[0].Names[0]]
+		return info.Defs[fd.Recv.List[0].Names[0]]
 	}
-	return o
+	return nil
 }
 
 // isPackageLevel reports whether v is a package-scoped variable.

@@ -6,106 +6,76 @@ import (
 	"go/types"
 )
 
-// HotAlloc guards the allocation-free interval path won in PR 3
+// HotPath guards the allocation-free interval path won in PR 3
 // (allocs/op per interval 28,381 → 1,148 at 10⁴ servers). Functions
 // annotated //ealb:hotpath — the leader's plan/apply pass, the churn
-// step, the farm's per-interval phases — may not use the
-// allocation-prone constructs that quietly reintroduce garbage:
-// map/slice literals, make/new, closures, fmt formatting, and append
-// onto storage that is fresh every call instead of a persistent scratch
-// buffer.
+// step, the farm's per-interval phases — may neither use nor call what
+// quietly reintroduces garbage.
 //
-// Two escape valves keep the rule honest. A formatting call whose
-// result is immediately returned is a cold failure path (the simulation
-// is aborting) and is exempt structurally; everything else needs an
-// //ealb:allow-alloc annotation stating why the allocation is
-// acceptable (e.g. it happens only on rare events, or the value must
-// escape into a result).
-var HotAlloc = &Analyzer{
-	Name: "hotalloc",
+// Directly, that is the allocation-prone constructs bodySites classifies
+// (facts.go): map/slice literals, make/new, closures, fmt formatting,
+// and append onto storage that is fresh every call instead of a
+// persistent scratch buffer. A formatting call whose result is returned
+// directly or handed to panic is a cold failure path (the simulation is
+// aborting) and is exempt structurally.
+//
+// Transitively, it is any statically resolved call to a function with
+// the Allocates fact, even one in another package — without the fact, a
+// hot function calling an allocating helper one package over passes vet
+// and only a benchmark's allocs/op could catch it. Callees that are
+// themselves //ealb:hotpath (the Hot fact) are skipped: their own
+// package's run owns any finding inside them, so one defect reports
+// once, at the deepest annotated frame. Standard-library callees carry
+// no facts and are trusted; dynamic calls (interface methods, func
+// values) are invisible to the engine — the tracer, the one hot
+// interface, is guarded by tracenil and banned from plan bodies by
+// planpure.
+//
+// Either kind of finding is silenced by //ealb:allow-alloc <reason> on
+// its line, stating why the allocation is acceptable (it happens only
+// on rare events, or the value must escape into a result).
+var HotPath = &Analyzer{
+	Name: "hotpath",
 	Doc: "flag allocation-prone constructs (map/slice literals, make/new, " +
 		"closures, fmt.Sprintf-family calls, append to per-call storage) inside " +
-		"functions annotated //ealb:hotpath, unless annotated " +
-		"//ealb:allow-alloc <reason>; error-return formatting is exempt",
-	Run: runHotAlloc,
+		"functions annotated //ealb:hotpath, and calls from them to functions " +
+		"with the Allocates fact (through any chain of statically resolved " +
+		"module calls), unless annotated //ealb:allow-alloc <reason>; " +
+		"error-return formatting and //ealb:hotpath callees are exempt",
+	Run: runHotPath,
 }
 
-func runHotAlloc(pass *Pass) error {
+func runHotPath(pass *Pass) error {
 	for _, f := range pass.sourceFiles() {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || !docHasMarker(fd.Doc, noteHotpath) {
 				continue
 			}
-			checkHotFunc(pass, fd)
+			bodySites(fd, pass.Files, pass.Info, pass.scratchIdx(), func(s site) {
+				if (s.kind != siteAlloc && s.kind != siteCall) || pass.suppressed(noteAllowAlloc, s.pos) {
+					return
+				}
+				if s.kind == siteAlloc {
+					pass.Reportf(s.pos, "hot path %s; %s", s.what, s.hint)
+					return
+				}
+				facts := pass.calleeFacts(s.edge.callee)
+				if facts != nil && facts.Allocates != nil && !facts.Hot {
+					pass.Reportf(s.pos,
+						"hot path calls %s, which allocates (%s); make the callee allocation-free, annotate it //ealb:hotpath, or annotate this call //ealb:allow-alloc with a reason",
+						calleeName(s.edge.callee), facts.Allocates.Via)
+				}
+			})
 		}
 	}
 	return nil
-}
-
-// checkHotFunc inspects one annotated function body with an enclosing
-// node stack, so return-statement context is visible.
-func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
-	var stack []ast.Node
-	report := func(pos token.Pos, format string, args ...any) {
-		if !pass.suppressed(noteAllowAlloc, pos) {
-			pass.Reportf(pos, format, args...)
-		}
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		switch n := n.(type) {
-		case *ast.CompositeLit:
-			switch pass.Info.TypeOf(n).Underlying().(type) {
-			case *types.Map:
-				report(n.Pos(), "hot path allocates a map literal; hoist it into persistent state")
-			case *types.Slice:
-				report(n.Pos(), "hot path allocates a slice literal; hoist it into a reused scratch buffer")
-			}
-		case *ast.FuncLit:
-			report(n.Pos(), "hot path allocates a closure; hoist it or annotate //ealb:allow-alloc with why the event is rare")
-		case *ast.CallExpr:
-			checkHotCall(pass, n, stack, report)
-		}
-		stack = append(stack, n)
-		return true
-	})
 }
 
 // fmtFamily is the set of formatting calls that always allocate their
 // result.
 var fmtFamily = map[string]bool{
 	"Sprintf": true, "Sprint": true, "Sprintln": true, "Errorf": true,
-}
-
-func checkHotCall(pass *Pass, call *ast.CallExpr, stack []ast.Node, report func(token.Pos, string, ...any)) {
-	// Builtins: make, new, append.
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); isBuiltin {
-			switch id.Name {
-			case "make":
-				report(call.Pos(), "hot path calls make; allocate once outside the interval loop and reuse")
-			case "new":
-				report(call.Pos(), "hot path calls new; allocate once outside the interval loop and reuse")
-			case "append":
-				if len(call.Args) > 0 && freshStorage(pass.Info, pass.Files, call.Args[0]) {
-					report(call.Pos(), "hot path appends to storage that is fresh on every call; append into a persistent scratch slice instead")
-				}
-			}
-			return
-		}
-	}
-	// fmt formatting. A call returned directly or handed straight to
-	// panic is the cold failure path: the simulation is already
-	// aborting, so the allocation never shows up in steady state.
-	if name, ok := qualifiedCall(pass.Info, call, "fmt"); ok && fmtFamily[name] {
-		if !returnedDirectly(call, stack) && !panicArgument(pass.Info, call, stack) {
-			report(call.Pos(), "hot path formats with fmt.%s (allocates); precompute, or annotate //ealb:allow-alloc", name)
-		}
-	}
 }
 
 // panicArgument reports whether the call is a direct argument of a

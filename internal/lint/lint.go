@@ -1,31 +1,43 @@
-// Package lint is the project's own static-analysis layer: five
+// Package lint is the project's own static-analysis layer: seven
 // analyzers that mechanically enforce the contracts the test suite only
 // checks dynamically — the serial/parallel determinism guarantee pinned
-// by the golden digests, the PR 3 allocation-free leader pass, the PR 6
-// zero-overhead-when-nil tracer, and the PR 5 digest-stability JSON
-// rules. cmd/ealb-vet drives them through the standard `go vet
-// -vettool=` protocol so every package is analyzed against fully
-// type-checked sources in CI.
+// by the golden digests (detrand, stablesort), the PR 3
+// allocation-free leader pass (hotpath), the PR 6
+// zero-overhead-when-nil tracer (tracenil), the PR 5 digest-stability
+// JSON rules (jsontag), the pure plan step (planpure), and the mutex
+// discipline of the concurrent service state (lockguard). cmd/ealb-vet
+// drives them through the standard `go vet -vettool=` protocol so every
+// package is analyzed against fully type-checked sources in CI.
 //
 // The framework deliberately mirrors the shape of golang.org/x/tools'
-// go/analysis (Analyzer, Pass, Diagnostic) but is built on the standard
-// library alone: the sandbox that grows this repository has no module
-// proxy, so the x/tools dependency is reimplemented in miniature rather
-// than imported. Analyzers are pure functions of a type-checked package
-// and never need cross-package facts, which is what keeps the
-// reimplementation small.
+// go/analysis (Analyzer, Pass, Diagnostic, per-package facts) but is
+// built on the standard library alone: the module has no external
+// dependencies, so the x/tools machinery is reimplemented in miniature
+// rather than imported. Each analyzer is a pure function of one
+// type-checked package plus the fact tables of its imports (facts.go):
+// whether a function allocates, mutates observable state, or reads a
+// nondeterministic source, computed once per package by one body
+// walker (bodySites) that hotpath and planpure read bodies through too.
 //
 // Escape hatches are explicit source annotations, each requiring a
 // reason:
 //
-//	//ealb:allow-nondet <reason>   suppresses detrand/stablesort on its
-//	                               line or the line below
-//	//ealb:allow-alloc <reason>    suppresses hotalloc the same way
-//	//ealb:tracer-checked <reason> suppresses tracenil the same way
-//	//ealb:hotpath                 (func doc) opts the function into
-//	                               hotalloc
-//	//ealb:digest                  (type doc) opts the struct into
-//	                               jsontag
+//	//ealb:allow-nondet <reason>    suppresses detrand/stablesort on its
+//	                                line or the line below
+//	//ealb:allow-alloc <reason>     suppresses hotpath the same way
+//	//ealb:tracer-checked <reason>  suppresses tracenil the same way
+//	//ealb:allow-impure <reason>    suppresses planpure the same way
+//	//ealb:allow-unguarded <reason> suppresses lockguard the same way
+//
+// Opt-in markers put a declaration under the stricter rules:
+//
+//	//ealb:hotpath           (func doc) opts the function into hotpath
+//	//ealb:pure              (func doc) opts the function into planpure
+//	//ealb:scratch           (field or type doc) storage a pure function
+//	                         may mutate
+//	//ealb:digest            (type doc) opts the struct into jsontag
+//	//ealb:guarded-by(mu)    (field doc) opts the field into lockguard
+//	//ealb:locked(mu)        (func doc) the caller holds mu on entry
 //
 // An annotation without a reason is itself a diagnostic: the escape
 // hatch must document why the exception is sound.
@@ -87,7 +99,7 @@ type Pass struct {
 
 	// Facts holds this package's computed facts (facts.go); ImportFacts
 	// resolves dependency facts. Either may be nil for analyzers that
-	// never look (the original intraprocedural five).
+	// never look.
 	Facts       *PackageFacts
 	ImportFacts FactSource
 
@@ -352,17 +364,16 @@ func qualifiedCall(info *types.Info, call *ast.CallExpr, pkgPath string) (string
 	return sel.Sel.Name, true
 }
 
-// Analyzers returns the full suite, in stable order: the five
-// intraprocedural contract checkers first, then the three fact-driven
-// interprocedural ones.
+// Analyzers returns the full suite, in stable order: the four
+// intraprocedural contract checkers first, then the two fact-driven
+// interprocedural ones, then lockguard.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DetRand,
 		StableSort,
-		HotAlloc,
 		TraceNil,
 		JSONTag,
-		HotCall,
+		HotPath,
 		PlanPure,
 		LockGuard,
 	}

@@ -25,8 +25,14 @@ func TestStableSort(t *testing.T) {
 	runFixture(t, StableSort, "ealb/internal/lintfixture/stablesort", "stablesort")
 }
 
-func TestHotAlloc(t *testing.T) {
-	runFixture(t, HotAlloc, "ealb/internal/lintfixture/hotalloc", "hotalloc")
+// TestHotPath runs the one hot-path analyzer over its three fixtures:
+// direct allocation sites (hotalloc), transitive ones seen through a
+// dependency's imported facts (hotcall), and that dependency's own run,
+// which owns the finding inside its //ealb:hotpath function (hotcalldep).
+func TestHotPath(t *testing.T) {
+	runFixture(t, HotPath, "ealb/internal/lintfixture/hotalloc", "hotalloc")
+	runFixtureDeps(t, HotPath, "ealb/internal/lintfixture/hotcall", "hotcall", hotcallDeps)
+	runFixture(t, HotPath, "ealb/internal/lintfixture/hotcalldep", "hotcalldep")
 }
 
 func TestTraceNil(t *testing.T) {
@@ -35,10 +41,6 @@ func TestTraceNil(t *testing.T) {
 
 func TestJSONTag(t *testing.T) {
 	runFixture(t, JSONTag, "ealb/internal/lintfixture/jsontag", "jsontag")
-}
-
-func TestHotCall(t *testing.T) {
-	runFixtureDeps(t, HotCall, "ealb/internal/lintfixture/hotcall", "hotcall", hotcallDeps)
 }
 
 func TestPlanPure(t *testing.T) {
@@ -61,12 +63,12 @@ var hotcallDeps = map[string]string{
 // proof the findings come from the imported fact table, not from
 // anything visible in the analyzed package alone.
 func TestHotCallFactFlip(t *testing.T) {
-	pkg, diags := analyzeFixtureDeps(t, HotCall, "ealb/internal/lintfixture/hotcall", "hotcall", hotcallDeps)
+	pkg, diags := analyzeFixtureDeps(t, HotPath, "ealb/internal/lintfixture/hotcall", "hotcall", hotcallDeps)
 	if len(diags) == 0 {
 		t.Fatal("hotcall fixture reported no findings with dependency facts present")
 	}
 	pkg.ImportFacts = func(string) *PackageFacts { return nil }
-	flipped, err := Run(pkg, []*Analyzer{HotCall})
+	flipped, err := Run(pkg, []*Analyzer{HotPath})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,81 +95,38 @@ func runPlanPure(pass *Pass) error {
 }
 
 func checkPureFunc(pass *Pass, fd *ast.FuncDecl) {
-	sx := pass.scratchIdx()
-	aliases := buildAliases(fd, pass.Info, sx)
-	owned := paramObjects(fd, pass.Info)
-
-	checkWrite := func(pos ast.Node, e ast.Expr) {
-		if localRebind(e, pass.Info) {
+	bodySites(fd, pass.Files, pass.Info, pass.scratchIdx(), func(s site) {
+		if (s.kind != siteMutate && s.kind != siteCall) || pass.suppressed(noteAllowImpure, s.pos) {
 			return
 		}
-		ci := resolveChain(e, pass.Info, sx, aliases)
-		if ci.scratch || ci.root == nil {
+		if s.kind == siteMutate {
+			pass.Reportf(s.pos,
+				"pure plan function %s; plan state belongs in //ealb:scratch storage, or annotate //ealb:allow-impure with a reason",
+				s.what)
 			return
 		}
-		if pass.suppressed(noteAllowImpure, pos.Pos()) {
-			return
-		}
-		if owned.receiver != nil && ci.root == owned.receiver {
-			pass.Reportf(pos.Pos(),
-				"pure plan function assigns through receiver state (%s); plan state belongs in //ealb:scratch storage, or annotate //ealb:allow-impure with a reason",
-				exprString(e))
-			return
-		}
-		if v, ok := ci.root.(*types.Var); ok && isPackageLevel(v) {
-			pass.Reportf(pos.Pos(),
-				"pure plan function assigns package-level state (%s); annotate //ealb:allow-impure with a reason if this is sound",
-				exprString(e))
-		}
-	}
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				checkWrite(n, lhs)
-			}
-		case *ast.IncDecStmt:
-			checkWrite(n, n.X)
-		case *ast.CallExpr:
-			checkPureCall(pass, n, sx, aliases)
-		}
-		return true
-	})
-}
-
-func checkPureCall(pass *Pass, call *ast.CallExpr, sx *scratchIndex, aliases map[types.Object]chainInfo) {
-	// Tracer calls are effects by definition, reachable only through the
-	// Tracer interface (which the facts engine cannot see through).
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if selection, ok := pass.Info.Selections[sel]; ok && selection.Kind() == types.MethodVal && isTracerType(selection.Recv()) {
-			if !pass.suppressed(noteAllowImpure, call.Pos()) {
-				pass.Reportf(call.Pos(),
+		// Tracer calls are effects by definition, reachable only through the
+		// Tracer interface (which the facts engine cannot see through).
+		if sel, ok := s.call.Fun.(*ast.SelectorExpr); ok {
+			if selection, ok := pass.Info.Selections[sel]; ok && selection.Kind() == types.MethodVal && isTracerType(selection.Recv()) {
+				pass.Reportf(s.pos,
 					"pure plan function calls the tracer; decision events belong in the apply step (or annotate //ealb:allow-impure with a reason)")
+				return
 			}
+		}
+		facts := pass.calleeFacts(s.edge.callee)
+		if facts == nil {
 			return
 		}
-	}
-
-	callee := staticCallee(pass.Info, call)
-	facts := pass.calleeFacts(callee)
-	if facts == nil {
-		return
-	}
-	scratchRecv := false
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if selection, ok := pass.Info.Selections[sel]; ok && selection.Kind() == types.MethodVal {
-			scratchRecv = resolveChain(sel.X, pass.Info, sx, aliases).scratch
+		if facts.Mutates != nil && !s.edge.scratchRecv {
+			pass.Reportf(s.pos,
+				"pure plan function calls %s, which mutates observable state (%s); move the effect to the apply step, or annotate //ealb:allow-impure with a reason",
+				calleeName(s.edge.callee), facts.Mutates.Via)
 		}
-	}
-	if facts.Mutates != nil && !scratchRecv && !pass.suppressed(noteAllowImpure, call.Pos()) {
-		pass.Reportf(call.Pos(),
-			"pure plan function calls %s, which mutates observable state (%s); move the effect to the apply step, or annotate //ealb:allow-impure with a reason",
-			calleeName(callee), facts.Mutates.Via)
-	}
-	if facts.Nondet != nil && !pass.suppressed(noteAllowImpure, call.Pos()) {
-		pass.Reportf(call.Pos(),
-			"pure plan function calls %s, which is nondeterministic (%s); a plan must replay byte-identically from its seed",
-			calleeName(callee), facts.Nondet.Via)
-	}
+		if facts.Nondet != nil {
+			pass.Reportf(s.pos,
+				"pure plan function calls %s, which is nondeterministic (%s); a plan must replay byte-identically from its seed",
+				calleeName(s.edge.callee), facts.Nondet.Via)
+		}
+	})
 }

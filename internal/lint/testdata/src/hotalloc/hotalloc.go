@@ -1,4 +1,4 @@
-// Package fixture seeds hotalloc violations inside an //ealb:hotpath
+// Package fixture seeds direct hotpath violations inside an //ealb:hotpath
 // function, alongside the legal shapes: persistent scratch reuse,
 // caller-owned storage, directly returned error formatting, and an
 // //ealb:allow-alloc escape.

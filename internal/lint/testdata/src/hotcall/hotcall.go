@@ -1,5 +1,5 @@
 // Package hotcall seeds transitive-allocation violations for the
-// hotcall analyzer: every allocation lives one package over, visible
+// hotpath analyzer: every allocation lives one package over, visible
 // only through the imported fact table of hotcalldep.
 package hotcall
 
@@ -19,7 +19,7 @@ func step(xs []int) int {
 	return total + len(m)
 }
 
-// cold is unannotated: hotcall checks //ealb:hotpath functions only.
+// cold is unannotated: hotpath checks //ealb:hotpath functions only.
 func cold() map[string]int {
 	return hotcalldep.Gather()
 }

@@ -25,12 +25,12 @@ func Sum(xs []int) int {
 }
 
 // HotButAllocs is itself a hot path. A hot caller in another package
-// must NOT re-report it — this package's own hotalloc run owns the
+// must NOT re-report it — this package's own hotpath run owns the
 // finding (one defect, reported once, at the deepest annotated frame).
 //
 //ealb:hotpath
 func HotButAllocs(n int) []int {
-	return make([]int, n)
+	return make([]int, n) // want `hot path calls make`
 }
 
 // Escaped allocates behind a justified annotation: the suppressed site

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -198,32 +199,45 @@ func (d *Disk) readStream(id, file string, cell int) ([][]byte, error) {
 }
 
 func (d *Disk) readStreamLocked(id, file string, cell int) ([][]byte, error) {
-	f, err := os.Open(filepath.Join(d.runDir(id), file))
+	var out [][]byte
+	err := scanStream(filepath.Join(d.runDir(id), file), func(sl streamLine, _ []byte) {
+		if sl.Cell == cell {
+			out = append(out, []byte(sl.Line))
+		}
+	})
+	return out, err
+}
+
+// scanStream is the one torn-tail rule of the stream files: it yields
+// each newline-terminated line that parses, in file order, with its raw
+// bytes (newline included), and stops at the first line that does not
+// parse. A final line without its newline is the crash window of an
+// append and is never yielded, even when its bytes happen to parse. A
+// missing file is an empty stream.
+func scanStream(path string, yield func(sl streamLine, raw []byte)) error {
+	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
+		return nil
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
-	var out [][]byte
 	r := bufio.NewReader(f)
 	for {
 		raw, err := r.ReadBytes('\n')
-		if len(raw) > 0 && raw[len(raw)-1] == '\n' {
-			var sl streamLine
-			if jerr := json.Unmarshal(raw, &sl); jerr != nil {
-				break // torn or corrupt line: treat the rest as truncated
-			}
-			if sl.Cell == cell {
-				out = append(out, []byte(sl.Line))
-			}
+		if errors.Is(err, io.EOF) {
+			return nil // anything read is a torn tail
 		}
 		if err != nil {
-			break
+			return err
 		}
+		var sl streamLine
+		if json.Unmarshal(raw, &sl) != nil {
+			return nil // torn or corrupt line: treat the rest as truncated
+		}
+		yield(sl, raw)
 	}
-	return out, nil
 }
 
 // drop removes a run's stream file (closing its cached handle).
@@ -289,26 +303,17 @@ func (d *Disk) truncateStream(id, file string, keep func(cell int) bool) error {
 	defer d.mu.Unlock()
 	path := filepath.Join(d.runDir(id), file)
 	d.closeHandleLocked(path)
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
+	if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
+	var kept bytes.Buffer
+	err := scanStream(path, func(sl streamLine, raw []byte) {
+		if keep(sl.Cell) {
+			kept.Write(raw)
+		}
+	})
 	if err != nil {
 		return err
-	}
-	var kept bytes.Buffer
-	for _, line := range bytes.Split(raw, []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		var sl streamLine
-		if err := json.Unmarshal(line, &sl); err != nil {
-			break // torn tail
-		}
-		if keep(sl.Cell) {
-			kept.Write(line)
-			kept.WriteByte('\n')
-		}
 	}
 	return atomicWrite(path, kept.Bytes())
 }
@@ -324,28 +329,12 @@ func (d *Disk) PutCell(id string, c CellResult) error {
 func (d *Disk) Cells(id string) ([]CellResult, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	f, err := os.Open(filepath.Join(d.runDir(id), "cells.ndjson"))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
+	byCell := make(map[int]CellResult)
+	err := scanStream(filepath.Join(d.runDir(id), "cells.ndjson"), func(sl streamLine, _ []byte) {
+		byCell[sl.Cell] = CellResult{Cell: sl.Cell, Result: []byte(sl.Line)}
+	})
 	if err != nil {
 		return nil, err
-	}
-	defer f.Close()
-	byCell := make(map[int]CellResult)
-	r := bufio.NewReader(f)
-	for {
-		raw, err := r.ReadBytes('\n')
-		if len(raw) > 0 && raw[len(raw)-1] == '\n' {
-			var sl streamLine
-			if jerr := json.Unmarshal(raw, &sl); jerr != nil {
-				break
-			}
-			byCell[sl.Cell] = CellResult{Cell: sl.Cell, Result: []byte(sl.Line)}
-		}
-		if err != nil {
-			break
-		}
 	}
 	out := make([]CellResult, 0, len(byCell))
 	//ealb:allow-nondet iteration order erased by the cell sort below

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -387,6 +388,172 @@ func TestDiskTornLine(t *testing.T) {
 	}
 	if cells, err := d2.Cells(id); err != nil || len(cells) != 1 || cells[0].Cell != 0 {
 		t.Fatalf("torn cells: %v err=%v", cells, err)
+	}
+}
+
+// TestDiskUnterminatedTail pins the one torn-tail rule: a final line
+// without its newline is the crash window of an append, so every reader
+// and a rewrite drop it even when its bytes parse.
+func TestDiskUnterminatedTail(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := d.NewID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AppendInterval(id, 0, []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PutCell(id, CellResult{Cell: 0, Result: json.RawMessage("1")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"intervals.ndjson", "cells.ndjson"} {
+		f, err := os.OpenFile(filepath.Join(dir, "runs", id, name), os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte(`{"cell":0,"line":2}`)); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	d2, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	intervals := func() string {
+		lines, err := d2.Intervals(id, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%s", lines)
+	}
+	if got := intervals(); got != "[1]" {
+		t.Fatalf("Intervals = %s, want [1]", got)
+	}
+	if err := d2.TruncateIntervals(id, func(int) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if got := intervals(); got != "[1]" {
+		t.Fatalf("after TruncateIntervals(keep all), Intervals = %s, want [1]", got)
+	}
+	if cells, err := d2.Cells(id); err != nil || len(cells) != 1 || string(cells[0].Result) != "1" {
+		t.Fatalf("Cells = %v err=%v, want the one terminated checkpoint", cells, err)
+	}
+}
+
+// FuzzDiskStream writes arbitrary bytes as a run's interval and
+// checkpoint streams and checks every reader against a reference scan
+// of the torn-tail rule: newline-terminated lines that parse, up to the
+// first one that does not.
+func FuzzDiskStream(f *testing.F) {
+	torn := []byte("{\"cell\":0,\"line\":1}\n{\"cell\":0,\"line\":2}")
+	f.Add(torn, torn)
+	f.Add([]byte("{\"cell\":1,\"line\":{\"i\":0}}\n\n{\"cell\":1,\"line\":3}\n"), []byte("{\"cell\":2,\"line\":1}\n{\"cell\":2,\"line\":2}\n"))
+	f.Fuzz(func(t *testing.T, intervals, cells []byte) {
+		dir := t.TempDir()
+		d, err := OpenDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		id, _, err := d.NewID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		intervalsPath := filepath.Join(dir, "runs", id, "intervals.ndjson")
+		if err := os.WriteFile(intervalsPath, intervals, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "runs", id, "cells.ndjson"), cells, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		ref := refScan(intervals)
+		read := func() [4][][]byte {
+			var got [4][][]byte
+			for c := range got {
+				lines, err := d.Intervals(id, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[c] = lines
+			}
+			return got
+		}
+		before := read()
+		for c := range before {
+			var want [][]byte
+			for _, sl := range ref {
+				if sl.Cell == c {
+					want = append(want, sl.Line)
+				}
+			}
+			if !reflect.DeepEqual(before[c], want) {
+				t.Fatalf("Intervals(%d) = %q, reference scan %q", c, before[c], want)
+			}
+		}
+
+		keepAll := func(int) bool { return true }
+		if err := d.TruncateIntervals(id, keepAll); err != nil {
+			t.Fatal(err)
+		}
+		if after := read(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("TruncateIntervals(keep all) changed the lines: %q, was %q", after, before)
+		}
+		once, err := os.ReadFile(intervalsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.TruncateIntervals(id, keepAll); err != nil {
+			t.Fatal(err)
+		}
+		if twice, err := os.ReadFile(intervalsPath); err != nil || !bytes.Equal(twice, once) {
+			t.Fatalf("second TruncateIntervals is not a no-op: %q, was %q (err=%v)", twice, once, err)
+		}
+
+		last := map[int][]byte{}
+		for _, sl := range refScan(cells) {
+			last[sl.Cell] = sl.Line
+		}
+		got, err := d.Cells(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(last) {
+			t.Fatalf("Cells returned %d checkpoints, reference scan %d", len(got), len(last))
+		}
+		for _, c := range got {
+			if want, ok := last[c.Cell]; !ok || !bytes.Equal(c.Result, want) {
+				t.Fatalf("Cells: cell %d = %q, reference scan's last line %q", c.Cell, c.Result, want)
+			}
+		}
+	})
+}
+
+// refScan is the torn-tail rule written independently of the store:
+// split on newlines, drop the unterminated remainder, and stop at the
+// first line that does not parse.
+func refScan(data []byte) []streamLine {
+	var out []streamLine
+	for {
+		line, rest, ok := bytes.Cut(data, []byte("\n"))
+		if !ok {
+			return out
+		}
+		var sl streamLine
+		if json.Unmarshal(line, &sl) != nil {
+			return out
+		}
+		out = append(out, sl)
+		data = rest
 	}
 }
 
