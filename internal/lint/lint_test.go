@@ -25,13 +25,22 @@ func TestStableSort(t *testing.T) {
 	runFixture(t, StableSort, "ealb/internal/lintfixture/stablesort", "stablesort")
 }
 
-// TestHotPath runs the one hot-path analyzer over its three fixtures:
-// direct allocation sites (hotalloc), transitive ones seen through a
-// dependency's imported facts (hotcall), and that dependency's own run,
+// TestHotAlloc runs the hot-path analyzer over the direct allocation
+// sites of the hotalloc fixture.
+func TestHotAlloc(t *testing.T) {
+	runFixture(t, HotPath, "ealb/internal/lintfixture/hotalloc", "hotalloc")
+}
+
+// TestHotCall runs the hot-path analyzer over the hotcall fixture, whose
+// findings are transitive allocations seen through a dependency's
+// imported facts.
+func TestHotCall(t *testing.T) {
+	runFixtureDeps(t, HotPath, "ealb/internal/lintfixture/hotcall", "hotcall", hotcallDeps)
+}
+
+// TestHotPath runs the hot-path analyzer over that dependency itself,
 // which owns the finding inside its //ealb:hotpath function (hotcalldep).
 func TestHotPath(t *testing.T) {
-	runFixture(t, HotPath, "ealb/internal/lintfixture/hotalloc", "hotalloc")
-	runFixtureDeps(t, HotPath, "ealb/internal/lintfixture/hotcall", "hotcall", hotcallDeps)
 	runFixture(t, HotPath, "ealb/internal/lintfixture/hotcalldep", "hotcalldep")
 }
 
