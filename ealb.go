@@ -6,29 +6,28 @@
 // The library simulates a clustered cloud whose leader concentrates load
 // on the smallest set of servers operating within an optimal energy
 // regime and switches the rest to ACPI sleep states, subject to QoS
-// constraints. Three layers are exposed:
+// constraints. Five parts are exposed:
 //
 //   - the cluster simulation (NewCluster / Cluster.RunIntervals), the
 //     paper's §4-§5 protocol over heterogeneous servers with five
-//     operating regimes R1-R5;
-//   - the capacity-management policy farm (SimulatePolicy, StandardPolicies),
-//     the §3 survey of reactive/predictive/optimal policies;
-//   - the analytic homogeneous model (HomogeneousModel), §4's closed-form
-//     E_ref/E_opt estimate;
-//   - the simulation engine (NewEngine / Engine.RunScenario /
-//     Engine.RunSweep), a worker pool that executes JSON-friendly
-//     Scenario requests and multi-axis SweepSpec cross-products in
-//     parallel with bit-identical-to-serial results, and the HTTP
-//     scenario service built on it (NewScenarioHandler, cmd/ealb-serve);
+//     operating regimes R1-R5, and its federation behind a front-end
+//     dispatcher (NewClusterFarm);
+//   - the capacity-management policy farm (SimulatePolicy,
+//     StandardPolicies), the §3 survey of reactive, predictive and
+//     optimal policies;
+//   - the analytic homogeneous model (HomogeneousModel), §4's
+//     closed-form E_ref/E_opt estimate;
+//   - the simulation engine (NewEngine), a worker pool that runs
+//     multi-axis SweepSpec cross-products in parallel with results
+//     bit-identical to a serial run; cmd/ealb-serve serves it over HTTP;
+//   - the experiment runners (RunExperiment, RunAllExperiments) that
+//     regenerate every table and figure of the paper.
 //
 // Every simulation entry point takes a context.Context and stops at its
 // next preemption point (a reallocation interval, a decision slot, a
 // queued job) when the context is cancelled, so services embedding the
-// library can shed, cancel and drain work.
-//
-// plus the experiment runners (RunExperiment) that regenerate every table
-// and figure of the paper. See DESIGN.md for the system inventory and
-// EXPERIMENTS.md for paper-versus-measured results.
+// library can shed, cancel and drain work. See DESIGN.md for the system
+// inventory and EXPERIMENTS.md for paper-versus-measured results.
 //
 // Everything is deterministic: the same seed reproduces a simulation
 // bit for bit, on any platform, using only the standard library —
@@ -38,7 +37,6 @@ package ealb
 import (
 	"context"
 	"io"
-	"net/http"
 
 	"ealb/internal/analytic"
 	"ealb/internal/cluster"
@@ -46,23 +44,13 @@ import (
 	"ealb/internal/experiments"
 	"ealb/internal/farm"
 	"ealb/internal/policy"
-	"ealb/internal/serve"
 	"ealb/internal/trace"
 	"ealb/internal/units"
 	"ealb/internal/workload"
 )
 
-// Quantity types re-exported for configuration.
-type (
-	// Watts is instantaneous power.
-	Watts = units.Watts
-	// Joules is energy.
-	Joules = units.Joules
-	// Seconds is simulated time.
-	Seconds = units.Seconds
-	// Fraction is a normalized quantity in [0,1] (loads, regimes).
-	Fraction = units.Fraction
-)
+// Seconds is simulated time.
+type Seconds = units.Seconds
 
 // Cluster simulation (the paper's primary contribution).
 type (
@@ -71,8 +59,6 @@ type (
 	ClusterConfig = cluster.Config
 	// Cluster is a simulated cluster with its leader protocol.
 	Cluster = cluster.Cluster
-	// IntervalStats summarizes one reallocation interval.
-	IntervalStats = cluster.IntervalStats
 	// SleepPolicy selects how consolidation chooses sleep states.
 	SleepPolicy = cluster.SleepPolicy
 	// Band is a uniform initial-load band.
@@ -117,27 +103,8 @@ type (
 	// ClusterFarmConfig parameterizes a federated simulation; start from
 	// DefaultClusterFarmConfig.
 	ClusterFarmConfig = farm.Config
-	// FarmIntervalStats summarizes one farm interval: per-cluster
-	// statistics plus farm-level aggregates (total power, sleep counts,
-	// overload fraction, dispatch counts).
-	FarmIntervalStats = farm.IntervalStats
 	// DispatchPolicy selects how the front-end routes new applications.
 	DispatchPolicy = farm.DispatchPolicy
-	// FarmRun is the raw outcome of a federated engine scenario.
-	FarmRun = engine.FarmRun
-)
-
-// Dispatch policies.
-const (
-	// DispatchRoundRobin cycles through the clusters — the oblivious
-	// baseline.
-	DispatchRoundRobin = farm.DispatchRoundRobin
-	// DispatchLeastLoaded routes to the cluster with the lowest mean
-	// load.
-	DispatchLeastLoaded = farm.DispatchLeastLoaded
-	// DispatchEnergyHeadroom routes to the cluster whose awake servers
-	// can absorb the most demand without waking anyone.
-	DispatchEnergyHeadroom = farm.DispatchEnergyHeadroom
 )
 
 // DefaultClusterFarmConfig returns the §5 parameterization federated
@@ -208,10 +175,6 @@ var (
 	DiurnalRate = workload.DiurnalRate
 	// SpikeRate overlays a flash crowd on a base rate.
 	SpikeRate = workload.SpikeRate
-	// BurstRate overlays a spike train (repeated flash crowds) on a base
-	// rate — the bursty profile whose recovery gaps defeat reactive
-	// provisioning.
-	BurstRate = workload.BurstRate
 	// TrendRate grows linearly.
 	TrendRate = workload.TrendRate
 	// ComposeRates sums several profiles.
@@ -280,11 +243,6 @@ type (
 	// must be safe for concurrent use and must not feed back into the
 	// simulation.
 	Tracer = trace.Tracer
-	// TraceEvent is one structured decision event.
-	TraceEvent = trace.Event
-	// TraceEventKind discriminates decision events (report, move, wake,
-	// sleep, admit, fail, repair, dispatch).
-	TraceEventKind = trace.Kind
 	// TraceRecorder aggregates phase-latency histograms and per-kind
 	// event counts; its Summary renders ealb-sim's exit report.
 	TraceRecorder = trace.Recorder
@@ -304,57 +262,20 @@ func NewTraceWriter(w io.Writer) *TraceWriter { return trace.NewWriter(w) }
 // disabled).
 func MultiTracer(ts ...Tracer) Tracer { return trace.Multi(ts...) }
 
-// Simulation engine and scenario service.
+// Simulation engine.
 type (
-	// Engine is a worker pool executing simulation sweeps and scenarios.
-	// Sweeps dispatched on an Engine are bit-identical to serial runs:
-	// every job derives its own random streams from its seed and results
-	// land in order-preserving slots.
+	// Engine is a worker pool executing simulation sweeps. Sweeps
+	// dispatched on an Engine are bit-identical to serial runs: every
+	// job derives its own random streams from its seed and results land
+	// in order-preserving slots.
 	Engine = engine.Pool
-	// EngineStats is a snapshot of an engine's run/energy counters.
-	EngineStats = engine.Stats
-	// Scenario is a JSON-friendly description of one simulation request:
-	// a cluster protocol run or a policy-farm comparison driven by a
-	// named workload profile. The zero value selects the paper's §5
-	// defaults; a nil Seed means "use the default" while SeedOf(0) runs
-	// seed 0.
-	Scenario = engine.Scenario
-	// ScenarioResult is the outcome of one executed scenario.
-	ScenarioResult = engine.Result
 	// SweepSpec is the multi-axis scenario request: any sweep axis
 	// (seeds, sizes, bands, sleeps, profiles, server counts) may be a
 	// list plus a replications count, and (*Engine).RunSweep expands the
-	// cross-product. A scalar Scenario body is a one-element sweep.
+	// cross-product.
 	SweepSpec = engine.SweepSpec
-	// SweepResult is a sweep's outcome: per-cell results in expansion
-	// order plus per-parameter-combination aggregates.
-	SweepResult = engine.SweepResult
-	// SweepAggregate summarizes one parameter combination across its
-	// seeds and replications (mean/min/max/stddev of energy, savings and
-	// SLA violations).
-	SweepAggregate = engine.Aggregate
-)
-
-// SeedOf returns a scenario seed holding v, distinguishing an explicit
-// seed 0 from an absent field.
-func SeedOf(v uint64) *uint64 { return engine.SeedOf(v) }
-
-// Scenario kinds.
-const (
-	// ScenarioCluster runs the §4-§5 leader protocol on one cluster.
-	ScenarioCluster = engine.KindCluster
-	// ScenarioPolicy runs the §3 policy line-up on a server farm.
-	ScenarioPolicy = engine.KindPolicy
-	// ScenarioFarm runs the federated multi-cluster ecosystem behind a
-	// front-end dispatcher.
-	ScenarioFarm = engine.KindFarm
 )
 
 // NewEngine returns an engine running at most workers simulations
 // concurrently; workers <= 0 selects one worker per available CPU.
 func NewEngine(workers int) *Engine { return engine.NewPool(workers) }
-
-// NewScenarioHandler returns the HTTP handler of the scenario service
-// (the API served by cmd/ealb-serve) backed by the given engine, for
-// embedding in a larger server.
-func NewScenarioHandler(e *Engine) http.Handler { return serve.New(e).Handler() }

@@ -49,10 +49,6 @@ func (c CState) Valid() bool { return c >= C0 && c <= C6 }
 // Sleeping reports whether c is any state other than the running state C0.
 func (c CState) Sleeping() bool { return c.Valid() && c != C0 }
 
-// Deeper reports whether c saves more power than other (higher state
-// number, per §2: "the higher the state number, the deeper the sleep").
-func (c CState) Deeper(other CState) bool { return c > other }
-
 // Spec captures the observable behaviour of one sleep state.
 type Spec struct {
 	State CState

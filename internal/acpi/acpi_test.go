@@ -26,9 +26,6 @@ func TestCStatePredicates(t *testing.T) {
 			t.Errorf("%v must be a sleep state", c)
 		}
 	}
-	if !C6.Deeper(C3) || C3.Deeper(C6) {
-		t.Error("C6 is deeper than C3")
-	}
 	if CState(-1).Valid() || CState(7).Valid() {
 		t.Error("out-of-range states must be invalid")
 	}
@@ -214,8 +211,9 @@ func TestDeeperSleepAlwaysDrawsLessProperty(t *testing.T) {
 		if ca == cb {
 			return true
 		}
+		// §2: the higher the state number, the deeper the sleep.
 		deeper, shallower := ca, cb
-		if cb.Deeper(ca) {
+		if cb > ca {
 			deeper, shallower = cb, ca
 		}
 		return specs[deeper].SleepPower(peak) < specs[shallower].SleepPower(peak)

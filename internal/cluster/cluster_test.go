@@ -451,7 +451,7 @@ func TestBalanceSinglePass(t *testing.T) {
 		before += float64(s.RawDemand())
 	}
 	r3Before := c.RegimeCounts()[2]
-	if err := c.Balance(context.Background()); err != nil {
+	if _, err := c.balance(); err != nil {
 		t.Fatal(err)
 	}
 	var after float64

@@ -298,7 +298,7 @@ func TestRepairThenBalance(t *testing.T) {
 	if err := c.Repair(victim.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Balance(context.Background()); err != nil {
+	if _, err := c.balance(); err != nil {
 		t.Fatalf("balance after repair failed: %v", err)
 	}
 	if !c.active(victim) {
@@ -368,4 +368,37 @@ func TestMassFailureUnderHighLoadLosesApps(t *testing.T) {
 	if _, err := c.RunIntervals(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// syncServer reconciles one server's index entry with its live state, for
+// tests that mutate a server directly instead of through the cluster's
+// protocol paths.
+func (c *Cluster) syncServer(id server.ID) error {
+	s, err := c.serverByID(id)
+	if err != nil {
+		return err
+	}
+	ix := &c.idx
+	sleeping := s.Sleeping()
+	ix.sleeping[id] = sleeping
+	ix.busyUntil[id] = s.ReadyAt()
+	if sleeping {
+		lat, err := s.WakeLatency()
+		if err != nil {
+			return err
+		}
+		ix.wakeLat[id] = lat
+		ix.removeMember(id)
+		ix.addSleeper(id)
+	} else {
+		ix.removeSleeper(id)
+		if c.failed[id] {
+			ix.removeMember(id)
+		} else {
+			ix.addMember(id)
+		}
+	}
+	ix.markDirty(id)
+	c.flushIndex()
+	return nil
 }

@@ -72,10 +72,8 @@ type serverIndex struct {
 	bounds []regime.Boundaries
 
 	// cost mirrors each server's §4 Evaluate() estimates (q_k, p_k, j_k),
-	// valid for non-dirty entries. evalErr keeps the first Evaluate error
-	// a flush met; runInterval reports it, and Rebuild clears it.
-	cost    []costs
-	evalErr error
+	// valid for non-dirty entries.
+	cost []costs
 
 	// sleeping and busyUntil mirror the ACPI axis: State().Sleeping()
 	// and the transition-completion time (Busy(now) ⇔ now < busyUntil).
@@ -134,7 +132,6 @@ func (ix *serverIndex) init(n int) {
 	}
 	ix.dirtyIDs = ix.dirtyIDs[:0]
 	ix.sleepers = ix.sleepers[:0]
-	ix.evalErr = nil
 }
 
 // markDirty queues one server for reconciliation at the next flush.
@@ -280,10 +277,7 @@ func (c *Cluster) rebuildIndex() {
 
 // storeCosts refreshes one server's cost column from its Evaluate.
 func (c *Cluster) storeCosts(id server.ID, s *server.Server) {
-	ev, err := s.Evaluate()
-	if err != nil && c.idx.evalErr == nil {
-		c.idx.evalErr = err
-	}
+	ev := s.Evaluate()
 	c.idx.cost[id] = costs{q: ev.QCost, p: ev.PCost, j: ev.JCost}
 }
 
@@ -299,37 +293,4 @@ func (c *Cluster) noteDemandChange(s *server.Server) {
 // not sleeping, no ACPI transition in flight.
 func (c *Cluster) activeID(id server.ID) bool {
 	return !c.failed[id] && !c.idx.sleeping[id] && c.idx.busyUntil[id] <= c.now
-}
-
-// syncServer reconciles one server's index entry with its live state —
-// the escape hatch for callers (tests, external drivers) that mutate a
-// server directly instead of through the cluster's protocol paths.
-func (c *Cluster) syncServer(id server.ID) error {
-	s, err := c.serverByID(id)
-	if err != nil {
-		return err
-	}
-	ix := &c.idx
-	sleeping := s.Sleeping()
-	ix.sleeping[id] = sleeping
-	ix.busyUntil[id] = s.ReadyAt()
-	if sleeping {
-		lat, err := s.WakeLatency()
-		if err != nil {
-			return err
-		}
-		ix.wakeLat[id] = lat
-		ix.removeMember(id)
-		ix.addSleeper(id)
-	} else {
-		ix.removeSleeper(id)
-		if c.failed[id] {
-			ix.removeMember(id)
-		} else {
-			ix.addMember(id)
-		}
-	}
-	ix.markDirty(id)
-	c.flushIndex()
-	return nil
 }

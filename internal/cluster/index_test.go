@@ -45,10 +45,7 @@ func verifyIndexAgainstRescan(t *testing.T, c *Cluster) {
 		if got, want := ix.reg[id], s.Regime(); got != want {
 			t.Fatalf("server %d: index regime %v, rescan %v", id, got, want)
 		}
-		ev, err := s.Evaluate()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ev := s.Evaluate()
 		if got, want := ix.cost[id], (costs{q: ev.QCost, p: ev.PCost, j: ev.JCost}); got != want {
 			t.Fatalf("server %d: index costs %+v, Evaluate %+v", id, got, want)
 		}
@@ -200,10 +197,7 @@ func liveCostAverages(t *testing.T, c *Cluster) (q, p, j units.Joules) {
 		if c.failed[i] || s.Sleeping() || s.CStateBusy(c.now) {
 			continue
 		}
-		ev, err := s.Evaluate()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ev := s.Evaluate()
 		sq += float64(ev.QCost)
 		sp += float64(ev.PCost)
 		sj += float64(ev.JCost)

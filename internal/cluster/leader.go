@@ -328,13 +328,6 @@ func (c *Cluster) planRegime(id server.ID) regime.Region {
 	return c.idx.bounds[id].Classify(c.planLoad(id))
 }
 
-// planExcess returns id's projected load above its optimal region.
-//
-//ealb:pure
-func (c *Cluster) planExcess(id server.ID) units.Fraction {
-	return c.idx.bounds[id].Excess(c.planLoad(id))
-}
-
 // planFits reports whether dst can take demand under the limit, seen
 // through the projection.
 //

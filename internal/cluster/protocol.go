@@ -236,9 +236,6 @@ func (c *Cluster) runInterval(now units.Seconds) (IntervalStats, error) {
 	// over the active fleet in server-ID order from the index's cost
 	// column — each entry is that server's own Evaluate result, so the
 	// sums are the ones a per-server Evaluate scan would fold.
-	if err := ix.evalErr; err != nil {
-		return IntervalStats{}, err
-	}
 	var q, p, j float64
 	n := 0
 	for i := range ix.cost {
@@ -444,10 +441,7 @@ func (c *Cluster) migrate(src, dst *server.Server, h server.Hosted) error {
 	if err := h.VM.SetState(vm.Migrating); err != nil {
 		return err
 	}
-	res, err := migration.LiveCost(h.VM, c.cfg.Migration)
-	if err != nil {
-		return err
-	}
+	res := migration.LiveCost(h.VM, c.cfg.Migration)
 	c.migrationEnergy += res.Energy
 	if err := h.VM.SetState(vm.Running); err != nil {
 		return err
@@ -596,20 +590,4 @@ func (c *Cluster) applyBalance(plan *balancePlan) error {
 		}
 	}
 	return nil
-}
-
-// Balance runs one leader pass at the current simulation time without
-// evolving demand — the "after load balancing" state of Figure 2 relative
-// to the initial placement. The context is checked before the pass
-// starts; a single pass is the protocol's atomic unit and is never
-// interrupted midway.
-func (c *Cluster) Balance(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	_, err := c.balance()
-	return err
 }

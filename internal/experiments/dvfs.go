@@ -54,15 +54,6 @@ func RunDVFSStudy() ([]DVFSStudy, error) {
 	return out, nil
 }
 
-// RenderDVFSStudy writes the table for the demand sweep.
-func RenderDVFSStudy(w io.Writer) error {
-	rows, err := RunDVFSStudy()
-	if err != nil {
-		return err
-	}
-	return RenderDVFSRows(w, rows)
-}
-
 // RenderDVFSRows writes the P-state selection table.
 func RenderDVFSRows(w io.Writer, rows []DVFSStudy) error {
 	t := report.NewTable(

@@ -237,6 +237,32 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonPositiveIntervals pins that Run, whichever runner it
+// names, and RunAll refuse an interval count below one before writing
+// anything.
+func TestRunRejectsNonPositiveIntervals(t *testing.T) {
+	for _, intervals := range []int{0, -1} {
+		opt := testOptions()
+		opt.Intervals = intervals
+		for _, name := range []string{"table1", "table2", "ablation-delta"} {
+			var sb strings.Builder
+			if err := Run(name, &sb, opt); err == nil {
+				t.Errorf("Run(%q) with %d intervals must error", name, intervals)
+			}
+			if sb.Len() != 0 {
+				t.Errorf("Run(%q) with %d intervals wrote %d bytes", name, intervals, sb.Len())
+			}
+		}
+		var sb strings.Builder
+		if err := RunAll(&sb, opt); err == nil {
+			t.Errorf("RunAll with %d intervals must error", intervals)
+		}
+		if sb.Len() != 0 {
+			t.Errorf("RunAll with %d intervals wrote %d bytes", intervals, sb.Len())
+		}
+	}
+}
+
 func TestRobustness(t *testing.T) {
 	r, err := RunRobustnessOn(engine.NewPool(1), 60, workload.LowLoad(), []uint64{1, 2, 3}, 15)
 	if err != nil {
@@ -315,7 +341,7 @@ func TestDVFSStudy(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	if err := RenderDVFSStudy(&sb); err != nil {
+	if err := Run("dvfs", &sb, testOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "P-state") {

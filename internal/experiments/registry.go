@@ -138,17 +138,33 @@ func Names() []string {
 	return names
 }
 
+// validate rejects options no runner can honour. Every runner sees the
+// same Options, so an interval count below one is refused for all of
+// them, before any output is written.
+func (o Options) validate() error {
+	if o.Intervals < 1 {
+		return fmt.Errorf("experiments: non-positive interval count %d", o.Intervals)
+	}
+	return nil
+}
+
 // Run executes one experiment by name.
 func Run(name string, w io.Writer, opt Options) error {
 	r, ok := Registry()[name]
 	if !ok {
 		return fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
+	if err := opt.validate(); err != nil {
+		return err
+	}
 	return r(w, opt)
 }
 
 // RunAll executes every experiment in name order.
 func RunAll(w io.Writer, opt Options) error {
+	if err := opt.validate(); err != nil {
+		return err
+	}
 	for _, name := range Names() {
 		fmt.Fprintf(w, "==================== %s ====================\n", name)
 		if err := Run(name, w, opt); err != nil {

@@ -1,7 +1,6 @@
 // Package migration models the cost of moving a VM between servers — the
 // part of the paper's question list (§3, questions 3-8) it evaluates:
-// how much time and energy a migration takes and what starting a VM on the
-// target costs.
+// how much time and energy a migration takes.
 //
 // Live migration follows the standard pre-copy algorithm (Clark et al.,
 // NSDI'05), which is what production hypervisors the paper's ecosystem
@@ -90,25 +89,34 @@ type Result struct {
 
 // Live computes the cost of pre-copy live migration of v under params p.
 func Live(v *vm.VM, p Params) (Result, error) {
-	return live(v, p, true)
+	if err := check(v, p); err != nil {
+		return Result{}, err
+	}
+	return live(v, p, true), nil
 }
 
 // LiveCost computes exactly the same result as Live without recording the
 // per-round volumes (Result.RoundBytes stays nil) — the allocation-free
 // variant for the simulation hot path, which prices thousands of
 // migrations per reallocation interval and never reads the round trace.
-func LiveCost(v *vm.VM, p Params) (Result, error) {
+// It does not check its inputs: p must have passed Validate (the server
+// and cluster configurations validate it once) and v must be non-nil.
+func LiveCost(v *vm.VM, p Params) Result {
 	return live(v, p, false)
 }
 
-func live(v *vm.VM, p Params, recordRounds bool) (Result, error) {
+// check rejects the inputs Live and Cold cannot price.
+func check(v *vm.VM, p Params) error {
 	if err := p.Validate(); err != nil {
-		return Result{}, err
+		return err
 	}
 	if v == nil {
-		return Result{}, fmt.Errorf("migration: nil VM")
+		return fmt.Errorf("migration: nil VM")
 	}
+	return nil
+}
 
+func live(v *vm.VM, p Params, recordRounds bool) Result {
 	var res Result
 	bw := float64(p.Bandwidth)
 	dirtyRate := float64(v.DirtyRate)
@@ -151,18 +159,15 @@ func live(v *vm.VM, p Params, recordRounds bool) (Result, error) {
 	res.Energy = units.Energy(p.SourceOverhead, res.Total) +
 		units.Energy(p.TargetOverhead, res.Total) +
 		units.Joules(float64(res.Bytes)*float64(p.NetEnergyPerByte))
-	return res, nil
+	return res
 }
 
 // Cold computes the cost of stop-and-copy (cold) migration: the VM is
 // paused for the entire memory transfer. Used as the baseline against
 // which live migration's downtime advantage shows.
 func Cold(v *vm.VM, p Params) (Result, error) {
-	if err := p.Validate(); err != nil {
+	if err := check(v, p); err != nil {
 		return Result{}, err
-	}
-	if v == nil {
-		return Result{}, fmt.Errorf("migration: nil VM")
 	}
 	t := units.TransferTime(v.Memory, p.Bandwidth) + p.SwitchLatency
 	res := Result{
@@ -176,31 +181,5 @@ func Cold(v *vm.VM, p Params) (Result, error) {
 	res.Energy = units.Energy(p.SourceOverhead, res.Total) +
 		units.Energy(p.TargetOverhead, res.Total) +
 		units.Joules(float64(res.Bytes)*float64(p.NetEnergyPerByte))
-	return res, nil
-}
-
-// StartCost models the paper's question 6: the energy and time to start a
-// VM on the target server — ship the image (when not already cached) and
-// boot, drawing bootPower on the target for the boot duration.
-func StartCost(v *vm.VM, p Params, imageCached bool, bootTime units.Seconds, bootPower units.Watts) (Result, error) {
-	if err := p.Validate(); err != nil {
-		return Result{}, err
-	}
-	if v == nil {
-		return Result{}, fmt.Errorf("migration: nil VM")
-	}
-	if bootTime < 0 || bootPower < 0 {
-		return Result{}, fmt.Errorf("migration: negative boot parameters")
-	}
-	var res Result
-	if !imageCached {
-		res.Bytes = v.ImageSize
-		res.Total += units.TransferTime(v.ImageSize, p.Bandwidth)
-	}
-	res.Total += bootTime
-	res.Converged = true
-	res.Energy = units.Energy(bootPower, bootTime) +
-		units.Joules(float64(res.Bytes)*float64(p.NetEnergyPerByte)) +
-		units.Energy(p.TargetOverhead, res.Total)
 	return res, nil
 }

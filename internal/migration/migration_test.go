@@ -203,34 +203,6 @@ func TestFasterLinkShortensMigrationProperty(t *testing.T) {
 	}
 }
 
-func TestStartCost(t *testing.T) {
-	v := testVM(t, units.GB, 1)
-	p := DefaultParams()
-	cached, err := StartCost(v, p, true, 30, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncached, err := StartCost(v, p, false, 30, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached.Bytes != 0 {
-		t.Error("cached image must transfer nothing")
-	}
-	if uncached.Bytes != v.ImageSize {
-		t.Errorf("uncached transfer = %v, want image size %v", uncached.Bytes, v.ImageSize)
-	}
-	if uncached.Total <= cached.Total {
-		t.Error("shipping the image must take longer")
-	}
-	if cached.Energy <= 0 {
-		t.Error("boot must cost energy")
-	}
-	if _, err := StartCost(v, p, true, -1, 200); err == nil {
-		t.Error("negative boot time must error")
-	}
-}
-
 func TestNilVMErrors(t *testing.T) {
 	p := DefaultParams()
 	if _, err := Live(nil, p); err == nil {
@@ -238,9 +210,6 @@ func TestNilVMErrors(t *testing.T) {
 	}
 	if _, err := Cold(nil, p); err == nil {
 		t.Error("Cold(nil) must error")
-	}
-	if _, err := StartCost(nil, p, true, 1, 1); err == nil {
-		t.Error("StartCost(nil) must error")
 	}
 }
 

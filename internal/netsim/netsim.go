@@ -2,13 +2,12 @@
 // ("the servers are connected to the leader by star topology"), with
 // per-link bandwidth, latency, and energy cost per byte.
 //
-// The model serves two purposes in the reproduction. First, it prices the
-// j_k communication-and-data-transfer cost every server computes per
-// reallocation interval. Second, it carries the bulk VM image/memory
-// transfers of in-cluster (horizontal) scaling, whose cost asymmetry
-// against local vertical scaling is exactly what Figure 3 and Table 2
-// measure. Control messages between two member servers traverse two hops
-// (up to the hub, down to the peer); messages to the leader take one.
+// The model prices the control traffic of the reallocation protocol: the
+// regime reports and migration-plan messages behind the j_k
+// communication cost every server computes per reallocation interval.
+// (The bulk VM memory transfer of a migration is priced by the
+// migration package.) Messages between two member servers traverse two
+// hops (up to the hub, down to the peer); messages to the leader take one.
 //
 // Channels in real interconnects are always on regardless of load (§2);
 // the model therefore also exposes an idle-power account so experiments
@@ -103,7 +102,7 @@ func (c *Counters) add(bytes units.Bytes, energy units.Joules) {
 	c.Energy += energy
 }
 
-// Delivery describes the cost of one message or transfer.
+// Delivery describes the cost of one message.
 type Delivery struct {
 	Hops    int
 	Latency units.Seconds
@@ -134,9 +133,6 @@ func New(size int, p Params) (*Network, error) {
 
 // Size returns the number of member servers.
 func (n *Network) Size() int { return n.size }
-
-// Params returns the configured parameters.
-func (n *Network) Params() Params { return n.params }
 
 // hops returns the star-topology hop count between two endpoints.
 func (n *Network) hops(from, to NodeID) (int, error) {
@@ -170,19 +166,6 @@ func (n *Network) Send(from, to NodeID, _ MsgType, size units.Bytes) (Delivery, 
 	if size <= 0 {
 		return Delivery{}, fmt.Errorf("netsim: non-positive message size %v", size)
 	}
-	return n.transfer(from, to, size)
-}
-
-// Transfer models a bulk data movement (VM memory or image) and returns
-// its cost. Identical accounting to Send; the distinction is documentary.
-func (n *Network) Transfer(from, to NodeID, size units.Bytes) (Delivery, error) {
-	if size <= 0 {
-		return Delivery{}, fmt.Errorf("netsim: non-positive transfer size %v", size)
-	}
-	return n.transfer(from, to, size)
-}
-
-func (n *Network) transfer(from, to NodeID, size units.Bytes) (Delivery, error) {
 	h, err := n.hops(from, to)
 	if err != nil {
 		return Delivery{}, err

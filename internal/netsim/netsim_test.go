@@ -72,8 +72,8 @@ func TestInvalidEndpoints(t *testing.T) {
 	if _, err := n.Send(1, 2, MsgAck, 0); err == nil {
 		t.Error("zero-size message must fail")
 	}
-	if _, err := n.Transfer(1, 2, -5); err == nil {
-		t.Error("negative transfer must fail")
+	if _, err := n.Send(1, 2, MsgMigrationPlan, -5); err == nil {
+		t.Error("negative-size message must fail")
 	}
 }
 
@@ -81,7 +81,7 @@ func TestDeliveryLatency(t *testing.T) {
 	p := DefaultParams()
 	n, _ := New(4, p)
 	size := units.Bytes(125 * units.MB) // exactly 1 second of serialization
-	d, err := n.Transfer(0, LeaderNode, size)
+	d, err := n.Send(0, LeaderNode, MsgMigrationPlan, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestDeliveryLatency(t *testing.T) {
 		t.Errorf("1-hop latency = %v, want %v", d.Latency, want)
 	}
 	// Two hops double both components (store-and-forward at the hub).
-	d2, err := n.Transfer(0, 1, size)
+	d2, err := n.Send(0, 1, MsgMigrationPlan, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +200,8 @@ func TestLatencyMonotoneInSizeProperty(t *testing.T) {
 	f := func(a, b uint16) bool {
 		small := units.Bytes(a%10000) + 1
 		big := small + units.Bytes(b%10000) + 1
-		d1, err1 := n.Transfer(0, 1, small)
-		d2, err2 := n.Transfer(0, 1, big)
+		d1, err1 := n.Send(0, 1, MsgMigrationPlan, small)
+		d2, err2 := n.Send(0, 1, MsgMigrationPlan, big)
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -101,14 +101,6 @@ type Result struct {
 	Slots int
 }
 
-// ViolationRate returns the fraction of slots with an SLA violation.
-func (r Result) ViolationRate() float64 {
-	if r.Slots == 0 {
-		return 0
-	}
-	return float64(r.ViolationSlots) / float64(r.Slots)
-}
-
 // DropRate returns the fraction of requests dropped.
 func (r Result) DropRate() float64 {
 	total := r.Served + r.Dropped

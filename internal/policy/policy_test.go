@@ -262,15 +262,12 @@ func TestCompareRunsAll(t *testing.T) {
 
 func TestResultRates(t *testing.T) {
 	r := Result{ViolationSlots: 5, Slots: 100, Dropped: 10, Served: 90}
-	if r.ViolationRate() != 0.05 {
-		t.Errorf("violation rate = %v", r.ViolationRate())
-	}
 	if r.DropRate() != 0.1 {
 		t.Errorf("drop rate = %v", r.DropRate())
 	}
 	var empty Result
-	if empty.ViolationRate() != 0 || empty.DropRate() != 0 {
-		t.Error("empty result rates must be 0")
+	if empty.DropRate() != 0 {
+		t.Error("empty result drop rate must be 0")
 	}
 }
 

@@ -181,12 +181,12 @@ func TestTable1MatchesPaper(t *testing.T) {
 		{HighEnd, 2006, 8163},
 	}
 	for _, tt := range tests {
-		got, err := AveragePower(tt.c, tt.year)
+		row, err := Table1Row(tt.c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != tt.want {
-			t.Errorf("AveragePower(%v,%d) = %v, want %v", tt.c, tt.year, got, tt.want)
+		if got := row[tt.year-Table1Years[0]]; got != tt.want {
+			t.Errorf("Table1Row(%v)[%d] = %v, want %v", tt.c, tt.year, got, tt.want)
 		}
 	}
 }
@@ -209,15 +209,6 @@ func TestTable1PowerGrowsOverTime(t *testing.T) {
 }
 
 func TestTable1Errors(t *testing.T) {
-	if _, err := AveragePower(Volume, 1999); err == nil {
-		t.Error("year before range must error")
-	}
-	if _, err := AveragePower(Volume, 2007); err == nil {
-		t.Error("year after range must error")
-	}
-	if _, err := AveragePower(ServerClass(42), 2003); err == nil {
-		t.Error("unknown class must error")
-	}
 	if _, err := Table1Row(ServerClass(42)); err == nil {
 		t.Error("unknown class row must error")
 	}
@@ -229,19 +220,6 @@ func TestTable1RowIsACopy(t *testing.T) {
 	again, _ := Table1Row(Volume)
 	if again[0] != 186 {
 		t.Error("Table1Row must return a defensive copy")
-	}
-}
-
-func TestClassModel(t *testing.T) {
-	m, err := ClassModel(Volume, 2006)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Peak() != 225 || m.Idle() != 112.5 {
-		t.Errorf("ClassModel = idle %v peak %v", m.Idle(), m.Peak())
-	}
-	if _, err := ClassModel(Volume, 1980); err == nil {
-		t.Error("out-of-range year must error")
 	}
 }
 

@@ -43,21 +43,6 @@ var table1 = map[ServerClass][]units.Watts{
 	HighEnd:  {5534, 5832, 6130, 6428, 6973, 7651, 8163},
 }
 
-// AveragePower returns the estimated average power of a server of class c
-// in the given year, per the paper's Table 1. It returns an error for a
-// year outside 2000-2006 or an unknown class.
-func AveragePower(c ServerClass, year int) (units.Watts, error) {
-	row, ok := table1[c]
-	if !ok {
-		return 0, fmt.Errorf("power: unknown server class %v", c)
-	}
-	idx := year - Table1Years[0]
-	if idx < 0 || idx >= len(row) {
-		return 0, fmt.Errorf("power: year %d outside Table 1 range %d-%d", year, Table1Years[0], Table1Years[len(Table1Years)-1])
-	}
-	return row[idx], nil
-}
-
 // Table1Row returns the full 2000-2006 power series for class c.
 func Table1Row(c ServerClass) ([]units.Watts, error) {
 	row, ok := table1[c]
@@ -65,15 +50,4 @@ func Table1Row(c ServerClass) ([]units.Watts, error) {
 		return nil, fmt.Errorf("power: unknown server class %v", c)
 	}
 	return append([]units.Watts(nil), row...), nil
-}
-
-// ClassModel returns a representative Linear power model for a server of
-// class c in the given year: peak power from Table 1, idle at half peak —
-// the "idle system consumes as much as 50% of peak" figure of §1.
-func ClassModel(c ServerClass, year int) (Linear, error) {
-	peak, err := AveragePower(c, year)
-	if err != nil {
-		return Linear{}, err
-	}
-	return NewLinear(peak/2, peak)
 }

@@ -50,29 +50,9 @@ func (r Region) String() string {
 // Valid reports whether r is one of the five defined regions.
 func (r Region) Valid() bool { return r >= R1 && r <= R5 }
 
-// Underloaded reports whether the region indicates spare capacity that
-// should attract workload or lead to sleep (R1 or R2).
-func (r Region) Underloaded() bool { return r == R1 || r == R2 }
-
 // Overloaded reports whether the region indicates excess load that should
 // be shed (R4 or R5).
 func (r Region) Overloaded() bool { return r == R4 || r == R5 }
-
-// Urgency ranks how quickly the region must be corrected: 0 for optimal,
-// 1 for suboptimal (R2/R4, "do not require immediate attention"), 2 for
-// undesirable (R1/R5, immediate).
-func (r Region) Urgency() int {
-	switch r {
-	case R3:
-		return 0
-	case R2, R4:
-		return 1
-	case R1, R5:
-		return 2
-	default:
-		return 0
-	}
-}
 
 // Boundaries holds one server's region thresholds on the normalized
 // performance axis: α^sopt,l, α^opt,l, α^opt,h, α^sopt,h.
@@ -139,16 +119,6 @@ func (b Boundaries) Excess(load units.Fraction) units.Fraction {
 		return 0
 	}
 	return load - b.OptHigh
-}
-
-// Deficit returns how much load must be gained to reach OptLow from below
-// (0 when at or above OptLow).
-func (b Boundaries) Deficit(load units.Fraction) units.Fraction {
-	load = load.Clamp()
-	if load >= b.OptLow {
-		return 0
-	}
-	return b.OptLow - load
 }
 
 // PaperRanges holds the uniform sampling intervals for each threshold used

@@ -25,14 +25,8 @@ func TestRegionString(t *testing.T) {
 }
 
 func TestRegionPredicates(t *testing.T) {
-	if !R1.Underloaded() || !R2.Underloaded() || R3.Underloaded() {
-		t.Error("Underloaded wrong")
-	}
 	if !R4.Overloaded() || !R5.Overloaded() || R3.Overloaded() {
 		t.Error("Overloaded wrong")
-	}
-	if R3.Urgency() != 0 || R2.Urgency() != 1 || R4.Urgency() != 1 || R1.Urgency() != 2 || R5.Urgency() != 2 {
-		t.Error("Urgency ranking wrong")
 	}
 	if Region(0).Valid() || Region(6).Valid() || !R3.Valid() {
 		t.Error("Valid wrong")
@@ -117,12 +111,6 @@ func TestHeadroomExcessDeficit(t *testing.T) {
 	}
 	if b.Excess(0.5) != 0 {
 		t.Error("no excess below OptHigh")
-	}
-	if got := b.Deficit(0.15); !almostEq(got, 0.2) {
-		t.Errorf("Deficit(0.15) = %v, want 0.2", got)
-	}
-	if b.Deficit(0.5) != 0 {
-		t.Error("no deficit above OptLow")
 	}
 }
 

@@ -36,15 +36,6 @@ func (t *Table) AddRow(cells ...string) error {
 	return nil
 }
 
-// AddRowf appends a row formatting each cell with %v.
-func (t *Table) AddRowf(cells ...any) error {
-	s := make([]string, len(cells))
-	for i, c := range cells {
-		s[i] = fmt.Sprintf("%v", c)
-	}
-	return t.AddRow(s...)
-}
-
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Headers))
@@ -156,9 +147,6 @@ func NewLinePlot(title string, height int) *LinePlot {
 	}
 	return &LinePlot{Title: title, Height: height}
 }
-
-// Add appends the next observation.
-func (p *LinePlot) Add(v float64) { p.series = append(p.series, v) }
 
 // AddSeries appends many observations.
 func (p *LinePlot) AddSeries(vs []float64) { p.series = append(p.series, vs...) }

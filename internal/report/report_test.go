@@ -10,7 +10,7 @@ func TestTableRender(t *testing.T) {
 	if err := tb.AddRow("Vol", "186", "225"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.AddRowf("Mid", 424, 675); err != nil {
+	if err := tb.AddRow("Mid", "424", "675"); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder

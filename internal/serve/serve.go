@@ -209,14 +209,9 @@ type Options struct {
 	TenantQuota int
 }
 
-// New builds a service executing scenarios on the given pool, keeping
-// runs in memory (the historical default).
-func New(pool *engine.Pool) *Server {
-	return NewWith(pool, Options{})
-}
-
-// NewWith builds a service with an explicit run store and submission
-// limits. Call Recover before serving to reload a durable store's
+// NewWith builds a service executing scenarios on the given pool with
+// the given run store and submission limits; a nil Store keeps runs in
+// memory. Call Recover before serving to reload a durable store's
 // history and resume its interrupted runs.
 func NewWith(pool *engine.Pool, opts Options) *Server {
 	if opts.Store == nil {

@@ -140,7 +140,7 @@ func TestKillResumeByteIdentical(t *testing.T) {
 // newServerForBody builds an isolated default (memory-store) server.
 func newServerForBody(t *testing.T) *httptest.Server {
 	t.Helper()
-	s := New(engine.NewPool(1))
+	s := NewWith(engine.NewPool(1), Options{})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { s.Wait(); ts.Close() })
 	return ts

@@ -387,9 +387,9 @@ type Evaluation struct {
 // negotiation step would move first. The result is a pure function of the
 // hosted set, its demands, and static configuration, so it is memoized
 // under the same invalidation points as RawDemand.
-func (s *Server) Evaluate() (Evaluation, error) {
+func (s *Server) Evaluate() Evaluation {
 	if s.evalOK {
-		return s.eval, nil
+		return s.eval
 	}
 	ev := Evaluation{
 		Server:  s.id,
@@ -410,10 +410,7 @@ func (s *Server) Evaluate() (Evaluation, error) {
 		if v == s.qVM && v.CPUShare == s.qShare {
 			ev.QCost = s.qCost
 		} else {
-			res, err := migration.LiveCost(v, s.cfg.Migration)
-			if err != nil {
-				return Evaluation{}, fmt.Errorf("server %d: %w", s.id, err)
-			}
+			res := migration.LiveCost(v, s.cfg.Migration)
 			s.qVM, s.qShare, s.qCost = v, v.CPUShare, res.Energy
 			ev.QCost = res.Energy
 		}
@@ -423,7 +420,7 @@ func (s *Server) Evaluate() (Evaluation, error) {
 	}
 	s.eval = ev
 	s.evalOK = true
-	return ev, nil
+	return ev
 }
 
 // largestVM returns the hosted VM with the largest CPU share, or nil.

@@ -265,10 +265,7 @@ func TestWakeLatency(t *testing.T) {
 func TestEvaluate(t *testing.T) {
 	s := newServer(t)
 	_ = s.Place(hosted(t, 1, 0.5), 0)
-	ev, err := s.Evaluate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := s.Evaluate()
 	if ev.Regime != regime.R3 || ev.NumApps != 1 {
 		t.Errorf("evaluation = %+v", ev)
 	}
@@ -282,10 +279,7 @@ func TestEvaluate(t *testing.T) {
 
 func TestEvaluateEmptyServer(t *testing.T) {
 	s := newServer(t)
-	ev, err := s.Evaluate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := s.Evaluate()
 	if ev.Regime != regime.R1 || ev.QCost <= 0 {
 		t.Errorf("empty evaluation = %+v", ev)
 	}
@@ -294,10 +288,10 @@ func TestEvaluateEmptyServer(t *testing.T) {
 func TestEvaluateJCostGrowsOffOptimal(t *testing.T) {
 	s := newServer(t)
 	_ = s.Place(hosted(t, 1, 0.5), 0) // R3
-	evOpt, _ := s.Evaluate()
+	evOpt := s.Evaluate()
 	s2 := newServer(t)
 	_ = s2.Place(hosted(t, 1, 0.9), 0) // R5
-	evBad, _ := s2.Evaluate()
+	evBad := s2.Evaluate()
 	if evBad.JCost <= evOpt.JCost {
 		t.Error("off-optimal regimes imply negotiation traffic: higher j_k")
 	}

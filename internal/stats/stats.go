@@ -1,7 +1,7 @@
 // Package stats provides the statistical primitives the experiments rely
 // on: numerically stable running moments (Welford), histograms, quantiles,
-// time series with summary statistics, and ordinary least-squares linear
-// regression (used by the predictive capacity-management policies).
+// and ordinary least-squares linear regression (used by the predictive
+// capacity-management policies).
 package stats
 
 import (
@@ -204,33 +204,6 @@ func (h *Histogram) Fractions() []float64 {
 		out[i] = float64(c) / float64(h.total)
 	}
 	return out
-}
-
-// TimeSeries is an append-only sequence of (index, value) observations, one
-// per reallocation interval in the cluster experiments.
-type TimeSeries struct {
-	Values []float64
-}
-
-// Append records the next observation.
-func (ts *TimeSeries) Append(v float64) { ts.Values = append(ts.Values, v) }
-
-// Len returns the number of observations.
-func (ts *TimeSeries) Len() int { return len(ts.Values) }
-
-// Mean returns the mean of the series.
-func (ts *TimeSeries) Mean() float64 { return Mean(ts.Values) }
-
-// StdDev returns the population standard deviation of the series.
-func (ts *TimeSeries) StdDev() float64 { return StdDev(ts.Values) }
-
-// Tail returns the trailing n observations (all of them when n exceeds the
-// length).
-func (ts *TimeSeries) Tail(n int) []float64 {
-	if n >= len(ts.Values) {
-		return ts.Values
-	}
-	return ts.Values[len(ts.Values)-n:]
 }
 
 // LinReg holds the coefficients of a fitted line y = Alpha + Beta*x.

@@ -241,26 +241,6 @@ func TestHistogramConservesTotal(t *testing.T) {
 	}
 }
 
-func TestTimeSeries(t *testing.T) {
-	var ts TimeSeries
-	for _, v := range []float64{2, 4, 6} {
-		ts.Append(v)
-	}
-	if ts.Len() != 3 {
-		t.Errorf("Len = %d", ts.Len())
-	}
-	if !almostEq(ts.Mean(), 4, 1e-12) {
-		t.Errorf("Mean = %v", ts.Mean())
-	}
-	tail := ts.Tail(2)
-	if len(tail) != 2 || tail[0] != 4 || tail[1] != 6 {
-		t.Errorf("Tail(2) = %v", tail)
-	}
-	if len(ts.Tail(10)) != 3 {
-		t.Error("Tail larger than series must return everything")
-	}
-}
-
 func TestFitLineExact(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1, 3, 5, 7} // y = 1 + 2x
