@@ -1,6 +1,5 @@
-// Package acpi models the ACPI power states the paper builds its sleep
-// strategy on (§2 "Sleep states"): processor C-states (C0-C6), device
-// D-states (D0-D3) and system S-states (S1-S4).
+// Package acpi models the ACPI processor C-states (C0-C6) the paper
+// builds its sleep strategy on (§2 "Sleep states").
 //
 // The paper abstracts each sleep state into three observables — the power
 // drawn while asleep, the latency to return to the running state C0, and
@@ -90,59 +89,4 @@ func DefaultSpecs() map[CState]Spec {
 		C5: {State: C5, SleepPowerFrac: 0.05, WakeLatency: 120, WakePowerFrac: 1, EnterLatency: 3},
 		C6: {State: C6, SleepPowerFrac: 0.02, WakeLatency: 260, WakePowerFrac: 1, EnterLatency: 5},
 	}
-}
-
-// DState is a device power state (modems, hard drives, CD-ROM per §2).
-type DState int
-
-// Device power states.
-const (
-	D0 DState = iota // fully on
-	D1
-	D2
-	D3 // off
-)
-
-// String implements fmt.Stringer.
-func (d DState) String() string {
-	if d < D0 || d > D3 {
-		return fmt.Sprintf("DState(%d)", int(d))
-	}
-	return [...]string{"D0", "D1", "D2", "D3"}[d]
-}
-
-// DevicePowerFrac returns the representative fraction of device peak power
-// drawn in each D-state.
-func DevicePowerFrac(d DState) (units.Fraction, error) {
-	switch d {
-	case D0:
-		return 1, nil
-	case D1:
-		return 0.6, nil
-	case D2:
-		return 0.3, nil
-	case D3:
-		return 0, nil
-	default:
-		return 0, fmt.Errorf("acpi: unknown D-state %v", d)
-	}
-}
-
-// SState is a whole-system sleep state (BIOS-level, §2).
-type SState int
-
-// System sleep states.
-const (
-	S1 SState = iota + 1 // standby: CPU caches flushed, power maintained
-	S2                   // CPU powered off
-	S3                   // suspend to RAM
-	S4                   // hibernate: suspend to disk
-)
-
-// String implements fmt.Stringer.
-func (s SState) String() string {
-	if s < S1 || s > S4 {
-		return fmt.Sprintf("SState(%d)", int(s))
-	}
-	return [...]string{"S1", "S2", "S3", "S4"}[s-1]
 }

@@ -65,43 +65,6 @@ func TestSpecSleepPower(t *testing.T) {
 	}
 }
 
-func TestDStates(t *testing.T) {
-	if D0.String() != "D0" || D3.String() != "D3" {
-		t.Error("D-state names wrong")
-	}
-	f0, err := DevicePowerFrac(D0)
-	if err != nil || f0 != 1 {
-		t.Error("D0 must draw full power")
-	}
-	f3, err := DevicePowerFrac(D3)
-	if err != nil || f3 != 0 {
-		t.Error("D3 must draw nothing")
-	}
-	if _, err := DevicePowerFrac(DState(9)); err == nil {
-		t.Error("unknown D-state must error")
-	}
-	prev := units.Fraction(2)
-	for d := D0; d <= D3; d++ {
-		f, err := DevicePowerFrac(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f >= prev {
-			t.Errorf("device power must decrease with deeper D-state")
-		}
-		prev = f
-	}
-}
-
-func TestSStateString(t *testing.T) {
-	if S1.String() != "S1" || S4.String() != "S4" {
-		t.Error("S-state names wrong")
-	}
-	if SState(0).String() != "SState(0)" {
-		t.Error("unknown S-state must render with value")
-	}
-}
-
 func TestNewManagerValidation(t *testing.T) {
 	if _, err := NewManager(0, nil); err == nil {
 		t.Error("zero peak must fail")

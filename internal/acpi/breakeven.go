@@ -3,7 +3,6 @@ package acpi
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"ealb/internal/units"
 )
@@ -32,40 +31,4 @@ func BreakEven(spec Spec, peak, idle units.Watts) (units.Seconds, error) {
 	}
 	overhead := spec.WakeEnergy(peak) + units.Energy(spec.SleepPower(peak), spec.EnterLatency)
 	return units.Seconds(float64(overhead) / float64(saving)), nil
-}
-
-// BestStateFor returns the sleep state that saves the most energy over an
-// idle period of the given expected duration, or C0 (stay awake) when no
-// state pays off. This is the per-server decision rule behind §6's
-// cluster-level 60% heuristic: short expected idle → shallow state,
-// long → deep.
-func BestStateFor(specs map[CState]Spec, peak, idle units.Watts, expected units.Seconds) (CState, error) {
-	if expected < 0 {
-		return C0, fmt.Errorf("acpi: negative expected idle duration %v", expected)
-	}
-	best := C0
-	bestSaving := 0.0
-	// Deterministic iteration order.
-	states := make([]CState, 0, len(specs))
-	for c := range specs {
-		if c.Sleeping() {
-			states = append(states, c)
-		}
-	}
-	sort.SliceStable(states, func(i, j int) bool { return states[i] < states[j] })
-	for _, c := range states {
-		spec := specs[c]
-		if spec.WakeLatency > expected {
-			// Cannot wake in time: the state is not usable for this
-			// horizon at all.
-			continue
-		}
-		saving := float64(idle-spec.SleepPower(peak))*float64(expected) -
-			float64(spec.WakeEnergy(peak)) -
-			float64(units.Energy(spec.SleepPower(peak), spec.EnterLatency))
-		if saving > bestSaving {
-			best, bestSaving = c, saving
-		}
-	}
-	return best, nil
 }

@@ -60,69 +60,3 @@ func TestBreakEvenNeverPaysOff(t *testing.T) {
 		t.Errorf("break-even = %v, want +Inf", be)
 	}
 }
-
-func TestBestStateForHorizons(t *testing.T) {
-	specs := DefaultSpecs()
-	tests := []struct {
-		expected units.Seconds
-		want     CState
-	}{
-		// Sub-second idle: nothing pays off — C1/C2 transitions cost
-		// more than the saving, and C1 (0.55×peak) draws more than the
-		// 0.5×peak idle floor anyway.
-		{0.5, C0},
-		{5, C2},      // a few seconds: C2's 0.1s wake fits, C3's 30s doesn't
-		{120, C3},    // minutes: C3 pays, C4 (60s wake) barely fits but saves less than C3? check below
-		{100000, C6}, // hours: deepest state wins
-	}
-	for _, tt := range tests {
-		got, err := BestStateFor(specs, 200, 100, tt.expected)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tt.expected == 120 {
-			// At 120 s both C3 and C4 are wake-feasible; accept whichever
-			// saves more but it must not be C0 or deeper than C4.
-			if got == C0 || got > C4 {
-				t.Errorf("BestStateFor(120s) = %v", got)
-			}
-			continue
-		}
-		if got != tt.want {
-			t.Errorf("BestStateFor(%v) = %v, want %v", tt.expected, got, tt.want)
-		}
-	}
-}
-
-func TestBestStateForTinyHorizonStaysAwake(t *testing.T) {
-	specs := DefaultSpecs()
-	got, err := BestStateFor(specs, 200, 100, 0.005)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != C0 {
-		t.Errorf("5ms idle horizon chose %v, want C0 (stay awake)", got)
-	}
-}
-
-func TestBestStateForNegativeHorizon(t *testing.T) {
-	if _, err := BestStateFor(DefaultSpecs(), 200, 100, -1); err == nil {
-		t.Error("negative horizon must error")
-	}
-}
-
-func TestBestStateMonotoneInHorizon(t *testing.T) {
-	// Longer expected idle never selects a shallower state.
-	specs := DefaultSpecs()
-	prev := C0
-	for _, h := range []units.Seconds{0.01, 0.1, 1, 10, 100, 1000, 10000, 100000} {
-		got, err := BestStateFor(specs, 200, 100, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got < prev {
-			t.Errorf("horizon %v chose %v, shallower than %v at a shorter horizon", h, got, prev)
-		}
-		prev = got
-	}
-}

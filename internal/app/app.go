@@ -168,37 +168,6 @@ func (a *App) Reset(demand units.Fraction) error {
 	return nil
 }
 
-// GrowthHeadroom returns the worst-case demand this application can reach
-// by the end of the next interval — the quantity an admission controller
-// must budget for under the bounded-rate assumption.
-func (a *App) GrowthHeadroom() units.Fraction {
-	return (a.Demand + a.Lambda).Clamp()
-}
-
-// Split divides the application's demand for horizontal scaling: the
-// original keeps fraction keep of its demand and the returned new app
-// (with the given fresh ID) carries the remainder. Lambda is inherited.
-// keep must lie strictly between 0 and 1.
-func (a *App) Split(newID ID, keep units.Fraction) (*App, error) {
-	if keep <= 0 || keep >= 1 {
-		return nil, fmt.Errorf("app %d: split keep fraction %v outside (0,1)", a.ID, keep)
-	}
-	moved := units.Fraction(float64(a.Demand) * (1 - float64(keep)))
-	if moved < a.MinDemand {
-		return nil, fmt.Errorf("app %d: split would create app below minimum demand (%v)", a.ID, moved)
-	}
-	remainder := a.Demand - moved
-	if remainder < a.MinDemand {
-		return nil, fmt.Errorf("app %d: split would leave original below minimum demand (%v)", a.ID, remainder)
-	}
-	a.Demand = remainder
-	a.Base = remainder
-	if a.Reserved > a.Demand {
-		a.Reserved = a.Demand
-	}
-	return &App{ID: newID, Demand: moved, Lambda: a.Lambda, MinDemand: a.MinDemand, Reserved: moved, Base: moved, Reversion: a.Reversion}, nil
-}
-
 // Generator allocates applications with unique IDs and per-app unique λ
 // drawn uniformly from [LambdaMin, LambdaMax).
 type Generator struct {
@@ -235,12 +204,4 @@ func (g *Generator) NextInto(a *App, demand units.Fraction) error {
 	}
 	g.nextID++
 	return nil
-}
-
-// NextID returns the ID the next created application will receive, and
-// reserves it (used when cloning apps outside the generator).
-func (g *Generator) NextID() ID {
-	id := g.nextID
-	g.nextID++
-	return id
 }

@@ -111,64 +111,6 @@ func TestEvolveFloorsAtMinDemand(t *testing.T) {
 	}
 }
 
-func TestGrowthHeadroom(t *testing.T) {
-	a, _ := New(1, 0.5, 0.1)
-	if got := a.GrowthHeadroom(); math.Abs(float64(got)-0.6) > 1e-12 {
-		t.Errorf("GrowthHeadroom = %v, want 0.6", got)
-	}
-	b, _ := New(2, 0.95, 0.1)
-	if got := b.GrowthHeadroom(); got != 1 {
-		t.Errorf("GrowthHeadroom must clamp to 1, got %v", got)
-	}
-}
-
-func TestSplit(t *testing.T) {
-	a, _ := New(1, 0.6, 0.05)
-	b, err := a.Split(2, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(a.Demand)-0.3) > 1e-12 || math.Abs(float64(b.Demand)-0.3) > 1e-12 {
-		t.Errorf("split demands = %v + %v, want 0.3 each", a.Demand, b.Demand)
-	}
-	if b.ID != 2 || b.Lambda != a.Lambda {
-		t.Error("split must assign new ID and inherit lambda")
-	}
-}
-
-func TestSplitConservesDemand(t *testing.T) {
-	rng := xrand.New(5)
-	for i := 0; i < 1000; i++ {
-		d := units.Fraction(rng.Uniform(0.1, 0.9))
-		keep := units.Fraction(rng.Uniform(0.2, 0.8))
-		a, _ := New(1, d, 0.05)
-		b, err := a.Split(2, keep)
-		if err != nil {
-			continue
-		}
-		if math.Abs(float64(a.Demand+b.Demand-d)) > 1e-9 {
-			t.Fatalf("split lost demand: %v + %v != %v", a.Demand, b.Demand, d)
-		}
-	}
-}
-
-func TestSplitErrors(t *testing.T) {
-	a, _ := New(1, 0.5, 0.05)
-	for _, keep := range []units.Fraction{0, 1, -0.5, 1.5} {
-		if _, err := a.Split(2, keep); err == nil {
-			t.Errorf("keep=%v must error", keep)
-		}
-	}
-	tiny, _ := New(3, 0.015, 0.05)
-	if _, err := tiny.Split(4, 0.5); err == nil {
-		t.Error("splitting a near-minimum app must error")
-	}
-	// Failed split must not mutate demand.
-	if tiny.Demand != 0.015 {
-		t.Errorf("failed split mutated demand to %v", tiny.Demand)
-	}
-}
-
 func TestGeneratorUniqueIDsAndLambdas(t *testing.T) {
 	g, err := NewGenerator(xrand.New(6), 0.01, 0.1)
 	if err != nil {
@@ -259,30 +201,5 @@ func TestVerticalScale(t *testing.T) {
 	b.Demand = 0.32
 	if b.VerticalScale(0) <= 0 {
 		t.Error("default quantum must apply")
-	}
-}
-
-func TestSplitShrinksReservation(t *testing.T) {
-	a, _ := New(1, 0.6, 0.05)
-	a.Provision(0.2) // reserved 0.8
-	b, err := a.Split(2, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Reserved > a.Demand+1e-12 || b.Reserved != b.Demand {
-		t.Errorf("post-split reservations = %v/%v for demands %v/%v", a.Reserved, b.Reserved, a.Demand, b.Demand)
-	}
-}
-
-func TestGeneratorNextID(t *testing.T) {
-	g, _ := NewGenerator(xrand.New(7), 0.01, 0.1)
-	a, _ := g.Next(0.2)
-	id := g.NextID()
-	if id <= a.ID {
-		t.Errorf("NextID %d must advance past %d", id, a.ID)
-	}
-	b, _ := g.Next(0.2)
-	if b.ID <= id {
-		t.Errorf("generator reused reserved ID: %d <= %d", b.ID, id)
 	}
 }

@@ -32,13 +32,15 @@ func TestNextIntoMatchesNext(t *testing.T) {
 		}
 	}
 	// A failed draw must not consume an ID.
-	before := g2.NextID()
+	last := recycled.ID
 	if err := g2.NextInto(&recycled, 2); err == nil {
 		t.Fatal("NextInto accepted an invalid demand")
 	}
-	// NextID itself reserved one; the failed NextInto must not have.
-	if got := g2.NextID(); got != before+1 {
-		t.Errorf("failed NextInto consumed an ID: %d -> %d", before, got)
+	if err := g2.NextInto(&recycled, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	if recycled.ID != last+1 {
+		t.Errorf("failed NextInto consumed an ID: %d -> %d", last, recycled.ID)
 	}
 }
 

@@ -528,8 +528,9 @@ func (c *Cluster) Rebuild(cfg Config) error {
 
 // populateApps materializes one server's initial applications from the
 // app arena so that their demands sum approximately to the target load.
-// RNG draw order matches workload.PopulateApps exactly; the returned
-// slice is scratch, valid until the next call.
+// Sizes come from workload.AppendAppSizes, then each app draws its λ
+// from the app generator in order; the returned slice is scratch, valid
+// until the next call.
 func (c *Cluster) populateApps(rng *xrand.Rand, target units.Fraction) ([]*app.App, error) {
 	var err error
 	c.sizeScratch, err = workload.AppendAppSizes(c.sizeScratch[:0], rng, target, c.cfg.AppSize[0], c.cfg.AppSize[1])

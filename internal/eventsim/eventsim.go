@@ -123,14 +123,6 @@ func (s *Simulator) Schedule(at units.Seconds, h Handler) Handle {
 	return Handle{ev: ev}
 }
 
-// After runs h after delay d from the current clock.
-func (s *Simulator) After(d units.Seconds, h Handler) Handle {
-	if d < 0 {
-		panic("eventsim: negative delay")
-	}
-	return s.Schedule(s.now+d, h)
-}
-
 // Every schedules h to run every period, starting at time start. The
 // returned ticker can be stopped. A non-positive period panics.
 func (s *Simulator) Every(start, period units.Seconds, h Handler) *Ticker {

@@ -59,18 +59,6 @@ func TestClockAdvances(t *testing.T) {
 	}
 }
 
-func TestAfter(t *testing.T) {
-	s := New()
-	var at units.Seconds
-	s.Schedule(5, func(units.Seconds) {
-		s.After(3, func(now units.Seconds) { at = now })
-	})
-	s.Run()
-	if at != 8 {
-		t.Errorf("After(3) from t=5 fired at %v, want 8", at)
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	s := New()
 	s.Schedule(10, func(units.Seconds) {
@@ -82,16 +70,6 @@ func TestSchedulePastPanics(t *testing.T) {
 		s.Schedule(5, func(units.Seconds) {})
 	})
 	s.Run()
-}
-
-func TestNegativeDelayPanics(t *testing.T) {
-	s := New()
-	defer func() {
-		if recover() == nil {
-			t.Error("negative delay must panic")
-		}
-	}()
-	s.After(-1, func(units.Seconds) {})
 }
 
 func TestCancel(t *testing.T) {
@@ -250,7 +228,7 @@ func TestNestedScheduling(t *testing.T) {
 	step = func(now units.Seconds) {
 		count++
 		if count < n {
-			s.After(1, step)
+			s.Schedule(now+1, step)
 		}
 	}
 	s.Schedule(0, step)

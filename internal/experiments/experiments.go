@@ -14,7 +14,6 @@ import (
 	"ealb/internal/cluster"
 	"ealb/internal/engine"
 	"ealb/internal/report"
-	"ealb/internal/stats"
 	"ealb/internal/workload"
 )
 
@@ -205,14 +204,4 @@ func RenderEnergySavings(w io.Writer, rows []EnergySavings) error {
 		}
 	}
 	return t.Render(w)
-}
-
-// SummarizeRatios aggregates ratio statistics across several runs (used
-// by robustness checks over seeds).
-func SummarizeRatios(runs []ClusterRun) (mean, std float64) {
-	var all []float64
-	for _, r := range runs {
-		all = append(all, r.MeanRatio)
-	}
-	return stats.Mean(all), stats.SampleStdDev(all)
 }

@@ -392,17 +392,6 @@ func TestRunFastExperiments(t *testing.T) {
 	}
 }
 
-func TestSummarizeRatios(t *testing.T) {
-	runs := []ClusterRun{{MeanRatio: 0.4}, {MeanRatio: 0.6}}
-	mean, std := SummarizeRatios(runs)
-	if mean != 0.5 {
-		t.Errorf("mean = %v", mean)
-	}
-	if std <= 0 {
-		t.Errorf("std = %v", std)
-	}
-}
-
 func TestSmallest(t *testing.T) {
 	if smallest([]int{100, 1000, 10000}, 1000) != 1000 {
 		t.Error("smallest wrong")

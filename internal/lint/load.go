@@ -33,9 +33,10 @@ type Package struct {
 // machinery: module-internal import paths resolve to directories under
 // the module root (plus explicit overlays for test fixtures), and
 // standard-library imports fall back to the stdlib source importer.
-// It exists for the analysistest-style fixture tests and `ealb-vet
-// -dir` runs; the `go vet -vettool` path uses compiler export data via
-// the vet config instead (see cmd/ealb-vet).
+// It serves the analysistest-style fixture tests, `ealb-vet -fix` and
+// the module-wide reachability test (TestNoUnreachableCode); the `go vet
+// -vettool` path uses compiler export data via the vet config instead
+// (see cmd/ealb-vet).
 type Loader struct {
 	Fset       *token.FileSet
 	ModulePath string

@@ -205,13 +205,6 @@ func (n *Network) IdleEnergy(d units.Seconds) units.Joules {
 	return units.Joules(float64(n.params.LinkIdlePower) * float64(d) * float64(n.size))
 }
 
-// ResetCounters zeroes all traffic counters (used between reallocation
-// intervals to compute per-interval j_k costs).
-func (n *Network) ResetCounters() {
-	clear(n.perNode)
-	n.total = Counters{}
-}
-
 // Reset re-parameterizes the network in place for a fresh simulation and
 // zeroes all counters, reusing the per-node table's storage where the new
 // size allows (a rebuilt cluster of the same size reallocates nothing).

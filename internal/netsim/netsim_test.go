@@ -159,17 +159,6 @@ func TestEnergyConservation(t *testing.T) {
 	}
 }
 
-func TestResetCounters(t *testing.T) {
-	n := newNet(t, 4)
-	if _, err := n.Send(0, 1, MsgAck, 100); err != nil {
-		t.Fatal(err)
-	}
-	n.ResetCounters()
-	if n.TotalCounters().Messages != 0 || n.NodeCounters(0).Messages != 0 {
-		t.Error("reset must zero all counters")
-	}
-}
-
 func TestIdleEnergy(t *testing.T) {
 	p := DefaultParams()
 	n, _ := New(100, p)

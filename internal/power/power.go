@@ -1,19 +1,17 @@
 // Package power models server power consumption.
 //
-// It provides the power-vs-utilization models the paper builds on (§2):
-// non-energy-proportional servers that draw ~50% of peak power when idle,
-// ideal energy-proportional servers, and piecewise-measured curves in the
-// style of SPECpower submissions. On top of the raw models it exposes the
-// paper's normalized quantities: b(t), the normalized energy consumption
-// (current power / peak power), and a(t), the normalized performance, with
-// a(t) = f(b(t)) linking the two axes of the paper's Figure 1. The package
-// also carries the historical server-power constants of the paper's
-// Table 1 (Koomey's volume / mid-range / high-end averages, 2000-2006).
+// It provides the power-vs-utilization model the paper builds on (§2):
+// non-energy-proportional servers that draw ~50% of peak power when
+// idle. On top of the raw model it exposes the paper's normalized
+// quantities: b(t), the normalized energy consumption (current power /
+// peak power), and a(t), the normalized performance, with a(t) = f(b(t))
+// linking the two axes of the paper's Figure 1. The package also carries
+// the historical server-power constants of the paper's Table 1 (Koomey's
+// volume / mid-range / high-end averages, 2000-2006).
 package power
 
 import (
 	"fmt"
-	"math"
 
 	"ealb/internal/units"
 )
@@ -57,63 +55,6 @@ func (l Linear) Idle() units.Watts { return l.IdleW }
 // Peak implements Model.
 func (l Linear) Peak() units.Watts { return l.PeakW }
 
-// Proportional is the ideal energy-proportional server of §2: zero power
-// when idle, linear growth with load, 100% efficiency at every operating
-// point. It exists as the reference the real models are judged against.
-type Proportional struct {
-	PeakW units.Watts
-}
-
-// Power implements Model.
-func (p Proportional) Power(u units.Fraction) units.Watts {
-	return units.Watts(float64(p.PeakW) * float64(u.Clamp()))
-}
-
-// Idle implements Model.
-func (p Proportional) Idle() units.Watts { return 0 }
-
-// Peak implements Model.
-func (p Proportional) Peak() units.Watts { return p.PeakW }
-
-// Piecewise interpolates power linearly between measured samples at evenly
-// spaced utilization points (0%, 10%, ..., 100%), the format SPECpower
-// results are published in.
-type Piecewise struct {
-	Samples []units.Watts // draw at i/(len-1) utilization
-}
-
-// NewPiecewise validates the sample vector: at least two points and
-// non-decreasing draw (a server never uses less power at higher load).
-func NewPiecewise(samples []units.Watts) (Piecewise, error) {
-	if len(samples) < 2 {
-		return Piecewise{}, fmt.Errorf("power: piecewise model needs >=2 samples, got %d", len(samples))
-	}
-	for i := 1; i < len(samples); i++ {
-		if samples[i] < samples[i-1] {
-			return Piecewise{}, fmt.Errorf("power: piecewise samples must be non-decreasing (sample %d: %v < %v)", i, samples[i], samples[i-1])
-		}
-	}
-	return Piecewise{Samples: samples}, nil
-}
-
-// Power implements Model.
-func (p Piecewise) Power(u units.Fraction) units.Watts {
-	u = u.Clamp()
-	pos := float64(u) * float64(len(p.Samples)-1)
-	lo := int(math.Floor(pos))
-	if lo >= len(p.Samples)-1 {
-		return p.Samples[len(p.Samples)-1]
-	}
-	frac := pos - float64(lo)
-	return p.Samples[lo] + units.Watts(frac*float64(p.Samples[lo+1]-p.Samples[lo]))
-}
-
-// Idle implements Model.
-func (p Piecewise) Idle() units.Watts { return p.Samples[0] }
-
-// Peak implements Model.
-func (p Piecewise) Peak() units.Watts { return p.Samples[len(p.Samples)-1] }
-
 // NormalizedEnergy returns b(t) = current power / peak power for model m at
 // utilization u — the horizontal axis of the paper's Figure 1.
 func NormalizedEnergy(m Model, u units.Fraction) units.Fraction {
@@ -122,51 +63,4 @@ func NormalizedEnergy(m Model, u units.Fraction) units.Fraction {
 		return 0
 	}
 	return units.Fraction(float64(m.Power(u)) / float64(peak))
-}
-
-// DynamicRange returns the fraction of peak power the model can shed at
-// zero load: (peak-idle)/peak (§2 "dynamic range of subsystems").
-func DynamicRange(m Model) units.Fraction {
-	peak := m.Peak()
-	if peak <= 0 {
-		return 0
-	}
-	return units.Fraction(float64(peak-m.Idle()) / float64(peak))
-}
-
-// PerfPerWatt returns the operating efficiency at utilization u, in
-// normalized-performance units per Watt; the "performance per Watt of
-// power" metric of §2. Zero draw yields zero to avoid division blow-ups.
-func PerfPerWatt(m Model, u units.Fraction) float64 {
-	w := m.Power(u)
-	if w <= 0 {
-		return 0
-	}
-	return float64(u.Clamp()) / float64(w)
-}
-
-// Efficiency returns the paper's a/b ratio at utilization u: normalized
-// performance per unit of normalized energy. An ideal energy-proportional
-// server scores 1 at every u; real servers score < 1 at low load.
-func Efficiency(m Model, u units.Fraction) float64 {
-	b := NormalizedEnergy(m, u)
-	if b <= 0 {
-		return 0
-	}
-	return float64(u.Clamp()) / float64(b)
-}
-
-// OptimalLoad numerically locates the utilization maximizing Efficiency —
-// the center of the paper's optimal operating regime R3 for a given model.
-// It scans a fixed grid; the curves in play are smooth enough that 1e-3
-// resolution is far below the ±δ width of the optimal region.
-func OptimalLoad(m Model) units.Fraction {
-	best, bestEff := units.Fraction(0), -1.0
-	for i := 0; i <= 1000; i++ {
-		u := units.Fraction(float64(i) / 1000)
-		if e := Efficiency(m, u); e > bestEff {
-			best, bestEff = u, e
-		}
-	}
-	return best
 }

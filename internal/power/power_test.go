@@ -40,53 +40,9 @@ func TestNewLinearValidation(t *testing.T) {
 	}
 }
 
-func TestProportional(t *testing.T) {
-	m := Proportional{PeakW: 300}
-	if m.Idle() != 0 {
-		t.Error("ideal proportional server must draw nothing when idle")
-	}
-	if m.Power(0.5) != 150 || m.Power(1) != 300 {
-		t.Error("proportional power wrong")
-	}
-	// 100% efficient at every operating point (§2).
-	for _, u := range []units.Fraction{0.1, 0.3, 0.7, 1} {
-		if e := Efficiency(m, u); math.Abs(e-1) > 1e-9 {
-			t.Errorf("ideal efficiency at %v = %v, want 1", u, e)
-		}
-	}
-}
-
-func TestPiecewise(t *testing.T) {
-	m, err := NewPiecewise([]units.Watts{100, 120, 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		u    units.Fraction
-		want units.Watts
-	}{
-		{0, 100}, {0.25, 110}, {0.5, 120}, {0.75, 160}, {1, 200},
-	}
-	for _, tt := range tests {
-		if got := m.Power(tt.u); math.Abs(float64(got-tt.want)) > 1e-9 {
-			t.Errorf("Power(%v) = %v, want %v", tt.u, got, tt.want)
-		}
-	}
-}
-
-func TestPiecewiseValidation(t *testing.T) {
-	if _, err := NewPiecewise([]units.Watts{100}); err == nil {
-		t.Error("single sample should fail")
-	}
-	if _, err := NewPiecewise([]units.Watts{100, 90}); err == nil {
-		t.Error("decreasing samples should fail")
-	}
-}
-
 func TestPowerMonotoneProperty(t *testing.T) {
 	lin, _ := NewLinear(93, 186)
-	pw, _ := NewPiecewise([]units.Watts{90, 95, 105, 120, 140, 165, 180, 190, 196, 199, 200})
-	models := []Model{lin, Proportional{PeakW: 250}, pw}
+	models := []Model{lin}
 	f := func(a, b float64) bool {
 		ua := units.Fraction(math.Abs(math.Mod(a, 1)))
 		ub := units.Fraction(math.Abs(math.Mod(b, 1)))
@@ -115,27 +71,6 @@ func TestNormalizedEnergy(t *testing.T) {
 	}
 }
 
-func TestDynamicRange(t *testing.T) {
-	m, _ := NewLinear(100, 200)
-	if dr := DynamicRange(m); math.Abs(float64(dr)-0.5) > 1e-9 {
-		t.Errorf("dynamic range = %v, want 0.5", dr)
-	}
-	if dr := DynamicRange(Proportional{PeakW: 100}); dr != 1 {
-		t.Errorf("ideal dynamic range = %v, want 1", dr)
-	}
-}
-
-func TestPerfPerWatt(t *testing.T) {
-	m, _ := NewLinear(100, 200)
-	if PerfPerWatt(m, 0) != 0 {
-		t.Error("zero perf per watt at idle")
-	}
-	got := PerfPerWatt(m, 1)
-	if math.Abs(got-1.0/200) > 1e-12 {
-		t.Errorf("PerfPerWatt(1) = %v, want 0.005", got)
-	}
-}
-
 func TestEfficiencyIncreasesWithLoadForLinear(t *testing.T) {
 	// For an affine model with an idle floor, a/b is strictly increasing:
 	// concentrating load is always more efficient — the premise of the
@@ -143,26 +78,12 @@ func TestEfficiencyIncreasesWithLoadForLinear(t *testing.T) {
 	m, _ := NewLinear(93, 186)
 	prev := -1.0
 	for i := 1; i <= 10; i++ {
-		e := Efficiency(m, units.Fraction(float64(i)/10))
+		u := units.Fraction(float64(i) / 10)
+		e := float64(u) / float64(NormalizedEnergy(m, u))
 		if e <= prev {
 			t.Fatalf("efficiency not increasing at u=%v: %v <= %v", float64(i)/10, e, prev)
 		}
 		prev = e
-	}
-}
-
-func TestOptimalLoad(t *testing.T) {
-	lin, _ := NewLinear(100, 200)
-	if opt := OptimalLoad(lin); opt != 1 {
-		t.Errorf("linear model optimum = %v, want 1 (max load)", opt)
-	}
-	// A super-linear tail (steeply rising power near full load) pushes the
-	// optimum into the interior — matching the paper's picture of an
-	// optimal region below 100% load.
-	pw, _ := NewPiecewise([]units.Watts{100, 105, 110, 115, 120, 125, 130, 140, 170, 230, 320})
-	opt := OptimalLoad(pw)
-	if opt <= 0.5 || opt >= 1 {
-		t.Errorf("piecewise optimum = %v, want interior point in (0.5,1)", opt)
 	}
 }
 

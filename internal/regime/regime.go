@@ -173,16 +173,3 @@ func WithDelta(opt units.Fraction, delta units.Fraction) (Boundaries, error) {
 	}
 	return b, nil
 }
-
-// Count tallies how many of the given loads fall into each region; index 0
-// of the result corresponds to R1. This is the histogram of Figure 2.
-func Count(b []Boundaries, loads []units.Fraction) ([5]int, error) {
-	var out [5]int
-	if len(b) != len(loads) {
-		return out, fmt.Errorf("regime: %d boundary sets vs %d loads", len(b), len(loads))
-	}
-	for i, load := range loads {
-		out[b[i].Classify(load)-R1]++
-	}
-	return out, nil
-}

@@ -172,23 +172,6 @@ func TestWithDelta(t *testing.T) {
 	}
 }
 
-func TestCount(t *testing.T) {
-	b := testBoundaries()
-	bs := []Boundaries{b, b, b, b, b}
-	loads := []units.Fraction{0.1, 0.3, 0.5, 0.75, 0.9}
-	got, err := Count(bs, loads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [5]int{1, 1, 1, 1, 1}
-	if got != want {
-		t.Errorf("Count = %v, want %v", got, want)
-	}
-	if _, err := Count(bs[:2], loads); err == nil {
-		t.Error("mismatched lengths must error")
-	}
-}
-
 func TestClassifyTotalProperty(t *testing.T) {
 	// Every load maps to exactly one valid region, and the region is
 	// monotone in load.

@@ -199,24 +199,3 @@ func (p *LinePlot) Render(w io.Writer) error {
 	_, err := io.WriteString(w, sb.String())
 	return err
 }
-
-// WriteCSV writes a header and rows of float64 data in a fixed, easily
-// parseable format.
-func WriteCSV(w io.Writer, headers []string, rows [][]float64) error {
-	if _, err := io.WriteString(w, strings.Join(headers, ",")+"\n"); err != nil {
-		return err
-	}
-	for i, row := range rows {
-		if len(row) != len(headers) {
-			return fmt.Errorf("report: CSV row %d has %d fields, header has %d", i, len(row), len(headers))
-		}
-		parts := make([]string, len(row))
-		for j, v := range row {
-			parts[j] = fmt.Sprintf("%g", v)
-		}
-		if _, err := io.WriteString(w, strings.Join(parts, ",")+"\n"); err != nil {
-			return err
-		}
-	}
-	return nil
-}

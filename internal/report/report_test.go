@@ -123,23 +123,3 @@ func TestLinePlotEdgeCases(t *testing.T) {
 		t.Error("flat series must still plot")
 	}
 }
-
-func TestWriteCSV(t *testing.T) {
-	var sb strings.Builder
-	err := WriteCSV(&sb, []string{"interval", "ratio"}, [][]float64{{1, 0.5}, {2, 1.25}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "interval,ratio\n1,0.5\n2,1.25\n"
-	if sb.String() != want {
-		t.Errorf("CSV = %q, want %q", sb.String(), want)
-	}
-}
-
-func TestWriteCSVValidation(t *testing.T) {
-	var sb strings.Builder
-	err := WriteCSV(&sb, []string{"a", "b"}, [][]float64{{1}})
-	if err == nil {
-		t.Error("mismatched row must error")
-	}
-}

@@ -61,9 +61,6 @@ func (c Counts) Ratio() float64 {
 	return float64(c.InCluster) / float64(den)
 }
 
-// Total returns all decisions in the interval.
-func (c Counts) Total() int { return c.Local + c.InCluster }
-
 // Ledger accumulates decision counts across reallocation intervals.
 type Ledger struct {
 	closed []Counts

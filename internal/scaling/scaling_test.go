@@ -99,12 +99,6 @@ func TestRecordPanics(t *testing.T) {
 	}
 }
 
-func TestCountsTotal(t *testing.T) {
-	if (Counts{Local: 2, InCluster: 3}).Total() != 5 {
-		t.Error("Total wrong")
-	}
-}
-
 func TestEmptyLedgerStats(t *testing.T) {
 	l := NewLedger()
 	if l.MeanRatio() != 0 || l.StdDevRatio() != 0 {

@@ -57,6 +57,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -296,6 +297,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("invalid scenario JSON: %v", err))
+		return
+	}
+	// The body is one spec: a second value, or any bytes but trailing
+	// whitespace, is rejected rather than silently dropped.
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		httpError(w, http.StatusBadRequest, "invalid scenario JSON: data after the spec")
 		return
 	}
 	ex, err := spec.Expand()

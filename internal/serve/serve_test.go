@@ -173,6 +173,9 @@ func TestSubmitRejectsBadScenarios(t *testing.T) {
 		`{"unknown_field":true}`, // unknown field
 		`{"kind":"quantum"}`,     // bad kind
 		`{"band":"sideways"}`,    // bad band
+		`{"kind":"cluster","size":10,"intervals":2} trailing-garbage`,            // bytes after the spec
+		`{"kind":"cluster","size":10,"intervals":2}{"kind":"cluster","size":20}`, // a second spec
+		`{"kind":"cluster","size":10,"intervals":2}}`,                            // a stray brace
 	} {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {

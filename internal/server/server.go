@@ -435,21 +435,14 @@ func (s *Server) largestVM() *vm.VM {
 	return best
 }
 
-// AppsByDemand returns hosted pairs sorted by descending demand, the order
-// in which the protocol sheds load (largest first empties a server in the
-// fewest migrations).
-func (s *Server) AppsByDemand() []Hosted {
-	out := s.Hosted()
-	SortByDemand(out)
-	return out
-}
-
-// SortByDemand stable-sorts hosted pairs by descending demand in place.
-// Stability matters for reproducibility: pairs with equal demand keep
-// their insertion order, so the shed order — and with it every downstream
-// RNG draw — is a pure function of the hosted set. The insertion sort is
-// allocation-free (sort.SliceStable's closure and reflect-based swapper
-// both escape) and hosted lists are short, so O(n²) never bites.
+// SortByDemand stable-sorts hosted pairs by descending demand in place,
+// the order in which the protocol sheds load (largest first empties a
+// server in the fewest migrations). Stability matters for
+// reproducibility: pairs with equal demand keep their insertion order,
+// so the shed order — and with it every downstream RNG draw — is a pure
+// function of the hosted set. The insertion sort is allocation-free
+// (sort.SliceStable's closure and reflect-based swapper both escape) and
+// hosted lists are short, so O(n²) never bites.
 func SortByDemand(hs []Hosted) {
 	for i := 1; i < len(hs); i++ {
 		h := hs[i]
@@ -468,18 +461,3 @@ func SortByDemand(hs []Hosted) {
 // current entry away must not advance i (the splice shifts the
 // remaining entries left by one, preserving their relative order).
 func (s *Server) At(i int) Hosted { return s.hosted[i] }
-
-// Headroom returns spare capacity before the load leaves the optimal
-// region upward.
-func (s *Server) Headroom() units.Fraction { return s.boundaries.Headroom(s.Load()) }
-
-// Excess returns the load above the optimal region's upper edge.
-func (s *Server) Excess() units.Fraction { return s.boundaries.Excess(s.Load()) }
-
-// SyncVMs copies every application's current demand into its VM's CPU
-// share so migration volumes reflect the load being moved.
-func (s *Server) SyncVMs() {
-	for i := range s.hosted {
-		s.hosted[i].VM.CPUShare = s.hosted[i].App.Demand
-	}
-}

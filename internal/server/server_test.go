@@ -302,35 +302,10 @@ func TestAppsByDemand(t *testing.T) {
 	_ = s.Place(hosted(t, 1, 0.1), 0)
 	_ = s.Place(hosted(t, 2, 0.4), 0)
 	_ = s.Place(hosted(t, 3, 0.2), 0)
-	hs := s.AppsByDemand()
+	hs := s.Hosted()
+	SortByDemand(hs)
 	if hs[0].App.ID != 2 || hs[1].App.ID != 3 || hs[2].App.ID != 1 {
-		t.Errorf("AppsByDemand order wrong: %v %v %v", hs[0].App.ID, hs[1].App.ID, hs[2].App.ID)
-	}
-}
-
-func TestHeadroomExcess(t *testing.T) {
-	s := newServer(t)
-	_ = s.Place(hosted(t, 1, 0.5), 0)
-	if got := s.Headroom(); math.Abs(float64(got)-0.2) > 1e-9 {
-		t.Errorf("Headroom = %v, want 0.2", got)
-	}
-	if s.Excess() != 0 {
-		t.Error("no excess in R3")
-	}
-	_ = s.Place(hosted(t, 2, 0.4), 0)
-	if got := s.Excess(); math.Abs(float64(got)-0.2) > 1e-9 {
-		t.Errorf("Excess = %v, want 0.2", got)
-	}
-}
-
-func TestSyncVMs(t *testing.T) {
-	s := newServer(t)
-	h := hosted(t, 1, 0.3)
-	_ = s.Place(h, 0)
-	h.App.Demand = 0.45
-	s.SyncVMs()
-	if h.VM.CPUShare != 0.45 {
-		t.Errorf("VM share = %v, want synced 0.45", h.VM.CPUShare)
+		t.Errorf("shed order wrong: %v %v %v", hs[0].App.ID, hs[1].App.ID, hs[2].App.ID)
 	}
 }
 

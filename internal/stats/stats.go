@@ -1,13 +1,12 @@
 // Package stats provides the statistical primitives the experiments rely
-// on: numerically stable running moments (Welford), histograms, quantiles,
-// and ordinary least-squares linear regression (used by the predictive
+// on: numerically stable running moments (Welford) and ordinary
+// least-squares linear regression (used by the predictive
 // capacity-management policies).
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Running accumulates a stream of observations and exposes numerically
@@ -74,29 +73,6 @@ func (r *Running) Min() float64 { return r.min }
 // Max returns the largest observation, or 0 with no observations.
 func (r *Running) Max() float64 { return r.max }
 
-// Merge folds the observations of other into r (parallel-reduction form of
-// Welford's update, Chan et al.).
-func (r *Running) Merge(other *Running) {
-	if other.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *other
-		return
-	}
-	n := r.n + other.n
-	delta := other.mean - r.mean
-	r.m2 += other.m2 + delta*delta*float64(r.n)*float64(other.n)/float64(n)
-	r.mean += delta * float64(other.n) / float64(n)
-	if other.min < r.min {
-		r.min = other.min
-	}
-	if other.max > r.max {
-		r.max = other.max
-	}
-	r.n = n
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -125,85 +101,6 @@ func SampleStdDev(xs []float64) float64 {
 		r.Add(x)
 	}
 	return r.SampleStdDev()
-}
-
-// Quantile returns the q-quantile (0<=q<=1) of xs by linear interpolation
-// between closest ranks. It returns 0 for an empty slice and does not
-// modify xs.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Histogram is a fixed-bin histogram over [Lo,Hi). Values outside the
-// range are clamped into the first/last bin so no observation is lost.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with the given number of bins covering
-// [lo,hi). It panics on a non-positive bin count or an empty interval.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: histogram needs at least one bin")
-	}
-	if hi <= lo {
-		panic("stats: histogram interval is empty")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Fractions returns each bin's share of the total, or all zeros when empty.
-func (h *Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(h.total)
-	}
-	return out
 }
 
 // LinReg holds the coefficients of a fitted line y = Alpha + Beta*x.

@@ -58,47 +58,6 @@ func TestSampleVariance(t *testing.T) {
 	}
 }
 
-func TestRunningMerge(t *testing.T) {
-	xs := []float64{1, 5, 2, 8, 9, 3, 7, 4, 6, 10}
-	var whole, a, b Running
-	for i, x := range xs {
-		whole.Add(x)
-		if i < 4 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), whole.N())
-	}
-	if !almostEq(a.Mean(), whole.Mean(), 1e-9) {
-		t.Errorf("merged mean = %v, want %v", a.Mean(), whole.Mean())
-	}
-	if !almostEq(a.Variance(), whole.Variance(), 1e-9) {
-		t.Errorf("merged variance = %v, want %v", a.Variance(), whole.Variance())
-	}
-	if a.Min() != 1 || a.Max() != 10 {
-		t.Errorf("merged min/max = %v/%v", a.Min(), a.Max())
-	}
-}
-
-func TestRunningMergeEmptyCases(t *testing.T) {
-	var a, b Running
-	a.Merge(&b) // both empty: no panic
-	b.Add(5)
-	a.Merge(&b)
-	if a.N() != 1 || a.Mean() != 5 {
-		t.Error("merging into empty must copy")
-	}
-	var c Running
-	a.Merge(&c) // merging empty into non-empty: unchanged
-	if a.N() != 1 {
-		t.Error("merging empty must be a no-op")
-	}
-}
-
 func TestRunningMatchesBatchProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))
@@ -135,109 +94,6 @@ func TestMeanStdDevSlices(t *testing.T) {
 	}
 	if !almostEq(SampleStdDev([]float64{1, 2, 3, 4, 5}), math.Sqrt(2.5), 1e-12) {
 		t.Error("SampleStdDev([1..5]) wrong")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	tests := []struct {
-		q    float64
-		want float64
-	}{
-		{0, 1}, {1, 10}, {0.5, 5.5}, {0.25, 3.25}, {0.9, 9.1},
-	}
-	for _, tt := range tests {
-		if got := Quantile(xs, tt.q); !almostEq(got, tt.want, 1e-9) {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("Quantile of empty must be 0")
-	}
-	// Input must not be mutated.
-	ys := []float64{3, 1, 2}
-	Quantile(ys, 0.5)
-	if ys[0] != 3 || ys[1] != 1 || ys[2] != 2 {
-		t.Error("Quantile mutated its input")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 1, 5)
-	for _, x := range []float64{0.05, 0.25, 0.25, 0.55, 0.95, 1.5, -0.5} {
-		h.Add(x)
-	}
-	want := []int{2, 2, 1, 0, 2} // out-of-range values clamp to edge bins
-	for i, c := range want {
-		if h.Counts[i] != c {
-			t.Errorf("bin %d = %d, want %d (%v)", i, h.Counts[i], c, h.Counts)
-		}
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
-	}
-}
-
-func TestHistogramFractions(t *testing.T) {
-	h := NewHistogram(0, 10, 2)
-	for i := 0; i < 3; i++ {
-		h.Add(1)
-	}
-	h.Add(9)
-	fr := h.Fractions()
-	if !almostEq(fr[0], 0.75, 1e-12) || !almostEq(fr[1], 0.25, 1e-12) {
-		t.Errorf("Fractions = %v", fr)
-	}
-	empty := NewHistogram(0, 1, 3)
-	for _, f := range empty.Fractions() {
-		if f != 0 {
-			t.Error("empty histogram fractions must be zero")
-		}
-	}
-}
-
-func TestHistogramBinCenter(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	if !almostEq(h.BinCenter(0), 1, 1e-12) || !almostEq(h.BinCenter(4), 9, 1e-12) {
-		t.Errorf("BinCenter wrong: %v %v", h.BinCenter(0), h.BinCenter(4))
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 1, 0) },
-		func() { NewHistogram(1, 1, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestHistogramConservesTotal(t *testing.T) {
-	f := func(vals []float64) bool {
-		h := NewHistogram(0, 1, 7)
-		n := 0
-		for _, v := range vals {
-			if math.IsNaN(v) {
-				continue
-			}
-			h.Add(v)
-			n++
-		}
-		sum := 0
-		for _, c := range h.Counts {
-			sum += c
-		}
-		return sum == n && h.Total() == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -42,19 +42,6 @@ func Energy(p Watts, d Seconds) Joules {
 	return Joules(float64(p) * float64(d))
 }
 
-// Power returns the average power corresponding to energy e spent over
-// duration d. It returns 0 when d is not positive.
-func Power(e Joules, d Seconds) Watts {
-	if d <= 0 {
-		return 0
-	}
-	return Watts(float64(e) / float64(d))
-}
-
-// WattHours converts energy to watt-hours, the unit in which data-center
-// energy budgets are typically quoted.
-func (e Joules) WattHours() float64 { return float64(e) / 3600 }
-
 // KWh converts energy to kilowatt-hours.
 func (e Joules) KWh() float64 { return float64(e) / 3.6e6 }
 
@@ -116,9 +103,6 @@ func (f Fraction) Clamp() Fraction {
 	}
 	return f
 }
-
-// In reports whether f lies in the closed interval [lo,hi].
-func (f Fraction) In(lo, hi Fraction) bool { return f >= lo && f <= hi }
 
 // Valid reports whether f is a well-formed normalized quantity: finite and
 // within [0,1] up to a small tolerance for floating-point drift.

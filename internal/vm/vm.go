@@ -132,27 +132,3 @@ func (v *VM) SetState(to State) error {
 	}
 	return fmt.Errorf("vm %d: illegal transition %v -> %v", v.ID, v.state, to)
 }
-
-// Scale adjusts the VM's CPU share in place (vertical scaling). The new
-// share must stay in [0,1]; the caller checks host headroom.
-func (v *VM) Scale(delta units.Fraction) error {
-	next := v.CPUShare + delta
-	if !next.Valid() {
-		return fmt.Errorf("vm %d: scaling by %v takes CPU share to %v, outside [0,1]", v.ID, delta, next)
-	}
-	v.CPUShare = next
-	return nil
-}
-
-// Clone returns a new Provisioning VM with the same resource profile but
-// the given fresh ID — the unit of horizontal scaling.
-func (v *VM) Clone(id ID) *VM {
-	return &VM{
-		ID:        id,
-		Memory:    v.Memory,
-		ImageSize: v.ImageSize,
-		CPUShare:  v.CPUShare,
-		DirtyRate: v.DirtyRate,
-		state:     Provisioning,
-	}
-}

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"testing"
-	"testing/quick"
 
 	"ealb/internal/units"
 )
@@ -82,77 +81,6 @@ func TestStateString(t *testing.T) {
 	}
 	if State(9).String() != "State(9)" {
 		t.Error("unknown state must render with value")
-	}
-}
-
-func TestScale(t *testing.T) {
-	v := newRunning(t)
-	if err := v.Scale(0.25); err != nil {
-		t.Fatal(err)
-	}
-	if v.CPUShare != 0.5 {
-		t.Errorf("CPUShare = %v, want 0.5", v.CPUShare)
-	}
-	if err := v.Scale(-0.3); err != nil {
-		t.Fatal(err)
-	}
-	if !(v.CPUShare > 0.199 && v.CPUShare < 0.201) {
-		t.Errorf("CPUShare = %v, want 0.2", v.CPUShare)
-	}
-	if err := v.Scale(0.9); err == nil {
-		t.Error("scaling above 1 must fail")
-	}
-	if err := v.Scale(-0.9); err == nil {
-		t.Error("scaling below 0 must fail")
-	}
-	// Failed scaling must not modify the share.
-	if !(v.CPUShare > 0.199 && v.CPUShare < 0.201) {
-		t.Errorf("failed scale mutated share to %v", v.CPUShare)
-	}
-}
-
-func TestClone(t *testing.T) {
-	v := newRunning(t)
-	c := v.Clone(42)
-	if c.ID != 42 {
-		t.Errorf("clone ID = %d", c.ID)
-	}
-	if c.State() != Provisioning {
-		t.Error("clone must start provisioning")
-	}
-	if c.Memory != v.Memory || c.ImageSize != v.ImageSize || c.CPUShare != v.CPUShare || c.DirtyRate != v.DirtyRate {
-		t.Error("clone must copy the resource profile")
-	}
-	// Clone is independent of the original.
-	_ = c.SetState(Running)
-	_ = c.Scale(0.1)
-	if v.CPUShare == c.CPUShare {
-		t.Error("scaling the clone must not affect the original")
-	}
-}
-
-func TestScaleCloneInvariantsProperty(t *testing.T) {
-	// For any valid share and any sequence of scale steps, the share
-	// stays in [0,1] and a clone is never affected by later mutations of
-	// the original.
-	f := func(share uint16, steps []int8) bool {
-		s := units.Fraction(float64(share%1000) / 1000)
-		v, err := New(1, Config{Memory: units.GB, ImageSize: units.GB, CPUShare: s, DirtyRate: units.MB})
-		if err != nil {
-			return false
-		}
-		c := v.Clone(2)
-		cloneShare := c.CPUShare
-		for _, st := range steps {
-			_ = v.Scale(units.Fraction(float64(st) / 100)) // errors allowed; state must stay valid
-			if !v.CPUShare.Valid() {
-				return false
-			}
-		}
-		return c.CPUShare == cloneShare
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

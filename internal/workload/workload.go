@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 
-	"ealb/internal/app"
 	"ealb/internal/units"
 	"ealb/internal/xrand"
 )
@@ -57,17 +56,11 @@ func InitialLoads(rng *xrand.Rand, n int, b Band) ([]units.Fraction, error) {
 	return out, nil
 }
 
-// AppSizes decomposes a target server load into individual application
-// demands drawn from [minSize, maxSize), stopping when the running sum
-// reaches the target (the final app is trimmed to land exactly on it,
-// subject to the minimum size).
-func AppSizes(rng *xrand.Rand, target units.Fraction, minSize, maxSize float64) ([]units.Fraction, error) {
-	return AppendAppSizes(nil, rng, target, minSize, maxSize)
-}
-
-// AppendAppSizes is AppSizes appending into a caller-owned buffer — the
-// allocation-free variant used when a cluster is rebuilt in place over a
-// reused scratch slice. The RNG draw sequence is identical to AppSizes.
+// AppendAppSizes decomposes a target server load into individual
+// application demands drawn from [minSize, maxSize), appended to dst,
+// stopping when the running sum reaches the target (the final app is
+// trimmed to land exactly on it, subject to the minimum size). Passing
+// a reused scratch slice keeps a cluster rebuild allocation-free.
 func AppendAppSizes(dst []units.Fraction, rng *xrand.Rand, target units.Fraction, minSize, maxSize float64) ([]units.Fraction, error) {
 	if minSize <= 0 || maxSize <= minSize || maxSize > 1 {
 		return nil, fmt.Errorf("workload: invalid app size range [%v,%v)", minSize, maxSize)
@@ -88,24 +81,6 @@ func AppendAppSizes(dst []units.Fraction, rng *xrand.Rand, target units.Fraction
 		sum += s
 	}
 	return dst, nil
-}
-
-// PopulateApps materializes a server's initial applications from the
-// generator so that their demands sum approximately to target.
-func PopulateApps(rng *xrand.Rand, gen *app.Generator, target units.Fraction, minSize, maxSize float64) ([]*app.App, error) {
-	sizes, err := AppSizes(rng, target, minSize, maxSize)
-	if err != nil {
-		return nil, err
-	}
-	apps := make([]*app.App, 0, len(sizes))
-	for _, s := range sizes {
-		a, err := gen.Next(s)
-		if err != nil {
-			return nil, err
-		}
-		apps = append(apps, a)
-	}
-	return apps, nil
 }
 
 // RateFunc gives the request arrival rate (requests/second) of a server

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"ealb/internal/app"
 	"ealb/internal/stats"
 	"ealb/internal/units"
 	"ealb/internal/xrand"
@@ -62,7 +61,7 @@ func TestAppSizesSumToTarget(t *testing.T) {
 	rng := xrand.New(2)
 	for i := 0; i < 1000; i++ {
 		target := units.Fraction(rng.Uniform(0.2, 0.8))
-		sizes, err := AppSizes(rng, target, 0.05, 0.15)
+		sizes, err := AppendAppSizes(nil, rng, target, 0.05, 0.15)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,41 +81,14 @@ func TestAppSizesSumToTarget(t *testing.T) {
 
 func TestAppSizesErrors(t *testing.T) {
 	rng := xrand.New(3)
-	if _, err := AppSizes(rng, 0.5, 0, 0.1); err == nil {
+	if _, err := AppendAppSizes(nil, rng, 0.5, 0, 0.1); err == nil {
 		t.Error("zero min size must error")
 	}
-	if _, err := AppSizes(rng, 0.5, 0.2, 0.1); err == nil {
+	if _, err := AppendAppSizes(nil, rng, 0.5, 0.2, 0.1); err == nil {
 		t.Error("inverted range must error")
 	}
-	if _, err := AppSizes(rng, 1.5, 0.05, 0.15); err == nil {
+	if _, err := AppendAppSizes(nil, rng, 1.5, 0.05, 0.15); err == nil {
 		t.Error("invalid target must error")
-	}
-}
-
-func TestPopulateApps(t *testing.T) {
-	rng := xrand.New(4)
-	gen, err := app.NewGenerator(xrand.New(5), 0.005, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	apps, err := PopulateApps(rng, gen, 0.5, 0.05, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(apps) == 0 {
-		t.Fatal("no apps created")
-	}
-	var sum units.Fraction
-	ids := map[app.ID]bool{}
-	for _, a := range apps {
-		sum += a.Demand
-		if ids[a.ID] {
-			t.Fatalf("duplicate app ID %d", a.ID)
-		}
-		ids[a.ID] = true
-	}
-	if sum > 0.5+1e-9 || sum < 0.35 {
-		t.Errorf("populated demand sum = %v, want ~0.5", sum)
 	}
 }
 

@@ -122,22 +122,3 @@ func (r *Rand) Poisson(mean float64) int {
 		k++
 	}
 }
-
-// Shuffle pseudo-randomly permutes the order of n elements using the
-// provided swap function (Fisher-Yates).
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a pseudo-random permutation of [0,n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}

@@ -200,38 +200,6 @@ func TestPoissonLargeMean(t *testing.T) {
 	}
 }
 
-func TestPerm(t *testing.T) {
-	r := New(13)
-	p := r.Perm(100)
-	if len(p) != 100 {
-		t.Fatalf("Perm length = %d", len(p))
-	}
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm is not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	r := New(14)
-	s := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	got := 0
-	for _, v := range s {
-		got += v
-	}
-	if got != sum {
-		t.Errorf("shuffle changed element multiset: %v", s)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
