@@ -29,7 +29,7 @@ func runDetRand(pass *Pass) error {
 	// package, so it owns the reason-required check.
 	pass.reportBareAnnotations()
 
-	for _, f := range pass.sourceFiles() {
+	for _, f := range pass.Files {
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {

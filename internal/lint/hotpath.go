@@ -46,7 +46,7 @@ var HotPath = &Analyzer{
 }
 
 func runHotPath(pass *Pass) error {
-	for _, f := range pass.sourceFiles() {
+	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || !docHasMarker(fd.Doc, noteHotpath) {

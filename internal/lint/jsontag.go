@@ -30,7 +30,7 @@ var JSONTag = &Analyzer{
 }
 
 func runJSONTag(pass *Pass) error {
-	for _, f := range pass.sourceFiles() {
+	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok {

@@ -6,8 +6,8 @@
 // zero-overhead-when-nil tracer (tracenil), the PR 5 digest-stability
 // JSON rules (jsontag), the pure plan step (planpure), and the mutex
 // discipline of the concurrent service state (lockguard). cmd/ealb-vet
-// drives them through the standard `go vet -vettool=` protocol so every
-// package is analyzed against fully type-checked sources in CI.
+// loads every package of the module from source through the Loader
+// (load.go) and runs the suite over each, in CI and locally.
 //
 // The framework deliberately mirrors the shape of golang.org/x/tools'
 // go/analysis (Analyzer, Pass, Diagnostic, per-package facts) but is
@@ -48,6 +48,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -93,9 +94,14 @@ type TextEdit struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	Info     *types.Info
+	// Files are the package's non-test files; the contracts cover
+	// production code only, so tests are free to use wall-clock time,
+	// unstable sorts and allocation. TestFiles carry only comments, for
+	// the bare-annotation check.
+	Files     []*ast.File
+	TestFiles []*ast.File
+	Pkg       *types.Package
+	Info      *types.Info
 
 	// Facts holds this package's computed facts (facts.go); ImportFacts
 	// resolves dependency facts. Either may be nil for analyzers that
@@ -149,24 +155,6 @@ func (p *Pass) scratchIdx() *scratchIndex {
 		p.scratch = buildScratchIndex(p.Files, p.Info)
 	}
 	return p.scratch
-}
-
-// isTestFile reports whether the file holding pos is a _test.go file.
-// The contracts cover production code only: tests are free to use
-// wall-clock time, unstable sorts, and allocation as they please.
-func (p *Pass) isTestFile(f *ast.File) bool {
-	return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")
-}
-
-// sourceFiles returns the package's non-test files.
-func (p *Pass) sourceFiles() []*ast.File {
-	out := make([]*ast.File, 0, len(p.Files))
-	for _, f := range p.Files {
-		if !p.isTestFile(f) {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // Annotation markers. All project annotations share the "//ealb:"
@@ -258,10 +246,12 @@ func (p *Pass) suppressed(marker string, pos token.Pos) bool {
 }
 
 // reportBareAnnotations reports every suppression annotation written
-// without a reason. Exactly one analyzer (detrand, which always runs on
-// annotated packages) calls it so the finding is not duplicated.
+// without a reason, in the package's files and its test files. Exactly
+// one analyzer (detrand, which always runs on annotated packages) calls
+// it so the finding is not duplicated.
 func (p *Pass) reportBareAnnotations() {
-	for _, pos := range p.annotations().missingReason {
+	bare := append(slices.Clip(p.annotations().missingReason), buildNotes(p.Fset, p.TestFiles).missingReason...)
+	for _, pos := range bare {
 		p.Reportf(pos, "ealb annotation must carry a reason explaining the exception")
 	}
 }

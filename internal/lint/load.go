@@ -15,11 +15,16 @@ import (
 
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
-	Path  string
-	Fset  *token.FileSet
-	Files []*ast.File
-	Types *types.Package
-	Info  *types.Info
+	Path string
+	Fset *token.FileSet
+	// Files are the package's non-test files, type-checked. TestFiles
+	// are its directory's _test.go files, parsed for their comments
+	// only: the contracts cover production code, but a bare annotation
+	// is a finding wherever it is written.
+	Files     []*ast.File
+	TestFiles []*ast.File
+	Types     *types.Package
+	Info      *types.Info
 
 	// Facts is this package's own fact table; ImportFacts resolves the
 	// tables of its (transitive) module-internal dependencies. The
@@ -33,10 +38,13 @@ type Package struct {
 // machinery: module-internal import paths resolve to directories under
 // the module root (plus explicit overlays for test fixtures), and
 // standard-library imports fall back to the stdlib source importer.
-// It serves the analysistest-style fixture tests, `ealb-vet -fix` and
-// the module-wide reachability test (TestNoUnreachableCode); the `go vet
-// -vettool` path uses compiler export data via the vet config instead
-// (see cmd/ealb-vet).
+// It is the one package loader: cmd/ealb-vet, the analysistest-style
+// fixture tests and the module-wide reachability test
+// (TestNoUnreachableCode) all load through it.
+//
+// Files are named in Fset relative to ModuleRoot, so every position a
+// finding or a fact witness prints is module-relative and the output
+// does not depend on where the module is checked out.
 type Loader struct {
 	Fset       *token.FileSet
 	ModulePath string
@@ -48,9 +56,8 @@ type Loader struct {
 	Overlay map[string]string
 
 	std    types.Importer
-	pkgs   map[string]*types.Package
-	facts  map[string]*PackageFacts
-	loaded map[string]*Package
+	stdPkg map[string]*types.Package // standard-library imports so far
+	loaded map[string]*Package       // module and overlay packages, by import path
 }
 
 // NewLoader returns a loader rooted at the given module directory.
@@ -62,8 +69,7 @@ func NewLoader(modulePath, moduleRoot string) *Loader {
 		ModuleRoot: moduleRoot,
 		Overlay:    map[string]string{},
 		std:        importer.ForCompiler(fset, "source", nil),
-		pkgs:       map[string]*types.Package{},
-		facts:      map[string]*PackageFacts{},
+		stdPkg:     map[string]*types.Package{},
 		loaded:     map[string]*Package{},
 	}
 }
@@ -88,95 +94,149 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if pkg, ok := l.pkgs[path]; ok {
-		return pkg, nil
-	}
 	dir := l.dirFor(path)
 	if dir == "" {
+		if pkg, ok := l.stdPkg[path]; ok {
+			return pkg, nil
+		}
 		pkg, err := l.std.Import(path)
 		if err != nil {
 			return nil, err
 		}
-		l.pkgs[path] = pkg
+		l.stdPkg[path] = pkg
 		return pkg, nil
 	}
-	pkg, _, _, err := l.check(path, dir)
+	pkg, err := l.Load(path, dir)
 	if err != nil {
 		return nil, err
 	}
-	return pkg, nil
+	return pkg.Types, nil
 }
 
 // FactsFor is the loader's FactSource: facts for every module-internal
 // package it has loaded, nil for everything else (standard library,
 // packages not yet reached). Safe to call with any path.
 func (l *Loader) FactsFor(path string) *PackageFacts {
-	return l.facts[path]
+	if p, ok := l.loaded[path]; ok {
+		return p.Facts
+	}
+	return nil
 }
 
-// parseDir parses the directory's non-test Go files.
-func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
+// parseDir parses the directory's Go files: the non-test ones for
+// type-checking, the _test.go ones for their comments.
+func (l *Loader) parseDir(dir string) (files, testFiles []*ast.File, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		path := filepath.Join(dir, name)
+		src, err := os.ReadFile(path)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		files = append(files, f)
+		if rel, err := filepath.Rel(l.ModuleRoot, path); err == nil {
+			path = rel
+		}
+		f, err := parser.ParseFile(l.Fset, path, src, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, nil, err
+		}
+		if strings.HasSuffix(name, "_test.go") {
+			testFiles = append(testFiles, f)
+		} else {
+			files = append(files, f)
+		}
 	}
 	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+		return nil, nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	return files, nil
+	return files, testFiles, nil
 }
 
-// check parses, type-checks, and fact-computes one directory as the
-// given import path. Type-checking imports dependencies first (through
-// Import, hence recursively through check for module-internal ones), so
-// by the time BuildFacts runs here every dependency's fact table is
-// already in l.facts — the import DAG is the evaluation order.
-func (l *Loader) check(path, dir string) (*types.Package, []*ast.File, *types.Info, error) {
+// Load type-checks the package in dir under the given import path,
+// with the full type information and fact tables the analyzers need.
+// Type-checking imports dependencies first (through Import, hence
+// recursively through Load for module-internal ones), so by the time
+// BuildFacts runs here every dependency's fact table is already in
+// l.loaded — the import DAG is the evaluation order.
+func (l *Loader) Load(path, dir string) (*Package, error) {
 	// Idempotent: re-checking a path already loaded (as an earlier
 	// package's dependency) would mint a second *types.Package identity
 	// for it, and mixing the two across an import graph breaks
 	// type-checking of every later importer.
 	if p, ok := l.loaded[path]; ok {
-		return p.Types, p.Files, p.Info, nil
+		return p, nil
 	}
-	files, err := l.parseDir(dir)
+	files, testFiles, err := l.parseDir(dir)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	info := newInfo()
 	conf := types.Config{Importer: l}
 	pkg, err := conf.Check(path, l.Fset, files, info)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
+		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	l.pkgs[path] = pkg
-	l.facts[path] = BuildFacts(path, l.Fset, files, pkg, info, l.FactsFor)
-	l.loaded[path] = &Package{
-		Path: path, Fset: l.Fset, Files: files, Types: pkg, Info: info,
-		Facts: l.facts[path], ImportFacts: l.FactsFor,
+	p := &Package{
+		Path: path, Fset: l.Fset, Files: files, TestFiles: testFiles, Types: pkg, Info: info,
+		Facts: BuildFacts(path, l.Fset, files, pkg, info, l.FactsFor), ImportFacts: l.FactsFor,
 	}
-	return pkg, files, info, nil
+	l.loaded[path] = p
+	return p, nil
 }
 
-// Load type-checks the package in dir under the given import path,
-// with the full type information and fact tables the analyzers need.
-func (l *Loader) Load(path, dir string) (*Package, error) {
-	if _, _, _, err := l.check(path, dir); err != nil {
+// LoadModule loads every package directory under ModuleRoot, nested
+// modules such as perfbench/ included, in directory walk order. It
+// skips testdata (fixture findings are intentional), bin, and dot- and
+// underscore-prefixed directories, as the go command does.
+func (l *Loader) LoadModule() ([]*Package, error) {
+	var dirs []string
+	seen := map[string]bool{}
+	err := filepath.WalkDir(l.ModuleRoot, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != l.ModuleRoot && (name == "testdata" || name == "bin" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			if dir := filepath.Dir(path); !seen[dir] {
+				seen[dir] = true
+				dirs = append(dirs, dir)
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return l.loaded[path], nil
+	pkgs := make([]*Package, 0, len(dirs))
+	for _, dir := range dirs {
+		rel, err := filepath.Rel(l.ModuleRoot, dir)
+		if err != nil {
+			return nil, err
+		}
+		path := l.ModulePath
+		if rel != "." {
+			path += "/" + filepath.ToSlash(rel)
+		}
+		pkg, err := l.Load(path, dir)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, nil
 }
 
 // newInfo allocates the types.Info maps the analyzers consume.
@@ -200,6 +260,7 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Analyzer:    a,
 			Fset:        pkg.Fset,
 			Files:       pkg.Files,
+			TestFiles:   pkg.TestFiles,
 			Pkg:         pkg.Types,
 			Info:        pkg.Info,
 			Facts:       pkg.Facts,

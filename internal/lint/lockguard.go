@@ -89,11 +89,11 @@ func mergeMin(a, b lockState) lockState {
 }
 
 func runLockGuard(pass *Pass) error {
-	guarded := buildGuardIndex(pass.sourceFiles(), pass.Info)
+	guarded := buildGuardIndex(pass.Files, pass.Info)
 	if len(guarded) == 0 {
 		return nil
 	}
-	for _, f := range pass.sourceFiles() {
+	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

@@ -73,7 +73,7 @@ func isPlanFamily(fd *ast.FuncDecl) bool {
 }
 
 func runPlanPure(pass *Pass) error {
-	for _, f := range pass.sourceFiles() {
+	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

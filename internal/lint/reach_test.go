@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -29,13 +28,14 @@ import (
 
 // stdCalledMethods are method names the standard library calls through
 // its own interfaces (fmt, encoding/json, errors, sort, container/heap,
-// io, net/http), so module code need not spell the call.
+// io, net/http, go/types), so module code need not spell the call.
 var stdCalledMethods = map[string]bool{
 	"String": true, "Error": true,
 	"MarshalJSON": true, "UnmarshalJSON": true,
 	"ServeHTTP": true, "WriteHeader": true, "Flush": true,
 	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
 	"Write": true, "Read": true, "Close": true,
+	"Import": true,
 }
 
 // reachKeep lists the unreachable declarations that stay, each with
@@ -106,21 +106,9 @@ func TestNoUnreachableCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := NewLoader("ealb", root)
-	var pkgs []*Package
-	for _, dir := range modulePackageDirs(root) {
-		rel, err := filepath.Rel(root, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := "ealb"
-		if rel != "." {
-			path += "/" + filepath.ToSlash(rel)
-		}
-		pkg, err := l.Load(path, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkgs = append(pkgs, pkg)
+	pkgs, err := l.LoadModule()
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	dead := unreachable(pkgs)
@@ -131,8 +119,7 @@ func TestNoUnreachableCode(t *testing.T) {
 			continue
 		}
 		pos := l.Fset.Position(d.pos)
-		file, _ := filepath.Rel(root, pos.Filename)
-		t.Errorf("%s:%d %s is unreachable", file, pos.Line, d.name)
+		t.Errorf("%s:%d %s is unreachable", pos.Filename, pos.Line, d.name)
 	}
 	var stale []string
 	for name := range reachKeep {
@@ -172,33 +159,6 @@ func TestReachFixture(t *testing.T) {
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("unreachable = %v, want %v", got, want)
 	}
-}
-
-// modulePackageDirs lists the module's package directories the way
-// `ealb-vet -fix` walks them: testdata, bin, dot- and underscore-dirs
-// are skipped.
-func modulePackageDirs(root string) []string {
-	var dirs []string
-	filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return nil
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != root && (name == "testdata" || name == "bin" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(d.Name(), ".go") && !strings.HasSuffix(d.Name(), "_test.go") {
-			dir := filepath.Dir(path)
-			if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
-				dirs = append(dirs, dir)
-			}
-		}
-		return nil
-	})
-	return dirs
 }
 
 // deadDecl is one unreachable declaration: its position and its name,

@@ -25,7 +25,7 @@ var StableSort = &Analyzer{
 }
 
 func runStableSort(pass *Pass) error {
-	for _, f := range pass.sourceFiles() {
+	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

@@ -6,6 +6,6 @@ package fixture
 import "time"
 
 func stamp() time.Time {
-	//ealb:allow-nondet
+	/* want `ealb annotation must carry a reason` */ //ealb:allow-nondet
 	return time.Now()
 }

@@ -42,7 +42,7 @@ func runTraceNil(pass *Pass) error {
 	if pass.Pkg.Path() == tracePkgPath {
 		return nil
 	}
-	for _, f := range pass.sourceFiles() {
+	for _, f := range pass.Files {
 		var stack []ast.Node
 		ast.Inspect(f, func(n ast.Node) bool {
 			if n == nil {
