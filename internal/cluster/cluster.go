@@ -28,15 +28,15 @@
 // plan over dense server-ID-indexed state (leader.go) applied in a
 // separate effectful step (protocol.go), and a Cluster can be Rebuilt in
 // place for a new configuration, recycling its servers, apps, VMs, and
-// kernel allocations — the arena path sweeps use to avoid reconstructing
-// a 10^4-server object graph per cell.
+// dense per-server slices — the arena path sweeps use to avoid
+// reconstructing a 10^4-server object graph per cell.
 package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"ealb/internal/app"
-	"ealb/internal/eventsim"
 	"ealb/internal/migration"
 	"ealb/internal/netsim"
 	"ealb/internal/power"
@@ -206,49 +206,53 @@ func DefaultConfig(size int, band workload.Band, seed uint64) Config {
 	}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. Every float range check is
+// written so that NaN fails it.
 func (c Config) Validate() error {
 	if c.Size <= 1 {
 		return fmt.Errorf("cluster: size %d must exceed 1", c.Size)
 	}
-	if c.Tau <= 0 {
-		return fmt.Errorf("cluster: non-positive reallocation interval %v", c.Tau)
+	if !(c.Tau > 0) || math.IsInf(float64(c.Tau), 1) {
+		return fmt.Errorf("cluster: reallocation interval %v not positive and finite", c.Tau)
 	}
 	if err := c.InitialLoad.Validate(); err != nil {
 		return err
 	}
-	if c.AppSize[0] <= 0 || c.AppSize[1] <= c.AppSize[0] || c.AppSize[1] > 1 {
+	if !(c.AppSize[0] > 0 && c.AppSize[1] > c.AppSize[0] && c.AppSize[1] <= 1) {
 		return fmt.Errorf("cluster: invalid app size range %v", c.AppSize)
 	}
-	if c.Lambda[0] <= 0 || c.Lambda[1] <= c.Lambda[0] || c.Lambda[1] > 1 {
+	if !(c.Lambda[0] > 0 && c.Lambda[1] > c.Lambda[0] && c.Lambda[1] <= 1) {
 		return fmt.Errorf("cluster: invalid lambda range %v", c.Lambda)
 	}
-	if c.ChangeProb < 0 || c.ChangeProb > 1 {
+	if !(c.ChangeProb >= 0 && c.ChangeProb <= 1) {
 		return fmt.Errorf("cluster: change probability %v outside [0,1]", c.ChangeProb)
 	}
-	if c.ResetProb < 0 || c.ResetProb > 1 {
+	if !(c.ResetProb >= 0 && c.ResetProb <= 1) {
 		return fmt.Errorf("cluster: reset probability %v outside [0,1]", c.ResetProb)
 	}
-	if c.PeakPower <= 0 || c.IdleFraction < 0 || c.IdleFraction >= 1 {
+	if math.IsNaN(c.Drift) || math.IsInf(c.Drift, 0) {
+		return fmt.Errorf("cluster: drift %v not finite", c.Drift)
+	}
+	if !(c.PeakPower > 0 && c.IdleFraction >= 0 && c.IdleFraction < 1) {
 		return fmt.Errorf("cluster: invalid power parameters peak=%v idle=%v", c.PeakPower, c.IdleFraction)
 	}
-	if c.PeakPowerSpread < 0 || c.PeakPowerSpread >= 1 {
+	if !(c.PeakPowerSpread >= 0 && c.PeakPowerSpread < 1) {
 		return fmt.Errorf("cluster: peak power spread %v outside [0,1)", c.PeakPowerSpread)
 	}
 	if c.SleepHysteresis < 0 || c.ConsolidationBudget < 0 {
 		return fmt.Errorf("cluster: negative hysteresis or budget")
 	}
-	if c.MaxReservationSlack < 0 || c.MaxReservationSlack > 1 {
+	if !(c.MaxReservationSlack >= 0 && c.MaxReservationSlack <= 1) {
 		return fmt.Errorf("cluster: reservation slack %v outside [0,1]", c.MaxReservationSlack)
 	}
-	if c.SlackBase < 0 || c.SlackFactor < 0 {
-		return fmt.Errorf("cluster: negative slack parameters")
+	if !(c.SlackBase >= 0 && c.SlackFactor >= 0) {
+		return fmt.Errorf("cluster: invalid slack parameters base=%v factor=%v", c.SlackBase, c.SlackFactor)
 	}
-	if c.ReservationQuantum <= 0 || c.ReservationQuantum > 1 {
+	if !(c.ReservationQuantum > 0 && c.ReservationQuantum <= 1) {
 		return fmt.Errorf("cluster: reservation quantum %v outside (0,1]", c.ReservationQuantum)
 	}
-	if c.MTBF < 0 || c.MTTR < 0 {
-		return fmt.Errorf("cluster: negative churn parameters mtbf=%v mttr=%v", c.MTBF, c.MTTR)
+	if !(c.MTBF >= 0 && c.MTTR >= 0) {
+		return fmt.Errorf("cluster: invalid churn parameters mtbf=%v mttr=%v", c.MTBF, c.MTTR)
 	}
 	if c.MTBF > 0 && c.MTTR <= 0 {
 		return fmt.Errorf("cluster: churn (MTBF %v) needs a positive MTTR", c.MTBF)
@@ -260,7 +264,7 @@ func (c Config) Validate() error {
 }
 
 // Cluster is one simulated cluster plus its leader state. Its storage —
-// servers, the network fabric, the event kernel, the app/VM arenas, and
+// servers, the network fabric, the app/VM arenas, and
 // every leader-side dense slice — persists across Rebuilds, so a sweep
 // worker reuses one Cluster's allocations for every cell it simulates.
 type Cluster struct {
@@ -275,13 +279,9 @@ type Cluster struct {
 	rng    *xrand.Rand
 	appGen *app.Generator
 	ledger *scaling.Ledger
-	sim    *eventsim.Simulator
 
 	now      units.Seconds
 	interval int
-	// wakesCompleted counts wake transitions whose completion event has
-	// fired (a woken server is only usable once its setup finishes).
-	wakesCompleted int
 
 	// leader owns the protocol's persistent streaks and all plan-time
 	// scratch (see leader.go) — planpure scratch: writes through it are
@@ -321,11 +321,6 @@ type Cluster struct {
 	failAt   []units.Seconds
 	repairAt []units.Seconds
 
-	// wakeEvents holds each server's pending wake-completion event so a
-	// crash mid-wake can cancel it (a crashed server never finishes its
-	// setup). Zero Handles are armed-nothing.
-	wakeEvents []eventsim.Handle
-
 	// Arenas and scratch buffers reused across Rebuilds and intervals.
 	appArena    arena[app.App]
 	vmArena     arena[vm.VM]
@@ -347,8 +342,8 @@ func New(cfg Config) (*Cluster, error) {
 // Rebuild re-seeds the cluster in place for cfg, producing a state
 // bit-identical to New(cfg) while reusing the receiver's allocations:
 // servers are Reset rather than reconstructed, applications and VMs come
-// from per-cluster arenas, and the network, ledger, event kernel, and
-// leader state are cleared in place. It is the engine's arena path for
+// from per-cluster arenas, and the network, ledger, and leader state are
+// cleared in place. It is the engine's arena path for
 // sweeps that simulate many cells per worker.
 //
 // Rebuild invalidates everything previously reachable from the cluster —
@@ -390,14 +385,8 @@ func (c *Cluster) Rebuild(cfg Config) error {
 	} else {
 		c.ledger.Reset()
 	}
-	if c.sim == nil {
-		c.sim = eventsim.New()
-	} else {
-		c.sim.Reset()
-	}
 	c.now = 0
 	c.interval = 0
-	c.wakesCompleted = 0
 	c.migrationEnergy = 0
 	c.migrations = 0
 	c.intervalMigrations = 0
@@ -416,8 +405,6 @@ func (c *Cluster) Rebuild(cfg Config) error {
 	c.repairAt = resize(c.repairAt, cfg.Size)
 	clear(c.failAt)
 	clear(c.repairAt)
-	c.wakeEvents = resize(c.wakeEvents, cfg.Size)
-	clear(c.wakeEvents)
 	c.seedChurn()
 	c.leader.init(cfg.Size)
 	if c.leader.donorCmp == nil {
@@ -647,12 +634,6 @@ func (c *Cluster) Migrations() int { return c.migrations }
 
 // Wakes returns the cumulative number of servers woken by the leader.
 func (c *Cluster) Wakes() int { return c.totalWakes }
-
-// WakesCompleted returns how many of those wake transitions have
-// finished (the server is operational again). A wake from C6 spans
-// several reallocation intervals, so this lags Wakes just after a
-// wake-up storm.
-func (c *Cluster) WakesCompleted() int { return c.wakesCompleted }
 
 // Ledger exposes the scaling-decision ledger.
 func (c *Cluster) Ledger() *scaling.Ledger { return c.ledger }

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"ealb/internal/regime"
+	"ealb/internal/server"
 	"ealb/internal/units"
 	"ealb/internal/workload"
 )
@@ -48,6 +50,76 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d: invalid config accepted", i)
 		}
+	}
+}
+
+// TestConfigValidateRejectsNaN: every float range check must fail on
+// NaN, and τ must be finite — a NaN or infinite τ used to stall
+// RunIntervals forever.
+func TestConfigValidateRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"Tau=NaN", func(c *Config) { c.Tau = units.Seconds(nan) }},
+		{"Tau=+Inf", func(c *Config) { c.Tau = units.Seconds(math.Inf(1)) }},
+		{"Tau=-Inf", func(c *Config) { c.Tau = units.Seconds(math.Inf(-1)) }},
+		{"AppSize[0]", func(c *Config) { c.AppSize[0] = nan }},
+		{"AppSize[1]", func(c *Config) { c.AppSize[1] = nan }},
+		{"Lambda[0]", func(c *Config) { c.Lambda[0] = nan }},
+		{"Lambda[1]", func(c *Config) { c.Lambda[1] = nan }},
+		{"ChangeProb", func(c *Config) { c.ChangeProb = nan }},
+		{"ResetProb", func(c *Config) { c.ResetProb = nan }},
+		{"Drift", func(c *Config) { c.Drift = nan }},
+		{"PeakPower", func(c *Config) { c.PeakPower = units.Watts(nan) }},
+		{"IdleFraction", func(c *Config) { c.IdleFraction = nan }},
+		{"PeakPowerSpread", func(c *Config) { c.PeakPowerSpread = nan }},
+		{"MaxReservationSlack", func(c *Config) { c.MaxReservationSlack = nan }},
+		{"SlackBase", func(c *Config) { c.SlackBase = nan }},
+		{"SlackFactor", func(c *Config) { c.SlackFactor = nan }},
+		{"ReservationQuantum", func(c *Config) { c.ReservationQuantum = nan }},
+		{"MTBF", func(c *Config) { c.MTBF = units.Seconds(nan) }},
+		{"MTTR", func(c *Config) { c.MTTR = units.Seconds(nan) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(100, workload.LowLoad(), 1)
+			tc.mut(&cfg)
+			if err := cfg.Validate(); err == nil {
+				t.Error("invalid config accepted")
+			}
+		})
+	}
+}
+
+// TestRunIntervalsFractionalTau: RunIntervals(n) runs exactly n
+// intervals whatever τ is. The clock advances by repeated addition of
+// τ, so a deadline computed as now + n·τ used to fall short of the n-th
+// tick when τ is not a whole number.
+func TestRunIntervalsFractionalTau(t *testing.T) {
+	for _, tc := range []struct {
+		tau units.Seconds
+		n   int
+	}{{7.7, 10}, {33.3, 3}, {59.9, 40}} {
+		t.Run(fmt.Sprintf("tau=%v/n=%d", float64(tc.tau), tc.n), func(t *testing.T) {
+			cfg := DefaultConfig(50, workload.LowLoad(), 5)
+			cfg.Tau = tc.tau
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.RunIntervals(context.Background(), 7); err != nil {
+				t.Fatal(err)
+			}
+			k0 := c.Interval()
+			stats, err := c.RunIntervals(context.Background(), tc.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(stats) != tc.n || c.Interval() != k0+tc.n {
+				t.Errorf("RunIntervals(%d) ran %d intervals (Interval %d -> %d)", tc.n, len(stats), k0, c.Interval())
+			}
+		})
 	}
 }
 
@@ -523,28 +595,40 @@ func TestIntervalCostEvaluations(t *testing.T) {
 func TestWakeCycleUnderLoadSurge(t *testing.T) {
 	// Consolidate at low load, then drive demand upward so R5 servers
 	// appear with no acceptors: the leader must wake sleeping servers,
-	// and the wake completions (260 s for C6) land in later intervals.
+	// and a C6 wake (260 s) stays in flight across interval boundaries.
 	cfg := DefaultConfig(120, workload.LowLoad(), 77)
 	cfg.Drift = 0.02 // strong sustained growth
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RunIntervals(context.Background(), 40); err != nil {
-		t.Fatal(err)
+	// Step the 40 intervals one at a time and record every server that
+	// ends an interval with a wake-up in flight.
+	var waking []*server.Server
+	seen := make([]bool, cfg.Size)
+	for range 40 {
+		if _, err := c.RunIntervals(context.Background(), 1); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range c.Servers() {
+			if !s.Sleeping() && s.CStateBusy(c.Now()) && !seen[s.ID()] {
+				seen[s.ID()] = true
+				waking = append(waking, s)
+			}
+		}
 	}
-	if c.Wakes() == 0 {
-		t.Fatal("sustained growth after consolidation must trigger wake-ups")
+	if c.Wakes() == 0 || len(waking) == 0 {
+		t.Fatalf("sustained growth after consolidation must leave wake-ups in flight (wakes %d, seen in flight %d)", c.Wakes(), len(waking))
 	}
-	if c.WakesCompleted() > c.Wakes() {
-		t.Errorf("completed wakes %d exceed initiated %d", c.WakesCompleted(), c.Wakes())
-	}
-	// Run further intervals: pending completions drain.
+	// Ten more intervals (600 s) outlast the slowest wake-up: every
+	// server seen waking must now be up and settled.
 	if _, err := c.RunIntervals(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
-	if c.WakesCompleted() == 0 {
-		t.Error("wake completions never fired")
+	for _, s := range waking {
+		if s.Sleeping() || s.CStateBusy(c.Now()) {
+			t.Errorf("server %d: wake still in flight at %v (ready at %v)", s.ID(), c.Now(), s.ReadyAt())
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"ealb/internal/eventsim"
 	"ealb/internal/scaling"
 	"ealb/internal/server"
 	"ealb/internal/trace"
@@ -39,11 +38,6 @@ func (c *Cluster) FailServer(id server.ID) (replaced, lost int, err error) {
 	if err := s.Crash(c.now); err != nil {
 		return 0, 0, err
 	}
-	// A crash mid-wake also never completes its setup: drop the pending
-	// wake-completion event so WakesCompleted does not count a server
-	// that died before coming up.
-	c.wakeEvents[id].Cancel()
-	c.wakeEvents[id] = eventsim.Handle{}
 	c.failed[id] = true
 	c.failedCount++
 	c.failures++

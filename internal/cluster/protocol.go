@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"ealb/internal/eventsim"
 	"ealb/internal/migration"
 	"ealb/internal/netsim"
 	"ealb/internal/regime"
@@ -80,9 +79,10 @@ const candidateSample = 32
 const maxShedsPerDonor = 5
 
 // RunIntervals advances the simulation by n reallocation intervals and
-// returns per-interval statistics. The intervals run as ticker events on
-// the discrete-event kernel, interleaved with any pending asynchronous
-// events (wake-transition completions scheduled by earlier intervals).
+// returns per-interval statistics. Each interval ends τ after the last:
+// the clock advances by repeated addition of τ, one interval at a time,
+// so n calls of RunIntervals(ctx, 1) reach bit-identical clock values to
+// one call of RunIntervals(ctx, n).
 //
 // The context is checked between intervals: cancelling it stops the
 // simulation at the next interval boundary and returns ctx.Err() together
@@ -103,28 +103,20 @@ func (c *Cluster) RunIntervals(ctx context.Context, n int) ([]IntervalStats, err
 		ctx = context.Background()
 	}
 	out := make([]IntervalStats, 0, n)
-	var runErr error
-	end := c.now + units.Seconds(n)*c.cfg.Tau
-	tick := c.sim.Every(c.now+c.cfg.Tau, c.cfg.Tau, func(now units.Seconds) {
+	for k := 0; k < n; k++ {
 		if err := ctx.Err(); err != nil {
-			runErr = err
-			c.sim.Stop()
-			return
+			return out, err
 		}
-		st, err := c.runInterval(now)
+		st, err := c.runInterval(c.now + c.cfg.Tau)
 		if err != nil {
-			runErr = err
-			c.sim.Stop()
-			return
+			return out, err
 		}
 		out = append(out, st)
 		if c.cfg.OnInterval != nil {
 			c.cfg.OnInterval(st)
 		}
-	})
-	c.sim.RunUntil(end)
-	tick.Stop()
-	return out, runErr
+	}
+	return out, nil
 }
 
 // runInterval executes one full reallocation interval at its end time
@@ -556,16 +548,6 @@ func (c *Cluster) applyBalance(plan *balancePlan) error {
 			}
 			c.idx.onWake(a.src, ready)
 			c.totalWakes++
-			// The setup completes asynchronously — possibly several
-			// reallocation intervals later for a C6 wake (260 s vs
-			// τ = 60 s). The handle is kept per server so a crash
-			// mid-wake cancels the completion.
-			id := a.src
-			//ealb:allow-alloc wakes are rare at steady state (the sleep policy damps them), so the completion closure is off the per-interval fast path
-			c.wakeEvents[id] = c.sim.Schedule(ready, func(units.Seconds) {
-				c.wakesCompleted++
-				c.wakeEvents[id] = eventsim.Handle{}
-			})
 			if tr != nil {
 				c.emit(trace.Event{Kind: trace.KindWake, Src: int(a.src), Dst: -1, App: -1})
 			}

@@ -27,13 +27,12 @@ import (
 // use are listed in reachKeep with the reason they stay.
 
 // stdCalledMethods are method names the standard library calls through
-// its own interfaces (fmt, encoding/json, errors, sort, container/heap,
-// io, net/http, go/types), so module code need not spell the call.
+// its own interfaces (fmt, encoding/json, errors, io, net/http,
+// go/types), so module code need not spell the call.
 var stdCalledMethods = map[string]bool{
 	"String": true, "Error": true,
 	"MarshalJSON": true, "UnmarshalJSON": true,
 	"ServeHTTP": true, "WriteHeader": true, "Flush": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
 	"Write": true, "Read": true, "Close": true,
 	"Import": true,
 }
@@ -65,30 +64,24 @@ var reachKeep = map[string]string{
 	"ealb/internal/analytic.Model.OptimizedOps":    "the analytic tests pin the §4 optimized operations equation",
 
 	// Accessors the tests read state through.
-	"ealb/internal/cluster.Cluster.Admitted":       "the cluster and farm tests check admission counts",
-	"ealb/internal/cluster.Cluster.Config":         "the cluster tests check the normalized config",
-	"ealb/internal/cluster.Cluster.Interval":       "the cluster and leader tests check the interval counter",
-	"ealb/internal/cluster.Cluster.WakesCompleted": "the cluster and failure tests check completed wake-ups",
-	"ealb/internal/cluster.Cluster.Failed":         "the fuzz and leader tests check a server's failed flag",
-	"ealb/internal/farm.Farm.Interval":             "the farm tests check the interval counter",
-	"ealb/internal/acpi.Manager.WakeCount":         "the acpi tests check transition counts",
-	"ealb/internal/acpi.Manager.SleepCount":        "the acpi tests check transition counts",
-	"ealb/internal/eventsim.Simulator.Now":         "the eventsim tests check the clock",
-	"ealb/internal/eventsim.Simulator.Fired":       "the eventsim tests check the fired-event count",
-	"ealb/internal/eventsim.Simulator.Pending":     "the eventsim tests check the queue length",
-	"ealb/internal/eventsim.Simulator.Run":         "the eventsim tests drain the queue with it",
-	"ealb/internal/eventsim.Ticker.Ticks":          "the eventsim tests check the tick count",
-	"ealb/internal/netsim.Network.Size":            "the netsim reset test checks the resized fabric",
-	"ealb/internal/netsim.Network.NodeCounters":    "the netsim tests check per-node traffic",
-	"ealb/internal/regime.Region.Valid":            "the regime tests check classification stays in R1..R5",
-	"ealb/internal/scaling.Ledger.Totals":          "the scaling, cluster and leader tests check decision totals",
-	"ealb/internal/serve.Server.Wait":              "the serve and engine tests wait for a run to finish",
-	"ealb/internal/server.Server.PowerModel":       "the cluster tests check the configured power model",
-	"ealb/internal/server.Server.CStateBusy":       "the server and cluster tests check the sleep-transition window",
-	"ealb/internal/trace.Recorder.Events":          "the trace and engine tests check per-kind event counts",
-	"ealb/internal/trace.Recorder.PhaseSnapshot":   "the trace and cluster tests check phase timings",
-	"ealb/internal/vm.DefaultConfig":               "the vm, server and benchmark tests build VMs from it",
-	"ealb/internal/vm.VM.State":                    "the vm and cluster tests check lifecycle states",
+	"ealb/internal/cluster.Cluster.Admitted":     "the cluster and farm tests check admission counts",
+	"ealb/internal/cluster.Cluster.Config":       "the cluster tests check the normalized config",
+	"ealb/internal/cluster.Cluster.Interval":     "the cluster and leader tests check the interval counter",
+	"ealb/internal/cluster.Cluster.Failed":       "the fuzz and leader tests check a server's failed flag",
+	"ealb/internal/farm.Farm.Interval":           "the farm tests check the interval counter",
+	"ealb/internal/acpi.Manager.WakeCount":       "the acpi tests check transition counts",
+	"ealb/internal/acpi.Manager.SleepCount":      "the acpi tests check transition counts",
+	"ealb/internal/netsim.Network.Size":          "the netsim reset test checks the resized fabric",
+	"ealb/internal/netsim.Network.NodeCounters":  "the netsim tests check per-node traffic",
+	"ealb/internal/regime.Region.Valid":          "the regime tests check classification stays in R1..R5",
+	"ealb/internal/scaling.Ledger.Totals":        "the scaling, cluster and leader tests check decision totals",
+	"ealb/internal/serve.Server.Wait":            "the serve and engine tests wait for a run to finish",
+	"ealb/internal/server.Server.PowerModel":     "the cluster tests check the configured power model",
+	"ealb/internal/server.Server.CStateBusy":     "the server and cluster tests check the sleep-transition window",
+	"ealb/internal/trace.Recorder.Events":        "the trace and engine tests check per-kind event counts",
+	"ealb/internal/trace.Recorder.PhaseSnapshot": "the trace and cluster tests check phase timings",
+	"ealb/internal/vm.DefaultConfig":             "the vm, server and benchmark tests build VMs from it",
+	"ealb/internal/vm.VM.State":                  "the vm and cluster tests check lifecycle states",
 
 	// RunStore.GetRun: the store tests read records back, and perfbench
 	// forwards it, but the service reads records another way.
