@@ -574,16 +574,13 @@ func (c *Cluster) SleepingCount() int {
 }
 
 // ClusterLoad returns total hosted load divided by total capacity —
-// the quantity the 60% sleep rule tests. The sum runs over the index's
-// load column in server-ID order, matching the historical per-server
-// scan bit for bit.
+// the quantity the 60% sleep rule tests. Outside a balance pass the
+// projection is empty, so planClusterLoad sums the flushed index's load
+// column in server-ID order, matching the historical per-server scan bit
+// for bit.
 func (c *Cluster) ClusterLoad() units.Fraction {
 	c.flushIndex()
-	var sum float64
-	for _, load := range c.idx.load {
-		sum += float64(load)
-	}
-	return units.Fraction(sum / float64(len(c.servers)))
+	return c.planClusterLoad()
 }
 
 // AwakeHeadroom returns the total optimal-region headroom of the awake,

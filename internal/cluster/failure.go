@@ -141,10 +141,3 @@ func (c *Cluster) serverByID(id server.ID) (*server.Server, error) {
 	}
 	return c.servers[int(id)], nil
 }
-
-// active reports whether a server takes part in the protocol right now.
-// It reads the index mirror (activeID), which the maintenance hooks keep
-// exactly equal to !failed && !Sleeping() && !CStateBusy(now).
-func (c *Cluster) active(s *server.Server) bool {
-	return c.activeID(s.ID())
-}

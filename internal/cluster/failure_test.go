@@ -298,7 +298,7 @@ func TestRepairThenBalance(t *testing.T) {
 	if _, err := c.balance(); err != nil {
 		t.Fatalf("balance after repair failed: %v", err)
 	}
-	if !c.active(victim) {
+	if !c.activeID(victim.ID()) {
 		t.Error("repaired server not active in the protocol")
 	}
 	partitionHolds(t, c, 80)

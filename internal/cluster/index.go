@@ -290,7 +290,8 @@ func (c *Cluster) noteDemandChange(s *server.Server) {
 }
 
 // activeID is the index-backed protocol-participation check: not failed,
-// not sleeping, no ACPI transition in flight.
+// not sleeping, no ACPI transition in flight. The maintenance hooks keep
+// it exactly equal to !failed && !Sleeping() && !CStateBusy(now).
 func (c *Cluster) activeID(id server.ID) bool {
 	return !c.failed[id] && !c.idx.sleeping[id] && c.idx.busyUntil[id] <= c.now
 }

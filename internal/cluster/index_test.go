@@ -365,9 +365,10 @@ func serverName(s *server.Server) string {
 	return fmt.Sprintf("server %d", s.ID())
 }
 
-// TestAcceptorSearchesAcceptExactTie pins the fit rule of both acceptor
-// searches at its boundary: a server whose load plus the demand equals
-// the limit exactly in float64 still fits (load+demand <= limit, not <).
+// TestAcceptorSearchesAcceptExactTie pins the fit rule of the acceptor
+// search, through both its live and plan entry points, at its boundary:
+// a server whose load plus the demand equals the limit exactly in
+// float64 still fits (load+demand <= limit, not <).
 // In a two-server cluster with the other server excluded, that server
 // is the only eligible candidate, so a search that rejected the tie
 // would find no acceptor.
@@ -407,7 +408,7 @@ func TestAcceptorSearchesAcceptExactTie(t *testing.T) {
 		if got := c.findAcceptor(demand, c.servers[other], limit); got == nil || got.ID() != id {
 			t.Errorf("limit %d: findAcceptor rejected the server at an exact tie (load %v + demand %v = %v)", limit, load, demand, bound)
 		}
-		c.leader.beginPlan()
+		c.leader.resetPlan()
 		if got := c.planFindAcceptor(demand, other, limit); got != id {
 			t.Errorf("limit %d: planFindAcceptor rejected the server at an exact tie (load %v + demand %v = %v)", limit, load, demand, bound)
 		}

@@ -268,8 +268,10 @@ func (ls *leaderState) init(n int) {
 	ls.appsScratch = ls.appsScratch[:0]
 }
 
-// beginPlan clears the previous interval's view in O(touched).
-func (ls *leaderState) beginPlan() {
+// resetPlan clears the plan and its projection in O(touched). balance
+// calls it once the plan is applied, so outside a balance pass the
+// projection is empty and every plan-side read equals the live index.
+func (ls *leaderState) resetPlan() {
 	for _, id := range ls.touched {
 		ls.viewTouched[id] = false
 		ls.viewApps[id] = ls.viewApps[id][:0]
@@ -389,9 +391,8 @@ func (c *Cluster) planMove(src, dst server.ID, h server.Hosted) {
 	})
 }
 
-// planClusterLoad is ClusterLoad through the projection: total projected
-// load over total capacity, summed in server-ID order like the live
-// version.
+// planClusterLoad is total projected load over total capacity, summed in
+// server-ID order; with the projection empty it is ClusterLoad.
 //
 //ealb:pure
 func (c *Cluster) planClusterLoad() units.Fraction {
@@ -422,9 +423,10 @@ func (c *Cluster) planSleepTarget() acpi.CState {
 
 // planFindAcceptor samples a bounded candidate list (the leader's
 // MsgCandidateList) and returns the best-fitting eligible server under
-// the projection: the most loaded one that still fits, concentrating load
-// per the paper's reformulated load balancing goal. Returns noServer when
-// no candidate fits.
+// the projection plus the evacuation overlay: the most loaded one that
+// still fits, concentrating load per the paper's reformulated load
+// balancing goal. Returns noServer when no candidate fits. The RNG draws
+// are one Intn per sample slot, whatever the candidates turn out to be.
 //
 //ealb:pure
 func (c *Cluster) planFindAcceptor(demand units.Fraction, exclude server.ID, limit acceptLimit) server.ID {
@@ -435,10 +437,8 @@ func (c *Cluster) planFindAcceptor(demand units.Fraction, exclude server.ID, lim
 		if cand == exclude || !c.planActive(cand) {
 			continue
 		}
-		if !c.planFits(cand, demand, limit) {
-			continue
-		}
-		if load := c.planLoad(cand); best == noServer || load > bestLoad {
+		load := c.planLoad(cand) + c.leader.projected[cand]
+		if load+demand <= limit.limitAt(c.idx.bounds[cand]) && (best == noServer || load > bestLoad) {
 			best, bestLoad = cand, load
 		}
 	}
@@ -448,14 +448,12 @@ func (c *Cluster) planFindAcceptor(demand units.Fraction, exclude server.ID, lim
 // planBalance computes the leader's full end-of-interval pass (§4) as a
 // plan, mutating nothing but the leader's own scratch state (and the
 // protocol RNG, whose draws belong to the decision sequence). The
-// returned plan is owned by the leaderState and valid until the next
-// planBalance call.
+// returned plan is owned by the leaderState and valid until resetPlan.
 //
 //ealb:hotpath
 //ealb:pure
 func (c *Cluster) planBalance() (*balancePlan, error) {
 	ls := &c.leader
-	ls.beginPlan()
 	// Reconcile the index once; the whole pass then runs on its columns.
 	// The flush is the one sanctioned impurity in the plan step: it
 	// folds already-recorded demand deltas into the read-only mirror —
@@ -719,22 +717,7 @@ func (c *Cluster) planEvacuation(d server.ID) bool {
 	ls.evacMoves = ls.evacMoves[:0]
 	ok := true
 	for _, h := range c.planAppsByDemand(d) {
-		dst := noServer
-		// Bounded candidate search, like every other leader query.
-		var bestLoad units.Fraction
-		for i := 0; i < candidateSample; i++ {
-			cand := server.ID(c.rng.Intn(len(c.servers)))
-			if cand == d || !c.planActive(cand) {
-				continue
-			}
-			load := c.planLoad(cand) + ls.projected[cand]
-			if load+h.App.Demand > limit.limitAt(c.idx.bounds[cand]) {
-				continue
-			}
-			if dst == noServer || load > bestLoad {
-				dst, bestLoad = cand, load
-			}
-		}
+		dst := c.planFindAcceptor(h.App.Demand, d, limit)
 		if dst == noServer {
 			ok = false
 			break

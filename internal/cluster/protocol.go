@@ -258,7 +258,7 @@ func (c *Cluster) runInterval(now units.Seconds) (IntervalStats, error) {
 //ealb:hotpath
 func (c *Cluster) evolveDemand() error {
 	for _, s := range c.servers {
-		if !c.active(s) {
+		if !c.activeID(s.ID()) {
 			continue
 		}
 		// Walk the hosted list in place. A growth migration splices the
@@ -370,7 +370,7 @@ const (
 const acceptMargin = 0.04
 
 // limitAt returns the load limit an acceptor with boundaries b must stay
-// under — both acceptor searches read boundaries from the index columns.
+// under; the acceptor search reads boundaries from the index columns.
 func (l acceptLimit) limitAt(b regime.Boundaries) units.Fraction {
 	switch l {
 	case acceptToOptLow:
@@ -384,41 +384,22 @@ func (l acceptLimit) limitAt(b regime.Boundaries) units.Fraction {
 	}
 }
 
-// findAcceptor samples a bounded candidate list (the leader's
-// MsgCandidateList) and returns the best-fitting eligible server against
-// live loads: the most loaded one that still fits, concentrating load per
-// the paper's reformulated load balancing goal. Returns nil when no
-// candidate fits; exclude may be nil. The leader pass uses the
-// projection-aware planFindAcceptor instead; this live variant serves the
-// paths that act immediately — demand-growth routing, failure
-// re-placement and admission.
-//
-// Candidates are judged from the flushed index columns (activity, load,
-// boundaries), which equal the live accessors bit for bit, so only the
-// winner is dereferenced. The RNG draws are one Intn per sample slot,
-// whatever the candidates turn out to be.
+// findAcceptor is planFindAcceptor for the paths that act immediately —
+// demand-growth routing, failure re-placement and admission. They run
+// outside a balance pass, where the projection is empty, so after the
+// flush every candidate is judged from the index columns, which equal the
+// live accessors bit for bit; only the winner is dereferenced. Returns
+// nil when no candidate fits; exclude may be nil.
 func (c *Cluster) findAcceptor(demand units.Fraction, exclude *server.Server, limit acceptLimit) *server.Server {
 	c.flushIndex()
-	ix := &c.idx
 	skip := noServer
 	if exclude != nil {
 		skip = exclude.ID()
 	}
-	best := noServer
-	for i := 0; i < candidateSample; i++ {
-		id := server.ID(c.rng.Intn(len(c.servers)))
-		if id == skip || !c.activeID(id) {
-			continue
-		}
-		if load := ix.load[id]; load+demand <= limit.limitAt(ix.bounds[id]) &&
-			(best == noServer || load > ix.load[best]) {
-			best = id
-		}
+	if id := c.planFindAcceptor(demand, skip, limit); id != noServer {
+		return c.servers[id]
 	}
-	if best == noServer {
-		return nil
-	}
-	return c.servers[best]
+	return nil
 }
 
 // migrate moves one hosted application from src to dst, charging the
@@ -457,6 +438,7 @@ func (c *Cluster) migrate(src, dst *server.Server, h server.Hosted) error {
 // followed by an apply pass. It returns how many sleeping servers were
 // woken.
 func (c *Cluster) balance() (int, error) {
+	defer c.leader.resetPlan()
 	tr := c.cfg.Tracer
 	var t0 time.Time
 	if tr != nil {

@@ -50,6 +50,10 @@ const (
 	// MaxScenarioHorizon bounds a policy scenario's simulated time —
 	// thirty days at the default 10 s decision slot.
 	MaxScenarioHorizon = units.Seconds(30 * 24 * 3600)
+	// MaxScenarioRate bounds a policy scenario's base_rate and peak_rate,
+	// in req/s: MaxScenarioServers at the farm's 100 req/s per server, so
+	// past it every farm is saturated anyway.
+	MaxScenarioRate = 10_000_000
 )
 
 // Scenario kinds.
@@ -253,19 +257,18 @@ func (s Scenario) Validate() error {
 			if _, err := farm.ParseDispatch(s.Dispatch); err != nil {
 				return err
 			}
-			if s.CompareBaseline {
-				return fmt.Errorf("engine: farm scenarios do not support compare_baseline; sweep the sleep axis instead")
-			}
 		}
 	case KindPolicy:
-		if s.Trace {
-			return fmt.Errorf("engine: policy scenarios do not support trace (decision tracing covers cluster and farm runs)")
-		}
 		if s.Servers < 0 || s.Servers > MaxScenarioServers {
 			return fmt.Errorf("engine: policy scenario needs 0 <= servers <= %d, got %d", MaxScenarioServers, s.Servers)
 		}
 		if s.HorizonSeconds < 0 || units.Seconds(s.HorizonSeconds) > MaxScenarioHorizon {
 			return fmt.Errorf("engine: policy scenario needs 0 <= horizon_seconds <= %v", MaxScenarioHorizon)
+		}
+		for _, r := range []float64{s.BaseRate, s.PeakRate} {
+			if r < 0 || r > MaxScenarioRate {
+				return fmt.Errorf("engine: policy scenario needs 0 <= base_rate, peak_rate <= %d, got %v", MaxScenarioRate, r)
+			}
 		}
 		cfg := s.farmConfig()
 		if _, err := workload.Profile(s.Profile, s.BaseRate, s.PeakRate, cfg.Horizon); err != nil {
@@ -273,6 +276,38 @@ func (s Scenario) Validate() error {
 		}
 	default:
 		return fmt.Errorf("engine: unknown scenario kind %q (want %q, %q or %q)", s.Kind, KindCluster, KindPolicy, KindFarm)
+	}
+	return s.foreignField()
+}
+
+// foreignField rejects a set field that the scenario's kind does not
+// read: the run would ignore it while the recorded cell still carried it.
+func (s Scenario) foreignField() error {
+	isCluster, isFarm, isPolicy := s.Kind == KindCluster, s.Kind == KindFarm, s.Kind == KindPolicy
+	for _, f := range []struct {
+		name       string
+		set, reads bool
+	}{
+		{"size", s.Size != 0, isCluster || isFarm},
+		{"band", s.Band != "", isCluster || isFarm},
+		{"intervals", s.Intervals != 0, isCluster || isFarm},
+		{"sleep", s.Sleep != "", isCluster || isFarm},
+		{"compare_baseline", s.CompareBaseline, isCluster},
+		{"trace", s.Trace, isCluster || isFarm},
+		{"mtbf", s.MTBF != nil, isCluster || isFarm},
+		{"mttr", s.MTTR != nil, isCluster || isFarm},
+		{"clusters", s.Clusters != 0, isFarm},
+		{"dispatch", s.Dispatch != "", isFarm},
+		{"arrival_rate", s.ArrivalRate != nil, isFarm},
+		{"profile", s.Profile != "", isPolicy},
+		{"base_rate", s.BaseRate != 0, isPolicy},
+		{"peak_rate", s.PeakRate != 0, isPolicy},
+		{"servers", s.Servers != 0, isPolicy},
+		{"horizon_seconds", s.HorizonSeconds != 0, isPolicy},
+	} {
+		if f.set && !f.reads {
+			return fmt.Errorf("engine: %q does not apply to a %s scenario", f.name, s.Kind)
+		}
 	}
 	return nil
 }

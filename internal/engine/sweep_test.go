@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -106,12 +108,37 @@ func TestSweepExpandRejectsBadSpecs(t *testing.T) {
 		`{"bands":["sideways"]}`,                // invalid band
 		`{"replications":-2}`,                   // negative replications
 		`{"sizes":[100],"replications":100000}`, // blows the job budget
-		// Overflow probe: 2 seeds × 2^62 replications wraps an int64
-		// product negative; the division-based budget check must still
-		// reject it.
-		`{"seeds":[1,2],"replications":4611686018427387904}`,
+		// Overflow probe: 2 seeds × (MaxInt/2+1) replications wraps the
+		// int product negative on any word size; the division-based budget
+		// check must still reject it.
+		`{"seeds":[1,2],"replications":` + strconv.Itoa(math.MaxInt/2+1) + `}`,
 		`{"profiles":["burst"]}`,          // policy axis on a cluster sweep
 		`{"kind":"policy","sizes":[100]}`, // cluster axis on a policy sweep
+		// Policy rates: negative, past MaxScenarioRate, or large enough
+		// to wrap the farm's request counters.
+		`{"kind":"policy","base_rate":-5}`,
+		`{"kind":"policy","peak_rate":-1}`,
+		`{"kind":"policy","base_rate":1e17,"horizon_seconds":600,"servers":10}`,
+		`{"kind":"policy","base_rate":1e300}`,
+		`{"kind":"policy","peak_rate":10000001}`,
+		// The scalar form of another kind's field.
+		`{"kind":"cluster","clusters":4,"dispatch":"least-loaded"}`,
+		`{"kind":"cluster","arrival_rate":3}`,
+		`{"kind":"cluster","profile":"burst"}`,
+		`{"kind":"cluster","servers":10}`,
+		`{"kind":"cluster","base_rate":100}`,
+		`{"kind":"cluster","horizon_seconds":600}`,
+		`{"kind":"farm","profile":"burst"}`,
+		`{"kind":"farm","servers":10}`,
+		`{"kind":"policy","size":100}`,
+		`{"kind":"policy","band":"high"}`,
+		`{"kind":"policy","sleep":"never"}`,
+		`{"kind":"policy","intervals":5}`,
+		`{"kind":"policy","mtbf":600}`,
+		`{"kind":"policy","mttr":60}`,
+		`{"kind":"policy","clusters":2}`,
+		`{"kind":"policy","dispatch":"round-robin"}`,
+		`{"kind":"policy","compare_baseline":true}`,
 	} {
 		var spec SweepSpec
 		if err := json.Unmarshal([]byte(body), &spec); err != nil {

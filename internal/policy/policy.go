@@ -76,8 +76,17 @@ func (p ReactiveExtra) Name() string { return fmt.Sprintf("reactive+%.0f%%", p.M
 
 // Target implements Policy.
 func (p ReactiveExtra) Target(h History, need func(float64) int) int {
-	t := need(h.Latest())
-	return t + int(math.Ceil(float64(t)*p.Margin))
+	return withMargin(need(h.Latest()), p.Margin)
+}
+
+// withMargin returns t + ⌈t·margin⌉, saturating at math.MaxInt so a huge
+// margin pins the target at the farm size instead of wrapping negative.
+func withMargin(t int, margin float64) int {
+	v := float64(t) + math.Ceil(float64(t)*margin)
+	if v >= math.MaxInt {
+		return math.MaxInt
+	}
+	return int(v)
 }
 
 // AutoScale scales up reactively but refuses to release a server until
@@ -109,8 +118,7 @@ func (p *AutoScale) Name() string { return "autoscale" }
 
 // Target implements Policy.
 func (p *AutoScale) Target(h History, need func(float64) int) int {
-	want := need(h.Latest())
-	want += int(math.Ceil(float64(want) * p.Margin))
+	want := withMargin(need(h.Latest()), p.Margin)
 	switch {
 	case want >= p.current:
 		p.current = want

@@ -176,6 +176,8 @@ func TestSubmitRejectsBadScenarios(t *testing.T) {
 		`{"kind":"cluster","size":10,"intervals":2} trailing-garbage`,            // bytes after the spec
 		`{"kind":"cluster","size":10,"intervals":2}{"kind":"cluster","size":20}`, // a second spec
 		`{"kind":"cluster","size":10,"intervals":2}}`,                            // a stray brace
+		`{"kind":"policy","base_rate":1e17,"horizon_seconds":600,"servers":10}`,  // rate past MaxScenarioRate
+		`{"kind":"cluster","size":10,"intervals":2,"clusters":4}`,                // farm field on a cluster
 	} {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {
