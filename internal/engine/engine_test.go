@@ -195,6 +195,28 @@ func TestRunScenarioPolicyProfiles(t *testing.T) {
 	}
 }
 
+// TestPolicyCountersAtMaxRate: at the largest rate a policy scenario
+// accepts, each policy's drop total is past 2³¹ and must read the same
+// on every word size; an int sum wrapped to 1,706,023,232 on 386.
+func TestPolicyCountersAtMaxRate(t *testing.T) {
+	var s Scenario
+	if err := json.Unmarshal([]byte(`{"kind":"policy","base_rate":1e7,"servers":10,"horizon_seconds":600}`), &s); err != nil {
+		t.Fatal(err)
+	}
+	res, err := NewPool(1).RunScenario(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Policies) == 0 {
+		t.Fatal("no policy results")
+	}
+	for _, pr := range res.Policies {
+		if pr.Dropped != 6_000_990_528 || pr.Served != 600_000 {
+			t.Errorf("%s: dropped=%d served=%d, want 6000990528 and 600000", pr.Policy, pr.Dropped, pr.Served)
+		}
+	}
+}
+
 func TestScenarioValidation(t *testing.T) {
 	bad := []Scenario{
 		{Kind: "quantum"},

@@ -90,9 +90,12 @@ type Result struct {
 	// estimates, in seconds.
 	MeanResponse float64
 	// Dropped is the number of requests beyond capacity across the run.
-	Dropped int
+	// Dropped and Served are int64: at the 10⁷ req/s a service scenario
+	// may ask for, a run's total outgrows a 32-bit int, though no
+	// slot's count does.
+	Dropped int64
 	// Served is the number of requests handled.
-	Served int
+	Served int64
 	// AvgActive is the mean number of active servers.
 	AvgActive float64
 	// AvgSetup is the mean number of servers in setup.
@@ -181,11 +184,11 @@ func Simulate(ctx context.Context, cfg FarmConfig, pol Policy, rate workload.Rat
 		capacity := int(float64(active) * cfg.PerServerRate * float64(cfg.Dt))
 		served := arrivals
 		if served > capacity {
-			res.Dropped += served - capacity
+			res.Dropped += int64(served - capacity)
 			served = capacity
 			res.ViolationSlots++
 		}
-		res.Served += served
+		res.Served += int64(served)
 
 		// Energy for the slot.
 		var util float64

@@ -1,0 +1,95 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+)
+
+// FuzzAppendIndent pins appendIndent to json.Indent: arbitrary bytes
+// that decode as JSON are re-encoded by json.Marshal, the only input
+// writeJSON gives appendIndent, and both indenters must then append
+// the same bytes.
+//
+//	go test ./internal/serve -run '^$' -fuzz FuzzAppendIndent -fuzztime 15s
+func FuzzAppendIndent(f *testing.F) {
+	for _, doc := range []string{
+		`{"q":"say \"hi\"","path":"C:\\dir\\","mixed":"\\\"\\"}`,
+		`"line\u2028para\u2029end"`,
+		`{"<tag>":"a && b > c"}`,
+		`{}`,
+		`[]`,
+		`{"a":{},"b":[],"c":[{}],"d":[[]],"e":{"f":{"g":[]}}}`,
+		`[1e21,-1e-7,-0.5,6.02e23,-3,0,123456789012]`,
+		`{"k:":"v,","[":"]{}","{\"}":"\\"}`,
+		`[null,true,false,"",[null]]`,
+		`{"runs":[{"id":"run-000001","status":"done","spec":{"sizes":[100,1000],"seeds":[1,2]}}]}`,
+		`"\u0000\u001f\ufffd\t\n\r"`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var v any
+		if json.Unmarshal(data, &v) != nil {
+			return
+		}
+		compact, err := json.Marshal(v)
+		if err != nil {
+			t.Fatalf("re-encode %q: %v", data, err)
+		}
+		var want bytes.Buffer
+		want.WriteString("prefix")
+		if err := json.Indent(&want, compact, "", "  "); err != nil {
+			t.Fatalf("json.Indent(%q): %v", compact, err)
+		}
+		if got := appendIndent([]byte("prefix"), compact); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("appendIndent(%q)\n got %q\nwant %q", compact, got, want.Bytes())
+		}
+	})
+}
+
+// TestGetBodyMatchesIndentEncoder: a finished sweep's GET body is the
+// byte stream json.Encoder with SetIndent("", "  ") writes for the
+// same run, the encoding the service answered with before appendIndent.
+func TestGetBodyMatchesIndentEncoder(t *testing.T) {
+	s, ts := newTestServer(t)
+	_, run := postRun(t, ts, `{"sizes":[40,60],"seeds":[3],"intervals":5,"compare_baseline":true}`, true)
+	if run.Status != StatusDone || run.Sweep == nil {
+		t.Fatalf("run = %+v", run)
+	}
+	got := readAll(t, ts.URL+"/v1/runs/"+run.ID)
+
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(s.snapshot(run.ID)); err != nil {
+		t.Fatal(err)
+	}
+	if got != want.String() {
+		t.Fatalf("GET body differs from the indenting encoder's output\n got %q\nwant %q", got, want.String())
+	}
+}
+
+// TestWriteJSONEncodeError: a value json.Marshal rejects answers 500
+// with an error body, not the requested status with an empty body.
+func TestWriteJSONEncodeError(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type = %q", ct)
+	}
+	var body struct{ Error string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("body %q: %v", rec.Body.String(), err)
+	}
+	if !strings.Contains(body.Error, "unsupported value") {
+		t.Errorf("error = %q, want the encoder's reason", body.Error)
+	}
+}

@@ -1008,12 +1008,69 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Write(s.appendHistMetrics(nil))
 }
 
+// writeJSON answers with v indented two spaces per level and a final
+// newline: the bytes a json.Encoder with SetIndent("", "  ") writes. A
+// value json.Marshal rejects answers 500 with an error body instead.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	compact, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		// A map of strings always encodes.
+		compact, _ = json.Marshal(map[string]string{"error": fmt.Sprintf("encode response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	// Indenting a run record more than doubles it (a 2-cell sweep's 27 KB
+	// become 60 KB), so 3× holds the answer without regrowing.
+	w.Write(append(appendIndent(make([]byte, 0, 3*len(compact)), compact), '\n'))
+}
+
+// appendIndent appends compact to dst indented as json.Indent(dst,
+// compact, "", "  ") would, without its validating scanner: compact
+// must be json.Marshal output, which is valid and has no whitespace
+// outside strings. Bytes between structural characters are copied in
+// runs; strings are skipped over whole, so a brace, comma or colon
+// inside one is never structural. FuzzAppendIndent pins the two
+// outputs byte for byte.
+func appendIndent(dst, compact []byte) []byte {
+	depth, start := 0, 0
+	for i := 0; i < len(compact); i++ {
+		switch compact[i] {
+		case '"':
+			for i++; compact[i] != '"'; i++ {
+				if compact[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			if i+1 < len(compact) && (compact[i+1] == '}' || compact[i+1] == ']') {
+				i++ // an empty object or array stays on its line
+				continue
+			}
+			depth++
+			dst = appendNewline(append(dst, compact[start:i+1]...), depth)
+			start = i + 1
+		case '}', ']':
+			depth--
+			dst = appendNewline(append(dst, compact[start:i]...), depth)
+			start = i
+		case ',':
+			dst = appendNewline(append(dst, compact[start:i+1]...), depth)
+			start = i + 1
+		case ':':
+			dst = append(append(dst, compact[start:i+1]...), ' ')
+			start = i + 1
+		}
+	}
+	return append(dst, compact[start:]...)
+}
+
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for range depth {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
