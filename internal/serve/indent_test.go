@@ -52,25 +52,49 @@ func FuzzAppendIndent(f *testing.F) {
 	})
 }
 
-// TestGetBodyMatchesIndentEncoder: a finished sweep's GET body is the
+// TestGetBodyMatchesIndentEncoder: a finished run's GET body — the
+// envelope appendJSON builds around the recorded result bytes — is the
 // byte stream json.Encoder with SetIndent("", "  ") writes for the
-// same run, the encoding the service answered with before appendIndent.
+// typed view of the same run, built from the run's fields and its
+// decoded result: the encoding the service answered with before the
+// result was kept as bytes. It covers a sweep, a single run, and a
+// failed run, which has no result.
 func TestGetBodyMatchesIndentEncoder(t *testing.T) {
 	s, ts := newTestServer(t)
-	_, run := postRun(t, ts, `{"sizes":[40,60],"seeds":[3],"intervals":5,"compare_baseline":true}`, true)
-	if run.Status != StatusDone || run.Sweep == nil {
-		t.Fatalf("run = %+v", run)
-	}
-	got := readAll(t, ts.URL+"/v1/runs/"+run.ID)
+	for _, tc := range []struct{ body, status string }{
+		{`{"sizes":[40,60],"seeds":[3],"intervals":5,"compare_baseline":true}`, StatusDone},
+		{`{"kind":"farm","clusters":2,"size":20,"intervals":3}`, StatusDone},
+		{`{"kind":"policy","horizon_seconds":5}`, StatusFailed},
+	} {
+		_, run := postRun(t, ts, tc.body, true)
+		if run.Status != tc.status || (tc.status == StatusDone) == (run.Sweep == nil && run.Result == nil) {
+			t.Fatalf("run = %+v", run)
+		}
+		got := readAll(t, ts.URL+"/v1/runs/"+run.ID)
 
-	var want bytes.Buffer
-	enc := json.NewEncoder(&want)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(s.snapshot(run.ID)); err != nil {
-		t.Fatal(err)
-	}
-	if got != want.String() {
-		t.Fatalf("GET body differs from the indenting encoder's output\n got %q\nwant %q", got, want.String())
+		snap := s.snapshot(run.ID)
+		view := runView{
+			ID: snap.ID, Status: snap.Status, Scenario: snap.Scenario, Spec: snap.Spec,
+			Error: snap.Error, Created: snap.Created, Started: snap.Started, Finished: snap.Finished,
+		}
+		result := any(&view.Sweep)
+		if snap.single {
+			result = &view.Result
+		}
+		if snap.result != nil {
+			if err := json.Unmarshal(snap.result, result); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(view); err != nil {
+			t.Fatal(err)
+		}
+		if got != want.String() {
+			t.Fatalf("GET body differs from the indenting encoder's output\n got %q\nwant %q", got, want.String())
+		}
 	}
 }
 

@@ -65,6 +65,7 @@ func (s *Server) recoverRun(rec store.Record) error {
 		seq:      rec.Seq,
 		tenant:   rec.Tenant,
 		idemKey:  rec.IdemKey,
+		specJSON: rec.Spec,
 		expanded: ex,
 		single:   rec.Single,
 	}
@@ -92,18 +93,17 @@ func (s *Server) recoverRun(rec store.Record) error {
 	if !claimed {
 		// Read-only: released tails route interval readers to the recorded
 		// result or the store, and trace readers to the store. A rival's
-		// run streams what it has appended to the shared store so far.
-		if rec.Status == StatusDone && len(rec.Result) > 0 {
-			if rec.Single {
-				var res engine.Result
-				if err := json.Unmarshal(rec.Result, &res); err == nil {
-					run.Result = &res
+		// run streams what it has appended to the shared store so far. A
+		// done run serves its recorded bytes as they are, once they are
+		// known to load; a result that does not is reported, not dropped.
+		if rec.Status == StatusDone {
+			if at, err := checkResult(rec.Result, rec.Single, streaming, len(ex.Cells())); err != nil {
+				run.Error = "recorded result unreadable: " + err.Error()
+				if s.logger != nil {
+					s.logger.Error("recorded result unreadable", "run", rec.ID, "error", err)
 				}
 			} else {
-				var sw engine.SweepResult
-				if err := json.Unmarshal(rec.Result, &sw); err == nil {
-					run.Sweep = &sw
-				}
+				run.result, run.statsAt = rec.Result, at
 			}
 		}
 		if streaming {

@@ -35,11 +35,17 @@
 // context.Context: DELETE cancels it, a ?wait=1 client disconnect
 // cancels it, and Shutdown drains or cancels all of them.
 //
-// Each interval stat and decision event is encoded to JSON once; the
-// same bytes go to the run store and to the run's in-memory tail, which
-// live readers copy straight to the response. At terminal status the
-// tail is released and readers finish from the recorded result or the
-// store. Runs a rival replica holds stream what the shared store holds.
+// Each interval stat and decision event is encoded to JSON once, by the
+// engine's Observe hook or the cell's tracer; the same line goes to the
+// run store and to the run's in-memory tail, which live readers copy
+// straight to the response. A finished cell's checkpoint splices its
+// interval lines into the encoded engine.Result, and the run's record
+// splices the checkpoints into the SweepResult, so no interval is
+// encoded twice. A done run keeps only those record bytes: GET wraps
+// them in the run's envelope, and its interval streams slice the lines
+// back out of them. At terminal status the tail is released and readers
+// finish from the recorded result or the store. Runs a rival replica
+// holds stream what the shared store holds.
 //
 // The service holds live runs in memory and writes every state
 // transition through a store.RunStore. The default in-memory store
@@ -86,27 +92,32 @@ func Statuses() []string {
 }
 
 // Run is one submitted request and, once finished, its result. A
-// single-scenario request (the v1 body) reports Scenario and Result; a
-// sweep request reports Spec and Sweep.
-//
-//ealb:digest
+// single-scenario request (the v1 body) reports Scenario and its
+// engine.Result under "result"; a sweep request reports Spec and its
+// engine.SweepResult under "sweep" (see appendJSON).
 type Run struct {
-	ID     string `json:"id"`
-	Status string `json:"status"`
+	ID     string
+	Status string
+	// Scenario is set for single-scenario runs (v1 shape), Spec for
+	// multi-cell sweep runs.
+	Scenario *engine.Scenario
+	Spec     *engine.SweepSpec
+	Error    string
 
-	// Scenario and Result are set for single-scenario runs (v1 shape).
-	Scenario *engine.Scenario `json:"scenario,omitempty"`
-	Result   *engine.Result   `json:"result,omitempty"`
+	Created  time.Time
+	Started  *time.Time
+	Finished *time.Time
 
-	// Spec and Sweep are set for multi-cell sweep runs.
-	Spec  *engine.SweepSpec   `json:"spec,omitempty"`
-	Sweep *engine.SweepResult `json:"sweep,omitempty"`
-
-	Error string `json:"error,omitempty"`
-
-	Created  time.Time  `json:"created"`
-	Started  *time.Time `json:"started,omitempty"`
-	Finished *time.Time `json:"finished,omitempty"`
+	// result is a done run's recorded result: the compact JSON of its
+	// engine.Result (single) or engine.SweepResult, the very slice of
+	// the record it stored or Recover read back; nil otherwise.
+	result []byte
+	// statsAt holds the offset in result of each cell's Stats array for
+	// a done cluster or farm run, where its interval streams walk from.
+	statsAt []int
+	// specJSON is the normalized spec the run executes, encoded once:
+	// the record's Spec.
+	specJSON []byte
 
 	// seq orders the run list by submission; the zero-padded ID would
 	// sort lexicographically wrong past run-999999. It is the store's
@@ -137,6 +148,48 @@ type Run struct {
 	// the memory store's retention window), so finished runs stay
 	// streamable without pinning every event in RAM.
 	traceTail *tail
+}
+
+// runHead and runTail are a run's JSON answer without its result: the
+// fields before and after the "result" or "sweep" key.
+//
+//ealb:digest
+type runHead struct {
+	ID       string            `json:"id"`
+	Status   string            `json:"status"`
+	Scenario *engine.Scenario  `json:"scenario,omitempty"`
+	Spec     *engine.SweepSpec `json:"spec,omitempty"`
+}
+
+//ealb:digest
+type runTail struct {
+	Error    string     `json:"error,omitempty"`
+	Created  time.Time  `json:"created"`
+	Started  *time.Time `json:"started,omitempty"`
+	Finished *time.Time `json:"finished,omitempty"`
+}
+
+// appendJSON appends the run's compact JSON answer: the head fields,
+// the recorded result verbatim under "result" (single) or "sweep", then
+// the tail fields.
+func (run *Run) appendJSON(dst []byte) ([]byte, error) {
+	head, err := json.Marshal(runHead{ID: run.ID, Status: run.Status, Scenario: run.Scenario, Spec: run.Spec})
+	if err != nil {
+		return nil, err
+	}
+	tail, err := json.Marshal(runTail{Error: run.Error, Created: run.Created, Started: run.Started, Finished: run.Finished})
+	if err != nil {
+		return nil, err
+	}
+	dst = append(dst, head[:len(head)-1]...)
+	if run.result != nil {
+		key := `,"sweep":`
+		if run.single {
+			key = `,"result":`
+		}
+		dst = append(append(dst, key...), run.result...)
+	}
+	return append(append(dst, ','), tail[1:]...), nil
 }
 
 // summary is the list view of a run: everything but the full result.
@@ -344,7 +397,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if terminal(snap.Status) {
 			code = http.StatusOK
 		}
-		writeJSON(w, code, snap)
+		writeRun(w, code, snap)
 		return
 	}
 	if s.logger != nil {
@@ -362,7 +415,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if snap.Status != StatusDone {
 			code = http.StatusUnprocessableEntity
 		}
-		writeJSON(w, code, snap)
+		writeRun(w, code, snap)
 		return
 	}
 	go func() {
@@ -370,7 +423,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		s.execute(ctx, run)
 	}()
-	writeJSON(w, http.StatusAccepted, s.snapshot(run.ID))
+	writeRun(w, http.StatusAccepted, s.snapshot(run.ID))
 }
 
 // Submission failures newRun distinguishes for HTTP mapping.
@@ -425,6 +478,10 @@ func (s *Server) newRun(ex engine.ExpandedSweep, single bool, cancel context.Can
 	}
 	s.wg.Add(1)
 	spec := ex.Spec()
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		s.logStoreError("encode spec", id, err)
+	}
 	run := &Run{
 		ID:       id,
 		Status:   StatusQueued,
@@ -432,6 +489,7 @@ func (s *Server) newRun(ex engine.ExpandedSweep, single bool, cancel context.Can
 		seq:      seq,
 		tenant:   tenant,
 		idemKey:  idemKey,
+		specJSON: specJSON,
 		expanded: ex,
 		single:   single,
 		cancel:   cancel,
@@ -482,21 +540,8 @@ func (s *Server) recordLocked(run *Run) store.Record {
 		Created:  run.Created,
 		Started:  run.Started,
 		Finished: run.Finished,
-	}
-	if raw, err := json.Marshal(run.expanded.Spec()); err == nil {
-		rec.Spec = raw
-	}
-	var result any
-	switch {
-	case run.Result != nil:
-		result = run.Result
-	case run.Sweep != nil:
-		result = run.Sweep
-	}
-	if result != nil {
-		if raw, err := json.Marshal(result); err == nil {
-			rec.Result = raw
-		}
+		Spec:     run.specJSON,
+		Result:   run.result,
 	}
 	return rec
 }
@@ -526,11 +571,18 @@ func (s *Server) execute(ctx context.Context, run *Run) {
 	}
 
 	hooks := engine.RunHooks{Completed: run.resume}
+	// cells holds each finished cell's checkpoint bytes, the pieces of
+	// the run's recorded result. A resumed cell's decoded checkpoint is
+	// re-encoded, so the record is canonical whatever the store held.
+	cells := make([][]byte, len(run.expanded.Cells()))
+	//ealb:allow-nondet per-cell encoding into indexed slots; order-insensitive
+	for cell, res := range run.resume {
+		cells[cell], _ = json.Marshal(res) // decoded from JSON, so it encodes
+	}
 	if run.tail != nil {
 		hooks.Observe = func(cell int, st any) {
-			// Encode once: the tail and the store hold the same bytes, so
-			// a failed or cancelled run streams from the store exactly
-			// what it streamed live.
+			// The one encoding of an interval: the tail and the store hold
+			// these bytes, and the cell's checkpoint splices them in.
 			raw, err := json.Marshal(st)
 			if err != nil {
 				return
@@ -550,10 +602,16 @@ func (s *Server) execute(ctx context.Context, run *Run) {
 	// this point re-runs only the cells that had not checkpointed, and
 	// determinism makes the merged resume byte-identical.
 	hooks.CellDone = func(cell int, res engine.Result) {
-		raw, err := json.Marshal(res)
+		var lines [][]byte
+		if run.tail != nil {
+			lines, _, _ = run.tail.after(cell, 0)
+		}
+		raw, err := cellJSON(res, lines)
 		if err != nil {
+			s.logStoreError("encode cell", run.ID, err)
 			return
 		}
+		cells[cell] = raw
 		if err := s.store.PutCell(run.ID, store.CellResult{Cell: cell, Result: raw}); err != nil {
 			s.logStoreError("cell", run.ID, err)
 		}
@@ -569,11 +627,10 @@ func (s *Server) execute(ctx context.Context, run *Run) {
 	switch {
 	case err == nil:
 		run.Status = StatusDone
-		if run.single {
-			cell := res.Cells[0]
-			run.Result = &cell
-		} else {
-			run.Sweep = &res
+		if run.result, run.statsAt, err = resultJSON(run, cells, res.Aggregates); err != nil {
+			s.logStoreError("encode result", run.ID, err)
+			run.Error = "encode result: " + err.Error()
+			err = nil
 		}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		run.Status = StatusCancelled
@@ -705,7 +762,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such run")
 		return
 	}
-	writeJSON(w, http.StatusOK, run)
+	writeRun(w, http.StatusOK, run)
 }
 
 // handleCancel aborts a queued or running run. It returns promptly: the
@@ -732,21 +789,24 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if cancel != nil {
 		cancel()
 	}
-	writeJSON(w, http.StatusAccepted, s.snapshot(r.PathValue("id")))
+	writeRun(w, http.StatusAccepted, s.snapshot(r.PathValue("id")))
 }
 
 // handleIntervals streams per-interval stats of one cluster or farm
 // cell as NDJSON (see stream). Once the run is terminal a done run
-// serves the remainder from its recorded result; a failed or cancelled
-// run — or one a rival replica is executing — serves it from the store
-// and closes with a {"error","status"} line, so a tail client sees why
-// no more intervals will come.
+// serves the remainder from its recorded result, whose Stats elements
+// are the lines it streamed live; any other run — failed, cancelled,
+// executing on a rival replica, or done with a recorded result that
+// did not load — serves it from the store and closes with a
+// {"error","status"} line, so a tail client sees why no more intervals
+// will come.
 func (s *Server) handleIntervals(w http.ResponseWriter, r *http.Request) {
 	s.stream(w, r, func(run *Run) *tail { return run.tail },
 		"run has no per-interval stats (not a cluster or farm scenario)",
 		func(run *Run, cell, sent int) [][]byte {
-			if run.Status == StatusDone {
-				return skip(run.cellStats(cell), sent)
+			if run.Status == StatusDone && run.result != nil {
+				lines, _ := elements(run.result, run.statsAt[cell])
+				return skip(lines, sent)
 			}
 			// A store read error cannot be reported once lines may have
 			// been sent: the stream closes with the status line alone.
@@ -837,46 +897,6 @@ func skip(lines [][]byte, n int) [][]byte {
 		return nil
 	}
 	return lines[n:]
-}
-
-// cellStats encodes the recorded per-interval stats of one cluster or
-// farm cell of a finished run, one NDJSON line each (nil when absent).
-// The encoding is the one the live stream used, so a done run streams
-// the same bytes it streamed while running.
-func (run *Run) cellStats(cell int) [][]byte {
-	if run == nil {
-		return nil
-	}
-	var res *engine.Result
-	switch {
-	case run.Result != nil && cell == 0:
-		res = run.Result
-	case run.Sweep != nil && cell < len(run.Sweep.Cells):
-		res = &run.Sweep.Cells[cell]
-	}
-	switch {
-	case res == nil:
-		return nil
-	case res.Cluster != nil:
-		return marshalLines(res.Cluster.Stats)
-	case res.Farm != nil:
-		return marshalLines(res.Farm.Stats)
-	}
-	return nil
-}
-
-// marshalLines encodes each item as one NDJSON line, stopping at the
-// first item that does not encode.
-func marshalLines[T any](items []T) [][]byte {
-	out := make([][]byte, 0, len(items))
-	for _, it := range items {
-		raw, err := json.Marshal(it)
-		if err != nil {
-			break
-		}
-		out = append(out, raw)
-	}
-	return out
 }
 
 // tail buffers the NDJSON lines of a run's cells — the exact bytes
@@ -1013,6 +1033,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // value json.Marshal rejects answers 500 with an error body instead.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	compact, err := json.Marshal(v)
+	writeIndented(w, code, compact, err)
+}
+
+// writeRun answers with the run's JSON answer (appendJSON) indented as
+// writeJSON indents.
+func writeRun(w http.ResponseWriter, code int, run *Run) {
+	compact, err := run.appendJSON(make([]byte, 0, len(run.result)+1024))
+	writeIndented(w, code, compact, err)
+}
+
+// writeIndented answers with compact, the encoding of an answer, indented
+// by appendIndent — or, when encoding failed with err, with 500 and an
+// error body.
+func writeIndented(w http.ResponseWriter, code int, compact []byte, err error) {
 	if err != nil {
 		code = http.StatusInternalServerError
 		// A map of strings always encodes.

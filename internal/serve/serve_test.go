@@ -8,6 +8,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"ealb/internal/engine"
 	"ealb/internal/store"
@@ -39,7 +40,41 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postRun(t *testing.T, ts *httptest.Server, body string, wait bool) (*http.Response, Run) {
+// runView is the typed view of a run's JSON answer that tests decode
+// bodies into: Run's fields, with the recorded result as the engine
+// type it encodes — Result for a single run, Sweep for a sweep.
+type runView struct {
+	ID       string              `json:"id"`
+	Status   string              `json:"status"`
+	Scenario *engine.Scenario    `json:"scenario,omitempty"`
+	Result   *engine.Result      `json:"result,omitempty"`
+	Spec     *engine.SweepSpec   `json:"spec,omitempty"`
+	Sweep    *engine.SweepResult `json:"sweep,omitempty"`
+	Error    string              `json:"error,omitempty"`
+	Created  time.Time           `json:"created"`
+	Started  *time.Time          `json:"started,omitempty"`
+	Finished *time.Time          `json:"finished,omitempty"`
+}
+
+// viewOf decodes the answer the service gives for run into its typed
+// view (a nil run views as nil).
+func viewOf(t *testing.T, run *Run) *runView {
+	t.Helper()
+	if run == nil {
+		return nil
+	}
+	raw, err := run.appendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v runView
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("run %s answer %.200q: %v", run.ID, raw, err)
+	}
+	return &v
+}
+
+func postRun(t *testing.T, ts *httptest.Server, body string, wait bool) (*http.Response, runView) {
 	t.Helper()
 	url := ts.URL + "/v1/runs"
 	if wait {
@@ -50,7 +85,7 @@ func postRun(t *testing.T, ts *httptest.Server, body string, wait bool) (*http.R
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var run Run
+	var run runView
 	if err := json.NewDecoder(resp.Body).Decode(&run); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +116,7 @@ func TestSubmitClusterRunAndFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer get.Body.Close()
-	var fetched Run
+	var fetched runView
 	if err := json.NewDecoder(get.Body).Decode(&fetched); err != nil {
 		t.Fatal(err)
 	}

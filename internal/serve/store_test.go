@@ -112,18 +112,22 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	}
 	s2.Wait()
 	snap := s2.snapshot(run.ID)
-	if snap == nil || snap.Status != StatusDone || snap.Sweep == nil {
+	got := viewOf(t, snap)
+	if snap == nil || snap.Status != StatusDone || got.Sweep == nil {
 		t.Fatalf("resumed run = %+v", snap)
 	}
 	if len(snap.resume) != len(checkpointed) {
 		t.Fatalf("resume map has %d cells, want %d", len(snap.resume), len(checkpointed))
 	}
-	gotRaw, err := json.Marshal(snap.Sweep)
+	gotRaw, err := json.Marshal(got.Sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(gotRaw) != string(wantRaw) {
 		t.Fatalf("resumed result differs from uninterrupted run (%d vs %d bytes)", len(gotRaw), len(wantRaw))
+	}
+	if string(snap.result) != string(wantRaw) {
+		t.Fatalf("resumed run's recorded bytes are not the result's encoding (%d vs %d bytes)", len(snap.result), len(wantRaw))
 	}
 
 	// Regression (the restart-ID-collision bug): the restarted process
@@ -178,11 +182,11 @@ func TestRestartRecoversHistory(t *testing.T) {
 	if len(list.Runs) != 2 || list.Runs[0].ID != r1.ID || list.Runs[1].ID != r2.ID {
 		t.Fatalf("recovered list = %+v", list.Runs)
 	}
-	snap := s2.snapshot(r1.ID)
+	snap := viewOf(t, s2.snapshot(r1.ID))
 	if snap == nil || snap.Status != StatusDone || snap.Result == nil {
 		t.Fatalf("recovered single run = %+v", snap)
 	}
-	if got := s2.snapshot(r2.ID); got == nil || got.Sweep == nil || len(got.Sweep.Cells) != 2 {
+	if got := viewOf(t, s2.snapshot(r2.ID)); got == nil || got.Sweep == nil || len(got.Sweep.Cells) != 2 {
 		t.Fatalf("recovered sweep run = %+v", got)
 	}
 }
@@ -193,7 +197,7 @@ func TestRestartRecoversHistory(t *testing.T) {
 func TestIdempotencyKeyReplay(t *testing.T) {
 	_, ts := newTestServer(t)
 	body := `{"size":20,"intervals":3}`
-	post := func(tenant, key string, wait bool) (*http.Response, Run) {
+	post := func(tenant, key string, wait bool) (*http.Response, runView) {
 		t.Helper()
 		url := ts.URL + "/v1/runs"
 		if wait {
@@ -212,7 +216,7 @@ func TestIdempotencyKeyReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var run Run
+		var run runView
 		if err := json.NewDecoder(resp.Body).Decode(&run); err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +289,7 @@ func TestTenantQuota(t *testing.T) {
 	}
 }
 
-func postRunTenant(t *testing.T, ts *httptest.Server, tenant, body string, wait bool) (*http.Response, Run) {
+func postRunTenant(t *testing.T, ts *httptest.Server, tenant, body string, wait bool) (*http.Response, runView) {
 	t.Helper()
 	url := ts.URL + "/v1/runs"
 	if wait {
@@ -299,7 +303,7 @@ func postRunTenant(t *testing.T, ts *httptest.Server, tenant, body string, wait 
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var run Run
+	var run runView
 	if err := json.NewDecoder(resp.Body).Decode(&run); err != nil {
 		t.Fatal(err)
 	}
@@ -648,7 +652,7 @@ func holdPool(t *testing.T, pool *engine.Pool) (release func()) {
 func checkCell(t *testing.T, st store.RunStore, url string, snap *Run, cell int, got []string) {
 	t.Helper()
 	var want strings.Builder
-	for _, stat := range snap.Sweep.Cells[cell].Cluster.Stats {
+	for _, stat := range viewOf(t, snap).Sweep.Cells[cell].Cluster.Stats {
 		raw, err := json.Marshal(stat)
 		if err != nil {
 			t.Fatal(err)
