@@ -2,12 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"ealb/internal/engine"
 )
 
 // FuzzAppendIndent pins appendIndent to json.Indent: arbitrary bytes
@@ -55,10 +58,12 @@ func FuzzAppendIndent(f *testing.F) {
 // TestGetBodyMatchesIndentEncoder: a finished run's GET body — the
 // envelope appendJSON builds around the recorded result bytes — is the
 // byte stream json.Encoder with SetIndent("", "  ") writes for the
-// typed view of the same run, built from the run's fields and its
-// decoded result: the encoding the service answered with before the
-// result was kept as bytes. It covers a sweep, a single run, and a
-// failed run, which has no result.
+// typed view of the same run, built from the run's fields and a result
+// the engine computes afresh for the run's spec: the encoding the
+// service answered with before the result was kept as bytes. The
+// recorded bytes must equal json.Marshal of that fresh result, so a
+// splice that drifts from the engine's values fails here. It covers a
+// sweep, a single run, and a failed run, which has no result.
 func TestGetBodyMatchesIndentEncoder(t *testing.T) {
 	s, ts := newTestServer(t)
 	for _, tc := range []struct{ body, status string }{
@@ -77,14 +82,25 @@ func TestGetBodyMatchesIndentEncoder(t *testing.T) {
 			ID: snap.ID, Status: snap.Status, Scenario: snap.Scenario, Spec: snap.Spec,
 			Error: snap.Error, Created: snap.Created, Started: snap.Started, Finished: snap.Finished,
 		}
-		result := any(&view.Sweep)
-		if snap.single {
-			result = &view.Result
-		}
-		if snap.result != nil {
-			if err := json.Unmarshal(snap.result, result); err != nil {
+		if snap.Status == StatusDone {
+			fresh, err := engine.NewPool(1).RunSweep(context.Background(), snap.expanded.Spec())
+			if err != nil {
 				t.Fatal(err)
 			}
+			result := any(&fresh)
+			if view.Sweep = &fresh; snap.single {
+				view.Sweep, view.Result = nil, &fresh.Cells[0]
+				result = view.Result
+			}
+			want, err := json.Marshal(result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(snap.result, want) {
+				t.Fatalf("recorded result differs from the engine's\n got %.300s\nwant %.300s", snap.result, want)
+			}
+		} else if snap.result != nil {
+			t.Fatalf("%s run recorded a result", snap.Status)
 		}
 		var want bytes.Buffer
 		enc := json.NewEncoder(&want)

@@ -125,6 +125,12 @@ func (s *Server) recoverRun(rec store.Record) error {
 	}
 	resume := make(map[int]engine.Result, len(cells))
 	for _, c := range cells {
+		if c.Cell < 0 || c.Cell >= len(ex.Cells()) {
+			if s.logger != nil {
+				s.logger.Error("skipping checkpoint of a cell the run does not have", "run", rec.ID, "cell", c.Cell)
+			}
+			continue
+		}
 		var res engine.Result
 		if err := json.Unmarshal(c.Result, &res); err != nil {
 			continue // torn checkpoint line: just re-run the cell

@@ -57,22 +57,25 @@ func cellJSON(res engine.Result, lines [][]byte) ([]byte, error) {
 }
 
 // sweepJSON returns the bytes json.Marshal gives for the
-// engine.SweepResult whose spec encodes as spec, whose cells encode as
-// cells and whose aggregates are aggs.
-func sweepJSON(spec []byte, cells [][]byte, aggs []engine.Aggregate) ([]byte, error) {
-	agg, err := json.Marshal(aggs)
+// engine.SweepResult of spec and aggs whose cells encode as cells: the
+// result is marshalled with no cells and the cells are spliced into its
+// "cells" value, so the layout stays the engine's.
+func sweepJSON(spec engine.SweepSpec, cells [][]byte, aggs []engine.Aggregate) ([]byte, error) {
+	raw, err := json.Marshal(engine.SweepResult{Spec: spec, Aggregates: aggs})
 	if err != nil {
 		return nil, err
 	}
-	size := len(spec) + len(agg) + len(cells) + 32
+	start := field(raw, 0, "cells")
+	end := skipValue(raw, start)
+	if end < 0 {
+		return nil, errors.New("serve: encoded sweep has no cells field")
+	}
+	size := len(raw) + len(cells)
 	for _, c := range cells {
 		size += len(c)
 	}
-	out := append(make([]byte, 0, size), `{"spec":`...)
-	out = append(out, spec...)
-	out = appendArray(append(out, `,"cells":`...), cells)
-	out = append(append(out, `,"aggregates":`...), agg...)
-	return append(out, '}'), nil
+	out := append(make([]byte, 0, size), raw[:start]...)
+	return append(appendArray(out, cells), raw[end:]...), nil
 }
 
 // resultJSON assembles a done run's recorded result from the checkpoint
@@ -88,10 +91,8 @@ func resultJSON(run *Run, cells [][]byte, aggs []engine.Aggregate) (result []byt
 	switch {
 	case run.single:
 		result = cells[0]
-	case run.specJSON == nil:
-		return nil, nil, errors.New("serve: the run's spec did not encode")
 	default:
-		if result, err = sweepJSON(run.specJSON, cells, aggs); err != nil {
+		if result, err = sweepJSON(run.expanded.Spec(), cells, aggs); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -179,15 +179,11 @@ func FuzzResultSplice(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, err := json.Marshal(sw.Spec)
-		if err != nil {
-			t.Fatal(err)
-		}
 		parts := make([][]byte, len(pick))
 		for i, p := range pick {
 			parts[i] = encoded[p]
 		}
-		got, err := sweepJSON(spec, parts, sw.Aggregates)
+		got, err := sweepJSON(sw.Spec, parts, sw.Aggregates)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -626,11 +626,14 @@ func (s *Server) execute(ctx context.Context, run *Run) {
 	run.Finished = &end
 	switch {
 	case err == nil:
-		run.Status = StatusDone
+		// A result that does not assemble fails the run, so its interval
+		// streams and checkpoints stay in the store below.
 		if run.result, run.statsAt, err = resultJSON(run, cells, res.Aggregates); err != nil {
 			s.logStoreError("encode result", run.ID, err)
+			run.Status = StatusFailed
 			run.Error = "encode result: " + err.Error()
-			err = nil
+		} else {
+			run.Status = StatusDone
 		}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		run.Status = StatusCancelled

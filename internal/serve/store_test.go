@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -138,6 +139,67 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	}
 	if run2.ID <= run.ID {
 		t.Fatalf("restarted service minted %q, not past persisted %q", run2.ID, run.ID)
+	}
+}
+
+// TestRecoverSkipsOutOfRangeCheckpoint: a checkpoint line that parses
+// but names a cell the run does not have — negative or past the last
+// cell — is skipped at Recover like a torn line, not resumed from. The
+// run finishes with the result and interval streams it had before.
+func TestRecoverSkipsOutOfRangeCheckpoint(t *testing.T) {
+	body := `{"sizes":[40,60],"intervals":5}`
+	dir := t.TempDir()
+	s1, ts1, d1 := diskServer(t, dir, 1, Options{Owner: "node-a"})
+	_, run := postRun(t, ts1, body, true)
+	s1.Wait()
+	done := s1.snapshot(run.ID)
+	if done.Status != StatusDone {
+		t.Fatalf("run = %+v", done)
+	}
+	streams := make([]string, 2)
+	for cell := range streams {
+		streams[cell] = readAll(t, fmt.Sprintf("%s/v1/runs/%s/intervals?cell=%d", ts1.URL, run.ID, cell))
+	}
+
+	// Back to running, with a good checkpoint of cell 0 and two that
+	// parse but name no cell of the run.
+	cell0, err := json.Marshal(viewOf(t, done).Sweep.Cells[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range []int{0, 9, -1} {
+		if err := d1.PutCell(run.ID, store.CellResult{Cell: cell, Result: cell0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec, _, err := d1.GetRun(run.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Status, rec.Finished, rec.Result = StatusRunning, nil, nil
+	if err := d1.PutRun(rec); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts2, _ := diskServer(t, dir, 1, Options{Owner: "node-a"})
+	if err := s2.Recover(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s2.Wait()
+	snap := s2.snapshot(run.ID)
+	if snap == nil || snap.Status != StatusDone {
+		t.Fatalf("resumed run = %+v", snap)
+	}
+	if len(snap.resume) != 1 {
+		t.Fatalf("resume map has %d cells, want only cell 0", len(snap.resume))
+	}
+	if string(snap.result) != string(done.result) {
+		t.Fatalf("resumed result differs (%d vs %d bytes)", len(snap.result), len(done.result))
+	}
+	for cell, want := range streams {
+		if got := readAll(t, fmt.Sprintf("%s/v1/runs/%s/intervals?cell=%d", ts2.URL, run.ID, cell)); got != want {
+			t.Errorf("cell %d stream differs after resume (%d vs %d bytes)", cell, len(got), len(want))
+		}
 	}
 }
 
@@ -648,11 +710,21 @@ func holdPool(t *testing.T, pool *engine.Pool) (release func()) {
 
 // checkCell asserts the interval and trace streams got (in that order)
 // match the contract for one cell of a done run, then that fresh reads
-// after the run finished match it too.
+// after the run finished match it too. The interval lines are held to
+// the stats the engine computes afresh for the cell's scenario, and the
+// run's answer must carry those same stats.
 func checkCell(t *testing.T, st store.RunStore, url string, snap *Run, cell int, got []string) {
 	t.Helper()
+	fresh, err := engine.NewPool(1).RunScenario(context.Background(), snap.expanded.Cells()[cell])
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := fresh.Cluster.Stats
+	if answered := viewOf(t, snap).Sweep.Cells[cell].Cluster.Stats; !reflect.DeepEqual(answered, stats) {
+		t.Errorf("cell %d: the run's answer holds %d stats that differ from the engine's %d", cell, len(answered), len(stats))
+	}
 	var want strings.Builder
-	for _, stat := range viewOf(t, snap).Sweep.Cells[cell].Cluster.Stats {
+	for _, stat := range stats {
 		raw, err := json.Marshal(stat)
 		if err != nil {
 			t.Fatal(err)
