@@ -78,10 +78,7 @@ func TestGetBodyMatchesIndentEncoder(t *testing.T) {
 		got := readAll(t, ts.URL+"/v1/runs/"+run.ID)
 
 		snap := s.snapshot(run.ID)
-		view := runView{
-			ID: snap.ID, Status: snap.Status, Scenario: snap.Scenario, Spec: snap.Spec,
-			Error: snap.Error, Created: snap.Created, Started: snap.Started, Finished: snap.Finished,
-		}
+		view := typedView(snap)
 		if snap.Status == StatusDone {
 			fresh, err := engine.NewPool(1).RunSweep(context.Background(), snap.expanded.Spec())
 			if err != nil {

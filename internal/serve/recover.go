@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 
@@ -55,26 +56,34 @@ func (s *Server) recoverRun(rec store.Record) error {
 		}
 		return nil
 	}
-	run := &Run{
-		ID:       rec.ID,
-		Status:   rec.Status,
-		Error:    rec.Error,
-		Created:  rec.Created,
-		Started:  rec.Started,
-		Finished: rec.Finished,
-		seq:      rec.Seq,
-		tenant:   rec.Tenant,
-		idemKey:  rec.IdemKey,
-		specJSON: rec.Spec,
-		expanded: ex,
-		single:   rec.Single,
-	}
+	// Answers present the re-expanded value, as a fresh submission's do;
+	// a sweep's bytes share the record's when they are the same.
+	var presented []byte
 	if rec.Single {
-		sc := ex.Cells()[0]
-		run.Scenario = &sc
-	} else {
-		sp := ex.Spec()
-		run.Spec = &sp
+		presented, err = json.Marshal(ex.Cells()[0])
+	} else if presented, err = json.Marshal(ex.Spec()); bytes.Equal(presented, rec.Spec) {
+		presented = rec.Spec
+	}
+	if err != nil {
+		if s.logger != nil {
+			s.logger.Error("skipping run whose spec does not encode", "run", rec.ID, "error", err)
+		}
+		return nil
+	}
+	run := &Run{
+		ID:        rec.ID,
+		Status:    rec.Status,
+		Error:     rec.Error,
+		Created:   rec.Created,
+		Started:   rec.Started,
+		Finished:  rec.Finished,
+		seq:       rec.Seq,
+		tenant:    rec.Tenant,
+		idemKey:   rec.IdemKey,
+		specJSON:  rec.Spec,
+		presented: presented,
+		expanded:  ex,
+		single:    rec.Single,
 	}
 	kind := ex.Spec().Kind
 	streaming := kind == engine.KindCluster || kind == engine.KindFarm
@@ -185,16 +194,17 @@ func (s *Server) recoverRun(rec store.Record) error {
 	return nil
 }
 
-// register adds a recovered run to the in-memory view (and the
-// idempotency index); executing additionally joins the drain group —
-// the started goroutine owes one s.wg.Done.
+// register adds a recovered run to the in-memory view, in seq order
+// whatever order runs arrive in (and to the idempotency index);
+// executing additionally joins the drain group — the started goroutine
+// owes one s.wg.Done.
 func (s *Server) register(run *Run, executing bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if executing {
 		s.wg.Add(1)
 	}
-	s.runs[run.ID] = run
+	s.addLocked(run)
 	if run.idemKey != "" {
 		s.idem[idemIndex(run.tenant, run.idemKey)] = run.ID
 	}

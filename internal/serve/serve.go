@@ -47,6 +47,11 @@
 // finish from the recorded result or the store. Runs a rival replica
 // holds stream what the shared store holds.
 //
+// The run list walks a submission-ordered index back from the newest
+// run, so a limited list reads only the runs it answers with. Each run
+// encodes the scenario or spec it presents once, at submission or
+// recovery, and every list entry and GET body splices those bytes in.
+//
 // The service holds live runs in memory and writes every state
 // transition through a store.RunStore. The default in-memory store
 // keeps the historical single-process behaviour; `ealb-serve
@@ -66,11 +71,13 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"ealb/internal/engine"
 	"ealb/internal/store"
@@ -92,17 +99,14 @@ func Statuses() []string {
 }
 
 // Run is one submitted request and, once finished, its result. A
-// single-scenario request (the v1 body) reports Scenario and its
-// engine.Result under "result"; a sweep request reports Spec and its
-// engine.SweepResult under "sweep" (see appendJSON).
+// single-scenario request (the v1 body) reports its scenario under
+// "scenario" and its engine.Result under "result"; a sweep request
+// reports its spec under "spec" and its engine.SweepResult under
+// "sweep" (see appendJSON).
 type Run struct {
 	ID     string
 	Status string
-	// Scenario is set for single-scenario runs (v1 shape), Spec for
-	// multi-cell sweep runs.
-	Scenario *engine.Scenario
-	Spec     *engine.SweepSpec
-	Error    string
+	Error  string
 
 	Created  time.Time
 	Started  *time.Time
@@ -118,6 +122,10 @@ type Run struct {
 	// specJSON is the normalized spec the run executes, encoded once:
 	// the record's Spec.
 	specJSON []byte
+	// presented is the compact JSON of the value the run's answers show
+	// under "scenario" (a single run's one cell) or "spec" (a sweep's
+	// normalized spec), encoded once. A sweep's shares specJSON's bytes.
+	presented []byte
 
 	// seq orders the run list by submission; the zero-padded ID would
 	// sort lexicographically wrong past run-999999. It is the store's
@@ -150,38 +158,18 @@ type Run struct {
 	traceTail *tail
 }
 
-// runHead and runTail are a run's JSON answer without its result: the
-// fields before and after the "result" or "sweep" key.
-//
-//ealb:digest
-type runHead struct {
-	ID       string            `json:"id"`
-	Status   string            `json:"status"`
-	Scenario *engine.Scenario  `json:"scenario,omitempty"`
-	Spec     *engine.SweepSpec `json:"spec,omitempty"`
-}
+// A run's JSON answer is spliced from bytes the run holds: the head
+// (id, status, and the presented scenario or spec), a done run's
+// recorded result, and the tail (error, created, started, finished).
+// Keys, their order, omitempty and escaping are what json.Marshal gives
+// the typed view of the same fields; FuzzRunJSON pins the two byte for
+// byte.
 
-//ealb:digest
-type runTail struct {
-	Error    string     `json:"error,omitempty"`
-	Created  time.Time  `json:"created"`
-	Started  *time.Time `json:"started,omitempty"`
-	Finished *time.Time `json:"finished,omitempty"`
-}
-
-// appendJSON appends the run's compact JSON answer: the head fields,
-// the recorded result verbatim under "result" (single) or "sweep", then
-// the tail fields.
+// appendJSON appends the run's compact JSON answer: the head, the
+// recorded result verbatim under "result" (single) or "sweep", then the
+// tail.
 func (run *Run) appendJSON(dst []byte) ([]byte, error) {
-	head, err := json.Marshal(runHead{ID: run.ID, Status: run.Status, Scenario: run.Scenario, Spec: run.Spec})
-	if err != nil {
-		return nil, err
-	}
-	tail, err := json.Marshal(runTail{Error: run.Error, Created: run.Created, Started: run.Started, Finished: run.Finished})
-	if err != nil {
-		return nil, err
-	}
-	dst = append(dst, head[:len(head)-1]...)
+	dst = appendHead(dst, run.ID, run.Status, run.single, run.presented)
 	if run.result != nil {
 		key := `,"sweep":`
 		if run.single {
@@ -189,19 +177,87 @@ func (run *Run) appendJSON(dst []byte) ([]byte, error) {
 		}
 		dst = append(append(dst, key...), run.result...)
 	}
-	return append(append(dst, ','), tail[1:]...), nil
+	return appendTail(dst, run.Error, run.Created, run.Started, run.Finished)
 }
 
-// summary is the list view of a run: everything but the full result.
-//
-//ealb:digest
-type summary struct {
-	ID       string            `json:"id"`
-	Status   string            `json:"status"`
-	Scenario *engine.Scenario  `json:"scenario,omitempty"`
-	Spec     *engine.SweepSpec `json:"spec,omitempty"`
-	Error    string            `json:"error,omitempty"`
-	Created  time.Time         `json:"created"`
+// listEntry is what a list entry shows of a run, copied under s.mu.
+type listEntry struct {
+	id, status, errMsg string
+	created            time.Time
+	presented          []byte
+	single             bool
+}
+
+// entryOf copies the fields of run a list entry shows. Caller holds
+// s.mu (or owns run).
+func entryOf(run *Run) listEntry {
+	return listEntry{id: run.ID, status: run.Status, errMsg: run.Error,
+		created: run.Created, presented: run.presented, single: run.single}
+}
+
+// appendJSON appends the entry's compact JSON: the head, then error and
+// created.
+func (e *listEntry) appendJSON(dst []byte) ([]byte, error) {
+	return appendTail(appendHead(dst, e.id, e.status, e.single, e.presented), e.errMsg, e.created, nil, nil)
+}
+
+// appendHead opens a run's JSON object with its id, its status and,
+// under "scenario" (single) or "spec", its presented bytes.
+func appendHead(dst []byte, id, status string, single bool, presented []byte) []byte {
+	dst = appendString(append(dst, `{"id":`...), id)
+	dst = appendString(append(dst, `,"status":`...), status)
+	if presented != nil {
+		key := `,"spec":`
+		if single {
+			key = `,"scenario":`
+		}
+		dst = append(append(dst, key...), presented...)
+	}
+	return dst
+}
+
+// appendTail closes a run's JSON object with its error when set, its
+// created time, and its started and finished times when set.
+func appendTail(dst []byte, errMsg string, created time.Time, started, finished *time.Time) ([]byte, error) {
+	if errMsg != "" {
+		dst = appendString(append(dst, `,"error":`...), errMsg)
+	}
+	dst, ok := appendTime(append(dst, `,"created":`...), created)
+	if ok && started != nil {
+		dst, ok = appendTime(append(dst, `,"started":`...), *started)
+	}
+	if ok && finished != nil {
+		dst, ok = appendTime(append(dst, `,"finished":`...), *finished)
+	}
+	if !ok {
+		// Fail as json.Marshal fails on the same fields.
+		_, err := json.Marshal(struct {
+			C    time.Time
+			S, F *time.Time
+		}{created, started, finished})
+		return nil, err
+	}
+	return append(dst, '}'), nil
+}
+
+// appendString appends s as json.Marshal encodes it. Run IDs and
+// statuses hold only bytes that encode as themselves; any other string
+// takes json.Marshal's path.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			raw, _ := json.Marshal(s) // a string always encodes
+			return append(dst, raw...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
+}
+
+// appendTime appends t as json.Marshal encodes a time.Time; ok is false
+// for a time RFC 3339 cannot represent.
+func appendTime(dst []byte, t time.Time) (_ []byte, ok bool) {
+	dst, err := t.AppendText(append(dst, '"'))
+	return append(dst, '"'), err == nil
 }
 
 // Server is the HTTP scenario service.
@@ -230,8 +286,13 @@ type Server struct {
 	tenantQuota int
 
 	mu sync.Mutex
+	// runs finds a run by ID; order holds the same runs ascending by
+	// seq, so a list walks only the runs it answers with (addLocked keeps
+	// the two in step).
 	//ealb:guarded-by(mu)
 	runs map[string]*Run
+	//ealb:guarded-by(mu)
+	order []*Run
 	//ealb:guarded-by(mu)
 	draining bool
 	// idem maps tenant-scoped idempotency keys to run IDs for replay
@@ -329,8 +390,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 	}
 	s.mu.Lock()
-	//ealb:allow-nondet cancel fan-out is order-insensitive; every run is cancelled
-	for _, run := range s.runs {
+	for _, run := range s.order {
 		if run.cancel != nil {
 			run.cancel()
 		}
@@ -385,7 +445,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	case err != nil:
 		cancel()
-		httpError(w, http.StatusInternalServerError, fmt.Sprintf("run store: %v", err))
+		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if replayed {
@@ -446,6 +506,16 @@ func idemIndex(tenant, key string) string { return tenant + "\x00" + key }
 // starts. On a fresh (non-replayed) success the caller owes one
 // s.wg.Done once the run finishes.
 func (s *Server) newRun(ex engine.ExpandedSweep, single bool, cancel context.CancelFunc, tenant, idemKey string) (*Run, bool, error) {
+	spec := ex.Spec()
+	specJSON, err := json.Marshal(spec)
+	presented := specJSON
+	if err == nil && single {
+		presented, err = json.Marshal(ex.Cells()[0])
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("encode spec: %w", err)
+	}
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -458,8 +528,7 @@ func (s *Server) newRun(ex engine.ExpandedSweep, single bool, cancel context.Can
 	}
 	if s.tenantQuota > 0 {
 		active := 0
-		//ealb:allow-nondet quota counting is iteration-order-insensitive
-		for _, run := range s.runs {
+		for _, run := range s.order {
 			if run.tenant == tenant && !terminal(run.Status) {
 				active++
 			}
@@ -474,32 +543,21 @@ func (s *Server) newRun(ex engine.ExpandedSweep, single bool, cancel context.Can
 	// persisted history.
 	id, seq, err := s.store.NewID()
 	if err != nil {
-		return nil, false, err
+		return nil, false, fmt.Errorf("run store: %w", err)
 	}
 	s.wg.Add(1)
-	spec := ex.Spec()
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		s.logStoreError("encode spec", id, err)
-	}
 	run := &Run{
-		ID:       id,
-		Status:   StatusQueued,
-		Created:  time.Now().UTC(), //ealb:allow-nondet wall-clock run timestamp; lifecycle metadata, not simulation state
-		seq:      seq,
-		tenant:   tenant,
-		idemKey:  idemKey,
-		specJSON: specJSON,
-		expanded: ex,
-		single:   single,
-		cancel:   cancel,
-	}
-	if single {
-		sc := ex.Cells()[0]
-		run.Scenario = &sc
-	} else {
-		sp := spec
-		run.Spec = &sp
+		ID:        id,
+		Status:    StatusQueued,
+		Created:   time.Now().UTC(), //ealb:allow-nondet wall-clock run timestamp; lifecycle metadata, not simulation state
+		seq:       seq,
+		tenant:    tenant,
+		idemKey:   idemKey,
+		specJSON:  specJSON,
+		presented: presented,
+		expanded:  ex,
+		single:    single,
+		cancel:    cancel,
 	}
 	if spec.Kind == engine.KindCluster || spec.Kind == engine.KindFarm {
 		run.tail = newTail(len(ex.Cells()))
@@ -508,7 +566,7 @@ func (s *Server) newRun(ex engine.ExpandedSweep, single bool, cancel context.Can
 			run.traceTail = newTail(len(ex.Cells()))
 		}
 	}
-	s.runs[run.ID] = run
+	s.addLocked(run)
 	if idemKey != "" {
 		s.idem[idemIndex(tenant, idemKey)] = run.ID
 	}
@@ -523,6 +581,21 @@ func (s *Server) newRun(ex engine.ExpandedSweep, single bool, cancel context.Can
 		s.logStoreError("put", run.ID, err)
 	}
 	return run, false, nil
+}
+
+// addLocked enters run in the ID map and in the submission index after
+// every run of a lower or equal seq: an append for a newly submitted run,
+// whose store-issued seq is the highest yet. A run already held under the
+// same ID is replaced in both. Caller holds s.mu.
+//
+//ealb:locked(mu)
+func (s *Server) addLocked(run *Run) {
+	if old, ok := s.runs[run.ID]; ok {
+		s.order = slices.DeleteFunc(s.order, func(r *Run) bool { return r == old })
+	}
+	s.runs[run.ID] = run
+	i := sort.Search(len(s.order), func(i int) bool { return s.order[i].seq > run.seq })
+	s.order = slices.Insert(s.order, i, run)
 }
 
 // recordLocked builds the durable form of a run. Caller holds s.mu.
@@ -730,33 +803,34 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 
+	// Walk the index from the newest run back until limit runs match,
+	// copying only the fields an entry shows; the answer lists them
+	// newest last.
 	s.mu.Lock()
-	type row struct {
-		seq int64
-		s   summary
+	n := len(s.order)
+	if limit >= 0 {
+		n = min(n, limit)
 	}
-	rows := make([]row, 0, len(s.runs))
-	//ealb:allow-nondet iteration order erased by the seq sort below
-	for _, run := range s.runs {
-		if status != "" && run.Status != status {
-			continue
+	picked := make([]listEntry, 0, n)
+	for i := len(s.order) - 1; i >= 0 && len(picked) != limit; i-- {
+		if run := s.order[i]; status == "" || run.Status == status {
+			picked = append(picked, entryOf(run))
 		}
-		rows = append(rows, row{run.seq, summary{
-			ID: run.ID, Status: run.Status, Scenario: run.Scenario,
-			Spec: run.Spec, Error: run.Error, Created: run.Created,
-		}})
 	}
 	s.mu.Unlock()
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].seq < rows[j].seq })
-	if limit >= 0 && len(rows) > limit {
-		// Newest last: the tail of the ordered list is the most recent.
-		rows = rows[len(rows)-limit:]
+	slices.Reverse(picked)
+
+	body := append(make([]byte, 0, 16+len(picked)*256), `{"runs":[`...)
+	var err error
+	for i := range picked {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		if body, err = picked[i].appendJSON(body); err != nil {
+			break
+		}
 	}
-	out := make([]summary, len(rows))
-	for i, r := range rows {
-		out[i] = r.s
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"runs": out})
+	writeIndented(w, http.StatusOK, append(body, "]}"...), err)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -985,8 +1059,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	st := s.pool.Stats()
 	s.mu.Lock()
 	var queued, running, done, failed, cancelled int
-	//ealb:allow-nondet status counting is iteration-order-insensitive
-	for _, run := range s.runs {
+	for _, run := range s.order {
 		switch run.Status {
 		case StatusQueued:
 			queued++

@@ -56,6 +56,22 @@ type runView struct {
 	Finished *time.Time          `json:"finished,omitempty"`
 }
 
+// typedView builds a run's typed view, without its result, from the
+// run's fields: the scenario of a single run and the spec of a sweep are
+// the values its expanded sweep presents.
+func typedView(run *Run) runView {
+	v := runView{ID: run.ID, Status: run.Status, Error: run.Error,
+		Created: run.Created, Started: run.Started, Finished: run.Finished}
+	if run.single {
+		sc := run.expanded.Cells()[0]
+		v.Scenario = &sc
+	} else {
+		sp := run.expanded.Spec()
+		v.Spec = &sp
+	}
+	return v
+}
+
 // viewOf decodes the answer the service gives for run into its typed
 // view (a nil run views as nil).
 func viewOf(t *testing.T, run *Run) *runView {
