@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 
 	"ealb/internal/engine"
 	"ealb/internal/store"
@@ -20,11 +21,24 @@ import (
 // Call Recover after NewWith and before serving traffic. Runs whose
 // lease another replica holds are registered for read access but not
 // executed; their streams serve the lines the shared store holds.
-// Recover returns on the first store read error; individual corrupt
-// records are skipped with a log line instead.
+//
+// A done run's recorded result is validated here, once, whatever the
+// store (checkResult's json.Valid); the disk store cuts the result out
+// of its record without scanning it. A result that fails is reported on
+// its run. Recover returns on the first store read error; individual
+// corrupt records — a record that does not decode (empty or torn by a
+// power loss), or a spec that does not load — are skipped with a log
+// line instead, and their IDs stay used.
 func (s *Server) Recover(ctx context.Context) error {
 	recs, err := s.store.ListRuns()
-	if err != nil {
+	var corrupt store.CorruptRecords
+	if errors.As(err, &corrupt) {
+		for _, c := range corrupt {
+			if s.logger != nil {
+				s.logger.Error("skipping run whose record does not decode", "run", c.ID, "error", c.Err)
+			}
+		}
+	} else if err != nil {
 		return err
 	}
 	for _, rec := range recs {

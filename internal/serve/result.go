@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"ealb/internal/engine"
+	"ealb/internal/store"
 )
 
 // A finished run's result lives in one form only: the compact JSON bytes
@@ -14,8 +15,9 @@ import (
 // engine.SweepResult for a sweep. The Observe hook's NDJSON line is the
 // only encoding of an interval: checkpoints and records splice those
 // lines in, and a done run's interval stream slices them back out of the
-// record with the walker below. FuzzResultSplice pins every splice to
-// json.Marshal of the typed value, byte for byte.
+// record with the store's JSON walker (store.SkipValue, store.Field).
+// FuzzResultSplice pins every splice to json.Marshal of the typed value,
+// byte for byte.
 
 // cellJSON returns the bytes json.Marshal(res) gives, with the cell's
 // interval stats spliced in from lines — the cell's NDJSON lines, one
@@ -44,7 +46,7 @@ func cellJSON(res engine.Result, lines [][]byte) ([]byte, error) {
 		return raw, err
 	}
 	start := statsField(raw, 0)
-	end := skipValue(raw, start)
+	end := store.SkipValue(raw, start)
 	if end < 0 {
 		return nil, errors.New("serve: encoded cell has no Stats field")
 	}
@@ -65,8 +67,8 @@ func sweepJSON(spec engine.SweepSpec, cells [][]byte, aggs []engine.Aggregate) (
 	if err != nil {
 		return nil, err
 	}
-	start := field(raw, 0, "cells")
-	end := skipValue(raw, start)
+	start := store.Field(raw, 0, "cells")
+	end := store.SkipValue(raw, start)
 	if end < 0 {
 		return nil, errors.New("serve: encoded sweep has no cells field")
 	}
@@ -139,7 +141,7 @@ func statsOffsets(result []byte, single bool, cells int) ([]int, error) {
 	at := make([]int, cells)
 	cell := 0 // offset of the current cell's engine.Result
 	if !single {
-		if cell = field(result, 0, "cells"); cell >= 0 && result[cell] == '[' {
+		if cell = store.Field(result, 0, "cells"); cell >= 0 && result[cell] == '[' {
 			cell++
 		} else {
 			cell = -1
@@ -147,7 +149,7 @@ func statsOffsets(result []byte, single bool, cells int) ([]int, error) {
 	}
 	for i := range at {
 		if i > 0 {
-			if end := skipValue(result, cell); end >= 0 && end < len(result) && result[end] == ',' {
+			if end := store.SkipValue(result, cell); end >= 0 && end < len(result) && result[end] == ',' {
 				cell = end + 1
 			} else {
 				cell = -1
@@ -165,96 +167,7 @@ func statsOffsets(result []byte, single bool, cells int) ([]int, error) {
 // farm run in the engine.Result encoded at b[i], or -1 when there is
 // none.
 func statsField(b []byte, i int) int {
-	return field(b, field(b, i, "cluster", "farm"), "Stats")
-}
-
-// The walker reads compact JSON — json.Marshal output, or a record
-// Recover checked with json.Valid — by its structural bytes alone:
-// quotes, backslashes in strings, and brackets. It does not validate,
-// but on any input it stays in bounds and reports a failure as an
-// offset of -1 or ok false.
-
-// structural marks the bytes skipContainer stops at outside strings.
-var structural = [256]bool{'"': true, '{': true, '[': true, '}': true, ']': true}
-
-// skipValue returns the offset just past the value starting at b[i], or
-// -1 when there is none (or i is -1).
-func skipValue(b []byte, i int) int {
-	if i < 0 || i >= len(b) {
-		return -1
-	}
-	switch b[i] {
-	case '"', '{', '[':
-		return skipContainer(b, i)
-	}
-	// A number, true, false or null runs to the next delimiter.
-	for ; i < len(b); i++ {
-		switch b[i] {
-		case ',', ':', '}', ']':
-			return i
-		}
-	}
-	return i
-}
-
-// skipContainer returns the offset just past the string, object or
-// array starting at b[i], or -1 when it is not closed.
-func skipContainer(b []byte, i int) int {
-	depth := 0
-	for ; i < len(b); i++ {
-		if !structural[b[i]] {
-			continue
-		}
-		switch b[i] {
-		case '"':
-			for i++; i < len(b) && b[i] != '"'; i++ {
-				if b[i] == '\\' {
-					i++
-				}
-			}
-			if depth == 0 {
-				if i >= len(b) {
-					return -1
-				}
-				return i + 1
-			}
-		case '{', '[':
-			depth++
-		case '}', ']':
-			if depth--; depth == 0 {
-				return i + 1
-			}
-		}
-	}
-	return -1
-}
-
-// field returns the offset of the value of the first field in the
-// object starting at b[i] whose key is one of keys, or -1 when b[i:] is
-// no object holding one (or i is -1). A returned offset is in b.
-func field(b []byte, i int, keys ...string) int {
-	if i < 0 || i >= len(b) || b[i] != '{' {
-		return -1
-	}
-	for i++; i < len(b) && b[i] == '"'; {
-		k := skipContainer(b, i)
-		if k < 0 || k+1 >= len(b) || b[k] != ':' {
-			return -1
-		}
-		for _, key := range keys {
-			if string(b[i+1:k-1]) == key {
-				return k + 1
-			}
-		}
-		end := skipValue(b, k+1)
-		if end < 0 {
-			return -1
-		}
-		if i = end; i < len(b) && b[i] == ',' {
-			i++
-		}
-	}
-	return -1
+	return store.Field(b, store.Field(b, i, "cluster", "farm"), "Stats")
 }
 
 // elements returns the values of the array starting at b[i], each a
@@ -274,7 +187,7 @@ func elements(b []byte, i int) (vals [][]byte, ok bool) {
 		if b[i] == ']' {
 			return vals, true
 		}
-		end := skipValue(b, i)
+		end := store.SkipValue(b, i)
 		if end <= i {
 			return nil, false
 		}

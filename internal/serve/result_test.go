@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -286,26 +288,26 @@ func TestUnreadableRecordedResult(t *testing.T) {
 	created := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	cases := []struct {
 		name, result, reason string
-		single, memoryOnly   bool
+		single               bool
 	}{
 		{name: "cells not an array", result: `{"cells":"oops"}`, reason: "cell 0 has no interval stats"},
 		{name: "second cell missing", result: `{"spec":{},"cells":[{"kind":"cluster","cluster":{"Stats":[{"Index":1}]}}],"aggregates":[]}`,
 			reason: "cell 1 has no interval stats"},
 		{name: "stats not an array", result: `{"kind":"cluster","cluster":{"Stats":7}}`, single: true, reason: "cell 0 has no interval stats"},
-		// A disk record holding invalid JSON does not decode at all, so
-		// only a store that keeps the bytes as given can hand it over.
-		{name: "not JSON", result: `{"kind":"clu`, single: true, memoryOnly: true, reason: "not valid JSON"},
+		// PutRun cannot encode invalid JSON, so the disk record is written
+		// by hand. A member lacks its value, but the brackets close: a
+		// result torn inside a string tears the whole record, which
+		// Recover skips as corrupt (TestRecoverSkipsCorruptRecord).
+		{name: "not JSON", result: `{"kind":"cluster","cluster":}`, single: true, reason: "not valid JSON"},
 		{name: "empty", result: ``, single: true, reason: "not valid JSON"},
 	}
 	for _, backend := range []string{"memory", "disk"} {
 		for _, tc := range cases {
-			if tc.memoryOnly && backend == "disk" {
-				continue
-			}
 			t.Run(backend+"/"+tc.name, func(t *testing.T) {
 				var st store.RunStore = store.NewMemory()
+				dir := t.TempDir()
 				if backend == "disk" {
-					d, err := store.OpenDisk(t.TempDir())
+					d, err := store.OpenDisk(dir)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -318,7 +320,9 @@ func TestUnreadableRecordedResult(t *testing.T) {
 				if tc.single {
 					rec.Spec = spec(`{"size":20,"intervals":2}`)
 				}
-				if err := st.PutRun(rec); err != nil {
+				if backend == "disk" && tc.result != "" && !json.Valid(rec.Result) {
+					putRecordByHand(t, dir, rec)
+				} else if err := st.PutRun(rec); err != nil {
 					t.Fatal(err)
 				}
 				var logs bytes.Buffer
@@ -353,6 +357,92 @@ func TestUnreadableRecordedResult(t *testing.T) {
 	}
 }
 
+// putRecordByHand writes rec as the disk store in dir would, with its
+// Result bytes as they are, valid JSON or not, where PutRun would
+// refuse to encode invalid ones.
+func putRecordByHand(t *testing.T, dir string, rec store.Record) {
+	t.Helper()
+	result := rec.Result
+	rec.Result = json.RawMessage(`0`)
+	raw, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = bytes.Replace(raw, []byte(`"result":0`), append([]byte(`"result":`), result...), 1)
+	runDir := filepath.Join(dir, "runs", rec.ID)
+	if err := os.MkdirAll(runDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(runDir, "run.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDuplicateResultKey: a disk record holding "result" twice serves
+// the value json.Unmarshal decodes, the last one. With the run's own
+// result last, the run answers as before the decoy was added; with the
+// decoy last, the decoy is its result and, holding no interval stats,
+// is reported unreadable.
+func TestDuplicateResultKey(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1, d := diskServer(t, dir, 1, Options{})
+	_, run := postRun(t, ts1, `{"sizes":[20,30],"intervals":3}`, true)
+	s1.Wait()
+	path := filepath.Join(dir, "runs", run.ID, "run.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := d.GetRun(run.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	member := append([]byte(`"result":`), rec.Result...)
+	at := bytes.Index(raw, member)
+	if at < 0 || bytes.Count(raw, []byte(`"result":`)) != 1 {
+		t.Fatalf("record holds no single result member: %.200q", raw)
+	}
+	decoy := []byte(`"result":{"spec":{},"cells":[]}`)
+	paths := []string{"/v1/runs/" + run.ID, "/v1/runs/" + run.ID + "/intervals?cell=1"}
+	answers := func(t *testing.T) []string {
+		t.Helper()
+		s, ts, _ := diskServer(t, dir, 1, Options{})
+		if err := s.Recover(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, p := range paths {
+			out = append(out, readAll(t, ts.URL+p))
+		}
+		return out
+	}
+	want := answers(t)
+
+	t.Run("own result last", func(t *testing.T) {
+		edited := slices.Concat(raw[:at], decoy, []byte(","), raw[at:])
+		if err := os.WriteFile(path, edited, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got := answers(t); !slices.Equal(got, want) {
+			t.Errorf("answers = %.200q\nwant %.200q", got, want)
+		}
+	})
+	t.Run("decoy last", func(t *testing.T) {
+		end := at + len(member)
+		edited := slices.Concat(raw[:end], []byte(","), decoy, raw[end:])
+		if err := os.WriteFile(path, edited, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var got runView
+		if err := json.Unmarshal([]byte(answers(t)[0]), &got); err != nil {
+			t.Fatal(err)
+		}
+		if errMsg := "recorded result unreadable: cell 0 has no interval stats"; got.Error != errMsg || got.Sweep != nil {
+			t.Errorf("GET = %+v, want error %q and no result", got, errMsg)
+		}
+	})
+}
+
 // BenchmarkWalker measures the walker on serve-read's shape of record,
 // a 2-cell sweep of 100 servers over 40 intervals. "offsets" is the
 // walk over the whole record that Recover and a finishing run make once;
@@ -384,7 +474,7 @@ func BenchmarkWalker(b *testing.B) {
 		}
 	})
 	b.Run("stream", func(b *testing.B) {
-		b.SetBytes(int64(skipValue(result, at[1]) - at[1]))
+		b.SetBytes(int64(store.SkipValue(result, at[1]) - at[1]))
 		b.ReportAllocs()
 		for b.Loop() {
 			if lines, ok := elements(result, at[1]); !ok || len(lines) != 40 {

@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -200,6 +204,96 @@ func TestRecoverSkipsOutOfRangeCheckpoint(t *testing.T) {
 		if got := readAll(t, fmt.Sprintf("%s/v1/runs/%s/intervals?cell=%d", ts2.URL, run.ID, cell)); got != want {
 			t.Errorf("cell %d stream differs after resume (%d vs %d bytes)", cell, len(got), len(want))
 		}
+	}
+}
+
+// TestRecoverSkipsCorruptRecord: a disk record that does not decode —
+// emptied or torn by a power loss, or holding a field of the wrong type
+// — no longer stops the service from booting. Recover logs it and
+// skips it; the runs around it answer byte for byte as before, and its
+// ID is not issued again.
+func TestRecoverSkipsCorruptRecord(t *testing.T) {
+	bodies := []string{`{"size":20,"intervals":3}`, `{"sizes":[20,30],"intervals":3}`, `{"size":30,"intervals":3,"seed":7}`}
+	corruptions := []struct {
+		name string
+		edit func(raw []byte) []byte
+	}{
+		{"empty", func([]byte) []byte { return nil }},
+		{"truncated", func(raw []byte) []byte { return raw[:len(raw)/2] }},
+		{"seq not a number", func(raw []byte) []byte { return bytes.Replace(raw, []byte(`"seq":2,`), []byte(`"seq":"x",`), 1) }},
+	}
+	for _, c := range corruptions {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1, ts1, _ := diskServer(t, dir, 1, Options{})
+			var ids []string
+			for _, body := range bodies {
+				_, run := postRun(t, ts1, body, true)
+				ids = append(ids, run.ID)
+			}
+			s1.Wait()
+			kept := []string{ids[0], ids[2]}
+			var paths []string
+			for _, id := range kept {
+				paths = append(paths, "/v1/runs/"+id, "/v1/runs/"+id+"/intervals")
+			}
+			recovered := func(t *testing.T, logs *bytes.Buffer) (*httptest.Server, []string) {
+				t.Helper()
+				s, ts, _ := diskServer(t, dir, 1, Options{})
+				s.SetLogger(slog.New(slog.NewTextHandler(logs, nil)))
+				if err := s.Recover(context.Background()); err != nil {
+					t.Fatalf("Recover: %v", err)
+				}
+				var out []string
+				for _, p := range paths {
+					out = append(out, readAll(t, ts.URL+p))
+				}
+				return ts, out
+			}
+			_, want := recovered(t, &bytes.Buffer{})
+
+			path := filepath.Join(dir, "runs", ids[1], "run.json")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edited := c.edit(raw)
+			if bytes.Equal(edited, raw) {
+				t.Fatalf("edit left the record as it was: %.200q", raw)
+			}
+			if err := os.WriteFile(path, edited, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var logs bytes.Buffer
+			ts, got := recovered(t, &logs)
+			for i := range paths {
+				if got[i] != want[i] {
+					t.Errorf("GET %s after the skip = %.200q, want %.200q", paths[i], got[i], want[i])
+				}
+			}
+			if !strings.Contains(logs.String(), "skipping run whose record does not decode") || !strings.Contains(logs.String(), ids[1]) {
+				t.Errorf("nothing logged for the corrupt record; log:\n%s", logs.String())
+			}
+			if resp, err := http.Get(ts.URL + "/v1/runs/" + ids[1]); err != nil || resp.StatusCode != http.StatusNotFound {
+				t.Errorf("GET of the skipped run = %v, %v; want 404", resp, err)
+			} else {
+				resp.Body.Close()
+			}
+			var list struct {
+				Runs []struct {
+					ID string `json:"id"`
+				} `json:"runs"`
+			}
+			if err := json.Unmarshal([]byte(readAll(t, ts.URL+"/v1/runs")), &list); err != nil {
+				t.Fatal(err)
+			}
+			if len(list.Runs) != 2 || list.Runs[0].ID != kept[0] || list.Runs[1].ID != kept[1] {
+				t.Errorf("list = %+v, want %s then %s", list.Runs, kept[0], kept[1])
+			}
+			if _, run := postRun(t, ts, bodies[0], true); run.ID <= ids[2] {
+				t.Errorf("new run got %s, want an ID past %s", run.ID, ids[2])
+			}
+		})
 	}
 }
 
@@ -747,5 +841,74 @@ func checkCell(t *testing.T, st store.RunStore, url string, snap *Run, cell int,
 				t.Errorf("cell %d /%s read %s: %d bytes differ from the %d-byte contract", cell, stream, tc.when, len(tc.got), len(wants[i]))
 			}
 		}
+	}
+}
+
+// BenchmarkRecover times a boot over a disk store of n done 2-cell
+// sweeps of serve-read's shape (100 servers, 40 intervals): OpenDisk,
+// NewWith and Recover, as the service starts on a store it wrote. The
+// records are written once per benchmark, from one simulated sweep,
+// so only the boot is timed.
+func BenchmarkRecover(b *testing.B) {
+	spec := engine.SweepSpec{
+		Scenario: engine.Scenario{Kind: engine.KindCluster, Size: 100, Band: "low", Intervals: 40},
+		Seeds:    []uint64{11, 12},
+	}
+	ex, err := spec.Expand()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sw, err := engine.NewPool(1).RunSweep(context.Background(), spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	specJSON, err := json.Marshal(ex.Spec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	result, err := json.Marshal(sw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	created := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	for _, n := range []int{20, 200} {
+		b.Run(fmt.Sprintf("runs=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
+			d, err := store.OpenDisk(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for range n {
+				id, seq, err := d.NewID()
+				if err != nil {
+					b.Fatal(err)
+				}
+				rec := store.Record{ID: id, Seq: seq, Status: StatusDone, Spec: specJSON, Result: result,
+					Created: created, Started: &created, Finished: &created}
+				if err := d.PutRun(rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := d.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				d, err := store.OpenDisk(dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s := NewWith(engine.NewPool(1), Options{Store: d})
+				if err := s.Recover(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+				if got := len(s.order); got != n {
+					b.Fatalf("recovered %d runs, want %d", got, n)
+				}
+				if err := d.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -133,16 +133,121 @@ func (d *Disk) getRunLocked(id string) (Record, bool, error) {
 	if err != nil {
 		return Record{}, false, err
 	}
-	var rec Record
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return Record{}, false, fmt.Errorf("store: run %s: corrupt record: %w", id, err)
+	rec, err := decodeRecord(raw)
+	if err != nil {
+		return Record{}, false, &RecordError{ID: id, Err: err}
 	}
 	return rec, true, nil
 }
 
+// decodeRecord decodes a run.json record as json.Unmarshal does, without
+// scanning the result: a finished run's result is nearly all of its
+// record, and Recover validates it once (json.Valid) before serving it.
+// The walker finds the last top-level member keyed exactly "result",
+// json.Unmarshal decodes the record without that member, and Result is
+// the member's value, a slice of raw. The result bytes of a record whose
+// rest decodes are not checked here, so a done run's invalid result
+// reaches Recover, which reports it on the run.
+//
+// Every other record decodes whole with json.Unmarshal: one the walker
+// finds no such member in (it reads compact JSON only), one whose rest
+// does not decode (so a corrupt record fails with json.Unmarshal's
+// error), and one whose rest still sets Result (a duplicate "result", or
+// a key like "Result" that json.Unmarshal also matches to it).
+// FuzzDecodeRecord pins it to json.Unmarshal.
+func decodeRecord(raw []byte) (Record, error) {
+	if cutFrom, cutTo, val, ok := resultMember(raw); ok {
+		rest := make([]byte, 0, len(raw)-(cutTo-cutFrom))
+		rest = append(append(rest, raw[:cutFrom]...), raw[cutTo:]...)
+		var rec Record
+		if json.Unmarshal(rest, &rec) == nil && rec.Result == nil {
+			rec.Result = val
+			return rec, nil
+		}
+	}
+	var rec Record
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		return Record{}, err
+	}
+	return rec, nil
+}
+
+// resultMember walks the compact JSON object raw holds, member by
+// member to its closing brace, and returns the last member keyed
+// exactly "result": raw[cutFrom:cutTo] is the member with the comma that
+// joins it to its neighbour, and val its value. ok is false when raw is
+// no such object or holds no such member, or when whitespace sits where
+// the walk would step over it (around a key, a value or a comma).
+func resultMember(raw []byte) (cutFrom, cutTo int, val []byte, ok bool) {
+	if len(raw) == 0 || raw[0] != '{' {
+		return 0, 0, nil, false
+	}
+	for i := 1; i < len(raw) && raw[i] == '"'; {
+		k := skipContainer(raw, i)
+		if k < 0 || k+1 >= len(raw) || raw[k] != ':' || isSpace(raw[k+1]) {
+			return 0, 0, nil, false
+		}
+		end := SkipValue(raw, k+1)
+		if end <= k+1 || end >= len(raw) {
+			return 0, 0, nil, false
+		}
+		if string(raw[i+1:k-1]) == "result" {
+			if isSpace(raw[end-1]) {
+				return 0, 0, nil, false // a literal runs up to the delimiter
+			}
+			cutFrom, cutTo, val = i-1, end, raw[k+1:end]
+			if i == 1 { // the first member takes the comma after it
+				cutFrom = i
+				if raw[end] == ',' {
+					cutTo = end + 1
+				}
+			}
+		}
+		switch raw[end] {
+		case '}':
+			return cutFrom, cutTo, val, val != nil
+		case ',':
+			i = end + 1
+		default:
+			return 0, 0, nil, false
+		}
+	}
+	return 0, 0, nil, false
+}
+
+// isSpace reports whether c is JSON whitespace.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// RecordError reports a run record that does not decode: empty or torn
+// by a power loss, or not a record at all.
+type RecordError struct {
+	ID  string
+	Err error
+}
+
+func (e *RecordError) Error() string {
+	return fmt.Sprintf("store: run %s: corrupt record: %v", e.ID, e.Err)
+}
+
+// CorruptRecords is the error ListRuns returns next to the records that
+// decode when some do not, one RecordError each in the order of their
+// directory names.
+type CorruptRecords []*RecordError
+
+func (c CorruptRecords) Error() string {
+	msgs := make([]string, len(c))
+	for i, e := range c {
+		msgs[i] = e.Error()
+	}
+	return strings.Join(msgs, "; ")
+}
+
 // ListRuns reads every persisted record in sequence order. Reserved
 // directories whose record was never written (a crash between NewID and
-// PutRun) are skipped — their IDs stay burned, which is the point.
+// PutRun) are skipped — their IDs stay burned, which is the point. A
+// record that does not decode is skipped too, and reported: the records
+// that do decode come back with a CorruptRecords error. Any other error
+// is an I/O error and returns no records.
 func (d *Disk) ListRuns() ([]Record, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -151,19 +256,26 @@ func (d *Disk) ListRuns() ([]Record, error) {
 		return nil, err
 	}
 	var out []Record
+	var corrupt CorruptRecords
 	for _, e := range entries {
 		if _, ok := parseID(e.Name()); !ok {
 			continue
 		}
 		rec, ok, err := d.getRunLocked(e.Name())
-		if err != nil {
+		var re *RecordError
+		switch {
+		case errors.As(err, &re):
+			corrupt = append(corrupt, re)
+		case err != nil:
 			return nil, err
-		}
-		if ok {
+		case ok:
 			out = append(out, rec)
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	if corrupt != nil {
+		return out, corrupt
+	}
 	return out, nil
 }
 

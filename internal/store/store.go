@@ -76,7 +76,9 @@ type RunStore interface {
 	PutRun(rec Record) error
 	// GetRun returns the record for id, reporting whether it exists.
 	GetRun(id string) (Record, bool, error)
-	// ListRuns returns every record in ascending sequence order.
+	// ListRuns returns every record in ascending sequence order. When
+	// some stored records do not decode, it returns the ones that do
+	// with a CorruptRecords error naming the others.
 	ListRuns() ([]Record, error)
 
 	// AppendInterval appends one interval line to a cell's stream.

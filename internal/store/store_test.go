@@ -3,10 +3,12 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -583,5 +585,158 @@ func TestDiskConcurrentReservation(t *testing.T) {
 			}
 			seen[id] = true
 		}
+	}
+}
+
+// FuzzDecodeRecord pins decodeRecord to json.Unmarshal: a record
+// json.Unmarshal decodes, decodeRecord decodes to the same Record; a
+// record json.Unmarshal rejects, decodeRecord rejects too or returns a
+// Result that is not valid JSON, which Recover's json.Valid then
+// reports on the run.
+//
+//	go test ./internal/store -run '^$' -fuzz FuzzDecodeRecord -fuzztime 15s
+func FuzzDecodeRecord(f *testing.F) {
+	prechange, err := filepath.Glob("../serve/testdata/prechange/store/runs/*/run.json")
+	if err != nil || len(prechange) == 0 {
+		f.Fatalf("no prechange records (err=%v)", err)
+	}
+	for _, path := range prechange {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	for _, rec := range []string{
+		`{"id":"run-000001","seq":1,"status":"done","result":{"a":1},"error":"x"}`,
+		`{"result":[1,"]"],"id":"run-000001"}`,
+		`{"result":{"a":1}}`,
+		`{"id":"a","result":1,"result":{"b":2}}`,            // duplicate: the last wins
+		`{"id":"a","result":{"b":2},"result":1}`,            // duplicate, the other way
+		`{"id":"a","Result":1,"result":2}`,                  // a case variant
+		`{"id":"a","result":2,"RESULT":1}`,                  // a case variant after it
+		`{"id":"a","result":1,"res\u0075lt":2}`,             // an escaped key
+		`{"id":"a","result": {"b":2}}`,                      // whitespace before a value
+		`{"id":"a","result": 1}`,                            // whitespace before a literal
+		`{"id":"a","result":1 ,"seq":2}`,                    // whitespace after a literal
+		`{"id":"a", "result":1}`,                            // whitespace before a key
+		`{"id":"a","result":{"b":2}}  `,                     // trailing whitespace
+		`{"id":"a","result":{"b":2}}x`,                      // trailing bytes
+		`{"id":"a","result":{"b":2}}{}`,                     // a second value
+		`{"id":"a","result":{"b":}}`,                        // invalid result, valid envelope
+		`{"id":"a","result":[1,],"status":"done"}`,          // invalid result, first member cut
+		`{"result":tru,"id":"a"}`,                           // invalid literal
+		`{"result":1,}`,                                     // trailing comma
+		`{"id":"a","result":,"seq":1}`,                      // no value
+		`{"seq":"x","result":1}`,                            // wrong type
+		`{"id":"a","result":{"kind":"clu,"created":"2026"}`, // result torn mid-string
+		`{"id":"a\"","result":"\"}","created":"2026-01-02T03:04:05Z"}`,
+		``, `{`, `{}`, `null`, `[]`, `"result"`,
+	} {
+		f.Add([]byte(rec))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		in := bytes.Clone(raw)
+		got, err := decodeRecord(raw)
+		if !bytes.Equal(raw, in) {
+			t.Fatalf("decodeRecord changed its input")
+		}
+		var want Record
+		if werr := json.Unmarshal(raw, &want); werr == nil {
+			if err != nil {
+				t.Fatalf("decodeRecord failed (%v) where json.Unmarshal decodes %q", err, raw)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("decodeRecord = %+v, json.Unmarshal = %+v, for %q", got, want, raw)
+			}
+		} else if err == nil && json.Valid(got.Result) {
+			t.Fatalf("decodeRecord decoded %q, which json.Unmarshal rejects (%v), to a valid result %q", raw, werr, got.Result)
+		}
+	})
+}
+
+// TestDecodeRecordCutsResult: a compact record — one PutRun writes, or
+// one with its result first, alone or mid-record — decodes through the
+// cut to the record json.Unmarshal gives, its Result a slice of the
+// record's own bytes rather than a copy json.Unmarshal made.
+func TestDecodeRecordCutsResult(t *testing.T) {
+	created := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	put, err := json.Marshal(Record{ID: FormatID(3), Seq: 3, Status: "done", Spec: json.RawMessage(`{"kind":"cluster"}`),
+		Result: json.RawMessage(`{"cells":[{"Stats":[{"i":1}]}]}`), Created: created, Finished: &created})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, raw := range [][]byte{
+		put,
+		[]byte(`{"result":{"a":[1,"}"]},"id":"run-000001","seq":1}`),
+		[]byte(`{"result":7}`),
+		[]byte(`{"id":"run-000001","result":"x\\\"}","status":"done"}`),
+	} {
+		var want Record
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeRecord(raw)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodeRecord(%s) = %+v, %v; want %+v", raw, got, err, want)
+		}
+		clear(raw)
+		if bytes.ContainsFunc(got.Result, func(r rune) bool { return r != 0 }) {
+			t.Errorf("Result %q of %s is not cut from the record", got.Result, want.ID)
+		}
+	}
+}
+
+// TestDiskListRunsReportsCorruptRecords: records that do not decode —
+// empty, torn, or with a field of the wrong type — do not hide the
+// others. ListRuns returns the rest with a CorruptRecords error naming
+// each, GetRun fails on each, and the IDs stay reserved.
+func TestDiskListRunsReportsCorruptRecords(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var want []string
+	for range 5 {
+		id, seq, err := d.NewID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.PutRun(Record{ID: id, Seq: seq, Status: "done", Result: json.RawMessage(`[1]`)}); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, id)
+	}
+	corrupt := map[string]string{want[1]: ``, want[2]: `{"id":"run-000003","seq":3,"res`, want[3]: `{"seq":"x"}`}
+	for id, body := range corrupt {
+		if err := os.WriteFile(filepath.Join(dir, "runs", id, "run.json"), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, err := d.ListRuns()
+	var bad CorruptRecords
+	if !errors.As(err, &bad) {
+		t.Fatalf("ListRuns error = %v, want CorruptRecords", err)
+	}
+	if len(recs) != 2 || recs[0].ID != want[0] || recs[1].ID != want[4] {
+		t.Fatalf("ListRuns = %+v, want %s and %s", recs, want[0], want[4])
+	}
+	if len(bad) != 3 || bad[0].ID != want[1] || bad[1].ID != want[2] || bad[2].ID != want[3] {
+		t.Fatalf("CorruptRecords = %v, want %s, %s and %s", bad, want[1], want[2], want[3])
+	}
+	for _, e := range bad {
+		if _, _, err := d.GetRun(e.ID); err == nil || err.Error() != e.Error() || !strings.Contains(err.Error(), "corrupt record") {
+			t.Errorf("GetRun(%s) error = %v, want %v", e.ID, err, e)
+		}
+	}
+	d2, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if id, _, err := d2.NewID(); err != nil || id != FormatID(6) {
+		t.Fatalf("NewID after reopening = %s, %v; want %s", id, err, FormatID(6))
 	}
 }
