@@ -15,10 +15,8 @@ import (
 
 	"ealb/internal/engine"
 	"ealb/internal/experiments"
-	"ealb/internal/migration"
 	"ealb/internal/policy"
 	"ealb/internal/queueing"
-	"ealb/internal/vm"
 	"ealb/internal/workload"
 )
 
@@ -119,22 +117,6 @@ func BenchmarkEngineSweep(b *testing.B) {
 	}
 	b.Run("serial", bench(1))
 	b.Run("parallel", bench(0))
-}
-
-// BenchmarkMigrationModel measures one pre-copy live-migration cost
-// computation (the protocol's per-decision pricing primitive).
-func BenchmarkMigrationModel(b *testing.B) {
-	v, err := vm.New(1, vm.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := migration.DefaultParams()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := migration.Live(v, p); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkErlangC measures the farm QoS model's per-slot query.

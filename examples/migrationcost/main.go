@@ -13,30 +13,28 @@ import (
 	"fmt"
 	"log"
 
-	"ealb/internal/acpi"
-	"ealb/internal/migration"
+	"ealb/internal/server"
 	"ealb/internal/units"
-	"ealb/internal/vm"
 )
 
 func main() {
-	p := migration.DefaultParams()
+	p := server.DefaultMigrationParams()
 	fmt.Printf("migration link: %v/s, stop threshold %v, endpoint overhead %v+%v\n\n",
 		p.Bandwidth, p.StopThreshold, p.SourceOverhead, p.TargetOverhead)
 
 	fmt.Printf("%-10s %-12s %-7s %-10s %-10s %-12s %-10s\n",
 		"memory", "dirty rate", "rounds", "total", "downtime", "moved", "energy")
-	id := vm.ID(1)
+	id := server.VMID(1)
 	for _, mem := range []units.Bytes{units.GB, 2 * units.GB, 4 * units.GB} {
 		for _, dirty := range []units.Bytes{10 * units.MB, 50 * units.MB, 110 * units.MB} {
-			v, err := vm.New(id, vm.Config{
-				Memory: mem, ImageSize: 2 * mem, CPUShare: 0.25, DirtyRate: dirty,
+			v, err := server.NewVM(id, server.VMConfig{
+				Memory: mem, CPUShare: 0.25, DirtyRate: dirty,
 			})
 			if err != nil {
 				log.Fatal(err)
 			}
 			id++
-			res, err := migration.Live(v, p)
+			res, err := server.LiveMigration(v, p)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -51,15 +49,15 @@ func main() {
 	}
 
 	// Live vs cold for a typical instance.
-	v, err := vm.New(id, vm.Config{Memory: 2 * units.GB, ImageSize: 4 * units.GB, CPUShare: 0.25, DirtyRate: 40 * units.MB})
+	v, err := server.NewVM(id, server.VMConfig{Memory: 2 * units.GB, CPUShare: 0.25, DirtyRate: 40 * units.MB})
 	if err != nil {
 		log.Fatal(err)
 	}
-	live, err := migration.Live(v, p)
+	live, err := server.LiveMigration(v, p)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cold, err := migration.Cold(v, p)
+	cold, err := server.ColdMigration(v, p)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,13 +68,13 @@ func main() {
 	// migrations cost ~3× live.Energy; sleeping saves (idle − C6 draw)
 	// continuously; the C6 wake itself costs peak × 260 s.
 	const peak, idle = units.Watts(200), units.Watts(100)
-	specs := acpi.DefaultSpecs()
-	be, err := acpi.BreakEven(specs[acpi.C6], peak, idle)
+	specs := server.DefaultSpecs()
+	be, err := server.BreakEven(specs[server.C6], peak, idle)
 	if err != nil {
 		log.Fatal(err)
 	}
 	migCost := 3 * float64(live.Energy)
-	extra := migCost / float64(idle-specs[acpi.C6].SleepPower(peak))
+	extra := migCost / float64(idle-specs[server.C6].SleepPower(peak))
 	fmt.Printf("\nsleep economics for a server hosting 3 such VMs (peak %v, idle %v):\n", peak, idle)
 	fmt.Printf("  C6 break-even from transitions alone: %v\n", be)
 	fmt.Printf("  3 migrations add %.0f J -> %.0f s more of sleep to amortize\n", migCost, extra)

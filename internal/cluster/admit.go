@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"ealb/internal/netsim"
 	"ealb/internal/server"
 	"ealb/internal/trace"
 	"ealb/internal/units"
@@ -62,7 +61,7 @@ func (c *Cluster) Admit(demand units.Fraction) (server.ID, bool, error) {
 	c.idx.markDirty(dst.ID())
 	// The front-end's placement command is a control-plane message from
 	// the leader hub to the chosen host.
-	if _, err := c.net.Send(netsim.LeaderNode, netsim.NodeID(dst.ID()), netsim.MsgCandidateList, netsim.ControlMsgSize); err != nil {
+	if err := c.net.send(leaderNode, nodeID(dst.ID())); err != nil {
 		return 0, false, err
 	}
 	c.admitted++

@@ -9,7 +9,7 @@ const arenaChunk = 1024
 // cluster's application and VM populations: a Rebuild resets the arena
 // and re-initializes slots in place instead of allocating thousands of
 // fresh objects per cell of a sweep. Slots are returned uninitialized;
-// callers fully overwrite them (app.Init / vm.Init).
+// callers fully overwrite them (AppGenerator.NextInto / server.InitVM).
 type arena[T any] struct {
 	chunks [][]T
 	chunk  int // index of the chunk currently being filled

@@ -36,16 +36,9 @@ import (
 	"fmt"
 	"math"
 
-	"ealb/internal/app"
-	"ealb/internal/migration"
-	"ealb/internal/netsim"
-	"ealb/internal/power"
-	"ealb/internal/regime"
-	"ealb/internal/scaling"
 	"ealb/internal/server"
 	"ealb/internal/trace"
 	"ealb/internal/units"
-	"ealb/internal/vm"
 	"ealb/internal/workload"
 	"ealb/internal/xrand"
 )
@@ -119,8 +112,8 @@ type Config struct {
 	// either way.
 	PeakPowerSpread float64
 	// Migration prices VM moves; Net prices control traffic.
-	Migration migration.Params
-	Net       netsim.Params
+	Migration server.MigrationParams
+	Net       NetParams
 	// Sleep selects the consolidation sleep policy.
 	Sleep SleepPolicy
 	// SleepHysteresis is how many consecutive intervals a server must
@@ -163,7 +156,7 @@ type Config struct {
 	// mtbf=0 baseline against a fixed MTTR.
 	MTTR units.Seconds
 	// Ranges are the regime-boundary sampling intervals.
-	Ranges regime.PaperRanges
+	Ranges server.PaperRanges
 	// OnInterval, when non-nil, is invoked synchronously with the
 	// statistics of every completed reallocation interval. The engine
 	// wires it to the scenario service's live interval tail; it must not
@@ -193,8 +186,8 @@ func DefaultConfig(size int, band workload.Band, seed uint64) Config {
 		Drift:               0,
 		PeakPower:           200,
 		IdleFraction:        0.5,
-		Migration:           migration.DefaultParams(),
-		Net:                 netsim.DefaultParams(),
+		Migration:           server.DefaultMigrationParams(),
+		Net:                 DefaultNetParams(),
 		Sleep:               SleepAuto,
 		SleepHysteresis:     0,
 		ConsolidationBudget: max(1, size/50),
@@ -202,7 +195,7 @@ func DefaultConfig(size int, band workload.Band, seed uint64) Config {
 		SlackBase:           0.03,
 		SlackFactor:         0.4,
 		ReservationQuantum:  0.05,
-		Ranges:              regime.DefaultRanges(),
+		Ranges:              server.DefaultRanges(),
 	}
 }
 
@@ -260,7 +253,7 @@ func (c Config) Validate() error {
 	if err := c.Migration.Validate(); err != nil {
 		return err
 	}
-	return c.Net.Validate()
+	return c.Net.validate()
 }
 
 // Cluster is one simulated cluster plus its leader state. Its storage —
@@ -271,14 +264,14 @@ type Cluster struct {
 	cfg Config
 
 	servers []*server.Server
-	net     *netsim.Network
+	net     network
 	// rng is the protocol's seeded stream — planpure scratch: a pure
 	// plan may draw from it because the draw is part of the replayable
 	// protocol state, not an observable side effect.
 	//ealb:scratch
 	rng    *xrand.Rand
-	appGen *app.Generator
-	ledger *scaling.Ledger
+	appGen *server.AppGenerator
+	ledger Ledger
 
 	now      units.Seconds
 	interval int
@@ -298,7 +291,7 @@ type Cluster struct {
 	intervalMigrations int
 	totalWakes         int
 	admitted           int
-	nextVMID           vm.ID
+	nextVMID           server.VMID
 
 	// failed tracks crashed servers (failure-injection extension),
 	// densely indexed by server ID; failures counts injections
@@ -322,10 +315,10 @@ type Cluster struct {
 	repairAt []units.Seconds
 
 	// Arenas and scratch buffers reused across Rebuilds and intervals.
-	appArena    arena[app.App]
-	vmArena     arena[vm.VM]
+	appArena    arena[server.App]
+	vmArena     arena[server.VM]
 	sizeScratch []units.Fraction
-	appScratch  []*app.App
+	appScratch  []*server.App
 }
 
 // New builds and populates a cluster: per-server regime boundaries drawn
@@ -363,28 +356,16 @@ func (c *Cluster) Rebuild(cfg Config) error {
 	// churn-disabled runs pin that.
 	churnRNG := root.Split()
 
-	if c.net == nil {
-		net, err := netsim.New(cfg.Size, cfg.Net)
-		if err != nil {
-			return err
-		}
-		c.net = net
-	} else if err := c.net.Reset(cfg.Size, cfg.Net); err != nil {
-		return err
-	}
-	gen, err := app.NewGenerator(appRNG.Split(), cfg.Lambda[0], cfg.Lambda[1])
+	gen, err := server.NewAppGenerator(appRNG.Split(), cfg.Lambda[0], cfg.Lambda[1])
 	if err != nil {
 		return err
 	}
 
 	c.cfg = cfg
+	c.net = network{params: cfg.Net, size: cfg.Size}
 	c.rng = evolveRNG
 	c.appGen = gen
-	if c.ledger == nil {
-		c.ledger = scaling.NewLedger()
-	} else {
-		c.ledger.Reset()
-	}
+	c.ledger.reset()
 	c.now = 0
 	c.interval = 0
 	c.migrationEnergy = 0
@@ -442,7 +423,7 @@ func (c *Cluster) Rebuild(cfg Config) error {
 		}
 		c.servers = c.servers[:cfg.Size]
 	}
-	msgE := units.Joules(float64(netsim.ControlMsgSize) * float64(cfg.Net.EnergyPerByte))
+	msgE := units.Joules(float64(controlMsgSize) * float64(cfg.Net.EnergyPerByte))
 	for i := 0; i < cfg.Size; i++ {
 		bounds, err := cfg.Ranges.Random(boundsRNG)
 		if err != nil {
@@ -454,7 +435,7 @@ func (c *Cluster) Rebuild(cfg Config) error {
 				float64(cfg.PeakPower)*(1-cfg.PeakPowerSpread),
 				float64(cfg.PeakPower)*(1+cfg.PeakPowerSpread)))
 		}
-		pm, err := power.NewLinear(units.Watts(float64(peak)*cfg.IdleFraction), peak)
+		pm, err := server.NewLinearPower(units.Watts(float64(peak)*cfg.IdleFraction), peak)
 		if err != nil {
 			return err
 		}
@@ -518,7 +499,7 @@ func (c *Cluster) Rebuild(cfg Config) error {
 // Sizes come from workload.AppendAppSizes, then each app draws its λ
 // from the app generator in order; the returned slice is scratch, valid
 // until the next call.
-func (c *Cluster) populateApps(rng *xrand.Rand, target units.Fraction) ([]*app.App, error) {
+func (c *Cluster) populateApps(rng *xrand.Rand, target units.Fraction) ([]*server.App, error) {
 	var err error
 	c.sizeScratch, err = workload.AppendAppSizes(c.sizeScratch[:0], rng, target, c.cfg.AppSize[0], c.cfg.AppSize[1])
 	if err != nil {
@@ -535,23 +516,19 @@ func (c *Cluster) populateApps(rng *xrand.Rand, target units.Fraction) ([]*app.A
 	return c.appScratch, nil
 }
 
-// newHosted wraps an application in a freshly provisioned running VM
-// drawn from the VM arena.
-func (c *Cluster) newHosted(a *app.App, rng *xrand.Rand) (server.Hosted, error) {
+// newHosted wraps an application in a freshly provisioned VM drawn from
+// the VM arena.
+func (c *Cluster) newHosted(a *server.App, rng *xrand.Rand) (server.Hosted, error) {
 	mem := units.Bytes(1+rng.Intn(3)) * units.GB
 	v := c.vmArena.alloc()
-	if err := vm.Init(v, c.nextVMID, vm.Config{
+	if err := server.InitVM(v, c.nextVMID, server.VMConfig{
 		Memory:    mem,
-		ImageSize: 2 * mem,
 		CPUShare:  a.Demand,
 		DirtyRate: units.Bytes(10+rng.Intn(40)) * units.MB,
 	}); err != nil {
 		return server.Hosted{}, err
 	}
 	c.nextVMID++
-	if err := v.SetState(vm.Running); err != nil {
-		return server.Hosted{}, err
-	}
 	return server.Hosted{App: a, VM: v}, nil
 }
 
@@ -621,8 +598,8 @@ func (c *Cluster) TotalEnergy() units.Joules {
 		e += s.Energy()
 	}
 	e += c.migrationEnergy
-	e += c.net.TotalCounters().Energy
-	e += c.net.IdleEnergy(c.now)
+	e += c.net.energy
+	e += c.net.idleEnergy(c.now)
 	return e
 }
 
@@ -633,7 +610,7 @@ func (c *Cluster) Migrations() int { return c.migrations }
 func (c *Cluster) Wakes() int { return c.totalWakes }
 
 // Ledger exposes the scaling-decision ledger.
-func (c *Cluster) Ledger() *scaling.Ledger { return c.ledger }
+func (c *Cluster) Ledger() *Ledger { return &c.ledger }
 
 func max(a, b int) int {
 	if a > b {

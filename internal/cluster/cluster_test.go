@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"ealb/internal/regime"
 	"ealb/internal/server"
 	"ealb/internal/units"
 	"ealb/internal/workload"
@@ -42,7 +41,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.SlackBase = -1 },
 		func(c *Config) { c.ReservationQuantum = 0 },
 		func(c *Config) { c.Migration.Bandwidth = 0 },
-		func(c *Config) { c.Net.Bandwidth = 0 },
+		func(c *Config) { c.Net.EnergyPerByte = -1 },
 	}
 	for i, m := range mutations {
 		cfg := DefaultConfig(100, workload.LowLoad(), 1)
@@ -55,7 +54,9 @@ func TestConfigValidate(t *testing.T) {
 
 // TestConfigValidateRejectsNaN: every float range check must fail on
 // NaN, and τ must be finite — a NaN or infinite τ used to stall
-// RunIntervals forever.
+// RunIntervals forever. The migration and network parameters must be
+// finite too: a NaN or infinite one used to make the reported energy NaN
+// or infinite.
 func TestConfigValidateRejectsNaN(t *testing.T) {
 	nan := math.NaN()
 	for _, tc := range []struct {
@@ -81,6 +82,11 @@ func TestConfigValidateRejectsNaN(t *testing.T) {
 		{"ReservationQuantum", func(c *Config) { c.ReservationQuantum = nan }},
 		{"MTBF", func(c *Config) { c.MTBF = units.Seconds(nan) }},
 		{"MTTR", func(c *Config) { c.MTTR = units.Seconds(nan) }},
+		{"Migration.SwitchLatency", func(c *Config) { c.Migration.SwitchLatency = units.Seconds(nan) }},
+		{"Migration.SourceOverhead", func(c *Config) { c.Migration.SourceOverhead = units.Watts(nan) }},
+		{"Migration.NetEnergyPerByte=+Inf", func(c *Config) { c.Migration.NetEnergyPerByte = units.Joules(math.Inf(1)) }},
+		{"Net.EnergyPerByte", func(c *Config) { c.Net.EnergyPerByte = units.Joules(nan) }},
+		{"Net.LinkIdlePower=+Inf", func(c *Config) { c.Net.LinkIdlePower = units.Watts(math.Inf(1)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(100, workload.LowLoad(), 1)
@@ -677,5 +683,5 @@ func TestRegimeDistributionShapeLowVsHigh(t *testing.T) {
 	if hc[0]+hc[1] != 0 {
 		t.Errorf("70%% initial distribution has underloaded servers: %v", hc)
 	}
-	_ = regime.R1 // document linkage
+	_ = server.R1 // document linkage
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"ealb/internal/scaling"
 	"ealb/internal/server"
 	"ealb/internal/trace"
 )
@@ -73,7 +72,7 @@ func (c *Cluster) FailServer(id server.ID) (replaced, lost int, err error) {
 		if err := c.migrate(s, dst, h); err != nil {
 			return replaced, lost, err
 		}
-		c.ledger.Record(scaling.Horizontal, 1)
+		c.ledger.record(horizontal, 1)
 		replaced++
 	}
 	c.appsReplaced += replaced

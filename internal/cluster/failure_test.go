@@ -4,8 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"ealb/internal/acpi"
-	"ealb/internal/app"
 	"ealb/internal/server"
 	"ealb/internal/units"
 	"ealb/internal/workload"
@@ -179,7 +177,7 @@ func TestFailWhileSleeping(t *testing.T) {
 	if err := c.Repair(victim.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if victim.CState() != acpi.C0 || victim.Sleeping() || victim.CStateBusy(c.Now()) {
+	if victim.CState() != server.C0 || victim.Sleeping() || victim.CStateBusy(c.Now()) {
 		t.Fatalf("repaired server not cleanly in C0: state=%v busy=%v",
 			victim.CState(), victim.CStateBusy(c.Now()))
 	}
@@ -202,7 +200,7 @@ func TestFailWhileSleeping(t *testing.T) {
 }
 
 // mustApp allocates one arena application with the given demand.
-func mustApp(t *testing.T, c *Cluster, demand float64) *app.App {
+func mustApp(t *testing.T, c *Cluster, demand float64) *server.App {
 	t.Helper()
 	a := c.appArena.alloc()
 	if err := c.appGen.NextInto(a, units.Fraction(demand)); err != nil {
@@ -227,7 +225,7 @@ func TestFailWhileCStateBusy(t *testing.T) {
 	if err := c.Repair(victim.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if err := victim.Sleep(acpi.C6, c.Now()); err != nil {
+	if err := victim.Sleep(server.C6, c.Now()); err != nil {
 		t.Fatal(err)
 	}
 	// Parking behind the cluster's back bypasses the leader-index hooks;
@@ -249,7 +247,7 @@ func TestFailWhileCStateBusy(t *testing.T) {
 	// Park it again, let the entry complete, then start a wake through
 	// the protocol's own path and crash it mid-wake: the wake-up must be
 	// abandoned, not left armed.
-	if err := victim.Sleep(acpi.C6, c.Now()); err != nil {
+	if err := victim.Sleep(server.C6, c.Now()); err != nil {
 		t.Fatal(err)
 	}
 	c.syncServer(victim.ID())

@@ -47,7 +47,6 @@ package cluster
 // FuzzPlanBalance invariant cross-check the index against a full rescan.
 
 import (
-	"ealb/internal/regime"
 	"ealb/internal/server"
 	"ealb/internal/units"
 )
@@ -68,8 +67,8 @@ type serverIndex struct {
 	// each server's regime boundaries (capacity thresholds).
 	raw    []units.Fraction
 	load   []units.Fraction
-	reg    []regime.Region
-	bounds []regime.Boundaries
+	reg    []server.Region
+	bounds []server.Boundaries
 
 	// cost mirrors each server's §4 Evaluate() estimates (q_k, p_k, j_k),
 	// valid for non-dirty entries.
@@ -149,7 +148,7 @@ func (ix *serverIndex) addMember(id server.ID) {
 	if ix.bucketPos[id] != noPos {
 		return
 	}
-	b := int(ix.reg[id] - regime.R1)
+	b := int(ix.reg[id] - server.R1)
 	ix.bucketPos[id] = int32(len(ix.buckets[b]))
 	ix.buckets[b] = append(ix.buckets[b], id)
 }
@@ -160,7 +159,7 @@ func (ix *serverIndex) removeMember(id server.ID) {
 	if pos == noPos {
 		return
 	}
-	b := int(ix.reg[id] - regime.R1)
+	b := int(ix.reg[id] - server.R1)
 	bucket := ix.buckets[b]
 	last := len(bucket) - 1
 	moved := bucket[last]
@@ -205,8 +204,9 @@ func (ix *serverIndex) onSleep(id server.ID, busyUntil, wakeLat units.Seconds) {
 }
 
 // onWake records a wake start: the server rejoins the membership sets
-// immediately (mirroring acpi.Manager, whose State flips to C0 at the
-// wake call) but stays filtered out of plans by busyUntil until ready.
+// immediately (mirroring the server's ACPI manager, whose state flips to
+// C0 at the wake call) but stays filtered out of plans by busyUntil until
+// ready.
 func (ix *serverIndex) onWake(id server.ID, ready units.Seconds) {
 	ix.sleeping[id] = false
 	ix.busyUntil[id] = ready

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"ealb/internal/regime"
 	"ealb/internal/server"
 	"ealb/internal/units"
 	"ealb/internal/workload"
@@ -75,7 +74,7 @@ func verifyIndexAgainstRescan(t *testing.T, c *Cluster) {
 		// classifier puts it in, at the position the pos column claims.
 		wantMember := !c.failed[id] && !s.Sleeping()
 		if pos := ix.bucketPos[id]; wantMember {
-			b := int(ix.reg[id] - regime.R1)
+			b := int(ix.reg[id] - server.R1)
 			if pos == noPos {
 				t.Fatalf("server %d: rescan says member of bucket %v, index says non-member", id, ix.reg[id])
 			}

@@ -80,7 +80,7 @@ func TestProtocolInvariantsAcrossSeeds(t *testing.T) {
 			}
 
 			// Ledger totals match the per-interval stream.
-			tot := c.Ledger().Totals()
+			tot := ledgerTotals(c.Ledger())
 			var local, in int
 			for _, st := range sts {
 				local += st.Decisions.Local
@@ -94,7 +94,7 @@ func TestProtocolInvariantsAcrossSeeds(t *testing.T) {
 }
 
 // TestVMsFollowApps checks that after heavy churn every hosted pair is
-// consistent: the VM exists, is running, and its host's lookup agrees.
+// consistent: the VM exists and its host's lookup agrees.
 func TestVMsFollowApps(t *testing.T) {
 	c := mustCluster(t, 120, workload.HighLoad(), 5)
 	if _, err := c.RunIntervals(context.Background(), 30); err != nil {
@@ -104,9 +104,6 @@ func TestVMsFollowApps(t *testing.T) {
 		for _, h := range s.Hosted() {
 			if h.VM == nil || h.App == nil {
 				t.Fatalf("server %d hosts a nil pair", s.ID())
-			}
-			if h.VM.State().String() != "running" {
-				t.Errorf("server %d: VM %d in state %v after settling", s.ID(), h.VM.ID, h.VM.State())
 			}
 			if got, ok := s.Lookup(h.App.ID); !ok || got.VM != h.VM {
 				t.Errorf("server %d: lookup inconsistent for app %d", s.ID(), h.App.ID)

@@ -45,9 +45,6 @@ package cluster
 import (
 	"slices"
 
-	"ealb/internal/acpi"
-	"ealb/internal/app"
-	"ealb/internal/regime"
 	"ealb/internal/server"
 	"ealb/internal/units"
 )
@@ -75,9 +72,9 @@ const (
 type action struct {
 	kind   actKind
 	src    server.ID
-	dst    server.ID // move target; unused otherwise
-	app    app.ID    // moved application; unused otherwise
-	target acpi.CState
+	dst    server.ID    // move target; unused otherwise
+	app    server.AppID // moved application; unused otherwise
+	target server.CState
 }
 
 // balancePlan is the leader's decision list for one reallocation pass, in
@@ -326,7 +323,7 @@ func (c *Cluster) planLoad(id server.ID) units.Fraction {
 // planRegime classifies id's projected load.
 //
 //ealb:pure
-func (c *Cluster) planRegime(id server.ID) regime.Region {
+func (c *Cluster) planRegime(id server.ID) server.Region {
 	return c.idx.bounds[id].Classify(c.planLoad(id))
 }
 
@@ -407,17 +404,17 @@ func (c *Cluster) planClusterLoad() units.Fraction {
 // cluster state (§6's 60% rule under SleepAuto).
 //
 //ealb:pure
-func (c *Cluster) planSleepTarget() acpi.CState {
+func (c *Cluster) planSleepTarget() server.CState {
 	switch c.cfg.Sleep {
 	case SleepC3Only:
-		return acpi.C3
+		return server.C3
 	case SleepC6Only:
-		return acpi.C6
+		return server.C6
 	default:
 		if c.planClusterLoad() < 0.6 {
-			return acpi.C6
+			return server.C6
 		}
-		return acpi.C3
+		return server.C3
 	}
 }
 
@@ -499,13 +496,13 @@ func (c *Cluster) planRelief() error {
 	ls := &c.leader
 	ix := &c.idx
 	ls.donors = ls.donors[:0]
-	for _, id := range ix.buckets[regime.R5-regime.R1] {
+	for _, id := range ix.buckets[server.R5-server.R1] {
 		if ix.busyUntil[id] <= c.now {
 			// Undesirable-high: immediate attention (§4).
 			ls.donors = append(ls.donors, id)
 		}
 	}
-	for _, id := range ix.buckets[regime.R4-regime.R1] {
+	for _, id := range ix.buckets[server.R4-server.R1] {
 		// Suboptimal-high "does not require immediate attention" (§4):
 		// act when the deviation is large or has persisted — the paper
 		// notes the time spent in a non-optimal region matters, not just
@@ -535,8 +532,8 @@ func (c *Cluster) planRelief() error {
 	// order.
 	sel := &ls.acceptorSel
 	sel.heap = sel.heap[:0]
-	for r := regime.R1; r <= regime.R2; r++ {
-		for _, id := range ix.buckets[r-regime.R1] {
+	for r := server.R1; r <= server.R2; r++ {
+		for _, id := range ix.buckets[r-server.R1] {
 			if ix.busyUntil[id] <= c.now {
 				sel.key[id] = -ix.load[id]
 				sel.heap = append(sel.heap, id)
@@ -554,7 +551,7 @@ func (c *Cluster) planRelief() error {
 		if totalSheds >= reliefBudget {
 			break
 		}
-		urgent := c.planRegime(d) == regime.R5
+		urgent := c.planRegime(d) == server.R5
 		sheds := 0
 		for c.planRegime(d).Overloaded() && sheds < maxShedsPerDonor && totalSheds < reliefBudget {
 			moved := false
@@ -589,7 +586,7 @@ func (c *Cluster) planRelief() error {
 				break
 			}
 		}
-		if urgent && c.planRegime(d) == regime.R5 {
+		if urgent && c.planRegime(d) == server.R5 {
 			// Still undesirable and nothing accepted: wake capacity.
 			if c.planWake() {
 				ls.plan.woken++
@@ -661,19 +658,19 @@ func (c *Cluster) planConsolidation() {
 		if ix.busyUntil[id] > c.now {
 			continue
 		}
-		if c.planRegime(id) == regime.R1 && ls.r1Streak[id] >= c.cfg.SleepHysteresis {
+		if c.planRegime(id) == server.R1 && ls.r1Streak[id] >= c.cfg.SleepHysteresis {
 			sel.key[id] = c.planLoad(id)
 			sel.heap = append(sel.heap, id)
 		}
 	}
 	for _, id := range ls.touched {
-		if ix.reg[id] == regime.R1 {
+		if ix.reg[id] == server.R1 {
 			continue // covered by the bucket scan above
 		}
 		if !c.activeID(id) {
 			continue
 		}
-		if c.planRegime(id) == regime.R1 && ls.r1Streak[id] >= c.cfg.SleepHysteresis {
+		if c.planRegime(id) == server.R1 && ls.r1Streak[id] >= c.cfg.SleepHysteresis {
 			sel.key[id] = c.planLoad(id)
 			sel.heap = append(sel.heap, id)
 		}

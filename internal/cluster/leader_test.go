@@ -46,7 +46,7 @@ func TestPlanBalanceIsPure(t *testing.T) {
 	if got, want := planned.SleepingCount(), control.SleepingCount(); got != want {
 		t.Errorf("planBalance changed sleep states: %d != %d", got, want)
 	}
-	if got, want := planned.Ledger().Totals(), control.Ledger().Totals(); got != want {
+	if got, want := ledgerTotals(&planned.ledger), ledgerTotals(&control.ledger); got != want {
 		t.Errorf("planBalance recorded decisions: %+v != %+v", got, want)
 	}
 	for i, s := range planned.servers {

@@ -1,0 +1,164 @@
+package cluster
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"ealb/internal/trace"
+	"ealb/internal/units"
+	"ealb/internal/workload"
+)
+
+func newNet(size int) *network {
+	return &network{params: DefaultNetParams(), size: size}
+}
+
+func TestNetParamsValidate(t *testing.T) {
+	if err := DefaultNetParams().validate(); err != nil {
+		t.Fatalf("default params invalid: %v", err)
+	}
+	for i, p := range []NetParams{
+		{EnergyPerByte: -1, LinkIdlePower: 2},
+		{EnergyPerByte: 5e-9, LinkIdlePower: -1},
+		{EnergyPerByte: units.Joules(math.NaN()), LinkIdlePower: 2},
+		{EnergyPerByte: 5e-9, LinkIdlePower: units.Watts(math.Inf(1))},
+	} {
+		if err := p.validate(); err == nil {
+			t.Errorf("case %d: invalid params accepted: %+v", i, p)
+		}
+	}
+}
+
+func TestHopCounts(t *testing.T) {
+	n := newNet(10)
+	for _, tc := range []struct {
+		from, to nodeID
+		want     int
+	}{
+		{3, leaderNode, 1}, // server → leader
+		{leaderNode, 7, 1}, // leader → server
+		{2, 5, 2},          // server → hub → server (star topology)
+	} {
+		h, err := n.hops(tc.from, tc.to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h != tc.want {
+			t.Errorf("hops(%d, %d) = %d, want %d", tc.from, tc.to, h, tc.want)
+		}
+	}
+}
+
+func TestInvalidEndpoints(t *testing.T) {
+	n := newNet(4)
+	if err := n.send(1, 1); err == nil {
+		t.Error("self-send must fail")
+	}
+	if err := n.send(1, 9); err == nil {
+		t.Error("out-of-range destination must fail")
+	}
+	if err := n.send(-2, 1); err == nil {
+		t.Error("invalid source must fail")
+	}
+	if n.energy != 0 {
+		t.Errorf("rejected sends charged %v", n.energy)
+	}
+}
+
+func TestEnergyScalesWithHops(t *testing.T) {
+	n := newNet(4)
+	if err := n.send(0, leaderNode); err != nil {
+		t.Fatal(err)
+	}
+	one := n.energy
+	if want := controlMsgSize * float64(n.params.EnergyPerByte); math.Abs(float64(one)-want) > 1e-18 {
+		t.Errorf("1-hop energy %v, want %v", one, want)
+	}
+	if err := n.send(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if two := n.energy - one; math.Abs(float64(two)-2*float64(one)) > 1e-15 {
+		t.Errorf("2-hop energy %v != 2 × 1-hop %v", two, one)
+	}
+}
+
+func TestNetworkIdleEnergy(t *testing.T) {
+	p := DefaultNetParams()
+	n := network{params: p, size: 100}
+	got := n.idleEnergy(3600)
+	want := float64(p.LinkIdlePower) * 3600 * 100
+	if math.Abs(float64(got)-want) > 1e-6 {
+		t.Errorf("idleEnergy = %v, want %v", got, want)
+	}
+	// Ideal energy-proportional fabric burns nothing when idle.
+	p.LinkIdlePower = 0
+	n2 := network{params: p, size: 100}
+	if n2.idleEnergy(3600) != 0 {
+		t.Error("proportional fabric idle energy must be 0")
+	}
+}
+
+// TestRebuildResetsNetwork: Rebuild must zero the fabric's traffic
+// energy, re-parameterize it, and drop the nodes a smaller cluster no
+// longer has.
+func TestRebuildResetsNetwork(t *testing.T) {
+	c := mustCluster(t, 40, workload.LowLoad(), 3)
+	if _, err := c.RunIntervals(context.Background(), 3); err != nil {
+		t.Fatal(err)
+	}
+	if c.net.energy == 0 {
+		t.Fatal("setup: expected traffic")
+	}
+	cfg := DefaultConfig(8, workload.LowLoad(), 3)
+	cfg.Net.LinkIdlePower = 0
+	if err := c.Rebuild(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if c.net.size != 8 || c.net.energy != 0 {
+		t.Errorf("fabric after Rebuild: size %d energy %v, want 8 and 0", c.net.size, c.net.energy)
+	}
+	if c.net.idleEnergy(100) != 0 {
+		t.Error("params not re-applied by Rebuild")
+	}
+	if err := c.net.send(20, leaderNode); err == nil {
+		t.Error("send from a dropped node succeeded after the shrink")
+	}
+}
+
+// TestNetworkEnergyMatchesMessageCount checks the fabric's traffic
+// energy against a count taken independently of the network: every
+// regime report, wake command and admission is one one-hop control
+// message, and every migration one two-hop message between its
+// endpoints. Migrations are counted from the cluster, not from move
+// events, because the growth-routing and failure-evacuation migrations
+// emit no move event.
+func TestNetworkEnergyMatchesMessageCount(t *testing.T) {
+	cfg := DefaultConfig(300, workload.HighLoad(), 1)
+	cfg.MTBF, cfg.MTTR = 2000, 300
+	rec := trace.NewRecorder()
+	cfg.Tracer = rec
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := c.RunIntervals(context.Background(), 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Admit(0.05); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reports := rec.Events(trace.KindReport)
+	wakes := rec.Events(trace.KindWake)
+	if wakes == 0 || c.admitted == 0 || c.migrations == 0 {
+		t.Fatalf("scenario too quiet: %d wakes, %d admitted, %d migrations", wakes, c.admitted, c.migrations)
+	}
+	hops := float64(reports) + float64(wakes) + float64(c.admitted) + 2*float64(c.migrations)
+	want := controlMsgSize * float64(cfg.Net.EnergyPerByte) * hops
+	if got := float64(c.net.energy); math.Abs(got-want) > 1e-9*want {
+		t.Errorf("fabric traffic energy %v J, want %v J (%d reports, %d wakes, %d admitted, %d migrations)",
+			got, want, reports, wakes, c.admitted, c.migrations)
+	}
+}

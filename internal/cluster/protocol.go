@@ -5,14 +5,9 @@ import (
 	"fmt"
 	"time"
 
-	"ealb/internal/migration"
-	"ealb/internal/netsim"
-	"ealb/internal/regime"
-	"ealb/internal/scaling"
 	"ealb/internal/server"
 	"ealb/internal/trace"
 	"ealb/internal/units"
-	"ealb/internal/vm"
 )
 
 // IntervalStats summarizes one completed reallocation interval.
@@ -34,8 +29,8 @@ type IntervalStats struct {
 	Woken    int    `json:"Woken"`
 	// Decisions are the interval's scaling decisions; Ratio is the
 	// in-cluster/local ratio plotted in Figure 3.
-	Decisions scaling.Counts `json:"Decisions"`
-	Ratio     float64        `json:"Ratio"`
+	Decisions Counts  `json:"Decisions"`
+	Ratio     float64 `json:"Ratio"`
 	// Migrations counts VM moves performed this interval.
 	Migrations int `json:"Migrations"`
 	// SLAViolations counts servers whose raw demand exceeded capacity.
@@ -184,12 +179,12 @@ func (c *Cluster) runInterval(now units.Seconds) (IntervalStats, error) {
 	ix := &c.idx
 	for i := range c.servers {
 		active := c.activeID(server.ID(i))
-		if active && ix.reg[i] == regime.R1 {
+		if active && ix.reg[i] == server.R1 {
 			ls.r1Streak[i]++
 		} else {
 			ls.r1Streak[i] = 0
 		}
-		if active && ix.reg[i] == regime.R4 {
+		if active && ix.reg[i] == server.R4 {
 			ls.r4Streak[i]++
 		} else {
 			ls.r4Streak[i] = 0
@@ -218,8 +213,8 @@ func (c *Cluster) runInterval(now units.Seconds) (IntervalStats, error) {
 			st.SLAViolations++
 		}
 	}
-	st.Decisions = c.ledger.CloseInterval()
-	st.Ratio = st.Decisions.Ratio()
+	st.Decisions = c.ledger.closeInterval()
+	st.Ratio = st.Decisions.ratio()
 	st.Migrations = c.intervalMigrations
 	c.intervalMigrations = 0
 	st.IntervalEnergy = c.TotalEnergy() - e0
@@ -280,7 +275,7 @@ func (c *Cluster) evolveDemand() error {
 				}
 				c.noteDemandChange(s)
 				h.App.Provision(units.Fraction(c.cfg.ReservationQuantum / 2))
-				c.ledger.Record(scaling.Vertical, 1)
+				c.ledger.record(vertical, 1)
 				i++
 				continue
 			}
@@ -294,7 +289,7 @@ func (c *Cluster) evolveDemand() error {
 				// Demand fell: release over-reservation (scale-down is
 				// the other half of local vertical elasticity).
 				if h.App.VerticalShrink(units.Fraction(c.cfg.ReservationQuantum)) > 0 {
-					c.ledger.Record(scaling.Vertical, 1)
+					c.ledger.record(vertical, 1)
 				}
 				i++
 				continue
@@ -332,13 +327,13 @@ func (c *Cluster) routeGrowth(s *server.Server, h server.Hosted) (bool, error) {
 			if err := c.migrate(s, dst, h); err != nil {
 				return false, err
 			}
-			c.ledger.Record(scaling.Horizontal, 1)
+			c.ledger.record(horizontal, 1)
 			return true, nil
 		}
 	}
 	if h.App.NeedsVerticalScale() {
 		h.App.VerticalScale(units.Fraction(c.cfg.ReservationQuantum))
-		c.ledger.Record(scaling.Vertical, 1)
+		c.ledger.record(vertical, 1)
 	}
 	return false, nil
 }
@@ -371,7 +366,7 @@ const acceptMargin = 0.04
 
 // limitAt returns the load limit an acceptor with boundaries b must stay
 // under; the acceptor search reads boundaries from the index columns.
-func (l acceptLimit) limitAt(b regime.Boundaries) units.Fraction {
+func (l acceptLimit) limitAt(b server.Boundaries) units.Fraction {
 	switch l {
 	case acceptToOptLow:
 		return b.OptLow
@@ -411,14 +406,8 @@ func (c *Cluster) migrate(src, dst *server.Server, h server.Hosted) error {
 	// The VM's CPU share follows current demand so the volume moved
 	// reflects the load being moved.
 	h.VM.CPUShare = h.App.Demand
-	if err := h.VM.SetState(vm.Migrating); err != nil {
-		return err
-	}
-	res := migration.LiveCost(h.VM, c.cfg.Migration)
+	res := server.LiveMigrationCost(h.VM, c.cfg.Migration)
 	c.migrationEnergy += res.Energy
-	if err := h.VM.SetState(vm.Running); err != nil {
-		return err
-	}
 	if err := dst.Place(h, c.now); err != nil {
 		return err
 	}
@@ -428,7 +417,7 @@ func (c *Cluster) migrate(src, dst *server.Server, h server.Hosted) error {
 	c.intervalMigrations++
 	// Negotiation and plan messages (src↔dst direct, per §4's "negotiates
 	// directly with the potential partners").
-	if _, err := c.net.Send(netsim.NodeID(src.ID()), netsim.NodeID(dst.ID()), netsim.MsgMigrationPlan, netsim.ControlMsgSize); err != nil {
+	if err := c.net.send(nodeID(src.ID()), nodeID(dst.ID())); err != nil {
 		return err
 	}
 	return nil
@@ -489,7 +478,7 @@ func (c *Cluster) applyBalance(plan *balancePlan) error {
 	for _, a := range plan.actions {
 		switch a.kind {
 		case actReport:
-			if _, err := c.net.Send(netsim.NodeID(a.src), netsim.LeaderNode, netsim.MsgRegimeReport, netsim.ControlMsgSize); err != nil {
+			if err := c.net.send(nodeID(a.src), leaderNode); err != nil {
 				return err
 			}
 			if tr != nil {
@@ -512,7 +501,7 @@ func (c *Cluster) applyBalance(plan *balancePlan) error {
 			if err := c.migrate(src, dst, h); err != nil {
 				return err
 			}
-			c.ledger.Record(scaling.Horizontal, 1)
+			c.ledger.record(horizontal, 1)
 			if tr != nil {
 				c.emit(trace.Event{Kind: trace.KindMove, Src: int(a.src), Dst: int(a.dst), App: int(a.app), Demand: demand})
 			}
@@ -521,7 +510,7 @@ func (c *Cluster) applyBalance(plan *balancePlan) error {
 			if err != nil {
 				return err
 			}
-			if _, err := c.net.Send(netsim.LeaderNode, netsim.NodeID(a.src), netsim.MsgWakeCommand, netsim.ControlMsgSize); err != nil {
+			if err := c.net.send(leaderNode, nodeID(a.src)); err != nil {
 				return err
 			}
 			ready, err := s.Wake(c.now)

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"ealb/internal/power"
 	"ealb/internal/report"
+	"ealb/internal/server"
 	"ealb/internal/units"
 )
 
@@ -27,16 +27,16 @@ func RunDVFSStudy() ([]DVFSStudy, error) {
 	demands := []units.Fraction{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 	out := make([]DVFSStudy, len(demands))
 	for i, demand := range demands {
-		base, err := power.NewLinear(100, 200)
+		base, err := server.NewLinearPower(100, 200)
 		if err != nil {
 			return nil, err
 		}
-		d, err := power.NewDVFS(base, power.DefaultPStates())
+		d, err := newDVFS(base, defaultPStates())
 		if err != nil {
 			return nil, err
 		}
 		nominal := d.Power(demand)
-		if err := d.SetState(d.BestStateFor(demand)); err != nil {
+		if err := d.setState(d.bestStateFor(demand)); err != nil {
 			return nil, err
 		}
 		scaled := d.Power(demand)
@@ -46,7 +46,7 @@ func RunDVFSStudy() ([]DVFSStudy, error) {
 		}
 		out[i] = DVFSStudy{
 			Demand: demand,
-			State:  d.Current().Name,
+			State:  d.state().name,
 			Power:  scaled,
 			Saving: saving,
 		}

@@ -1,19 +1,20 @@
-package power
+package experiments
 
 import (
 	"math"
 	"testing"
 
+	"ealb/internal/server"
 	"ealb/internal/units"
 )
 
-func mustDVFS(t *testing.T) *DVFS {
+func mustDVFS(t *testing.T) *dvfsModel {
 	t.Helper()
-	base, err := NewLinear(100, 200)
+	base, err := server.NewLinearPower(100, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDVFS(base, DefaultPStates())
+	d, err := newDVFS(base, defaultPStates())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,39 +22,39 @@ func mustDVFS(t *testing.T) *DVFS {
 }
 
 func TestDVFSValidation(t *testing.T) {
-	base, _ := NewLinear(100, 200)
-	if _, err := NewDVFS(nil, DefaultPStates()); err == nil {
+	base, _ := server.NewLinearPower(100, 200)
+	if _, err := newDVFS(nil, defaultPStates()); err == nil {
 		t.Error("nil base must fail")
 	}
-	if _, err := NewDVFS(base, nil); err == nil {
+	if _, err := newDVFS(base, nil); err == nil {
 		t.Error("empty ladder must fail")
 	}
-	if _, err := NewDVFS(base, []PState{{Name: "bad", Freq: 1.2, Volt: 1}}); err == nil {
+	if _, err := newDVFS(base, []pState{{name: "bad", freq: 1.2, volt: 1}}); err == nil {
 		t.Error("freq > 1 must fail")
 	}
-	if _, err := NewDVFS(base, []PState{{Name: "bad", Freq: 0.5, Volt: 0}}); err == nil {
+	if _, err := newDVFS(base, []pState{{name: "bad", freq: 0.5, volt: 0}}); err == nil {
 		t.Error("zero volt must fail")
 	}
 }
 
 func TestDVFSStatesSortedNominalFirst(t *testing.T) {
-	base, _ := NewLinear(100, 200)
-	d, err := NewDVFS(base, []PState{
-		{Name: "slow", Freq: 0.6, Volt: 0.8},
-		{Name: "fast", Freq: 1.0, Volt: 1.0},
+	base, _ := server.NewLinearPower(100, 200)
+	d, err := newDVFS(base, []pState{
+		{name: "slow", freq: 0.6, volt: 0.8},
+		{name: "fast", freq: 1.0, volt: 1.0},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Current().Name != "fast" {
-		t.Errorf("initial state = %v, want nominal", d.Current().Name)
+	if d.state().name != "fast" {
+		t.Errorf("initial state = %v, want nominal", d.state().name)
 	}
 }
 
 func TestDVFSNominalMatchesBase(t *testing.T) {
 	d := mustDVFS(t)
 	for _, u := range []units.Fraction{0, 0.3, 0.7, 1} {
-		if got, want := d.Power(u), d.Base.Power(u); math.Abs(float64(got-want)) > 1e-9 {
+		if got, want := d.Power(u), d.base.Power(u); math.Abs(float64(got-want)) > 1e-9 {
 			t.Errorf("nominal P-state Power(%v) = %v, want base %v", u, got, want)
 		}
 	}
@@ -62,21 +63,21 @@ func TestDVFSNominalMatchesBase(t *testing.T) {
 func TestDVFSLowerStateSavesPower(t *testing.T) {
 	d := mustDVFS(t)
 	nominal := d.Power(0.5)
-	if err := d.SetState(4); err != nil { // P4: 0.6 freq, 0.8 volt
+	if err := d.setState(4); err != nil { // P4: 0.6 freq, 0.8 volt
 		t.Fatal(err)
 	}
 	scaled := d.Power(0.5)
 	if scaled >= nominal {
 		t.Errorf("P4 draw %v not below nominal %v at same demand", scaled, nominal)
 	}
-	if d.Capacity() != 0.6 {
-		t.Errorf("P4 capacity = %v, want 0.6", d.Capacity())
+	if d.capacity() != 0.6 {
+		t.Errorf("P4 capacity = %v, want 0.6", d.capacity())
 	}
 }
 
 func TestDVFSSaturatesAtScaledCapacity(t *testing.T) {
 	d := mustDVFS(t)
-	if err := d.SetState(4); err != nil {
+	if err := d.setState(4); err != nil {
 		t.Fatal(err)
 	}
 	// Demand above the 0.6 capacity saturates: same power as at capacity.
@@ -87,10 +88,10 @@ func TestDVFSSaturatesAtScaledCapacity(t *testing.T) {
 
 func TestDVFSSetStateErrors(t *testing.T) {
 	d := mustDVFS(t)
-	if err := d.SetState(-1); err == nil {
+	if err := d.setState(-1); err == nil {
 		t.Error("negative index must error")
 	}
-	if err := d.SetState(99); err == nil {
+	if err := d.setState(99); err == nil {
 		t.Error("out-of-range index must error")
 	}
 }
@@ -107,13 +108,13 @@ func TestBestStateFor(t *testing.T) {
 		{0.10, "P4"},
 	}
 	for _, tt := range tests {
-		i := d.BestStateFor(tt.u)
-		if d.States[i].Name != tt.want {
-			t.Errorf("BestStateFor(%v) = %v, want %v", tt.u, d.States[i].Name, tt.want)
+		i := d.bestStateFor(tt.u)
+		if d.states[i].name != tt.want {
+			t.Errorf("BestStateFor(%v) = %v, want %v", tt.u, d.states[i].name, tt.want)
 		}
 		// QoS invariant: chosen state always covers the demand.
-		if d.States[i].Freq < tt.u {
-			t.Errorf("chosen state capacity %v below demand %v", d.States[i].Freq, tt.u)
+		if d.states[i].freq < tt.u {
+			t.Errorf("chosen state capacity %v below demand %v", d.states[i].freq, tt.u)
 		}
 	}
 }

@@ -5,8 +5,7 @@ import (
 	"testing"
 
 	"ealb/internal/engine"
-	"ealb/internal/power"
-	"ealb/internal/regime"
+	"ealb/internal/server"
 	"ealb/internal/workload"
 )
 
@@ -350,8 +349,8 @@ func TestDVFSStudy(t *testing.T) {
 }
 
 func TestRenderFigure1(t *testing.T) {
-	b := regime.Boundaries{SoptLow: 0.225, OptLow: 0.35, OptHigh: 0.675, SoptHigh: 0.825}
-	m, err := power.NewLinear(100, 200)
+	b := server.Boundaries{SoptLow: 0.225, OptLow: 0.35, OptHigh: 0.675, SoptHigh: 0.825}
+	m, err := server.NewLinearPower(100, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +370,7 @@ func TestRenderFigure1(t *testing.T) {
 		t.Errorf("Figure 1 must report the 0.50 idle floor:\n%s", out)
 	}
 	// Error paths.
-	if err := RenderFigure1(&sb, regime.Boundaries{SoptLow: 0.9}, m); err == nil {
+	if err := RenderFigure1(&sb, server.Boundaries{SoptLow: 0.9}, m); err == nil {
 		t.Error("invalid boundaries must error")
 	}
 	if err := RenderFigure1(&sb, b, nil); err == nil {

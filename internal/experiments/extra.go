@@ -8,9 +8,8 @@ import (
 	"ealb/internal/analytic"
 	"ealb/internal/cluster"
 	"ealb/internal/policy"
-	"ealb/internal/power"
-	"ealb/internal/regime"
 	"ealb/internal/report"
+	"ealb/internal/server"
 	"ealb/internal/units"
 	"ealb/internal/workload"
 )
@@ -19,13 +18,13 @@ import (
 // volume, mid-range and high-end servers, 2000-2006.
 func RenderTable1(w io.Writer) error {
 	headers := []string{"Type"}
-	for _, y := range power.Table1Years {
+	for _, y := range table1Years {
 		headers = append(headers, fmt.Sprintf("%d", y))
 	}
 	t := report.NewTable("Table 1 — estimated average server power use (Watts) [Koomey]", headers...)
-	for _, class := range []power.ServerClass{power.Volume, power.MidRange, power.HighEnd} {
+	for _, class := range []serverClass{classVolume, classMidRange, classHighEnd} {
 		row := []string{class.String()}
-		series, err := power.Table1Row(class)
+		series, err := table1Row(class)
 		if err != nil {
 			return err
 		}
@@ -216,12 +215,12 @@ func RunDeltaAblation(size int, band workload.Band, seed uint64, intervals int, 
 		// Collapse the boundary sampling ranges onto opt ± δ (and ± 2δ
 		// for the suboptimal edges), making every server share the same
 		// regime geometry.
-		b, err := regime.WithDelta(units.Fraction(opt), units.Fraction(d))
+		b, err := server.WithDelta(units.Fraction(opt), units.Fraction(d))
 		if err != nil {
 			return nil, err
 		}
 		eps := 1e-9
-		ranges := regime.PaperRanges{
+		ranges := server.PaperRanges{
 			SoptLow:  [2]float64{float64(b.SoptLow), float64(b.SoptLow) + eps},
 			OptLow:   [2]float64{float64(b.OptLow), float64(b.OptLow) + eps},
 			OptHigh:  [2]float64{float64(b.OptHigh), float64(b.OptHigh) + eps},

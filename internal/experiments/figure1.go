@@ -5,8 +5,7 @@ import (
 	"io"
 	"strings"
 
-	"ealb/internal/power"
-	"ealb/internal/regime"
+	"ealb/internal/server"
 	"ealb/internal/units"
 )
 
@@ -18,7 +17,7 @@ import (
 // model: for a linear model with idle fraction i, b = i + (1-i)a, so the
 // curve is the straight line the paper sketches, starting at b = i for
 // a = 0 (the idle floor) and reaching (1,1) at peak.
-func RenderFigure1(w io.Writer, b regime.Boundaries, m power.Model) error {
+func RenderFigure1(w io.Writer, b server.Boundaries, m server.PowerModel) error {
 	if err := b.Validate(); err != nil {
 		return err
 	}
@@ -45,7 +44,7 @@ func RenderFigure1(w io.Writer, b regime.Boundaries, m power.Model) error {
 	// The a(b) curve.
 	for i := 0; i <= 400; i++ {
 		a := float64(i) / 400
-		bb := float64(power.NormalizedEnergy(m, units.Fraction(a)))
+		bb := float64(normalizedEnergy(m, units.Fraction(a)))
 		plot(a, bb, '*')
 	}
 	// Region boundaries as vertical markers at their energy coordinate.
@@ -55,7 +54,7 @@ func RenderFigure1(w io.Writer, b regime.Boundaries, m power.Model) error {
 	}{
 		{b.SoptLow, '1'}, {b.OptLow, '2'}, {b.OptHigh, '3'}, {b.SoptHigh, '4'},
 	} {
-		bb := float64(power.NormalizedEnergy(m, mark.a))
+		bb := float64(normalizedEnergy(m, mark.a))
 		for r := 0; r < height; r++ {
 			x := int(bb * float64(width-1))
 			if grid[r][x] == ' ' {
@@ -72,7 +71,7 @@ func RenderFigure1(w io.Writer, b regime.Boundaries, m power.Model) error {
 	fmt.Fprintln(w, "\nregions: left of 1 = R1 (undesirable-low), 1..2 = R2 (suboptimal-low),")
 	fmt.Fprintln(w, "2..3 = R3 (optimal), 3..4 = R4 (suboptimal-high), right of 4 = R5.")
 	fmt.Fprintf(w, "the curve starts at b=%.2f for a=0: the idle floor of a non-energy-proportional server.\n",
-		float64(power.NormalizedEnergy(m, 0)))
+		float64(normalizedEnergy(m, 0)))
 	return nil
 }
 
@@ -80,10 +79,20 @@ func RenderFigure1(w io.Writer, b regime.Boundaries, m power.Model) error {
 // midpoint boundaries of the §4 sampling ranges on the 50%-idle linear
 // model.
 func figure1Runner(w io.Writer, _ Options) error {
-	b := regime.Boundaries{SoptLow: 0.225, OptLow: 0.35, OptHigh: 0.675, SoptHigh: 0.825}
-	m, err := power.NewLinear(100, 200)
+	b := server.Boundaries{SoptLow: 0.225, OptLow: 0.35, OptHigh: 0.675, SoptHigh: 0.825}
+	m, err := server.NewLinearPower(100, 200)
 	if err != nil {
 		return err
 	}
 	return RenderFigure1(w, b, m)
+}
+
+// normalizedEnergy returns b(t) = current power / peak power for model m
+// at utilization u — the horizontal axis of the paper's Figure 1.
+func normalizedEnergy(m server.PowerModel, u units.Fraction) units.Fraction {
+	peak := m.Peak()
+	if peak <= 0 {
+		return 0
+	}
+	return units.Fraction(float64(m.Power(u)) / float64(peak))
 }

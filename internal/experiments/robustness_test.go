@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"ealb/internal/cluster"
-	"ealb/internal/scaling"
 	"ealb/internal/units"
 	"ealb/internal/workload"
 )
@@ -19,7 +18,7 @@ func sampleStats() cluster.IntervalStats {
 		EndTime:        180,
 		Sleeping:       5,
 		Woken:          1,
-		Decisions:      scaling.Counts{Local: 10, InCluster: 4},
+		Decisions:      cluster.Counts{Local: 10, InCluster: 4},
 		Ratio:          0.4,
 		Migrations:     4,
 		SLAViolations:  2,

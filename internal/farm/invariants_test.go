@@ -5,7 +5,7 @@ import (
 	"math"
 	"testing"
 
-	"ealb/internal/app"
+	"ealb/internal/server"
 	"ealb/internal/workload"
 )
 
@@ -39,7 +39,7 @@ func TestFarmConservation(t *testing.T) {
 				t.Fatalf("dispatch %v seed %d: %v", dispatch, seed, err)
 			}
 
-			seen := make(map[*app.App]struct{})
+			seen := make(map[*server.App]struct{})
 			after := 0
 			admitted := 0
 			var appDemand, serverDemand float64

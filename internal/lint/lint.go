@@ -300,11 +300,17 @@ func docMarkerArg(marker string, groups ...*ast.CommentGroup) (string, bool) {
 // regardless of host, scheduling, or map hashing. detrand and
 // stablesort enforce their rules inside these subtrees.
 //
+// server holds the whole per-server model (C-states, applications, VMs,
+// regimes, migration cost, power curve) and cluster the protocol, its
+// network and its scaling ledger, so every model the simulation steps
+// falls under the rules.
+//
 // serve is included deliberately: its NDJSON streams feed digests, so
 // its few wall-clock sites (run timestamps, HTTP latency metrics) carry
 // //ealb:allow-nondet annotations documenting why each is outside the
 // simulated world.
 var deterministicPackages = []string{
+	"ealb/internal/server",
 	"ealb/internal/cluster",
 	"ealb/internal/farm",
 	"ealb/internal/engine",

@@ -48,14 +48,13 @@ var reachKeep = map[string]string{
 	"ealb.SweepSpec":        "the sweep godoc example declares its spec with it",
 
 	// Test oracles: simpler paths the tests compare the production path with.
-	"ealb/internal/stats.StdDev":            "the churn test checks sweep aggregates report the sample, not population, deviation",
-	"ealb/internal/stats.Running.N":         "the stats tests check the observation count",
-	"ealb/internal/stats.Running.Variance":  "the stats and workload tests check population variance",
-	"ealb/internal/stats.Running.StdDev":    "the stats tests check population deviation",
-	"ealb/internal/engine.RunFarm":          "the farm tests compare arena-reused farm cells with a direct run",
-	"ealb/internal/engine.Pool.RunScenario": "the engine tests run single scenarios against the sweep path",
-	"ealb/internal/app.New":                 "the app and server tests build applications without a generator",
-	"ealb/internal/app.Generator.Next":      "the app tests check NextInto against the allocating draw",
+	"ealb/internal/stats.StdDev":             "the churn test checks sweep aggregates report the sample, not population, deviation",
+	"ealb/internal/stats.Running.N":          "the stats tests check the observation count",
+	"ealb/internal/stats.Running.Variance":   "the stats and workload tests check population variance",
+	"ealb/internal/stats.Running.StdDev":     "the stats tests check population deviation",
+	"ealb/internal/engine.RunFarm":           "the farm tests compare arena-reused farm cells with a direct run",
+	"ealb/internal/engine.Pool.RunScenario":  "the engine tests run single scenarios against the sweep path",
+	"ealb/internal/server.AppGenerator.Next": "the server tests check NextInto against the allocating draw",
 
 	// The §4 closed-form equations the analytic tests pin.
 	"ealb/internal/analytic.Model.ReferenceEnergy": "the analytic tests pin the §4 reference energy equation",
@@ -69,19 +68,11 @@ var reachKeep = map[string]string{
 	"ealb/internal/cluster.Cluster.Interval":     "the cluster and leader tests check the interval counter",
 	"ealb/internal/cluster.Cluster.Failed":       "the fuzz and leader tests check a server's failed flag",
 	"ealb/internal/farm.Farm.Interval":           "the farm tests check the interval counter",
-	"ealb/internal/acpi.Manager.WakeCount":       "the acpi tests check transition counts",
-	"ealb/internal/acpi.Manager.SleepCount":      "the acpi tests check transition counts",
-	"ealb/internal/netsim.Network.Size":          "the netsim reset test checks the resized fabric",
-	"ealb/internal/netsim.Network.NodeCounters":  "the netsim tests check per-node traffic",
-	"ealb/internal/regime.Region.Valid":          "the regime tests check classification stays in R1..R5",
-	"ealb/internal/scaling.Ledger.Totals":        "the scaling, cluster and leader tests check decision totals",
 	"ealb/internal/serve.Server.Wait":            "the serve and engine tests wait for a run to finish",
 	"ealb/internal/server.Server.PowerModel":     "the cluster tests check the configured power model",
 	"ealb/internal/server.Server.CStateBusy":     "the server and cluster tests check the sleep-transition window",
 	"ealb/internal/trace.Recorder.Events":        "the trace and engine tests check per-kind event counts",
 	"ealb/internal/trace.Recorder.PhaseSnapshot": "the trace and cluster tests check phase timings",
-	"ealb/internal/vm.DefaultConfig":             "the vm, server and benchmark tests build VMs from it",
-	"ealb/internal/vm.VM.State":                  "the vm and cluster tests check lifecycle states",
 
 	// RunStore.GetRun: the store tests read records back, and perfbench
 	// forwards it, but the service reads records another way.

@@ -19,7 +19,6 @@ import (
 	"ealb/internal/cluster"
 	"ealb/internal/engine"
 	"ealb/internal/farm"
-	"ealb/internal/scaling"
 	"ealb/internal/store"
 	"ealb/internal/units"
 	"ealb/internal/workload"
@@ -73,7 +72,7 @@ func FuzzResultSplice(f *testing.F) {
 		clusterStat := func(i int) cluster.IntervalStats {
 			st := cluster.IntervalStats{
 				Index: i + 1, EndTime: units.Seconds(num()), Sleeping: r.IntN(50), Woken: r.IntN(5),
-				Decisions: scaling.Counts{Local: r.IntN(9), InCluster: r.IntN(9)}, Ratio: num(),
+				Decisions: cluster.Counts{Local: r.IntN(9), InCluster: r.IntN(9)}, Ratio: num(),
 				Migrations: r.IntN(4), SLAViolations: r.IntN(3), ClusterLoad: units.Fraction(r.Float64()),
 				IntervalEnergy: units.Joules(num()), AvgQCost: units.Joules(num()),
 				AvgPCost: units.Joules(num()), AvgJCost: units.Joules(num()),

@@ -1,23 +1,24 @@
-// Package acpi models the ACPI processor C-states (C0-C6) the paper
-// builds its sleep strategy on (§2 "Sleep states").
-//
-// The paper abstracts each sleep state into three observables — the power
-// drawn while asleep, the latency to return to the running state C0, and
-// the energy spent during the wake-up (reported to be close to the peak
-// draw for the whole setup period, which can reach 260 seconds [9]). This
-// package encodes exactly those observables plus a transition manager that
-// does the energy/time bookkeeping for a server-level simulation.
-//
-// The deeper the state, the lower the sleep power and the longer (and more
-// expensive) the wake-up: the C3-versus-C6 trade-off that the cluster
-// protocol's 60% rule (§6) arbitrates.
-package acpi
+package server
 
 import (
 	"fmt"
 
 	"ealb/internal/units"
 )
+
+// The ACPI processor C-states (C0-C6) the paper builds its sleep strategy
+// on (§2 "Sleep states").
+//
+// The paper abstracts each sleep state into three observables — the power
+// drawn while asleep, the latency to return to the running state C0, and
+// the energy spent during the wake-up (reported to be close to the peak
+// draw for the whole setup period, which can reach 260 seconds [9]). This
+// file encodes exactly those observables; acpiManager does the
+// energy/time bookkeeping of one server's transitions.
+//
+// The deeper the state, the lower the sleep power and the longer (and more
+// expensive) the wake-up: the C3-versus-C6 trade-off that the cluster
+// protocol's 60% rule (§6) arbitrates.
 
 // CState is a processor sleep state. C0 is fully operational; higher
 // numbers cut clocks (C1-C3) and then reduce voltage (C4-C6).
@@ -42,36 +43,36 @@ func (c CState) String() string {
 	return [...]string{"C0", "C1", "C2", "C3", "C4", "C5", "C6"}[c]
 }
 
-// Valid reports whether c is a defined processor state.
-func (c CState) Valid() bool { return c >= C0 && c <= C6 }
+// valid reports whether c is a defined processor state.
+func (c CState) valid() bool { return c >= C0 && c <= C6 }
 
 // Sleeping reports whether c is any state other than the running state C0.
-func (c CState) Sleeping() bool { return c.Valid() && c != C0 }
+func (c CState) Sleeping() bool { return c.valid() && c != C0 }
 
 // Spec captures the observable behaviour of one sleep state.
 type Spec struct {
-	State CState
-	// SleepPowerFrac is the power drawn while in the state, as a fraction
+	state CState
+	// sleepPowerFrac is the power drawn while in the state, as a fraction
 	// of the server's peak power.
-	SleepPowerFrac units.Fraction
-	// WakeLatency is the time to return to C0.
-	WakeLatency units.Seconds
-	// WakePowerFrac is the draw during wake-up as a fraction of peak; the
+	sleepPowerFrac units.Fraction
+	// wakeLatency is the time to return to C0.
+	wakeLatency units.Seconds
+	// wakePowerFrac is the draw during wake-up as a fraction of peak; the
 	// paper reports setup-phase consumption "close to the maximal one".
-	WakePowerFrac units.Fraction
-	// EnterLatency is the time to transition into the state from C0.
-	EnterLatency units.Seconds
+	wakePowerFrac units.Fraction
+	// enterLatency is the time to transition into the state from C0.
+	enterLatency units.Seconds
 }
 
-// WakeEnergy returns the energy cost of one wake-up for a server with the
+// wakeEnergy returns the energy cost of one wake-up for a server with the
 // given peak power.
-func (s Spec) WakeEnergy(peak units.Watts) units.Joules {
-	return units.Energy(units.Watts(float64(peak)*float64(s.WakePowerFrac)), s.WakeLatency)
+func (s Spec) wakeEnergy(peak units.Watts) units.Joules {
+	return units.Energy(units.Watts(float64(peak)*float64(s.wakePowerFrac)), s.wakeLatency)
 }
 
 // SleepPower returns the draw while parked in the state.
 func (s Spec) SleepPower(peak units.Watts) units.Watts {
-	return units.Watts(float64(peak) * float64(s.SleepPowerFrac))
+	return units.Watts(float64(peak) * float64(s.sleepPowerFrac))
 }
 
 // DefaultSpecs returns the sleep-state table used by the simulations.
@@ -81,12 +82,12 @@ func (s Spec) SleepPower(peak units.Watts) units.Watts {
 // time of [9] for the deepest state.
 func DefaultSpecs() map[CState]Spec {
 	return map[CState]Spec{
-		C0: {State: C0, SleepPowerFrac: 1.00, WakeLatency: 0, WakePowerFrac: 0, EnterLatency: 0},
-		C1: {State: C1, SleepPowerFrac: 0.55, WakeLatency: 0.01, WakePowerFrac: 1, EnterLatency: 0.001},
-		C2: {State: C2, SleepPowerFrac: 0.45, WakeLatency: 0.1, WakePowerFrac: 1, EnterLatency: 0.01},
-		C3: {State: C3, SleepPowerFrac: 0.15, WakeLatency: 30, WakePowerFrac: 1, EnterLatency: 1},
-		C4: {State: C4, SleepPowerFrac: 0.10, WakeLatency: 60, WakePowerFrac: 1, EnterLatency: 2},
-		C5: {State: C5, SleepPowerFrac: 0.05, WakeLatency: 120, WakePowerFrac: 1, EnterLatency: 3},
-		C6: {State: C6, SleepPowerFrac: 0.02, WakeLatency: 260, WakePowerFrac: 1, EnterLatency: 5},
+		C0: {state: C0, sleepPowerFrac: 1.00, wakeLatency: 0, wakePowerFrac: 0, enterLatency: 0},
+		C1: {state: C1, sleepPowerFrac: 0.55, wakeLatency: 0.01, wakePowerFrac: 1, enterLatency: 0.001},
+		C2: {state: C2, sleepPowerFrac: 0.45, wakeLatency: 0.1, wakePowerFrac: 1, enterLatency: 0.01},
+		C3: {state: C3, sleepPowerFrac: 0.15, wakeLatency: 30, wakePowerFrac: 1, enterLatency: 1},
+		C4: {state: C4, sleepPowerFrac: 0.10, wakeLatency: 60, wakePowerFrac: 1, enterLatency: 2},
+		C5: {state: C5, sleepPowerFrac: 0.05, wakeLatency: 120, wakePowerFrac: 1, enterLatency: 3},
+		C6: {state: C6, sleepPowerFrac: 0.02, wakeLatency: 260, wakePowerFrac: 1, enterLatency: 5},
 	}
 }

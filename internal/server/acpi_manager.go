@@ -1,4 +1,4 @@
-package acpi
+package server
 
 import (
 	"fmt"
@@ -6,21 +6,25 @@ import (
 	"ealb/internal/units"
 )
 
-// Manager tracks the sleep state of one server and accounts for the time
-// and energy spent in states and transitions. It is the piece of the
+// acpiManager tracks the sleep state of one server and accounts for the
+// time and energy spent in states and transitions. It is the piece of the
 // hypervisor the paper calls "the energy management component" (§3).
-type Manager struct {
+type acpiManager struct {
 	specs map[CState]Spec
 	peak  units.Watts
 
+	// state is the current sleep state. During a transition it is
+	// already the target state; busy reports transition progress.
 	state CState
 	// cur caches specs[state] so the per-interval accounting of a parked
-	// server (SleepPower) never touches the spec map.
+	// server (sleepPower) never touches the spec map.
 	cur Spec
 	// busyUntil is the simulation time at which the in-flight transition
 	// (if any) completes; the manager rejects new transitions before then.
 	busyUntil units.Seconds
 
+	// transitionEnergy is the cumulative energy spent in transitions;
+	// wakeCount and sleepCount count sleep→C0 and C0→sleep transitions.
 	transitionEnergy units.Joules
 	wakeCount        int
 	sleepCount       int
@@ -32,10 +36,10 @@ type Manager struct {
 // per server — which matters when a farm instantiates 10⁶ of them.
 var sharedDefaultSpecs = DefaultSpecs()
 
-// NewManager returns a manager for a server with the given peak power,
+// newACPIManager returns a manager for a server with the given peak power,
 // starting in C0 (all servers begin operational, per §4). A nil specs map
 // selects DefaultSpecs.
-func NewManager(peak units.Watts, specs map[CState]Spec) (*Manager, error) {
+func newACPIManager(peak units.Watts, specs map[CState]Spec) (*acpiManager, error) {
 	if peak <= 0 {
 		return nil, fmt.Errorf("acpi: non-positive peak power %v", peak)
 	}
@@ -47,14 +51,14 @@ func NewManager(peak units.Watts, specs map[CState]Spec) (*Manager, error) {
 			return nil, fmt.Errorf("acpi: specs missing %v", c)
 		}
 	}
-	return &Manager{specs: specs, peak: peak, state: C0, cur: specs[C0]}, nil
+	return &acpiManager{specs: specs, peak: peak, state: C0, cur: specs[C0]}, nil
 }
 
-// Reset returns the manager to its initial state — C0, no transition in
+// reset returns the manager to its initial state — C0, no transition in
 // flight, no accumulated energy or transition counts — with a new peak
 // power, reusing the spec table. It is the arena path of server reuse: a
-// Reset manager behaves exactly like one freshly built by NewManager.
-func (m *Manager) Reset(peak units.Watts) error {
+// reset manager behaves exactly like one freshly built by newACPIManager.
+func (m *acpiManager) reset(peak units.Watts) error {
 	if peak <= 0 {
 		return fmt.Errorf("acpi: non-positive peak power %v", peak)
 	}
@@ -68,18 +72,11 @@ func (m *Manager) Reset(peak units.Watts) error {
 	return nil
 }
 
-// State returns the current sleep state. During a transition this is
-// already the target state; use Busy to check transition progress.
-func (m *Manager) State() CState { return m.state }
+// busy reports whether a transition is still in flight at time now.
+func (m *acpiManager) busy(now units.Seconds) bool { return now < m.busyUntil }
 
-// Busy reports whether a transition is still in flight at time now.
-func (m *Manager) Busy(now units.Seconds) bool { return now < m.busyUntil }
-
-// ReadyAt returns when the in-flight transition (if any) completes.
-func (m *Manager) ReadyAt() units.Seconds { return m.busyUntil }
-
-// Spec returns the spec of state c.
-func (m *Manager) Spec(c CState) (Spec, error) {
+// spec returns the spec of state c.
+func (m *acpiManager) spec(c CState) (Spec, error) {
 	s, ok := m.specs[c]
 	if !ok {
 		return Spec{}, fmt.Errorf("acpi: unknown state %v", c)
@@ -87,25 +84,16 @@ func (m *Manager) Spec(c CState) (Spec, error) {
 	return s, nil
 }
 
-// WakeCount returns how many sleep→C0 transitions have been performed.
-func (m *Manager) WakeCount() int { return m.wakeCount }
-
-// SleepCount returns how many C0→sleep transitions have been performed.
-func (m *Manager) SleepCount() int { return m.sleepCount }
-
-// TransitionEnergy returns the cumulative energy spent in transitions.
-func (m *Manager) TransitionEnergy() units.Joules { return m.transitionEnergy }
-
-// Sleep moves the server from C0 into sleep state target at time now.
+// sleep moves the server from C0 into sleep state target at time now.
 // It returns the time at which the server is parked in the target state.
-func (m *Manager) Sleep(target CState, now units.Seconds) (units.Seconds, error) {
+func (m *acpiManager) sleep(target CState, now units.Seconds) (units.Seconds, error) {
 	if !target.Sleeping() {
 		return 0, fmt.Errorf("acpi: Sleep target %v is not a sleep state", target)
 	}
 	if m.state != C0 {
 		return 0, fmt.Errorf("acpi: Sleep from %v; server must be running", m.state)
 	}
-	if m.Busy(now) {
+	if m.busy(now) {
 		return 0, fmt.Errorf("acpi: transition in flight until %v", m.busyUntil)
 	}
 	spec := m.specs[target]
@@ -113,50 +101,50 @@ func (m *Manager) Sleep(target CState, now units.Seconds) (units.Seconds, error)
 	// draw; we charge the sleep-state power for it, a small conservative
 	// under-count compared to wake costs which dominate by orders of
 	// magnitude.
-	m.transitionEnergy += units.Energy(spec.SleepPower(m.peak), spec.EnterLatency)
+	m.transitionEnergy += units.Energy(spec.SleepPower(m.peak), spec.enterLatency)
 	m.state = target
 	m.cur = spec
-	m.busyUntil = now + spec.EnterLatency
+	m.busyUntil = now + spec.enterLatency
 	m.sleepCount++
 	return m.busyUntil, nil
 }
 
-// Wake starts the transition back to C0 at time now. It returns the time
+// wake starts the transition back to C0 at time now. It returns the time
 // at which the server is operational and charges the wake energy (near
 // peak draw for the whole setup time, per [9]).
-func (m *Manager) Wake(now units.Seconds) (units.Seconds, error) {
+func (m *acpiManager) wake(now units.Seconds) (units.Seconds, error) {
 	if m.state == C0 {
 		return 0, fmt.Errorf("acpi: Wake while already running")
 	}
-	if m.Busy(now) {
+	if m.busy(now) {
 		return 0, fmt.Errorf("acpi: transition in flight until %v", m.busyUntil)
 	}
 	spec := m.cur
-	m.transitionEnergy += spec.WakeEnergy(m.peak)
+	m.transitionEnergy += spec.wakeEnergy(m.peak)
 	m.state = C0
 	m.cur = m.specs[C0]
-	m.busyUntil = now + spec.WakeLatency
+	m.busyUntil = now + spec.wakeLatency
 	m.wakeCount++
 	return m.busyUntil, nil
 }
 
-// Crash abandons any in-flight transition and returns the manager to C0
+// crash abandons any in-flight transition and returns the manager to C0
 // without charging wake energy: the server lost power, so its next state
 // change is a reboot, not an ACPI transition. Accumulated transition
 // energy and counters are kept — that energy was really spent before the
 // crash. The caller owns the outage itself (a crashed server draws
 // nothing until repaired); Crash only reconciles the transition state so
 // a repaired server provably rejoins in C0 with nothing armed.
-func (m *Manager) Crash() {
+func (m *acpiManager) crash() {
 	m.state = C0
 	m.cur = m.specs[C0]
 	m.busyUntil = 0
 }
 
-// SleepPower returns the draw of the current state while asleep. Calling
+// sleepPower returns the draw of the current state while asleep. Calling
 // it in C0 is a programming error (operational power comes from the power
 // model, not from the ACPI table) and panics.
-func (m *Manager) SleepPower() units.Watts {
+func (m *acpiManager) sleepPower() units.Watts {
 	if m.state == C0 {
 		panic("acpi: SleepPower while running; use the power model")
 	}

@@ -1,13 +1,4 @@
-// Package app models the applications running inside the cluster's VMs.
-//
-// The heterogeneous model of §4 gives every application A_i,k a bounded
-// demand process: λ_i,k is "the largest rate of increase in demand for CPU
-// cycles of the application A_i,k on server S_k" per reallocation interval,
-// and each application has a unique λ. The bounded rate is a load-bearing
-// assumption of the paper — it is what makes per-interval reallocation
-// decisions safe — so the package enforces it rather than merely sampling
-// under it.
-package app
+package server
 
 import (
 	"fmt"
@@ -16,58 +7,56 @@ import (
 	"ealb/internal/xrand"
 )
 
-// ID uniquely identifies an application within a simulation.
-type ID int64
+// AppID uniquely identifies an application within a simulation.
+type AppID int64
 
-// App is one application instance. Demand is the normalized CPU share it
-// currently needs on its host server.
+// App is one application running inside a VM. Demand is the normalized
+// CPU share it currently needs on its host server.
+//
+// The heterogeneous model of §4 gives every application A_i,k a bounded
+// demand process: λ_i,k is "the largest rate of increase in demand for CPU
+// cycles of the application A_i,k on server S_k" per reallocation interval,
+// and each application has a unique λ. The bounded rate is a load-bearing
+// assumption of the paper — it is what makes per-interval reallocation
+// decisions safe — so the model enforces it rather than merely sampling
+// under it.
 type App struct {
-	ID     ID
+	ID     AppID
 	Demand units.Fraction
-	// Lambda bounds the demand increase in one reallocation interval.
-	Lambda units.Fraction
-	// MinDemand floors the demand so an application never evaporates
+	// lambda bounds the demand increase in one reallocation interval.
+	lambda units.Fraction
+	// minDemand floors the demand so an application never evaporates
 	// entirely (a stopped app is removed instead).
-	MinDemand units.Fraction
-	// Reserved is the CPU share currently reserved for the application's
+	minDemand units.Fraction
+	// reserved is the CPU share currently reserved for the application's
 	// VM on its host. Demand fluctuating under the reservation costs
 	// nothing; outgrowing it requires a vertical scaling action (a local
 	// decision in the paper's cost taxonomy).
-	Reserved units.Fraction
-	// Slack is the headroom Provision granted above demand; the shrink
+	reserved units.Fraction
+	// slack is the headroom Provision granted above demand; the shrink
 	// hysteresis is measured relative to it so a generously provisioned
 	// VM is not immediately shrink-eligible.
-	Slack units.Fraction
-	// Base is the demand level the application reverts toward; without
+	slack units.Fraction
+	// base is the demand level the application reverts toward; without
 	// reversion a bounded random walk drifts to the middle of [0,1] and
 	// the cluster load inflates unrealistically over a 40-interval run.
-	Base units.Fraction
-	// Reversion is the mean-reversion strength κ: each Evolve step pulls
-	// demand toward Base by κ·(Base−Demand).
-	Reversion float64
+	base units.Fraction
+	// reversion is the mean-reversion strength κ: each Evolve step pulls
+	// demand toward base by κ·(base−Demand).
+	reversion float64
 }
 
-// New validates and creates an application.
-func New(id ID, demand, lambda units.Fraction) (*App, error) {
-	a := new(App)
-	if err := Init(a, id, demand, lambda); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// Init validates and initializes an App value in place — the
-// arena-friendly variant of New for simulations that recycle App storage
-// across rebuilds. Every field is overwritten; the initialized value is
-// identical to one returned by New.
-func Init(a *App, id ID, demand, lambda units.Fraction) error {
+// initApp validates and initializes an App value in place, so
+// simulations can recycle App storage across rebuilds. Every field is
+// overwritten.
+func initApp(a *App, id AppID, demand, lambda units.Fraction) error {
 	if !demand.Valid() {
 		return fmt.Errorf("app %d: demand %v outside [0,1]", id, demand)
 	}
 	if !lambda.Valid() || lambda == 0 {
 		return fmt.Errorf("app %d: lambda %v outside (0,1]", id, lambda)
 	}
-	*a = App{ID: id, Demand: demand, Lambda: lambda, MinDemand: 0.01, Reserved: demand, Base: demand, Reversion: 0.15}
+	*a = App{ID: id, Demand: demand, lambda: lambda, minDemand: 0.01, reserved: demand, base: demand, reversion: 0.15}
 	return nil
 }
 
@@ -78,15 +67,15 @@ func (a *App) Provision(slack units.Fraction) {
 	if slack < 0 {
 		slack = 0
 	}
-	a.Slack = slack
-	a.Reserved = (a.Demand + slack).Clamp()
-	if a.Reserved < a.Demand {
-		a.Reserved = a.Demand
+	a.slack = slack
+	a.reserved = (a.Demand + slack).Clamp()
+	if a.reserved < a.Demand {
+		a.reserved = a.Demand
 	}
 }
 
 // NeedsVerticalScale reports whether demand has outgrown the reservation.
-func (a *App) NeedsVerticalScale() bool { return a.Demand > a.Reserved }
+func (a *App) NeedsVerticalScale() bool { return a.Demand > a.reserved }
 
 // VerticalScale grows the reservation to cover current demand, rounding
 // up to the next multiple of quantum (hypervisors allocate CPU shares in
@@ -99,35 +88,35 @@ func (a *App) VerticalScale(quantum units.Fraction) units.Fraction {
 	if !a.NeedsVerticalScale() {
 		return 0
 	}
-	before := a.Reserved
-	steps := float64(a.Demand-a.Reserved) / float64(quantum)
+	before := a.reserved
+	steps := float64(a.Demand-a.reserved) / float64(quantum)
 	n := int(steps)
 	if float64(n) < steps {
 		n++
 	}
-	a.Reserved = (a.Reserved + units.Fraction(n)*quantum).Clamp()
-	if a.Reserved < a.Demand {
-		a.Reserved = a.Demand
+	a.reserved = (a.reserved + units.Fraction(n)*quantum).Clamp()
+	if a.reserved < a.Demand {
+		a.reserved = a.Demand
 	}
-	return a.Reserved - before
+	return a.reserved - before
 }
 
 // Evolve advances the demand by one reallocation interval: a uniform step
 // in [-λ, +λ], an optional deterministic drift, and a mean-reversion pull
-// toward Base, clamped to [MinDemand, 1]. It returns the signed change
+// toward base, clamped to [minDemand, 1]. It returns the signed change
 // actually applied.
 func (a *App) Evolve(rng *xrand.Rand, drift float64) units.Fraction {
-	step := units.Fraction(rng.Uniform(-float64(a.Lambda), float64(a.Lambda)) + drift +
-		a.Reversion*float64(a.Base-a.Demand))
+	step := units.Fraction(rng.Uniform(-float64(a.lambda), float64(a.lambda)) + drift +
+		a.reversion*float64(a.base-a.Demand))
 	// The paper's bound applies to increases; clamp the step so a single
 	// interval can never add more than λ.
-	if step > a.Lambda {
-		step = a.Lambda
+	if step > a.lambda {
+		step = a.lambda
 	}
 	before := a.Demand
 	next := a.Demand + step
-	if next < a.MinDemand {
-		next = a.MinDemand
+	if next < a.minDemand {
+		next = a.minDemand
 	}
 	if next > 1 {
 		next = 1
@@ -146,47 +135,47 @@ func (a *App) VerticalShrink(quantum units.Fraction) units.Fraction {
 	if quantum <= 0 {
 		quantum = 0.05
 	}
-	if a.Reserved-a.Demand < a.Slack+quantum {
+	if a.reserved-a.Demand < a.slack+quantum {
 		return 0
 	}
-	a.Reserved -= quantum
+	a.reserved -= quantum
 	return quantum
 }
 
 // Reset rebases the application at a new demand level — the simulator's
-// model of an application being restarted or right-sized. Demand, Base
+// model of an application being restarted or right-sized. Demand, base
 // and the reservation all move to the new level; the caller re-provisions
 // slack afterwards.
 func (a *App) Reset(demand units.Fraction) error {
-	if !demand.Valid() || demand < a.MinDemand {
+	if !demand.Valid() || demand < a.minDemand {
 		return fmt.Errorf("app %d: reset demand %v invalid", a.ID, demand)
 	}
 	a.Demand = demand
-	a.Base = demand
-	a.Reserved = demand
-	a.Slack = 0
+	a.base = demand
+	a.reserved = demand
+	a.slack = 0
 	return nil
 }
 
-// Generator allocates applications with unique IDs and per-app unique λ
-// drawn uniformly from [LambdaMin, LambdaMax).
-type Generator struct {
+// AppGenerator allocates applications with unique IDs and per-app unique
+// λ drawn uniformly from [lambdaMin, lambdaMax).
+type AppGenerator struct {
 	rng       *xrand.Rand
-	nextID    ID
-	LambdaMin float64
-	LambdaMax float64
+	nextID    AppID
+	lambdaMin float64
+	lambdaMax float64
 }
 
-// NewGenerator returns a generator seeded from rng.
-func NewGenerator(rng *xrand.Rand, lambdaMin, lambdaMax float64) (*Generator, error) {
+// NewAppGenerator returns a generator seeded from rng.
+func NewAppGenerator(rng *xrand.Rand, lambdaMin, lambdaMax float64) (*AppGenerator, error) {
 	if lambdaMin <= 0 || lambdaMax <= lambdaMin || lambdaMax > 1 {
 		return nil, fmt.Errorf("app: invalid lambda range [%v,%v)", lambdaMin, lambdaMax)
 	}
-	return &Generator{rng: rng, nextID: 1, LambdaMin: lambdaMin, LambdaMax: lambdaMax}, nil
+	return &AppGenerator{rng: rng, nextID: 1, lambdaMin: lambdaMin, lambdaMax: lambdaMax}, nil
 }
 
 // Next creates an application with the given initial demand.
-func (g *Generator) Next(demand units.Fraction) (*App, error) {
+func (g *AppGenerator) Next(demand units.Fraction) (*App, error) {
 	a := new(App)
 	if err := g.NextInto(a, demand); err != nil {
 		return nil, err
@@ -198,8 +187,8 @@ func (g *Generator) Next(demand units.Fraction) (*App, error) {
 // would — same λ draw from the generator's stream, same ID assignment —
 // without allocating. The generator state advances identically, so a
 // simulation rebuilt over an app arena replays the same sequence.
-func (g *Generator) NextInto(a *App, demand units.Fraction) error {
-	if err := Init(a, g.nextID, demand, units.Fraction(g.rng.Uniform(g.LambdaMin, g.LambdaMax))); err != nil {
+func (g *AppGenerator) NextInto(a *App, demand units.Fraction) error {
+	if err := initApp(a, g.nextID, demand, units.Fraction(g.rng.Uniform(g.lambdaMin, g.lambdaMax))); err != nil {
 		return err
 	}
 	g.nextID++

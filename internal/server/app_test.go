@@ -1,4 +1,4 @@
-package app
+package server
 
 import (
 	"math"
@@ -8,8 +8,14 @@ import (
 	"ealb/internal/xrand"
 )
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(1, 0.3, 0.05); err != nil {
+// newApp builds an application without a generator.
+func newApp(id AppID, demand, lambda units.Fraction) (*App, error) {
+	a := new(App)
+	return a, initApp(a, id, demand, lambda)
+}
+
+func TestInitAppValidation(t *testing.T) {
+	if _, err := newApp(1, 0.3, 0.05); err != nil {
 		t.Fatalf("valid app rejected: %v", err)
 	}
 	cases := []struct{ demand, lambda units.Fraction }{
@@ -20,7 +26,7 @@ func TestNewValidation(t *testing.T) {
 		{0.3, 1.5},
 	}
 	for i, c := range cases {
-		if _, err := New(1, c.demand, c.lambda); err == nil {
+		if _, err := newApp(1, c.demand, c.lambda); err == nil {
 			t.Errorf("case %d: invalid app accepted (demand=%v lambda=%v)", i, c.demand, c.lambda)
 		}
 	}
@@ -28,17 +34,17 @@ func TestNewValidation(t *testing.T) {
 
 func TestEvolveBoundedByLambda(t *testing.T) {
 	rng := xrand.New(1)
-	a, _ := New(1, 0.5, 0.05)
+	a, _ := newApp(1, 0.5, 0.05)
 	for i := 0; i < 10000; i++ {
 		before := a.Demand
 		delta := a.Evolve(rng, 0)
-		if a.Demand < a.MinDemand || a.Demand > 1 {
+		if a.Demand < a.minDemand || a.Demand > 1 {
 			t.Fatalf("demand %v escaped [min,1]", a.Demand)
 		}
 		// The increase bound is the paper's λ constraint; decreases can
 		// exceed it only through the MinDemand floor (they cannot here).
-		if delta > a.Lambda+1e-12 {
-			t.Fatalf("demand rose by %v > lambda %v", delta, a.Lambda)
+		if delta > a.lambda+1e-12 {
+			t.Fatalf("demand rose by %v > lambda %v", delta, a.lambda)
 		}
 		if got := a.Demand - before; math.Abs(float64(got-delta)) > 1e-12 {
 			t.Fatalf("reported delta %v != actual %v", delta, got)
@@ -48,8 +54,8 @@ func TestEvolveBoundedByLambda(t *testing.T) {
 
 func TestEvolveWithPositiveDriftGrows(t *testing.T) {
 	rng := xrand.New(2)
-	a, _ := New(1, 0.2, 0.02)
-	a.Reversion = 0 // isolate the drift effect
+	a, _ := newApp(1, 0.2, 0.02)
+	a.reversion = 0 // isolate the drift effect
 	for i := 0; i < 200; i++ {
 		a.Evolve(rng, 0.01)
 	}
@@ -60,7 +66,7 @@ func TestEvolveWithPositiveDriftGrows(t *testing.T) {
 
 func TestEvolveMeanRevertsToBase(t *testing.T) {
 	rng := xrand.New(21)
-	a, _ := New(1, 0.3, 0.03)
+	a, _ := newApp(1, 0.3, 0.03)
 	var sum float64
 	const n = 2000
 	for i := 0; i < n; i++ {
@@ -72,13 +78,13 @@ func TestEvolveMeanRevertsToBase(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	a, _ := New(1, 0.3, 0.05)
+func TestAppReset(t *testing.T) {
+	a, _ := newApp(1, 0.3, 0.05)
 	a.Provision(0.15)
 	if err := a.Reset(0.1); err != nil {
 		t.Fatal(err)
 	}
-	if a.Demand != 0.1 || a.Base != 0.1 || a.Reserved != 0.1 {
+	if a.Demand != 0.1 || a.base != 0.1 || a.reserved != 0.1 {
 		t.Errorf("reset left app at %+v", a)
 	}
 	if err := a.Reset(0.001); err == nil {
@@ -91,7 +97,7 @@ func TestReset(t *testing.T) {
 
 func TestEvolveClampsAtOne(t *testing.T) {
 	rng := xrand.New(3)
-	a, _ := New(1, 0.99, 0.05)
+	a, _ := newApp(1, 0.99, 0.05)
 	for i := 0; i < 100; i++ {
 		a.Evolve(rng, 0.05)
 		if a.Demand > 1 {
@@ -102,21 +108,21 @@ func TestEvolveClampsAtOne(t *testing.T) {
 
 func TestEvolveFloorsAtMinDemand(t *testing.T) {
 	rng := xrand.New(4)
-	a, _ := New(1, 0.02, 0.05)
+	a, _ := newApp(1, 0.02, 0.05)
 	for i := 0; i < 100; i++ {
 		a.Evolve(rng, -0.05)
-		if a.Demand < a.MinDemand {
+		if a.Demand < a.minDemand {
 			t.Fatalf("demand fell below floor: %v", a.Demand)
 		}
 	}
 }
 
 func TestGeneratorUniqueIDsAndLambdas(t *testing.T) {
-	g, err := NewGenerator(xrand.New(6), 0.01, 0.1)
+	g, err := NewAppGenerator(xrand.New(6), 0.01, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seenID := map[ID]bool{}
+	seenID := map[AppID]bool{}
 	seenL := map[units.Fraction]bool{}
 	for i := 0; i < 1000; i++ {
 		a, err := g.Next(0.3)
@@ -127,10 +133,10 @@ func TestGeneratorUniqueIDsAndLambdas(t *testing.T) {
 			t.Fatalf("duplicate ID %d", a.ID)
 		}
 		seenID[a.ID] = true
-		if a.Lambda < 0.01 || a.Lambda >= 0.1 {
-			t.Fatalf("lambda %v outside range", a.Lambda)
+		if a.lambda < 0.01 || a.lambda >= 0.1 {
+			t.Fatalf("lambda %v outside range", a.lambda)
 		}
-		seenL[a.Lambda] = true
+		seenL[a.lambda] = true
 	}
 	// "Each application has a unique λ" (§4): continuous draws collide
 	// with negligible probability.
@@ -143,34 +149,34 @@ func TestGeneratorValidation(t *testing.T) {
 	rng := xrand.New(1)
 	cases := [][2]float64{{0, 0.1}, {0.1, 0.1}, {0.2, 0.1}, {0.5, 1.5}}
 	for i, c := range cases {
-		if _, err := NewGenerator(rng, c[0], c[1]); err == nil {
+		if _, err := NewAppGenerator(rng, c[0], c[1]); err == nil {
 			t.Errorf("case %d: invalid range accepted %v", i, c)
 		}
 	}
 }
 
 func TestProvision(t *testing.T) {
-	a, _ := New(1, 0.3, 0.05)
-	if a.Reserved != 0.3 {
-		t.Errorf("new app reservation = %v, want demand 0.3", a.Reserved)
+	a, _ := newApp(1, 0.3, 0.05)
+	if a.reserved != 0.3 {
+		t.Errorf("new app reservation = %v, want demand 0.3", a.reserved)
 	}
 	a.Provision(0.15)
-	if math.Abs(float64(a.Reserved)-0.45) > 1e-12 {
-		t.Errorf("Reserved = %v, want 0.45", a.Reserved)
+	if math.Abs(float64(a.reserved)-0.45) > 1e-12 {
+		t.Errorf("Reserved = %v, want 0.45", a.reserved)
 	}
 	a.Provision(-1)
-	if a.Reserved != a.Demand {
-		t.Errorf("negative slack must reserve exactly demand, got %v", a.Reserved)
+	if a.reserved != a.Demand {
+		t.Errorf("negative slack must reserve exactly demand, got %v", a.reserved)
 	}
-	b, _ := New(2, 0.95, 0.05)
+	b, _ := newApp(2, 0.95, 0.05)
 	b.Provision(0.2)
-	if b.Reserved != 1 {
-		t.Errorf("reservation must clamp at 1, got %v", b.Reserved)
+	if b.reserved != 1 {
+		t.Errorf("reservation must clamp at 1, got %v", b.reserved)
 	}
 }
 
 func TestNeedsVerticalScale(t *testing.T) {
-	a, _ := New(1, 0.3, 0.05)
+	a, _ := newApp(1, 0.3, 0.05)
 	a.Provision(0.1)
 	if a.NeedsVerticalScale() {
 		t.Error("demand under reservation must not need scaling")
@@ -182,7 +188,7 @@ func TestNeedsVerticalScale(t *testing.T) {
 }
 
 func TestVerticalScale(t *testing.T) {
-	a, _ := New(1, 0.3, 0.05)
+	a, _ := newApp(1, 0.3, 0.05)
 	a.Provision(0) // reserved = 0.3
 	a.Demand = 0.37
 	grew := a.VerticalScale(0.05)
@@ -190,16 +196,72 @@ func TestVerticalScale(t *testing.T) {
 	if math.Abs(float64(grew)-0.10) > 1e-9 {
 		t.Errorf("reservation grew by %v, want 0.10", grew)
 	}
-	if a.Reserved < a.Demand {
+	if a.reserved < a.Demand {
 		t.Error("reservation must cover demand after scaling")
 	}
 	if a.VerticalScale(0.05) != 0 {
 		t.Error("scaling with sufficient reservation must be a no-op")
 	}
 	// Zero quantum falls back to the default.
-	b, _ := New(2, 0.3, 0.05)
+	b, _ := newApp(2, 0.3, 0.05)
 	b.Demand = 0.32
 	if b.VerticalScale(0) <= 0 {
 		t.Error("default quantum must apply")
+	}
+}
+
+// TestNextIntoMatchesNext: two generators with identical streams must
+// produce identical applications whether allocating (Next) or recycling
+// (NextInto), and their internal state must stay in lockstep.
+func TestNextIntoMatchesNext(t *testing.T) {
+	g1, err := NewAppGenerator(xrand.New(42), 0.01, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := NewAppGenerator(xrand.New(42), 0.01, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recycled App
+	for i := 0; i < 20; i++ {
+		a, err := g1.Next(0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g2.NextInto(&recycled, 0.1); err != nil {
+			t.Fatal(err)
+		}
+		if *a != recycled {
+			t.Fatalf("draw %d: Next=%+v NextInto=%+v", i, *a, recycled)
+		}
+	}
+	// A failed draw must not consume an ID.
+	last := recycled.ID
+	if err := g2.NextInto(&recycled, 2); err == nil {
+		t.Fatal("NextInto accepted an invalid demand")
+	}
+	if err := g2.NextInto(&recycled, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	if recycled.ID != last+1 {
+		t.Errorf("failed NextInto consumed an ID: %d -> %d", last, recycled.ID)
+	}
+}
+
+// TestInitAppOverwrites: initApp must fully overwrite a dirty value.
+func TestInitAppOverwrites(t *testing.T) {
+	fresh, err := newApp(7, 0.3, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := App{ID: 99, Demand: 0.9, reserved: 1, slack: 0.5, base: 0.9, reversion: 9}
+	if err := initApp(&dirty, 7, 0.3, 0.02); err != nil {
+		t.Fatal(err)
+	}
+	if dirty != *fresh {
+		t.Errorf("initApp left residue: %+v vs %+v", dirty, *fresh)
+	}
+	if err := initApp(&dirty, 7, 0.3, 0); err == nil {
+		t.Error("initApp accepted zero lambda")
 	}
 }

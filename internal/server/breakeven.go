@@ -1,4 +1,4 @@
-package acpi
+package server
 
 import (
 	"fmt"
@@ -21,14 +21,14 @@ func BreakEven(spec Spec, peak, idle units.Watts) (units.Seconds, error) {
 	if peak <= 0 || idle < 0 || idle > peak {
 		return 0, fmt.Errorf("acpi: invalid power levels peak=%v idle=%v", peak, idle)
 	}
-	if !spec.State.Sleeping() {
-		return 0, fmt.Errorf("acpi: %v is not a sleep state", spec.State)
+	if !spec.state.Sleeping() {
+		return 0, fmt.Errorf("acpi: %v is not a sleep state", spec.state)
 	}
 	saving := idle - spec.SleepPower(peak)
 	if saving <= 0 {
 		// The state draws at least as much as idling: never pays off.
 		return units.Seconds(math.Inf(1)), nil
 	}
-	overhead := spec.WakeEnergy(peak) + units.Energy(spec.SleepPower(peak), spec.EnterLatency)
+	overhead := spec.wakeEnergy(peak) + units.Energy(spec.SleepPower(peak), spec.enterLatency)
 	return units.Seconds(float64(overhead) / float64(saving)), nil
 }

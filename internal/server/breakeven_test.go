@@ -1,4 +1,4 @@
-package acpi
+package server
 
 import (
 	"math"
@@ -50,7 +50,7 @@ func TestBreakEvenErrors(t *testing.T) {
 }
 
 func TestBreakEvenNeverPaysOff(t *testing.T) {
-	spec := Spec{State: C1, SleepPowerFrac: 0.6, WakeLatency: 1, WakePowerFrac: 1}
+	spec := Spec{state: C1, sleepPowerFrac: 0.6, wakeLatency: 1, wakePowerFrac: 1}
 	// Sleep draw 120 W above the 100 W idle: never saves.
 	be, err := BreakEven(spec, 200, 100)
 	if err != nil {

@@ -1,6 +1,15 @@
-// Package migration models the cost of moving a VM between servers — the
-// part of the paper's question list (§3, questions 3-8) it evaluates:
-// how much time and energy a migration takes.
+package server
+
+import (
+	"fmt"
+	"math"
+
+	"ealb/internal/units"
+)
+
+// The cost of moving a VM between servers — the part of the paper's
+// question list (§3, questions 3-8) the simulator evaluates: how much
+// time and energy a migration takes.
 //
 // Live migration follows the standard pre-copy algorithm (Clark et al.,
 // NSDI'05), which is what production hypervisors the paper's ecosystem
@@ -10,17 +19,9 @@
 // residual dirty set. The model exposes per-round volumes so tests can
 // verify the geometric-series behaviour, and an energy account charging
 // source CPU overhead, target CPU overhead, and per-byte network cost.
-package migration
 
-import (
-	"fmt"
-
-	"ealb/internal/units"
-	"ealb/internal/vm"
-)
-
-// Params configures the migration cost model.
-type Params struct {
+// MigrationParams configures the migration cost model.
+type MigrationParams struct {
 	// Bandwidth is the migration link's usable bandwidth, bytes/second.
 	Bandwidth units.Bytes
 	// StopThreshold is the dirty-set size below which the hypervisor stops
@@ -40,11 +41,11 @@ type Params struct {
 	NetEnergyPerByte units.Joules
 }
 
-// DefaultParams returns a representative model: a 1 Gb/s migration link
-// (125 MB/s usable), 64 MiB stop threshold, 30-round cap, 30 W endpoint
-// overheads and ~5 nJ/byte for the switch fabric.
-func DefaultParams() Params {
-	return Params{
+// DefaultMigrationParams returns a representative model: a 1 Gb/s
+// migration link (125 MB/s usable), 64 MiB stop threshold, 30-round cap,
+// 30 W endpoint overheads and ~5 nJ/byte for the switch fabric.
+func DefaultMigrationParams() MigrationParams {
+	return MigrationParams{
 		Bandwidth:        125 * units.MB,
 		StopThreshold:    64 * units.MB,
 		MaxRounds:        30,
@@ -55,8 +56,9 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate checks the parameters.
-func (p Params) Validate() error {
+// Validate checks the parameters. Every float check is written so that
+// NaN fails it, and an infinite value fails it too.
+func (p MigrationParams) Validate() error {
 	if p.Bandwidth <= 0 {
 		return fmt.Errorf("migration: non-positive bandwidth %v", p.Bandwidth)
 	}
@@ -66,47 +68,51 @@ func (p Params) Validate() error {
 	if p.MaxRounds < 1 {
 		return fmt.Errorf("migration: MaxRounds %d < 1", p.MaxRounds)
 	}
-	if p.SwitchLatency < 0 {
+	if !finiteNonNegative(float64(p.SwitchLatency)) {
 		return fmt.Errorf("migration: negative switch latency %v", p.SwitchLatency)
 	}
-	if p.SourceOverhead < 0 || p.TargetOverhead < 0 || p.NetEnergyPerByte < 0 {
+	if !finiteNonNegative(float64(p.SourceOverhead)) || !finiteNonNegative(float64(p.TargetOverhead)) ||
+		!finiteNonNegative(float64(p.NetEnergyPerByte)) {
 		return fmt.Errorf("migration: negative energy parameter")
 	}
 	return nil
 }
 
-// Result describes one migration's cost.
-type Result struct {
-	Rounds      int           // pre-copy rounds before the stop-and-copy
-	Bytes       units.Bytes   // total bytes moved, including the final copy
-	RoundBytes  []units.Bytes // per-round volumes (diagnostics/tests)
-	Total       units.Seconds // wall-clock time, start to resume
-	Downtime    units.Seconds // VM pause duration
-	Energy      units.Joules  // endpoint overheads + network transfer
-	Converged   bool          // false when the round cap forced the stop
-	LiveFration float64       // fraction of Total during which the VM ran
+// MigrationResult describes one migration's cost.
+type MigrationResult struct {
+	Rounds       int           // pre-copy rounds before the stop-and-copy
+	Bytes        units.Bytes   // total bytes moved, including the final copy
+	roundBytes   []units.Bytes // per-round volumes (diagnostics/tests)
+	Total        units.Seconds // wall-clock time, start to resume
+	Downtime     units.Seconds // VM pause duration
+	Energy       units.Joules  // endpoint overheads + network transfer
+	Converged    bool          // false when the round cap forced the stop
+	liveFraction float64       // fraction of Total during which the VM ran
 }
 
-// Live computes the cost of pre-copy live migration of v under params p.
-func Live(v *vm.VM, p Params) (Result, error) {
-	if err := check(v, p); err != nil {
-		return Result{}, err
+// LiveMigration computes the cost of pre-copy live migration of v under
+// params p.
+func LiveMigration(v *VM, p MigrationParams) (MigrationResult, error) {
+	if err := checkMigration(v, p); err != nil {
+		return MigrationResult{}, err
 	}
-	return live(v, p, true), nil
+	return liveMigration(v, p, true), nil
 }
 
-// LiveCost computes exactly the same result as Live without recording the
-// per-round volumes (Result.RoundBytes stays nil) — the allocation-free
-// variant for the simulation hot path, which prices thousands of
-// migrations per reallocation interval and never reads the round trace.
+// LiveMigrationCost computes exactly the same result as LiveMigration
+// without recording the per-round volumes (roundBytes stays nil) — the
+// allocation-free variant for the simulation hot path, which prices
+// thousands of migrations per reallocation interval and never reads the
+// round trace.
 // It does not check its inputs: p must have passed Validate (the server
 // and cluster configurations validate it once) and v must be non-nil.
-func LiveCost(v *vm.VM, p Params) Result {
-	return live(v, p, false)
+func LiveMigrationCost(v *VM, p MigrationParams) MigrationResult {
+	return liveMigration(v, p, false)
 }
 
-// check rejects the inputs Live and Cold cannot price.
-func check(v *vm.VM, p Params) error {
+// checkMigration rejects the inputs LiveMigration and ColdMigration
+// cannot price.
+func checkMigration(v *VM, p MigrationParams) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
@@ -116,8 +122,8 @@ func check(v *vm.VM, p Params) error {
 	return nil
 }
 
-func live(v *vm.VM, p Params, recordRounds bool) Result {
-	var res Result
+func liveMigration(v *VM, p MigrationParams, recordRounds bool) MigrationResult {
+	var res MigrationResult
 	bw := float64(p.Bandwidth)
 	dirtyRate := float64(v.DirtyRate)
 
@@ -129,7 +135,7 @@ func live(v *vm.VM, p Params, recordRounds bool) Result {
 		liveTime += t
 		res.Bytes += units.Bytes(volume)
 		if recordRounds {
-			res.RoundBytes = append(res.RoundBytes, units.Bytes(volume))
+			res.roundBytes = append(res.roundBytes, units.Bytes(volume))
 		}
 		res.Rounds++
 
@@ -153,7 +159,7 @@ func live(v *vm.VM, p Params, recordRounds bool) Result {
 	res.Bytes += units.Bytes(final)
 	res.Total = units.Seconds(liveTime) + res.Downtime
 	if res.Total > 0 {
-		res.LiveFration = float64(units.Seconds(liveTime)) / float64(res.Total)
+		res.liveFraction = float64(units.Seconds(liveTime)) / float64(res.Total)
 	}
 
 	res.Energy = units.Energy(p.SourceOverhead, res.Total) +
@@ -162,24 +168,28 @@ func live(v *vm.VM, p Params, recordRounds bool) Result {
 	return res
 }
 
-// Cold computes the cost of stop-and-copy (cold) migration: the VM is
+// ColdMigration computes the cost of stop-and-copy (cold) migration: the VM is
 // paused for the entire memory transfer. Used as the baseline against
 // which live migration's downtime advantage shows.
-func Cold(v *vm.VM, p Params) (Result, error) {
-	if err := check(v, p); err != nil {
-		return Result{}, err
+func ColdMigration(v *VM, p MigrationParams) (MigrationResult, error) {
+	if err := checkMigration(v, p); err != nil {
+		return MigrationResult{}, err
 	}
 	t := units.TransferTime(v.Memory, p.Bandwidth) + p.SwitchLatency
-	res := Result{
+	res := MigrationResult{
 		Rounds:     0,
 		Bytes:      v.Memory,
 		Total:      t,
 		Downtime:   t,
 		Converged:  true,
-		RoundBytes: nil,
+		roundBytes: nil,
 	}
 	res.Energy = units.Energy(p.SourceOverhead, res.Total) +
 		units.Energy(p.TargetOverhead, res.Total) +
 		units.Joules(float64(res.Bytes)*float64(p.NetEnergyPerByte))
 	return res, nil
 }
+
+// finiteNonNegative reports whether x is a finite number ≥ 0; NaN and
+// +Inf fail it.
+func finiteNonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }

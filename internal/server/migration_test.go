@@ -1,4 +1,4 @@
-package migration
+package server
 
 import (
 	"math"
@@ -6,14 +6,12 @@ import (
 	"testing/quick"
 
 	"ealb/internal/units"
-	"ealb/internal/vm"
 )
 
-func testVM(t *testing.T, mem units.Bytes, dirty units.Bytes) *vm.VM {
+func testVM(t *testing.T, mem units.Bytes, dirty units.Bytes) *VM {
 	t.Helper()
-	v, err := vm.New(1, vm.Config{
+	v, err := NewVM(1, VMConfig{
 		Memory:    mem,
-		ImageSize: 4 * units.GB,
 		CPUShare:  0.25,
 		DirtyRate: dirty,
 	})
@@ -23,20 +21,24 @@ func testVM(t *testing.T, mem units.Bytes, dirty units.Bytes) *vm.VM {
 	return v
 }
 
-func TestParamsValidate(t *testing.T) {
-	if err := DefaultParams().Validate(); err != nil {
+func TestMigrationParamsValidate(t *testing.T) {
+	if err := DefaultMigrationParams().Validate(); err != nil {
 		t.Fatalf("default params invalid: %v", err)
 	}
-	bad := []func(*Params){
-		func(p *Params) { p.Bandwidth = 0 },
-		func(p *Params) { p.StopThreshold = 0 },
-		func(p *Params) { p.MaxRounds = 0 },
-		func(p *Params) { p.SwitchLatency = -1 },
-		func(p *Params) { p.SourceOverhead = -1 },
-		func(p *Params) { p.NetEnergyPerByte = -1 },
+	bad := []func(*MigrationParams){
+		func(p *MigrationParams) { p.Bandwidth = 0 },
+		func(p *MigrationParams) { p.StopThreshold = 0 },
+		func(p *MigrationParams) { p.MaxRounds = 0 },
+		func(p *MigrationParams) { p.SwitchLatency = -1 },
+		func(p *MigrationParams) { p.SourceOverhead = -1 },
+		func(p *MigrationParams) { p.NetEnergyPerByte = -1 },
+		func(p *MigrationParams) { p.SwitchLatency = units.Seconds(math.NaN()) },
+		func(p *MigrationParams) { p.SourceOverhead = units.Watts(math.NaN()) },
+		func(p *MigrationParams) { p.TargetOverhead = units.Watts(math.Inf(1)) },
+		func(p *MigrationParams) { p.NetEnergyPerByte = units.Joules(math.Inf(1)) },
 	}
 	for i, mutate := range bad {
-		p := DefaultParams()
+		p := DefaultMigrationParams()
 		mutate(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: invalid params accepted", i)
@@ -47,8 +49,8 @@ func TestParamsValidate(t *testing.T) {
 func TestLiveQuietVMOneRound(t *testing.T) {
 	// A VM dirtying almost nothing migrates in a single pre-copy round.
 	v := testVM(t, 2*units.GB, 1) // 1 byte/s dirty rate
-	p := DefaultParams()
-	res, err := Live(v, p)
+	p := DefaultMigrationParams()
+	res, err := LiveMigration(v, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,17 +74,17 @@ func TestLiveQuietVMOneRound(t *testing.T) {
 func TestLiveRoundsShrinkGeometrically(t *testing.T) {
 	// dirty/bandwidth = 0.4, so round volumes shrink by 0.4 each round.
 	v := testVM(t, 2*units.GB, 50*units.MB)
-	p := DefaultParams()
+	p := DefaultMigrationParams()
 	p.StopThreshold = units.MB
-	res, err := Live(v, p)
+	res, err := LiveMigration(v, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rounds < 3 {
 		t.Fatalf("expected several rounds, got %d", res.Rounds)
 	}
-	for i := 1; i < len(res.RoundBytes); i++ {
-		ratio := float64(res.RoundBytes[i]) / float64(res.RoundBytes[i-1])
+	for i := 1; i < len(res.roundBytes); i++ {
+		ratio := float64(res.roundBytes[i]) / float64(res.roundBytes[i-1])
 		if math.Abs(ratio-0.4) > 0.01 {
 			t.Errorf("round %d volume ratio = %v, want 0.4", i, ratio)
 		}
@@ -95,8 +97,8 @@ func TestLiveRoundsShrinkGeometrically(t *testing.T) {
 func TestLiveNonConvergentHitsRoundCap(t *testing.T) {
 	// Dirty rate equal to bandwidth: the dirty set never shrinks.
 	v := testVM(t, units.GB, 125*units.MB)
-	p := DefaultParams()
-	res, err := Live(v, p)
+	p := DefaultMigrationParams()
+	res, err := LiveMigration(v, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +115,12 @@ func TestLiveNonConvergentHitsRoundCap(t *testing.T) {
 
 func TestLiveDowntimeBelowCold(t *testing.T) {
 	v := testVM(t, 4*units.GB, 30*units.MB)
-	p := DefaultParams()
-	live, err := Live(v, p)
+	p := DefaultMigrationParams()
+	live, err := LiveMigration(v, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Cold(v, p)
+	cold, err := ColdMigration(v, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +135,7 @@ func TestLiveDowntimeBelowCold(t *testing.T) {
 
 func TestColdDowntimeEqualsTotal(t *testing.T) {
 	v := testVM(t, units.GB, 50*units.MB)
-	res, err := Cold(v, DefaultParams())
+	res, err := ColdMigration(v, DefaultMigrationParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +149,8 @@ func TestColdDowntimeEqualsTotal(t *testing.T) {
 
 func TestEnergyComponents(t *testing.T) {
 	v := testVM(t, units.GB, 1)
-	p := DefaultParams()
-	res, err := Live(v, p)
+	p := DefaultMigrationParams()
+	res, err := LiveMigration(v, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,17 +165,17 @@ func TestEnergyComponents(t *testing.T) {
 }
 
 func TestBiggerVMCostsMoreProperty(t *testing.T) {
-	p := DefaultParams()
+	p := DefaultMigrationParams()
 	f := func(a, b uint16) bool {
 		memA := units.Bytes(int64(a%64)+1) * units.GB / 8
 		memB := memA + units.Bytes(int64(b%64)+1)*units.GB/8
-		va, err1 := vm.New(1, vm.Config{Memory: memA, ImageSize: units.GB, CPUShare: 0.2, DirtyRate: 10 * units.MB})
-		vb, err2 := vm.New(2, vm.Config{Memory: memB, ImageSize: units.GB, CPUShare: 0.2, DirtyRate: 10 * units.MB})
+		va, err1 := NewVM(1, VMConfig{Memory: memA, CPUShare: 0.2, DirtyRate: 10 * units.MB})
+		vb, err2 := NewVM(2, VMConfig{Memory: memB, CPUShare: 0.2, DirtyRate: 10 * units.MB})
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		ra, err1 := Live(va, p)
-		rb, err2 := Live(vb, p)
+		ra, err1 := LiveMigration(va, p)
+		rb, err2 := LiveMigration(vb, p)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -185,14 +187,14 @@ func TestBiggerVMCostsMoreProperty(t *testing.T) {
 }
 
 func TestFasterLinkShortensMigrationProperty(t *testing.T) {
-	v, _ := vm.New(1, vm.Config{Memory: 2 * units.GB, ImageSize: units.GB, CPUShare: 0.2, DirtyRate: 20 * units.MB})
+	v, _ := NewVM(1, VMConfig{Memory: 2 * units.GB, CPUShare: 0.2, DirtyRate: 20 * units.MB})
 	f := func(raw uint8) bool {
-		slow := DefaultParams()
+		slow := DefaultMigrationParams()
 		slow.Bandwidth = units.Bytes(int64(raw%100)+40) * units.MB
 		fast := slow
 		fast.Bandwidth = slow.Bandwidth * 2
-		rs, err1 := Live(v, slow)
-		rf, err2 := Live(v, fast)
+		rs, err1 := LiveMigration(v, slow)
+		rf, err2 := LiveMigration(v, fast)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -204,22 +206,38 @@ func TestFasterLinkShortensMigrationProperty(t *testing.T) {
 }
 
 func TestNilVMErrors(t *testing.T) {
-	p := DefaultParams()
-	if _, err := Live(nil, p); err == nil {
-		t.Error("Live(nil) must error")
+	p := DefaultMigrationParams()
+	if _, err := LiveMigration(nil, p); err == nil {
+		t.Error("LiveMigration(nil) must error")
 	}
-	if _, err := Cold(nil, p); err == nil {
-		t.Error("Cold(nil) must error")
+	if _, err := ColdMigration(nil, p); err == nil {
+		t.Error("ColdMigration(nil) must error")
 	}
 }
 
 func TestLiveFraction(t *testing.T) {
 	v := testVM(t, 2*units.GB, 40*units.MB)
-	res, err := Live(v, DefaultParams())
+	res, err := LiveMigration(v, DefaultMigrationParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LiveFration <= 0.5 || res.LiveFration > 1 {
-		t.Errorf("live fraction = %v, want dominated by live phase", res.LiveFration)
+	if res.liveFraction <= 0.5 || res.liveFraction > 1 {
+		t.Errorf("live fraction = %v, want dominated by live phase", res.liveFraction)
+	}
+}
+
+// BenchmarkMigrationModel measures one pre-copy live-migration cost
+// computation (the protocol's per-decision pricing primitive).
+func BenchmarkMigrationModel(b *testing.B) {
+	v, err := NewVM(1, testVMConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := DefaultMigrationParams()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := LiveMigration(v, p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,14 +1,4 @@
-// Package regime implements the paper's five server operating regions
-// (§4, Figure 1): undesirable-low R1, suboptimal-low R2, optimal R3,
-// suboptimal-high R4, and undesirable-high R5.
-//
-// A server is classified by its normalized load. R3 is where normalized
-// performance is delivered at minimum normalized energy; R2/R4 tolerate
-// deferred correction; R1/R5 demand immediate action — shed or gather
-// workload, or sleep. The boundaries α^sopt,l ≤ α^opt,l ≤ α^opt,h ≤
-// α^sopt,h are per-server (heterogeneous clusters draw them from the
-// uniform ranges given in §4).
-package regime
+package server
 
 import (
 	"fmt"
@@ -17,7 +7,16 @@ import (
 	"ealb/internal/xrand"
 )
 
-// Region is one of the paper's five operating regions.
+// Region is one of the paper's five server operating regions (§4,
+// Figure 1): undesirable-low R1, suboptimal-low R2, optimal R3,
+// suboptimal-high R4, and undesirable-high R5.
+//
+// A server is classified by its normalized load. R3 is where normalized
+// performance is delivered at minimum normalized energy; R2/R4 tolerate
+// deferred correction; R1/R5 demand immediate action — shed or gather
+// workload, or sleep. The boundaries α^sopt,l ≤ α^opt,l ≤ α^opt,h ≤
+// α^sopt,h are per-server (heterogeneous clusters draw them from the
+// uniform ranges given in §4).
 type Region int
 
 // The five operating regions, in the paper's numbering.
@@ -46,9 +45,6 @@ func (r Region) String() string {
 		return fmt.Sprintf("Region(%d)", int(r))
 	}
 }
-
-// Valid reports whether r is one of the five defined regions.
-func (r Region) Valid() bool { return r >= R1 && r <= R5 }
 
 // Overloaded reports whether the region indicates excess load that should
 // be shed (R4 or R5).

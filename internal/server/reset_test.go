@@ -4,22 +4,16 @@ import (
 	"sort"
 	"testing"
 
-	"ealb/internal/acpi"
-	"ealb/internal/app"
-	"ealb/internal/migration"
-	"ealb/internal/power"
-	"ealb/internal/regime"
 	"ealb/internal/units"
-	"ealb/internal/vm"
 )
 
 func resetConfig(t *testing.T, id ID, peak units.Watts) Config {
 	t.Helper()
-	pm, err := power.NewLinear(peak/2, peak)
+	pm, err := NewLinearPower(peak/2, peak)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := regime.Boundaries{SoptLow: 0.2, OptLow: 0.3, OptHigh: 0.7, SoptHigh: 0.85}
+	b := Boundaries{SoptLow: 0.2, OptLow: 0.3, OptHigh: 0.7, SoptHigh: 0.85}
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -27,23 +21,20 @@ func resetConfig(t *testing.T, id ID, peak units.Watts) Config {
 		ID:                 id,
 		Boundaries:         b,
 		Power:              pm,
-		Migration:          migration.DefaultParams(),
+		Migration:          DefaultMigrationParams(),
 		ControlMsgEnergy:   1,
 		VerticalCostEnergy: 0.5,
 	}
 }
 
-func hostedPair(t *testing.T, appID app.ID, demand units.Fraction) Hosted {
+func hostedPair(t *testing.T, appID AppID, demand units.Fraction) Hosted {
 	t.Helper()
-	a, err := app.New(appID, demand, 0.05)
+	a, err := newApp(appID, demand, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := vm.New(vm.ID(appID), vm.DefaultConfig())
+	v, err := NewVM(VMID(appID), testVMConfig())
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.SetState(vm.Running); err != nil {
 		t.Fatal(err)
 	}
 	return Hosted{App: a, VM: v}
@@ -95,10 +86,10 @@ func TestResetMatchesNew(t *testing.T) {
 // table must come back on the default table when Reset's config selects
 // it — reusing the old manager would leak the custom wake latencies.
 func TestResetRevertsCustomSleepSpecs(t *testing.T) {
-	specs := acpi.DefaultSpecs()
-	fast := specs[acpi.C6]
-	fast.WakeLatency = 1
-	specs[acpi.C6] = fast
+	specs := DefaultSpecs()
+	fast := specs[C6]
+	fast.wakeLatency = 1
+	specs[C6] = fast
 
 	cfg := resetConfig(t, 1, 200)
 	cfg.SleepSpecs = specs
@@ -106,7 +97,7 @@ func TestResetRevertsCustomSleepSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Sleep(acpi.C6, 0); err != nil {
+	if err := s.Sleep(C6, 0); err != nil {
 		t.Fatal(err)
 	}
 	if lat, err := s.WakeLatency(); err != nil || lat != 1 {
@@ -116,10 +107,10 @@ func TestResetRevertsCustomSleepSpecs(t *testing.T) {
 	if err := s.Reset(resetConfig(t, 1, 200)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Sleep(acpi.C6, 0); err != nil {
+	if err := s.Sleep(C6, 0); err != nil {
 		t.Fatal(err)
 	}
-	want := acpi.DefaultSpecs()[acpi.C6].WakeLatency
+	want := DefaultSpecs()[C6].wakeLatency
 	if lat, err := s.WakeLatency(); err != nil || lat != want {
 		t.Errorf("wake latency after default-spec Reset = %v, %v; want %v (custom table leaked)", lat, err, want)
 	}
@@ -133,7 +124,7 @@ func TestAppendHostedReusesBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 4; i++ {
-		if err := s.Place(hostedPair(t, app.ID(i), units.Fraction(float64(i)*0.05)), 0); err != nil {
+		if err := s.Place(hostedPair(t, AppID(i), units.Fraction(float64(i)*0.05)), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,7 +154,7 @@ func TestSortByDemandMatchesStableSort(t *testing.T) {
 	demands := []float64{0.3, 0.1, 0.3, 0.5, 0.1, 0.3, 0.2, 0.5, 0.05}
 	var a, b []Hosted
 	for i, d := range demands {
-		h := hostedPair(t, app.ID(i+1), units.Fraction(d))
+		h := hostedPair(t, AppID(i+1), units.Fraction(d))
 		a = append(a, h)
 		b = append(b, h)
 	}

@@ -9,18 +9,18 @@
 // energy account: the integral of its power draw — operational draw from
 // the power model while running, sleep-state draw from the ACPI table
 // while parked, plus transition energy.
+//
+// The package holds the whole server model: the ACPI C-states and their
+// transition bookkeeping (acpi.go, acpi_manager.go, breakeven.go), the
+// hosted applications and the VMs that run them (app.go, vm.go), the R1-R5
+// operating regions (regime.go), the VM migration cost model
+// (migration.go), and the power curve (power.go).
 package server
 
 import (
 	"fmt"
 
-	"ealb/internal/acpi"
-	"ealb/internal/app"
-	"ealb/internal/migration"
-	"ealb/internal/power"
-	"ealb/internal/regime"
 	"ealb/internal/units"
-	"ealb/internal/vm"
 )
 
 // ID identifies a server within its cluster.
@@ -28,18 +28,18 @@ type ID int
 
 // Hosted pairs an application with the VM that runs it.
 type Hosted struct {
-	App *app.App
-	VM  *vm.VM
+	App *App
+	VM  *VM
 }
 
 // Config assembles a server's static configuration.
 type Config struct {
 	ID         ID
-	Boundaries regime.Boundaries
-	Power      power.Model
-	SleepSpecs map[acpi.CState]acpi.Spec // nil selects acpi.DefaultSpecs
+	Boundaries Boundaries
+	Power      PowerModel
+	SleepSpecs map[CState]Spec // nil selects DefaultSpecs
 	// Migration prices in-cluster VM moves for the q_k estimate.
-	Migration migration.Params
+	Migration MigrationParams
 	// ControlMsgEnergy prices one leader round-trip for the j_k estimate.
 	ControlMsgEnergy units.Joules
 	// VerticalCostEnergy is the fixed (small) cost of a local vertical
@@ -50,9 +50,9 @@ type Config struct {
 // Server is one simulated cluster member.
 type Server struct {
 	id         ID
-	boundaries regime.Boundaries
-	pm         power.Model
-	acpi       *acpi.Manager
+	boundaries Boundaries
+	pm         PowerModel
+	acpi       *acpiManager
 	cfg        Config
 
 	// hosted holds the application/VM pairs in insertion order — the
@@ -76,13 +76,13 @@ type Server struct {
 	evalOK bool
 
 	// qVM/qShare/qCost cache the live-migration cost of the last q_k
-	// pricing. migration.LiveCost is a pure function of the VM's
+	// pricing. LiveMigrationCost is a pure function of the VM's
 	// (CPUShare, Memory, DirtyRate) and the static migration params;
 	// Memory and DirtyRate are immutable and CPUShare changes only when
 	// the VM actually migrates, so pricing the same VM at the same share
 	// can reuse the previous result even after demand evolution has
 	// invalidated the full evaluation.
-	qVM    *vm.VM
+	qVM    *VM
 	qShare units.Fraction
 	qCost  units.Joules
 
@@ -123,11 +123,11 @@ func (s *Server) Reset(cfg Config) error {
 	// select the default spec table; a custom-spec manager must not leak
 	// its table into a default-spec reset (or vice versa).
 	if s.acpi != nil && cfg.SleepSpecs == nil && s.cfg.SleepSpecs == nil {
-		if err := s.acpi.Reset(cfg.Power.Peak()); err != nil {
+		if err := s.acpi.reset(cfg.Power.Peak()); err != nil {
 			return fmt.Errorf("server %d: %w", cfg.ID, err)
 		}
 	} else {
-		mgr, err := acpi.NewManager(cfg.Power.Peak(), cfg.SleepSpecs)
+		mgr, err := newACPIManager(cfg.Power.Peak(), cfg.SleepSpecs)
 		if err != nil {
 			return fmt.Errorf("server %d: %w", cfg.ID, err)
 		}
@@ -141,7 +141,7 @@ func (s *Server) Reset(cfg Config) error {
 	s.raw = 0
 	s.rawOK = true
 	s.evalOK = false
-	// A rebuild may hand the same *vm.VM address a different memory size
+	// A rebuild may hand the same *VM address a different memory size
 	// or dirty rate (arena reuse), and may change the migration params.
 	s.qVM = nil
 	s.qShare = 0
@@ -155,25 +155,25 @@ func (s *Server) Reset(cfg Config) error {
 func (s *Server) ID() ID { return s.id }
 
 // Boundaries returns the server's regime thresholds.
-func (s *Server) Boundaries() regime.Boundaries { return s.boundaries }
+func (s *Server) Boundaries() Boundaries { return s.boundaries }
 
 // PowerModel returns the server's power model.
-func (s *Server) PowerModel() power.Model { return s.pm }
+func (s *Server) PowerModel() PowerModel { return s.pm }
 
 // CState returns the current ACPI state.
-func (s *Server) CState() acpi.CState { return s.acpi.State() }
+func (s *Server) CState() CState { return s.acpi.state }
 
 // Sleeping reports whether the server is in any sleep state.
-func (s *Server) Sleeping() bool { return s.acpi.State().Sleeping() }
+func (s *Server) Sleeping() bool { return s.acpi.state.Sleeping() }
 
 // CStateBusy reports whether an ACPI transition (sleep entry or wake-up)
 // is still in flight at time now; a busy server cannot take part in the
 // reallocation protocol.
-func (s *Server) CStateBusy(now units.Seconds) bool { return s.acpi.Busy(now) }
+func (s *Server) CStateBusy(now units.Seconds) bool { return s.acpi.busy(now) }
 
 // ReadyAt returns when the in-flight ACPI transition (if any) completes;
 // zero when nothing is armed. CStateBusy(now) ⇔ now < ReadyAt().
-func (s *Server) ReadyAt() units.Seconds { return s.acpi.ReadyAt() }
+func (s *Server) ReadyAt() units.Seconds { return s.acpi.busyUntil }
 
 // NumApps returns the number of hosted applications.
 func (s *Server) NumApps() int { return len(s.hosted) }
@@ -211,7 +211,7 @@ func (s *Server) MarkDemandDirty() {
 }
 
 // Regime classifies the server's current load (§4 eqs. 1-5).
-func (s *Server) Regime() regime.Region { return s.boundaries.Classify(s.Load()) }
+func (s *Server) Regime() Region { return s.boundaries.Classify(s.Load()) }
 
 // Hosted returns the hosted pairs in deterministic (insertion) order.
 func (s *Server) Hosted() []Hosted {
@@ -226,7 +226,7 @@ func (s *Server) AppendHosted(buf []Hosted) []Hosted {
 }
 
 // Lookup returns the hosted pair for an application ID.
-func (s *Server) Lookup(id app.ID) (Hosted, bool) {
+func (s *Server) Lookup(id AppID) (Hosted, bool) {
 	for i := range s.hosted {
 		if s.hosted[i].App.ID == id {
 			return s.hosted[i], true
@@ -245,8 +245,8 @@ func (s *Server) Place(h Hosted, now units.Seconds) error {
 	if s.Sleeping() {
 		return fmt.Errorf("server %d: cannot place app %d on a sleeping server (%v)", s.id, h.App.ID, s.CState())
 	}
-	if s.acpi.Busy(now) {
-		return fmt.Errorf("server %d: still waking until %v", s.id, s.acpi.ReadyAt())
+	if s.acpi.busy(now) {
+		return fmt.Errorf("server %d: still waking until %v", s.id, s.acpi.busyUntil)
 	}
 	for i := range s.hosted {
 		if s.hosted[i].App.ID == h.App.ID {
@@ -268,7 +268,7 @@ func (s *Server) Place(h Hosted, now units.Seconds) error {
 // Unlike Place it invalidates the memoized demand sum: splicing a term
 // out of the middle of an ordered float sum reorders the additions, so
 // only a fresh left-to-right recomputation is bit-reproducible.
-func (s *Server) Remove(id app.ID) (Hosted, error) {
+func (s *Server) Remove(id AppID) (Hosted, error) {
 	for i := range s.hosted {
 		if s.hosted[i].App.ID == id {
 			h := s.hosted[i]
@@ -293,7 +293,7 @@ func (s *Server) AccountTo(now units.Seconds) (units.Joules, error) {
 	d := now - s.lastAccount
 	var p units.Watts
 	if s.Sleeping() {
-		p = s.acpi.SleepPower()
+		p = s.acpi.sleepPower()
 	} else {
 		p = s.pm.Power(s.Load())
 	}
@@ -305,7 +305,7 @@ func (s *Server) AccountTo(now units.Seconds) (units.Joules, error) {
 
 // Energy returns the cumulative energy account including ACPI transition
 // costs.
-func (s *Server) Energy() units.Joules { return s.energy + s.acpi.TransitionEnergy() }
+func (s *Server) Energy() units.Joules { return s.energy + s.acpi.transitionEnergy }
 
 // SkipTo advances the accounting clock to now without charging energy —
 // used for periods in which the server is powered off entirely (crashed
@@ -331,20 +331,20 @@ func (s *Server) Crash(now units.Seconds) error {
 	if _, err := s.AccountTo(now); err != nil {
 		return err
 	}
-	s.acpi.Crash()
+	s.acpi.crash()
 	return nil
 }
 
 // Sleep accounts energy to now and parks the server in target. A loaded
 // server cannot sleep — the protocol must migrate its workload away first.
-func (s *Server) Sleep(target acpi.CState, now units.Seconds) error {
+func (s *Server) Sleep(target CState, now units.Seconds) error {
 	if s.NumApps() > 0 {
 		return fmt.Errorf("server %d: cannot sleep with %d hosted apps", s.id, s.NumApps())
 	}
 	if _, err := s.AccountTo(now); err != nil {
 		return err
 	}
-	_, err := s.acpi.Sleep(target, now)
+	_, err := s.acpi.sleep(target, now)
 	return err
 }
 
@@ -354,16 +354,16 @@ func (s *Server) Wake(now units.Seconds) (units.Seconds, error) {
 	if _, err := s.AccountTo(now); err != nil {
 		return 0, err
 	}
-	return s.acpi.Wake(now)
+	return s.acpi.wake(now)
 }
 
 // WakeLatency returns how long a wake from the current state takes.
 func (s *Server) WakeLatency() (units.Seconds, error) {
-	spec, err := s.acpi.Spec(s.acpi.State())
+	spec, err := s.acpi.spec(s.acpi.state)
 	if err != nil {
 		return 0, err
 	}
-	return spec.WakeLatency, nil
+	return spec.wakeLatency, nil
 }
 
 // Evaluation is the end-of-interval self-assessment of §4: the projected
@@ -371,7 +371,7 @@ func (s *Server) WakeLatency() (units.Seconds, error) {
 type Evaluation struct {
 	Server  ID
 	Load    units.Fraction
-	Regime  regime.Region
+	Regime  Region
 	NumApps int
 	// QCost estimates one horizontal scaling action (in-cluster VM
 	// migration) in Joules.
@@ -401,7 +401,7 @@ func (s *Server) Evaluate() Evaluation {
 	// j_k: one report plus one candidate-list round trip per interval,
 	// scaled by how much negotiation the regime implies.
 	msgs := 2.0
-	if ev.Regime != regime.R3 {
+	if ev.Regime != R3 {
 		msgs += 2 // negotiation traffic
 	}
 	ev.JCost = units.Joules(msgs * float64(s.cfg.ControlMsgEnergy))
@@ -410,7 +410,7 @@ func (s *Server) Evaluate() Evaluation {
 		if v == s.qVM && v.CPUShare == s.qShare {
 			ev.QCost = s.qCost
 		} else {
-			res := migration.LiveCost(v, s.cfg.Migration)
+			res := LiveMigrationCost(v, s.cfg.Migration)
 			s.qVM, s.qShare, s.qCost = v, v.CPUShare, res.Energy
 			ev.QCost = res.Energy
 		}
@@ -424,8 +424,8 @@ func (s *Server) Evaluate() Evaluation {
 }
 
 // largestVM returns the hosted VM with the largest CPU share, or nil.
-func (s *Server) largestVM() *vm.VM {
-	var best *vm.VM
+func (s *Server) largestVM() *VM {
+	var best *VM
 	var bestShare units.Fraction
 	for i := range s.hosted {
 		if best == nil || s.hosted[i].App.Demand > bestShare {

@@ -4,26 +4,20 @@ import (
 	"math"
 	"testing"
 
-	"ealb/internal/acpi"
-	"ealb/internal/app"
-	"ealb/internal/migration"
-	"ealb/internal/power"
-	"ealb/internal/regime"
 	"ealb/internal/units"
-	"ealb/internal/vm"
 )
 
 func testConfig(t *testing.T, id ID) Config {
 	t.Helper()
-	pm, err := power.NewLinear(100, 200)
+	pm, err := NewLinearPower(100, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return Config{
 		ID:                 id,
-		Boundaries:         regime.Boundaries{SoptLow: 0.22, OptLow: 0.35, OptHigh: 0.70, SoptHigh: 0.82},
+		Boundaries:         Boundaries{SoptLow: 0.22, OptLow: 0.35, OptHigh: 0.70, SoptHigh: 0.82},
 		Power:              pm,
-		Migration:          migration.DefaultParams(),
+		Migration:          DefaultMigrationParams(),
 		ControlMsgEnergy:   0.01,
 		VerticalCostEnergy: 0.5,
 	}
@@ -38,19 +32,16 @@ func newServer(t *testing.T) *Server {
 	return s
 }
 
-func hosted(t *testing.T, aid app.ID, demand units.Fraction) Hosted {
+func hosted(t *testing.T, aid AppID, demand units.Fraction) Hosted {
 	t.Helper()
-	a, err := app.New(aid, demand, 0.05)
+	a, err := newApp(aid, demand, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := vm.New(vm.ID(aid), vm.Config{
-		Memory: units.GB, ImageSize: 2 * units.GB, CPUShare: demand, DirtyRate: 20 * units.MB,
+	v, err := NewVM(VMID(aid), VMConfig{
+		Memory: units.GB, CPUShare: demand, DirtyRate: 20 * units.MB,
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.SetState(vm.Running); err != nil {
 		t.Fatal(err)
 	}
 	return Hosted{App: a, VM: v}
@@ -81,13 +72,13 @@ func TestNewValidation(t *testing.T) {
 
 func TestInitialState(t *testing.T) {
 	s := newServer(t)
-	if s.CState() != acpi.C0 {
+	if s.CState() != C0 {
 		t.Error("server must start in C0")
 	}
 	if s.Load() != 0 || s.NumApps() != 0 {
 		t.Error("server must start empty")
 	}
-	if s.Regime() != regime.R1 {
+	if s.Regime() != R1 {
 		t.Errorf("empty server regime = %v, want R1", s.Regime())
 	}
 }
@@ -103,7 +94,7 @@ func TestPlaceAndLoad(t *testing.T) {
 	if got := s.Load(); math.Abs(float64(got)-0.55) > 1e-9 {
 		t.Errorf("Load = %v, want 0.55", got)
 	}
-	if s.Regime() != regime.R3 {
+	if s.Regime() != R3 {
 		t.Errorf("Regime = %v, want R3", s.Regime())
 	}
 	if s.NumApps() != 2 {
@@ -146,12 +137,12 @@ func TestRemove(t *testing.T) {
 
 func TestHostedDeterministicOrder(t *testing.T) {
 	s := newServer(t)
-	for i := app.ID(1); i <= 5; i++ {
+	for i := AppID(1); i <= 5; i++ {
 		_ = s.Place(hosted(t, i, 0.1), 0)
 	}
 	hs := s.Hosted()
 	for i, h := range hs {
-		if h.App.ID != app.ID(i+1) {
+		if h.App.ID != AppID(i+1) {
 			t.Fatalf("order not insertion order: %v", hs)
 		}
 	}
@@ -190,7 +181,7 @@ func TestEnergyAccounting(t *testing.T) {
 
 func TestSleepWakeEnergyFlow(t *testing.T) {
 	s := newServer(t)
-	if err := s.Sleep(acpi.C3, 100); err != nil {
+	if err := s.Sleep(C3, 100); err != nil {
 		t.Fatal(err)
 	}
 	// 100s idle at 100 W before sleeping.
@@ -224,14 +215,14 @@ func TestSleepWakeEnergyFlow(t *testing.T) {
 func TestSleepRejectsLoadedServer(t *testing.T) {
 	s := newServer(t)
 	_ = s.Place(hosted(t, 1, 0.3), 0)
-	if err := s.Sleep(acpi.C6, 10); err == nil {
+	if err := s.Sleep(C6, 10); err == nil {
 		t.Error("sleeping a loaded server must fail")
 	}
 }
 
 func TestPlaceRejectsSleepingServer(t *testing.T) {
 	s := newServer(t)
-	if err := s.Sleep(acpi.C6, 0); err != nil {
+	if err := s.Sleep(C6, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Place(hosted(t, 1, 0.3), 10); err == nil {
@@ -252,7 +243,7 @@ func TestPlaceRejectsSleepingServer(t *testing.T) {
 
 func TestWakeLatency(t *testing.T) {
 	s := newServer(t)
-	_ = s.Sleep(acpi.C6, 0)
+	_ = s.Sleep(C6, 0)
 	lat, err := s.WakeLatency()
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +257,7 @@ func TestEvaluate(t *testing.T) {
 	s := newServer(t)
 	_ = s.Place(hosted(t, 1, 0.5), 0)
 	ev := s.Evaluate()
-	if ev.Regime != regime.R3 || ev.NumApps != 1 {
+	if ev.Regime != R3 || ev.NumApps != 1 {
 		t.Errorf("evaluation = %+v", ev)
 	}
 	if ev.QCost <= ev.PCost {
@@ -280,7 +271,7 @@ func TestEvaluate(t *testing.T) {
 func TestEvaluateEmptyServer(t *testing.T) {
 	s := newServer(t)
 	ev := s.Evaluate()
-	if ev.Regime != regime.R1 || ev.QCost <= 0 {
+	if ev.Regime != R1 || ev.QCost <= 0 {
 		t.Errorf("empty evaluation = %+v", ev)
 	}
 }
@@ -351,7 +342,7 @@ func TestCrashClosesAccountAndRebootsACPI(t *testing.T) {
 	s := newServer(t)
 	// Park the server, let the entry complete, then account some sleep
 	// time before the crash: the final sleep segment must be charged.
-	if err := s.Sleep(acpi.C3, 100); err != nil {
+	if err := s.Sleep(C3, 100); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.AccountTo(200); err != nil {
@@ -365,7 +356,7 @@ func TestCrashClosesAccountAndRebootsACPI(t *testing.T) {
 	if got := float64(s.Energy() - e200); math.Abs(got-3000) > 1e-6 {
 		t.Errorf("crash charged %v J for the final sleep segment, want 3000", got)
 	}
-	if s.Sleeping() || s.CState() != acpi.C0 || s.CStateBusy(300) {
+	if s.Sleeping() || s.CState() != C0 || s.CStateBusy(300) {
 		t.Errorf("crashed server not rebooted: state=%v busy=%v", s.CState(), s.CStateBusy(300))
 	}
 	// After the (caller-modeled) outage the server hosts again.
@@ -379,7 +370,7 @@ func TestCrashClosesAccountAndRebootsACPI(t *testing.T) {
 
 func TestCrashMidTransition(t *testing.T) {
 	s := newServer(t)
-	if err := s.Sleep(acpi.C6, 100); err != nil {
+	if err := s.Sleep(C6, 100); err != nil {
 		t.Fatal(err)
 	}
 	// Entry in flight (C6 entry takes 5 s): a crash abandons it.
