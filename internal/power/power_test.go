@@ -1,15 +1,18 @@
-package server
+// Package power_test checks the linear server power model of package
+// server through its exported API.
+package power_test
 
 import (
 	"math"
 	"testing"
 	"testing/quick"
 
+	"ealb/internal/server"
 	"ealb/internal/units"
 )
 
 func TestLinearModel(t *testing.T) {
-	m, err := NewLinearPower(100, 200)
+	m, err := server.NewLinearPower(100, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,15 +37,15 @@ func TestNewLinearValidation(t *testing.T) {
 		{-1, 100}, {0, 0}, {200, 100}, {100, -5},
 	}
 	for _, c := range cases {
-		if _, err := NewLinearPower(c.idle, c.peak); err == nil {
+		if _, err := server.NewLinearPower(c.idle, c.peak); err == nil {
 			t.Errorf("NewLinearPower(%v,%v) should fail", c.idle, c.peak)
 		}
 	}
 }
 
 func TestPowerMonotoneProperty(t *testing.T) {
-	lin, _ := NewLinearPower(93, 186)
-	models := []PowerModel{lin}
+	lin, _ := server.NewLinearPower(93, 186)
+	models := []server.PowerModel{lin}
 	f := func(a, b float64) bool {
 		ua := units.Fraction(math.Abs(math.Mod(a, 1)))
 		ub := units.Fraction(math.Abs(math.Mod(b, 1)))

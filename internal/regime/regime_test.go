@@ -1,31 +1,53 @@
-package server
+// Package regime_test checks the R1–R5 regime model of package server
+// (the boundaries of §4 and the classification of eqs. 1–5) through its
+// exported API.
+package regime_test
 
 import (
 	"testing"
 	"testing/quick"
 
+	"ealb/internal/server"
 	"ealb/internal/units"
 	"ealb/internal/xrand"
 )
 
-func testBoundaries() Boundaries {
-	return Boundaries{SoptLow: 0.22, OptLow: 0.35, OptHigh: 0.70, SoptHigh: 0.82}
+func testBoundaries() server.Boundaries {
+	return server.Boundaries{SoptLow: 0.22, OptLow: 0.35, OptHigh: 0.70, SoptHigh: 0.82}
+}
+
+func almostEq(a, b units.Fraction) bool {
+	d := a - b
+	if d < 0 {
+		d = -d
+	}
+	return d < 1e-9
+}
+
+func mod1(x float64) float64 {
+	if x < 0 {
+		x = -x
+	}
+	for x > 1 {
+		x /= 10
+	}
+	return x
 }
 
 func TestRegionString(t *testing.T) {
-	want := map[Region]string{R1: "R1", R2: "R2", R3: "R3", R4: "R4", R5: "R5"}
+	want := map[server.Region]string{server.R1: "R1", server.R2: "R2", server.R3: "R3", server.R4: "R4", server.R5: "R5"}
 	for r, s := range want {
 		if r.String() != s {
 			t.Errorf("%d.String() = %q, want %q", int(r), r.String(), s)
 		}
 	}
-	if Region(0).String() != "Region(0)" {
+	if server.Region(0).String() != "Region(0)" {
 		t.Error("unknown region must render with value")
 	}
 }
 
 func TestRegionPredicates(t *testing.T) {
-	if !R4.Overloaded() || !R5.Overloaded() || R3.Overloaded() {
+	if !server.R4.Overloaded() || !server.R5.Overloaded() || server.R3.Overloaded() {
 		t.Error("Overloaded wrong")
 	}
 }
@@ -34,21 +56,21 @@ func TestClassify(t *testing.T) {
 	b := testBoundaries()
 	tests := []struct {
 		load units.Fraction
-		want Region
+		want server.Region
 	}{
-		{0.0, R1},
-		{0.10, R1},
-		{0.219, R1},
-		{0.22, R2}, // SoptLow inclusive into R2 per eq. (2)
-		{0.30, R2},
-		{0.349, R2},
-		{0.35, R3}, // OptLow inclusive into R3 per eq. (3)
-		{0.50, R3},
-		{0.70, R3}, // OptHigh inclusive into R3
-		{0.71, R4},
-		{0.82, R4}, // SoptHigh inclusive into R4 per eq. (4)
-		{0.83, R5},
-		{1.0, R5},
+		{0.0, server.R1},
+		{0.10, server.R1},
+		{0.219, server.R1},
+		{0.22, server.R2}, // SoptLow inclusive into R2 per eq. (2)
+		{0.30, server.R2},
+		{0.349, server.R2},
+		{0.35, server.R3}, // OptLow inclusive into R3 per eq. (3)
+		{0.50, server.R3},
+		{0.70, server.R3}, // OptHigh inclusive into R3
+		{0.71, server.R4},
+		{0.82, server.R4}, // SoptHigh inclusive into R4 per eq. (4)
+		{0.83, server.R5},
+		{1.0, server.R5},
 	}
 	for _, tt := range tests {
 		if got := b.Classify(tt.load); got != tt.want {
@@ -59,19 +81,19 @@ func TestClassify(t *testing.T) {
 
 func TestClassifyClampsInput(t *testing.T) {
 	b := testBoundaries()
-	if b.Classify(-0.5) != R1 {
+	if b.Classify(-0.5) != server.R1 {
 		t.Error("negative load must classify as R1")
 	}
-	if b.Classify(1.5) != R5 {
+	if b.Classify(1.5) != server.R5 {
 		t.Error("load above 1 must classify as R5")
 	}
 }
 
-func TestBoundariesValidate(t *testing.T) {
+func TestValidate(t *testing.T) {
 	if err := testBoundaries().Validate(); err != nil {
 		t.Errorf("valid boundaries rejected: %v", err)
 	}
-	bad := []Boundaries{
+	bad := []server.Boundaries{
 		{SoptLow: 0.4, OptLow: 0.3, OptHigh: 0.7, SoptHigh: 0.8},  // unordered
 		{SoptLow: 0.2, OptLow: 0.3, OptHigh: 0.9, SoptHigh: 0.8},  // unordered
 		{SoptLow: -0.1, OptLow: 0.3, OptHigh: 0.7, SoptHigh: 0.8}, // out of range
@@ -90,7 +112,7 @@ func TestOptimalTarget(t *testing.T) {
 	if got := b.OptimalTarget(); !almostEq(got, want) {
 		t.Errorf("OptimalTarget = %v, want %v", got, want)
 	}
-	if b.Classify(b.OptimalTarget()) != R3 {
+	if b.Classify(b.OptimalTarget()) != server.R3 {
 		t.Error("optimal target must lie in R3")
 	}
 }
@@ -111,16 +133,8 @@ func TestHeadroomExcessDeficit(t *testing.T) {
 	}
 }
 
-func almostEq(a, b units.Fraction) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d < 1e-9
-}
-
 func TestDefaultRangesMatchPaper(t *testing.T) {
-	p := DefaultRanges()
+	p := server.DefaultRanges()
 	if p.SoptLow != [2]float64{0.20, 0.25} ||
 		p.OptLow != [2]float64{0.25, 0.45} ||
 		p.OptHigh != [2]float64{0.55, 0.80} ||
@@ -131,7 +145,7 @@ func TestDefaultRangesMatchPaper(t *testing.T) {
 
 func TestRandomBoundariesAlwaysValid(t *testing.T) {
 	rng := xrand.New(99)
-	p := DefaultRanges()
+	p := server.DefaultRanges()
 	for i := 0; i < 10000; i++ {
 		b, err := p.Random(rng)
 		if err != nil {
@@ -147,7 +161,7 @@ func TestRandomBoundariesAlwaysValid(t *testing.T) {
 }
 
 func TestWithDelta(t *testing.T) {
-	b, err := WithDelta(0.65, 0.065) // δ = 0.1 × 0.65
+	b, err := server.WithDelta(0.65, 0.065) // δ = 0.1 × 0.65
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +171,14 @@ func TestWithDelta(t *testing.T) {
 	if !almostEq(b.SoptLow, 0.52) || !almostEq(b.SoptHigh, 0.78) {
 		t.Errorf("suboptimal bands = [%v,%v]", b.SoptLow, b.SoptHigh)
 	}
-	if _, err := WithDelta(1.5, 0.05); err == nil {
+	if _, err := server.WithDelta(1.5, 0.05); err == nil {
 		t.Error("invalid opt must error")
 	}
-	if _, err := WithDelta(0.5, -0.1); err == nil {
+	if _, err := server.WithDelta(0.5, -0.1); err == nil {
 		t.Error("negative delta must error")
 	}
 	// Clamping near the edges keeps boundaries valid.
-	if bb, err := WithDelta(0.02, 0.05); err != nil || bb.SoptLow != 0 {
+	if bb, err := server.WithDelta(0.02, 0.05); err != nil || bb.SoptLow != 0 {
 		t.Errorf("edge clamping failed: %+v err=%v", bb, err)
 	}
 }
@@ -173,7 +187,7 @@ func TestClassifyTotalProperty(t *testing.T) {
 	// Every load maps to exactly one valid region, and the region is
 	// monotone in load.
 	rng := xrand.New(7)
-	p := DefaultRanges()
+	p := server.DefaultRanges()
 	f := func(l1, l2 float64) bool {
 		b, err := p.Random(rng)
 		if err != nil {
@@ -185,19 +199,9 @@ func TestClassifyTotalProperty(t *testing.T) {
 			a, c = c, a
 		}
 		ra, rc := b.Classify(a), b.Classify(c)
-		return ra >= R1 && rc <= R5 && ra <= rc
+		return ra >= server.R1 && rc <= server.R5 && ra <= rc
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func mod1(x float64) float64 {
-	if x < 0 {
-		x = -x
-	}
-	for x > 1 {
-		x /= 10
-	}
-	return x
 }

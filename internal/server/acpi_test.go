@@ -3,19 +3,9 @@ package server
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"ealb/internal/units"
 )
-
-func TestCStateString(t *testing.T) {
-	if C0.String() != "C0" || C3.String() != "C3" || C6.String() != "C6" {
-		t.Error("C-state names wrong")
-	}
-	if CState(9).String() != "CState(9)" {
-		t.Error("unknown C-state must render with value")
-	}
-}
 
 func TestCStatePredicates(t *testing.T) {
 	if C0.Sleeping() {
@@ -162,27 +152,6 @@ func TestManagerSpecLookup(t *testing.T) {
 	}
 	if _, err := m.spec(CState(42)); err == nil {
 		t.Error("unknown state must error")
-	}
-}
-
-func TestDeeperSleepAlwaysDrawsLessProperty(t *testing.T) {
-	specs := DefaultSpecs()
-	f := func(a, b uint8, peakRaw uint16) bool {
-		ca := CState(a%6) + 1
-		cb := CState(b%6) + 1
-		peak := units.Watts(peakRaw%5000) + 1
-		if ca == cb {
-			return true
-		}
-		// §2: the higher the state number, the deeper the sleep.
-		deeper, shallower := ca, cb
-		if cb > ca {
-			deeper, shallower = cb, ca
-		}
-		return specs[deeper].SleepPower(peak) < specs[shallower].SleepPower(peak)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

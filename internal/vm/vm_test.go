@@ -1,95 +1,52 @@
-package vm
+// Package vm_test checks the VM configuration checks of package server
+// through its exported API.
+package vm_test
 
 import (
 	"testing"
 
+	"ealb/internal/server"
 	"ealb/internal/units"
 )
 
-func newRunning(t *testing.T) *VM {
-	t.Helper()
-	v, err := New(1, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.SetState(Running); err != nil {
-		t.Fatal(err)
-	}
-	return v
+// testVMConfig returns a representative small-instance VM: 2 GiB RAM,
+// dirtying 50 MiB/s under load.
+func testVMConfig() server.VMConfig {
+	return server.VMConfig{Memory: 2 * units.GB, CPUShare: 0.25, DirtyRate: 50 * units.MB}
 }
 
 func TestNewValidation(t *testing.T) {
-	cases := []Config{
-		{Memory: 0, ImageSize: 1, CPUShare: 0.5},
-		{Memory: -1, ImageSize: 1, CPUShare: 0.5},
-		{Memory: units.GB, ImageSize: -1, CPUShare: 0.5},
-		{Memory: units.GB, ImageSize: 1, CPUShare: 1.5},
-		{Memory: units.GB, ImageSize: 1, CPUShare: -0.5},
-		{Memory: units.GB, ImageSize: 1, CPUShare: 0.5, DirtyRate: -5},
+	cases := []server.VMConfig{
+		{Memory: 0, CPUShare: 0.5},
+		{Memory: -1, CPUShare: 0.5},
+		{Memory: units.GB, CPUShare: 1.5},
+		{Memory: units.GB, CPUShare: -0.5},
+		{Memory: units.GB, CPUShare: 0.5, DirtyRate: -5},
 	}
 	for i, cfg := range cases {
-		if _, err := New(1, cfg); err == nil {
+		if _, err := server.NewVM(1, cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
 		}
 	}
-	if _, err := New(1, DefaultConfig()); err != nil {
-		t.Errorf("default config rejected: %v", err)
+	if _, err := server.NewVM(1, testVMConfig()); err != nil {
+		t.Errorf("valid config rejected: %v", err)
 	}
 }
 
-func TestLifecycleHappyPath(t *testing.T) {
-	v, _ := New(1, DefaultConfig())
-	if v.State() != Provisioning {
-		t.Fatal("new VM must be provisioning")
+// TestInitMatchesNew: InitVM must fully overwrite a recycled value.
+func TestInitMatchesNew(t *testing.T) {
+	fresh, err := server.NewVM(3, testVMConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	steps := []State{Running, Migrating, Running, Stopped}
-	for _, s := range steps {
-		if err := v.SetState(s); err != nil {
-			t.Fatalf("transition to %v: %v", s, err)
-		}
-		if v.State() != s {
-			t.Fatalf("state = %v, want %v", v.State(), s)
-		}
+	dirty := server.VM{ID: 99, CPUShare: 0.9}
+	if err := server.InitVM(&dirty, 3, testVMConfig()); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestIllegalTransitions(t *testing.T) {
-	v, _ := New(1, DefaultConfig())
-	if err := v.SetState(Migrating); err == nil {
-		t.Error("provisioning -> migrating must fail")
+	if dirty != *fresh {
+		t.Errorf("InitVM left residue: %+v vs %+v", dirty, *fresh)
 	}
-	_ = v.SetState(Running)
-	_ = v.SetState(Stopped)
-	for _, s := range []State{Running, Migrating, Provisioning} {
-		if err := v.SetState(s); err == nil {
-			t.Errorf("stopped -> %v must fail", s)
-		}
-	}
-}
-
-func TestStateString(t *testing.T) {
-	want := map[State]string{
-		Provisioning: "provisioning",
-		Running:      "running",
-		Migrating:    "migrating",
-		Stopped:      "stopped",
-	}
-	for s, str := range want {
-		if s.String() != str {
-			t.Errorf("%d.String() = %q, want %q", int(s), s.String(), str)
-		}
-	}
-	if State(9).String() != "State(9)" {
-		t.Error("unknown state must render with value")
-	}
-}
-
-func TestDefaultConfigSane(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.Memory != 2*units.GB || cfg.ImageSize != 4*units.GB {
-		t.Errorf("unexpected defaults: %+v", cfg)
-	}
-	if !cfg.CPUShare.Valid() || cfg.DirtyRate <= 0 {
-		t.Errorf("defaults not sane: %+v", cfg)
+	if err := server.InitVM(&dirty, 3, server.VMConfig{}); err == nil {
+		t.Error("InitVM accepted a zero config")
 	}
 }
