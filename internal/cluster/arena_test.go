@@ -1,6 +1,12 @@
 package cluster
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+
+	"ealb/internal/server"
+	"ealb/internal/workload"
+)
 
 // TestArenaPointerStability: chunked growth must never move slots that
 // were already handed out — the cluster holds app/VM pointers across the
@@ -43,4 +49,35 @@ func TestArenaResetAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("warm arena allocated %.1f times per cycle", allocs)
 	}
+}
+
+// TestServerFootprint pins the flat server layout: a server value fits
+// in three cache lines on 64-bit builds, and re-seeding a cluster in
+// place allocates nothing per server, so a same-size Rebuild costs the
+// same number of allocations at every size.
+func TestServerFootprint(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 {
+		if size := unsafe.Sizeof(server.Server{}); size > 192 {
+			t.Errorf("server.Server is %d bytes, want at most 192", size)
+		}
+	} else {
+		t.Logf("pointer size %d: the 64-bit size bound does not apply", unsafe.Sizeof(uintptr(0)))
+	}
+	rebuildAllocs := func(size int) float64 {
+		cfg := DefaultConfig(size, workload.LowLoad(), 1)
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if err := c.Rebuild(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := rebuildAllocs(100), rebuildAllocs(1000)
+	if small != large {
+		t.Errorf("same-size Rebuild allocates %.0f times at 100 servers and %.0f at 1000", small, large)
+	}
+	t.Logf("same-size Rebuild: %.0f allocations at 100 servers, %.0f at 1000", small, large)
 }

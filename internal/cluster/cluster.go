@@ -263,8 +263,14 @@ func (c Config) Validate() error {
 type Cluster struct {
 	cfg Config
 
+	// slab holds every server contiguously, reused across Rebuilds;
+	// servers points into it, one entry per server ID.
+	slab    []server.Server
 	servers []*server.Server
 	net     network
+	// msgEnergy is the energy of one control message: the unit of the
+	// §4 j_k estimate and q_k's price for a server with nothing to move.
+	msgEnergy units.Joules
 	// rng is the protocol's seeded stream — planpure scratch: a pure
 	// plan may draw from it because the draw is part of the replayable
 	// protocol state, not an observable side effect.
@@ -334,10 +340,10 @@ func New(cfg Config) (*Cluster, error) {
 
 // Rebuild re-seeds the cluster in place for cfg, producing a state
 // bit-identical to New(cfg) while reusing the receiver's allocations:
-// servers are Reset rather than reconstructed, applications and VMs come
-// from per-cluster arenas, and the network, ledger, and leader state are
-// cleared in place. It is the engine's arena path for
-// sweeps that simulate many cells per worker.
+// servers are Reset in place in one contiguous slab, applications and
+// VMs come from per-cluster arenas, and the network, ledger, and leader
+// state are cleared in place. It is the engine's arena path for sweeps
+// that simulate many cells per worker.
 //
 // Rebuild invalidates everything previously reachable from the cluster —
 // server, application, and VM pointers as well as in-flight statistics —
@@ -417,13 +423,12 @@ func (c *Cluster) Rebuild(cfg Config) error {
 		return err
 	}
 
-	if len(c.servers) > cfg.Size {
-		for i := cfg.Size; i < len(c.servers); i++ {
-			c.servers[i] = nil
-		}
-		c.servers = c.servers[:cfg.Size]
-	}
-	msgE := units.Joules(float64(controlMsgSize) * float64(cfg.Net.EnergyPerByte))
+	// The slab keeps its servers' hosted lists across Rebuilds (resize
+	// carries them over when it grows), and the pointer table is rebuilt
+	// whole, since growing the slab may have moved it.
+	c.slab = resize(c.slab, cfg.Size)
+	c.servers = resize(c.servers, cfg.Size)
+	c.msgEnergy = units.Joules(float64(controlMsgSize) * float64(cfg.Net.EnergyPerByte))
 	for i := 0; i < cfg.Size; i++ {
 		bounds, err := cfg.Ranges.Random(boundsRNG)
 		if err != nil {
@@ -439,26 +444,10 @@ func (c *Cluster) Rebuild(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		scfg := server.Config{
-			ID:                 server.ID(i),
-			Boundaries:         bounds,
-			Power:              pm,
-			Migration:          cfg.Migration,
-			ControlMsgEnergy:   msgE,
-			VerticalCostEnergy: 0.5,
-		}
-		var s *server.Server
-		if i < len(c.servers) {
-			if err := c.servers[i].Reset(scfg); err != nil {
-				return err
-			}
-			s = c.servers[i]
-		} else {
-			s, err = server.New(scfg)
-			if err != nil {
-				return err
-			}
-			c.servers = append(c.servers, s)
+		s := &c.slab[i]
+		c.servers[i] = s
+		if err := s.Reset(server.Config{ID: server.ID(i), Boundaries: bounds, Power: pm}); err != nil {
+			return err
 		}
 		apps, err := c.populateApps(appRNG, loads[i])
 		if err != nil {

@@ -378,11 +378,7 @@ func (c *Cluster) syncServer(id server.ID) error {
 	ix.sleeping[id] = sleeping
 	ix.busyUntil[id] = s.ReadyAt()
 	if sleeping {
-		lat, err := s.WakeLatency()
-		if err != nil {
-			return err
-		}
-		ix.wakeLat[id] = lat
+		ix.wakeLat[id] = s.WakeLatency()
 		ix.removeMember(id)
 		ix.addSleeper(id)
 	} else {

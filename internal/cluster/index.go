@@ -20,8 +20,8 @@ package cluster
 //   - Rebuild                                      → rebuildIndex
 //
 // Dirty-marked servers are reconciled by flushIndex — O(dirty), not
-// O(N) — which recomputes raw/load/regime and the §4 cost column from the
-// server's own memoized accessors (RawDemand, Evaluate) and moves the
+// O(N) — which recomputes raw/load/regime and the §4 q_k column from the
+// server's own accessors (RawDemand, QCost) and moves the
 // server between regime buckets only when it crossed a boundary. Every
 // reader flushes first, so the index is exact wherever it is read: the
 // leader's plan, the live acceptor search (findAcceptor), the end-of-
@@ -37,7 +37,7 @@ package cluster
 // Determinism contract. Index reads yield bit-identical values to the
 // live accessors they mirror (raw demand is the server's own memoized
 // ordered sum; load/regime are derived with the same expressions; the
-// cost column is the server's own memoized Evaluate result), and every
+// q column is the server's own QCost result), and every
 // consumer that folds floats sums in server-ID order exactly as the
 // historical per-server scans did. Bucket iteration order is an artifact
 // of deterministic insertions and swap-removals, so it is reproducible;
@@ -50,11 +50,6 @@ import (
 	"ealb/internal/server"
 	"ealb/internal/units"
 )
-
-// costs is one server's §4 cost estimates, as Evaluate reports them.
-type costs struct {
-	q, p, j units.Joules
-}
 
 // noPos marks a server as absent from the membership (or sleeper) set.
 const noPos = -1
@@ -70,9 +65,10 @@ type serverIndex struct {
 	reg    []server.Region
 	bounds []server.Boundaries
 
-	// cost mirrors each server's §4 Evaluate() estimates (q_k, p_k, j_k),
-	// valid for non-dirty entries.
-	cost []costs
+	// q mirrors each server's §4 horizontal-scaling estimate q_k
+	// (QCost), valid for non-dirty entries. p_k is a constant and j_k a
+	// function of the regime column, so neither needs a column.
+	q []units.Joules
 
 	// sleeping and busyUntil mirror the ACPI axis: State().Sleeping()
 	// and the transition-completion time (Busy(now) ⇔ now < busyUntil).
@@ -106,7 +102,7 @@ func (ix *serverIndex) init(n int) {
 	ix.load = resize(ix.load, n)
 	ix.reg = resize(ix.reg, n)
 	ix.bounds = resize(ix.bounds, n)
-	ix.cost = resize(ix.cost, n)
+	ix.q = resize(ix.q, n)
 	ix.sleeping = resize(ix.sleeping, n)
 	ix.busyUntil = resize(ix.busyUntil, n)
 	ix.wakeLat = resize(ix.wakeLat, n)
@@ -117,7 +113,7 @@ func (ix *serverIndex) init(n int) {
 	clear(ix.load)
 	clear(ix.reg)
 	clear(ix.bounds)
-	clear(ix.cost)
+	clear(ix.q)
 	clear(ix.sleeping)
 	clear(ix.busyUntil)
 	clear(ix.wakeLat)
@@ -232,7 +228,7 @@ func (ix *serverIndex) onRepair(id server.ID) {
 
 // flushIndex reconciles every dirty-marked server: raw demand from the
 // server's memoized ordered sum, load and regime by the same expressions
-// the live accessors use, the cost column from its memoized Evaluate, and
+// the live accessors use, the q column from its QCost, and
 // a bucket move when the regime crossed a boundary. Cost is O(dirty
 // servers), and flushing twice is a no-op.
 func (c *Cluster) flushIndex() {
@@ -244,7 +240,7 @@ func (c *Cluster) flushIndex() {
 		r := ix.bounds[id].Classify(load)
 		ix.raw[id] = raw
 		ix.load[id] = load
-		c.storeCosts(id, s)
+		ix.q[id] = s.QCost(c.cfg.Migration, c.msgEnergy)
 		if r != ix.reg[id] {
 			if ix.bucketPos[id] != noPos {
 				ix.removeMember(id)
@@ -270,15 +266,9 @@ func (c *Cluster) rebuildIndex() {
 		ix.raw[i] = raw
 		ix.load[i] = raw.Clamp()
 		ix.reg[i] = ix.bounds[i].Classify(ix.load[i])
-		c.storeCosts(server.ID(i), s)
+		ix.q[i] = s.QCost(c.cfg.Migration, c.msgEnergy)
 		ix.addMember(server.ID(i))
 	}
-}
-
-// storeCosts refreshes one server's cost column from its Evaluate.
-func (c *Cluster) storeCosts(id server.ID, s *server.Server) {
-	ev := s.Evaluate()
-	c.idx.cost[id] = costs{q: ev.QCost, p: ev.PCost, j: ev.JCost}
 }
 
 // noteDemandChange records that a hosted application's demand on s was

@@ -13,7 +13,7 @@ import (
 )
 
 // verifyIndexAgainstRescan is the differential oracle: it re-derives every
-// server's raw demand, load, regime, §4 costs, ACPI mirror, and set
+// server's raw demand, load, regime, §4 q_k, ACPI mirror, and set
 // membership from the live *server.Server values — the full O(N) rescan
 // the incremental index replaced — and fails on any divergence. The comparisons are exact
 // (==, not within-epsilon): the index contract is that flushed entries are
@@ -44,9 +44,8 @@ func verifyIndexAgainstRescan(t *testing.T, c *Cluster) {
 		if got, want := ix.reg[id], s.Regime(); got != want {
 			t.Fatalf("server %d: index regime %v, rescan %v", id, got, want)
 		}
-		ev := s.Evaluate()
-		if got, want := ix.cost[id], (costs{q: ev.QCost, p: ev.PCost, j: ev.JCost}); got != want {
-			t.Fatalf("server %d: index costs %+v, Evaluate %+v", id, got, want)
+		if got, want := ix.q[id], s.QCost(c.cfg.Migration, c.msgEnergy); got != want {
+			t.Fatalf("server %d: index q_k %v, QCost %v", id, got, want)
 		}
 		if got, want := ix.sleeping[id], s.Sleeping(); got != want {
 			t.Fatalf("server %d: index sleeping=%v, live %v", id, got, want)
@@ -61,11 +60,7 @@ func verifyIndexAgainstRescan(t *testing.T, c *Cluster) {
 				id, got, ix.busyUntil[id], c.now, want)
 		}
 		if s.Sleeping() {
-			lat, err := s.WakeLatency()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ix.wakeLat[id] != lat {
+			if lat := s.WakeLatency(); ix.wakeLat[id] != lat {
 				t.Fatalf("server %d: index wakeLat %v, live %v", id, ix.wakeLat[id], lat)
 			}
 		}
@@ -126,8 +121,8 @@ func TestIndexDifferentialOracle(t *testing.T) {
 		// RunIntervals, exercising onCrash/onRepair under the oracle.
 		cfg.MTBF = 15 * cfg.Tau
 		cfg.MTTR = 4 * cfg.Tau
-		// Every interval's §4 cost averages, folded from the index's cost
-		// column, must equal a full live Evaluate rescan.
+		// Every interval's §4 cost averages, folded from the index's q
+		// column and regimes, must equal a full reference rescan.
 		var c *Cluster
 		intervals := 0
 		cfg.OnInterval = func(st IntervalStats) {
@@ -185,27 +180,97 @@ func TestIndexDifferentialOracle(t *testing.T) {
 }
 
 // liveCostAverages computes the §4 cost averages the way the end-of-
-// interval scan did before the index carried a cost column: Evaluate on
-// every server that is live by its own accessors (not failed, not
-// sleeping, no transition in flight), summed in server-ID order.
+// interval scan did before the index carried a cost column: the
+// reference evaluation of every server that is live by its own
+// accessors (not failed, not sleeping, no transition in flight), summed
+// in server-ID order.
 func liveCostAverages(t *testing.T, c *Cluster) (q, p, j units.Joules) {
 	t.Helper()
+	cfg := c.Config()
+	msg := units.Joules(float64(controlMsgSize) * float64(cfg.Net.EnergyPerByte))
 	var sq, sp, sj float64
 	n := 0
 	for i, s := range c.servers {
 		if c.failed[i] || s.Sleeping() || s.CStateBusy(c.now) {
 			continue
 		}
-		ev := s.Evaluate()
-		sq += float64(ev.QCost)
-		sp += float64(ev.PCost)
-		sj += float64(ev.JCost)
+		eq, ep, ej := referenceEvaluate(s, cfg.Migration, msg)
+		sq += float64(eq)
+		sp += float64(ep)
+		sj += float64(ej)
 		n++
 	}
 	if n == 0 {
 		return 0, 0, 0
 	}
 	return units.Joules(sq / float64(n)), units.Joules(sp / float64(n)), units.Joules(sj / float64(n))
+}
+
+// referenceEvaluate is a server's §4 end-of-interval self-assessment as
+// the server model's Evaluate priced it before the cluster folded p_k
+// and j_k itself: q_k is a live migration of the hosted VM with the
+// largest demand (the first of equals), or one control message msg when
+// nothing is hosted; p_k is the 0.5 J vertical-scaling cost; j_k is two
+// control messages, plus two of negotiation outside R3. It recomputes
+// everything from the server's accessors on every call.
+func referenceEvaluate(s *server.Server, mig server.MigrationParams, msg units.Joules) (q, p, j units.Joules) {
+	var best *server.VM
+	var bestShare units.Fraction
+	for _, h := range s.Hosted() {
+		if best == nil || h.App.Demand > bestShare {
+			best, bestShare = h.VM, h.App.Demand
+		}
+	}
+	q = msg
+	if best != nil {
+		q = server.LiveMigrationCost(best, mig).Energy
+	}
+	msgs := 2.0
+	if s.Regime() != server.R3 {
+		msgs += 2
+	}
+	return q, 0.5, units.Joules(msgs * float64(msg))
+}
+
+// TestCostFoldMatchesReference checks the end-of-interval cost averages
+// — q_k from the index column, p_k and j_k folded by the cluster — bit
+// for bit against the reference evaluation, on both load bands, with
+// and without churn.
+func TestCostFoldMatchesReference(t *testing.T) {
+	for _, seed := range []uint64{3, 11, 2014} {
+		for _, churn := range []bool{false, true} {
+			cfg := DefaultConfig(150, workload.LowLoad(), seed)
+			if seed%2 == 0 {
+				cfg.InitialLoad = workload.HighLoad()
+			}
+			if churn {
+				cfg.MTBF = 20 * cfg.Tau
+				cfg.MTTR = 5 * cfg.Tau
+			}
+			var c *Cluster
+			checked := 0
+			cfg.OnInterval = func(st IntervalStats) {
+				q, p, j := liveCostAverages(t, c)
+				if st.AvgQCost != q || st.AvgPCost != p || st.AvgJCost != j {
+					t.Fatalf("seed %d churn %v interval %d: q=%v p=%v j=%v, reference q=%v p=%v j=%v",
+						seed, churn, st.Index, st.AvgQCost, st.AvgPCost, st.AvgJCost, q, p, j)
+				}
+				if q != 0 {
+					checked++
+				}
+			}
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.RunIntervals(context.Background(), 25); err != nil {
+				t.Fatal(err)
+			}
+			if checked != 25 {
+				t.Fatalf("seed %d churn %v: %d of 25 intervals had an active fleet", seed, churn, checked)
+			}
+		}
+	}
 }
 
 // TestFailServerLostAppMarksDirty crashes servers of a full cluster until

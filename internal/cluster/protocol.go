@@ -118,8 +118,7 @@ func (c *Cluster) RunIntervals(ctx context.Context, n int) ([]IntervalStats, err
 // now: account energy, evolve demand (handling growth), run the leader
 // protocol (plan, then apply), and collect statistics. The regime, load,
 // SLA and §4 cost statistics are read from the flushed index; only the
-// energy account walks the servers. An Evaluate error met by any flush
-// since the last Rebuild fails the interval.
+// energy account walks the servers.
 func (c *Cluster) runInterval(now units.Seconds) (IntervalStats, error) {
 	e0 := c.TotalEnergy()
 	c.now = now
@@ -220,18 +219,18 @@ func (c *Cluster) runInterval(now units.Seconds) (IntervalStats, error) {
 	st.IntervalEnergy = c.TotalEnergy() - e0
 
 	// The §4 end-of-interval cost evaluations (q_k, p_k, j_k), averaged
-	// over the active fleet in server-ID order from the index's cost
-	// column — each entry is that server's own Evaluate result, so the
-	// sums are the ones a per-server Evaluate scan would fold.
+	// over the active fleet in server-ID order: q_k from the index's q
+	// column (each server's own QCost), p_k the constant, and j_k from
+	// the flushed regime.
 	var q, p, j float64
 	n := 0
-	for i := range ix.cost {
+	for i := range ix.q {
 		if !c.activeID(server.ID(i)) {
 			continue
 		}
-		q += float64(ix.cost[i].q)
-		p += float64(ix.cost[i].p)
-		j += float64(ix.cost[i].j)
+		q += float64(ix.q[i])
+		p += float64(server.PCost)
+		j += float64(server.JCost(ix.reg[i], c.msgEnergy))
 		n++
 	}
 	if n > 0 {
@@ -530,11 +529,7 @@ func (c *Cluster) applyBalance(plan *balancePlan) error {
 			if err := s.Sleep(a.target, c.now); err != nil {
 				return err
 			}
-			lat, err := s.WakeLatency()
-			if err != nil {
-				return err
-			}
-			c.idx.onSleep(a.src, s.ReadyAt(), lat)
+			c.idx.onSleep(a.src, s.ReadyAt(), s.WakeLatency())
 			if tr != nil {
 				c.emit(trace.Event{Kind: trace.KindSleep, Src: int(a.src), Dst: -1, App: -1, Target: a.target.String()})
 			}

@@ -4,9 +4,22 @@ import (
 	"fmt"
 	"sort"
 
-	"ealb/internal/server"
 	"ealb/internal/units"
 )
+
+// PowerModel maps CPU utilization to electrical power draw: the
+// power-vs-utilization model the paper builds on (§2), for
+// non-energy-proportional servers that draw ~50% of peak power when
+// idle. server.LinearPower and the DVFS model below implement it.
+type PowerModel interface {
+	// Power returns the draw at utilization u in [0,1]. Implementations
+	// clamp out-of-range inputs.
+	Power(u units.Fraction) units.Watts
+	// Idle returns the draw at zero utilization.
+	Idle() units.Watts
+	// Peak returns the draw at full utilization.
+	Peak() units.Watts
+}
 
 // pState is one dynamic voltage and frequency scaling operating point.
 // Dynamic CPU power scales as f·V² (the first-order CMOS model the DVFS
@@ -22,14 +35,14 @@ type pState struct {
 // Utilization is interpreted relative to the scaled capacity of the
 // active P-state.
 type dvfsModel struct {
-	base   server.PowerModel
+	base   PowerModel
 	states []pState // sorted by descending frequency; states[0] is nominal
 	cur    int      // index of the active P-state
 }
 
 // newDVFS validates the P-state ladder and returns a DVFS model pinned to
 // the nominal (fastest) state.
-func newDVFS(base server.PowerModel, states []pState) (*dvfsModel, error) {
+func newDVFS(base PowerModel, states []pState) (*dvfsModel, error) {
 	if base == nil {
 		return nil, fmt.Errorf("power: DVFS needs a base model")
 	}
@@ -82,7 +95,7 @@ func (d *dvfsModel) scale() float64 {
 	return float64(s.freq) * float64(s.volt) * float64(s.volt)
 }
 
-// Power implements server.PowerModel. Utilization u is absolute
+// Power implements PowerModel. Utilization u is absolute
 // (relative to nominal capacity); demand beyond the scaled capacity
 // saturates. Only the dynamic component (draw above idle) scales with
 // f·V²; the idle floor is static.
@@ -100,10 +113,10 @@ func (d *dvfsModel) Power(u units.Fraction) units.Watts {
 	return d.base.Idle() + units.Watts(dyn)
 }
 
-// Idle implements server.PowerModel.
+// Idle implements PowerModel.
 func (d *dvfsModel) Idle() units.Watts { return d.base.Idle() }
 
-// Peak implements server.PowerModel. Peak is the nominal-state full-load
+// Peak implements PowerModel. Peak is the nominal-state full-load
 // draw.
 func (d *dvfsModel) Peak() units.Watts { return d.base.Peak() }
 

@@ -164,11 +164,7 @@ func RunSleepAblation(size int, band workload.Band, seed uint64, intervals int) 
 		}
 		for _, s := range c.Servers() {
 			if s.Sleeping() {
-				lat, err := s.WakeLatency()
-				if err != nil {
-					return nil, err
-				}
-				ab.WakeExposure += lat
+				ab.WakeExposure += s.WakeLatency()
 			}
 		}
 		out = append(out, ab)

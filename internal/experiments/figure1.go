@@ -17,7 +17,7 @@ import (
 // model: for a linear model with idle fraction i, b = i + (1-i)a, so the
 // curve is the straight line the paper sketches, starting at b = i for
 // a = 0 (the idle floor) and reaching (1,1) at peak.
-func RenderFigure1(w io.Writer, b server.Boundaries, m server.PowerModel) error {
+func RenderFigure1(w io.Writer, b server.Boundaries, m PowerModel) error {
 	if err := b.Validate(); err != nil {
 		return err
 	}
@@ -89,7 +89,7 @@ func figure1Runner(w io.Writer, _ Options) error {
 
 // normalizedEnergy returns b(t) = current power / peak power for model m
 // at utilization u — the horizontal axis of the paper's Figure 1.
-func normalizedEnergy(m server.PowerModel, u units.Fraction) units.Fraction {
+func normalizedEnergy(m PowerModel, u units.Fraction) units.Fraction {
 	peak := m.Peak()
 	if peak <= 0 {
 		return 0

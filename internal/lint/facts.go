@@ -297,6 +297,102 @@ func bodySites(fd *ast.FuncDecl, files []*ast.File, info *types.Info, sx *scratc
 			visit(site{kind: siteMutate, pos: pos, what: "assigns package-level state (" + exprString(e) + ")"})
 		}
 	}
+	// box reports e when using it as a value of type target stores a
+	// copy of it on the heap: a conversion to an interface of a value
+	// that is neither constant nor pointer-shaped.
+	box := func(e ast.Expr, target types.Type) {
+		if src, ok := boxes(info, e, target); ok {
+			alloc(e.Pos(), "boxes "+types.TypeString(src, pkgName)+" into "+types.TypeString(target, pkgName),
+				"keep the value concrete, pass a pointer, or annotate //ealb:allow-alloc with a reason")
+		}
+	}
+	boxArgs := func(call *ast.CallExpr) {
+		if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
+			if len(call.Args) == 1 {
+				box(call.Args[0], tv.Type) // an explicit conversion, any(x)
+			}
+			return
+		}
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+			if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
+				return // panic's operand is the cold path; the rest take no interfaces
+			}
+		}
+		// A formatting call reports once as a whole, or is the exempt
+		// failure path.
+		if name, ok := qualifiedCall(info, call, "fmt"); ok && fmtFamily[name] {
+			return
+		}
+		ft := info.TypeOf(call.Fun)
+		if ft == nil {
+			return
+		}
+		sig, ok := ft.Underlying().(*types.Signature)
+		if !ok {
+			return
+		}
+		params := sig.Params()
+		for i, arg := range call.Args {
+			switch {
+			case sig.Variadic() && i >= params.Len()-1 && !call.Ellipsis.IsValid():
+				box(arg, params.At(params.Len()-1).Type().(*types.Slice).Elem())
+			case i < params.Len():
+				box(arg, params.At(i).Type())
+			}
+		}
+	}
+	boxElems := func(lit *ast.CompositeLit) {
+		switch t := info.TypeOf(lit).Underlying().(type) {
+		case *types.Struct:
+			for i, elt := range lit.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if key, ok := kv.Key.(*ast.Ident); ok {
+						box(kv.Value, info.TypeOf(key))
+					}
+				} else if i < t.NumFields() {
+					box(elt, t.Field(i).Type())
+				}
+			}
+		case *types.Slice, *types.Array, *types.Map:
+			var key, elem types.Type
+			switch t := t.(type) {
+			case *types.Slice:
+				elem = t.Elem()
+			case *types.Array:
+				elem = t.Elem()
+			case *types.Map:
+				key, elem = t.Key(), t.Elem()
+			}
+			for _, elt := range lit.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if key != nil {
+						box(kv.Key, key)
+					}
+					elt = kv.Value
+				}
+				box(elt, elem)
+			}
+		}
+	}
+	boxResults := func(ret *ast.ReturnStmt, stack []ast.Node) {
+		var sig *types.Signature
+		for i := len(stack) - 1; i >= 0 && sig == nil; i-- {
+			if lit, ok := stack[i].(*ast.FuncLit); ok {
+				sig, _ = info.TypeOf(lit).(*types.Signature)
+			}
+		}
+		if sig == nil {
+			if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
+				sig = fn.Type().(*types.Signature)
+			}
+		}
+		if sig == nil || sig.Results().Len() != len(ret.Results) {
+			return
+		}
+		for i, res := range ret.Results {
+			box(res, sig.Results().At(i).Type())
+		}
+	}
 	classifyCall := func(call *ast.CallExpr, stack []ast.Node) {
 		pos := call.Pos()
 		if id, ok := call.Fun.(*ast.Ident); ok {
@@ -354,6 +450,7 @@ func bodySites(fd *ast.FuncDecl, files []*ast.File, info *types.Info, sx *scratc
 			case *types.Slice:
 				alloc(n.Pos(), "allocates a slice literal", "hoist it into a reused scratch buffer")
 			}
+			boxElems(n)
 		case *ast.FuncLit:
 			alloc(n.Pos(), "allocates a closure", "hoist it or annotate //ealb:allow-alloc with why the event is rare")
 		case *ast.RangeStmt:
@@ -366,15 +463,67 @@ func bodySites(fd *ast.FuncDecl, files []*ast.File, info *types.Info, sx *scratc
 			for _, lhs := range n.Lhs {
 				write(n.Pos(), lhs)
 			}
+			if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+				for i, lhs := range n.Lhs {
+					box(n.Rhs[i], info.TypeOf(lhs))
+				}
+			}
+		case *ast.ValueSpec:
+			if n.Type != nil {
+				for _, v := range n.Values {
+					box(v, info.TypeOf(n.Type))
+				}
+			}
+		case *ast.SendStmt:
+			if ch, ok := info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
+				box(n.Value, ch.Elem())
+			}
+		case *ast.ReturnStmt:
+			boxResults(n, stack)
 		case *ast.IncDecStmt:
 			write(n.Pos(), n.X)
 		case *ast.CallExpr:
 			classifyCall(n, stack)
+			boxArgs(n)
 		}
 		stack = append(stack, n)
 		return true
 	})
 }
+
+// boxes reports whether using e as a value of type target converts it
+// to an interface by copying it to the heap, and returns e's type. A
+// constant (static data), nil, a value already of interface type, a
+// pointer-shaped value (pointer, map, channel, func) and an empty struct
+// all fit the interface word without an allocation.
+func boxes(info *types.Info, e ast.Expr, target types.Type) (types.Type, bool) {
+	if target == nil || !types.IsInterface(target) {
+		return nil, false
+	}
+	if _, isParam := target.(*types.TypeParam); isParam {
+		return nil, false
+	}
+	tv, ok := info.Types[e]
+	if !ok || tv.Value != nil || tv.IsNil() || tv.Type == nil || types.IsInterface(tv.Type) {
+		return nil, false
+	}
+	switch u := tv.Type.Underlying().(type) {
+	case *types.Pointer, *types.Map, *types.Chan, *types.Signature:
+		return nil, false
+	case *types.Basic:
+		if u.Kind() == types.UnsafePointer {
+			return nil, false
+		}
+	case *types.Struct:
+		if u.NumFields() == 0 {
+			return nil, false
+		}
+	}
+	return tv.Type, true
+}
+
+// pkgName qualifies type names by package name alone in witness text.
+func pkgName(p *types.Package) string { return p.Name() }
 
 // staticCallee resolves a call to the *types.Func it invokes, or nil for
 // dynamic calls (interface methods, func values, conversions, builtins).

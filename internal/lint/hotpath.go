@@ -14,8 +14,11 @@ import (
 //
 // Directly, that is the allocation-prone constructs bodySites classifies
 // (facts.go): map/slice literals, make/new, closures, fmt formatting,
-// and append onto storage that is fresh every call instead of a
-// persistent scratch buffer. A formatting call whose result is returned
+// append onto storage that is fresh every call instead of a persistent
+// scratch buffer, and boxing — a value that is neither constant nor
+// pointer-shaped converted to an interface, in an assignment, argument,
+// result, literal element, send or explicit conversion, which copies it
+// to the heap. A formatting call whose result is returned
 // directly or handed to panic is a cold failure path (the simulation is
 // aborting) and is exempt structurally.
 //
@@ -37,7 +40,8 @@ import (
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc: "flag allocation-prone constructs (map/slice literals, make/new, " +
-		"closures, fmt.Sprintf-family calls, append to per-call storage) inside " +
+		"closures, fmt.Sprintf-family calls, append to per-call storage, boxing " +
+		"into interfaces) inside " +
 		"functions annotated //ealb:hotpath, and calls from them to functions " +
 		"with the Allocates fact (through any chain of statically resolved " +
 		"module calls), unless annotated //ealb:allow-alloc <reason>; " +

@@ -69,7 +69,7 @@ var reachKeep = map[string]string{
 	"ealb/internal/cluster.Cluster.Failed":       "the fuzz and leader tests check a server's failed flag",
 	"ealb/internal/farm.Farm.Interval":           "the farm tests check the interval counter",
 	"ealb/internal/serve.Server.Wait":            "the serve and engine tests wait for a run to finish",
-	"ealb/internal/server.Server.PowerModel":     "the cluster tests check the configured power model",
+	"ealb/internal/server.Server.PowerModel":     "the cluster tests check each server's linear power model",
 	"ealb/internal/server.Server.CStateBusy":     "the server and cluster tests check the sleep-transition window",
 	"ealb/internal/trace.Recorder.Events":        "the trace and engine tests check per-kind event counts",
 	"ealb/internal/trace.Recorder.PhaseSnapshot": "the trace and cluster tests check phase timings",

@@ -45,7 +45,7 @@ func TestNewLinearValidation(t *testing.T) {
 
 func TestPowerMonotoneProperty(t *testing.T) {
 	lin, _ := server.NewLinearPower(93, 186)
-	models := []server.PowerModel{lin}
+	models := []server.LinearPower{lin}
 	f := func(a, b float64) bool {
 		ua := units.Fraction(math.Abs(math.Mod(a, 1)))
 		ub := units.Fraction(math.Abs(math.Mod(b, 1)))

@@ -75,19 +75,22 @@ func (s Spec) SleepPower(peak units.Watts) units.Watts {
 	return units.Watts(float64(peak) * float64(s.sleepPowerFrac))
 }
 
-// DefaultSpecs returns the sleep-state table used by the simulations.
-// C0's entry is a placeholder (its power comes from the power model, not
-// the table). The C3/C6 wake latencies bracket the range the paper quotes:
-// tens of seconds for a shallow server sleep up to the 260-second setup
-// time of [9] for the deepest state.
-func DefaultSpecs() map[CState]Spec {
-	return map[CState]Spec{
-		C0: {state: C0, sleepPowerFrac: 1.00, wakeLatency: 0, wakePowerFrac: 0, enterLatency: 0},
-		C1: {state: C1, sleepPowerFrac: 0.55, wakeLatency: 0.01, wakePowerFrac: 1, enterLatency: 0.001},
-		C2: {state: C2, sleepPowerFrac: 0.45, wakeLatency: 0.1, wakePowerFrac: 1, enterLatency: 0.01},
-		C3: {state: C3, sleepPowerFrac: 0.15, wakeLatency: 30, wakePowerFrac: 1, enterLatency: 1},
-		C4: {state: C4, sleepPowerFrac: 0.10, wakeLatency: 60, wakePowerFrac: 1, enterLatency: 2},
-		C5: {state: C5, sleepPowerFrac: 0.05, wakeLatency: 120, wakePowerFrac: 1, enterLatency: 3},
-		C6: {state: C6, sleepPowerFrac: 0.02, wakeLatency: 260, wakePowerFrac: 1, enterLatency: 5},
-	}
+// specTable is the sleep-state table the simulations use, indexed by
+// CState. C0's entry is a placeholder (its power comes from the power
+// model, not the table). The C3/C6 wake latencies bracket the range the
+// paper quotes: tens of seconds for a shallow server sleep up to the
+// 260-second setup time of [9] for the deepest state. Every server reads
+// this one table, so a server carries its state, not a table pointer.
+var specTable = [C6 + 1]Spec{
+	C0: {state: C0, sleepPowerFrac: 1.00, wakeLatency: 0, wakePowerFrac: 0, enterLatency: 0},
+	C1: {state: C1, sleepPowerFrac: 0.55, wakeLatency: 0.01, wakePowerFrac: 1, enterLatency: 0.001},
+	C2: {state: C2, sleepPowerFrac: 0.45, wakeLatency: 0.1, wakePowerFrac: 1, enterLatency: 0.01},
+	C3: {state: C3, sleepPowerFrac: 0.15, wakeLatency: 30, wakePowerFrac: 1, enterLatency: 1},
+	C4: {state: C4, sleepPowerFrac: 0.10, wakeLatency: 60, wakePowerFrac: 1, enterLatency: 2},
+	C5: {state: C5, sleepPowerFrac: 0.05, wakeLatency: 120, wakePowerFrac: 1, enterLatency: 3},
+	C6: {state: C6, sleepPowerFrac: 0.02, wakeLatency: 260, wakePowerFrac: 1, enterLatency: 5},
 }
+
+// DefaultSpecs returns a copy of the sleep-state table, indexed by
+// CState.
+func DefaultSpecs() [C6 + 1]Spec { return specTable }

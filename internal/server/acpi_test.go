@@ -55,26 +55,23 @@ func TestSpecSleepPower(t *testing.T) {
 	}
 }
 
+// TestNewManagerValidation: the zero manager is a server in C0 with
+// nothing armed, and the peak power its transitions are charged at is
+// validated where a server takes its power model.
 func TestNewManagerValidation(t *testing.T) {
-	if _, err := newACPIManager(0, nil); err == nil {
-		t.Error("zero peak must fail")
+	var m acpiManager
+	if m.state != C0 || m.busy(0) || m.transitionEnergy != 0 {
+		t.Errorf("zero manager: state=%v busy=%v energy=%v", m.state, m.busy(0), m.transitionEnergy)
 	}
-	bad := DefaultSpecs()
-	delete(bad, C4)
-	if _, err := newACPIManager(100, bad); err == nil {
-		t.Error("incomplete spec table must fail")
+	var s Server
+	if err := s.Reset(Config{ID: 1, Boundaries: Boundaries{SoptLow: 0.2, OptLow: 0.3, OptHigh: 0.7, SoptHigh: 0.85}}); err == nil {
+		t.Error("zero peak must fail")
 	}
 }
 
 func TestManagerSleepWakeCycle(t *testing.T) {
-	m, err := newACPIManager(200, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.state != C0 {
-		t.Fatal("manager must start in C0")
-	}
-	ready, err := m.sleep(C3, 100)
+	var m acpiManager
+	ready, err := m.sleep(C3, 100, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,22 +84,19 @@ func TestManagerSleepWakeCycle(t *testing.T) {
 	if !m.busy(100.5) || m.busy(101) {
 		t.Error("busy window wrong")
 	}
-	if m.sleepCount != 1 {
-		t.Errorf("SleepCount = %d", m.sleepCount)
-	}
 	// Sleep power of C3 = 0.15 * 200 = 30 W.
-	if got := m.sleepPower(); math.Abs(float64(got)-30) > 1e-9 {
+	if got := m.sleepPower(200); math.Abs(float64(got)-30) > 1e-9 {
 		t.Errorf("SleepPower = %v, want 30", got)
 	}
 
-	ready, err = m.wake(200)
+	ready, err = m.wake(200, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ready != 230 { // C3 wake latency 30s
 		t.Errorf("wake completes at %v, want 230", ready)
 	}
-	if m.state != C0 || m.wakeCount != 1 {
+	if m.state != C0 {
 		t.Error("wake bookkeeping wrong")
 	}
 	// Wake energy: peak * 30s = 6000 J, plus the small C3 entry charge.
@@ -112,57 +106,64 @@ func TestManagerSleepWakeCycle(t *testing.T) {
 }
 
 func TestManagerRejectsInvalidTransitions(t *testing.T) {
-	m, _ := newACPIManager(200, nil)
-	if _, err := m.sleep(C0, 0); err == nil {
+	var m acpiManager
+	if _, err := m.sleep(C0, 0, 200); err == nil {
 		t.Error("sleeping to C0 must fail")
 	}
-	if _, err := m.wake(0); err == nil {
+	if _, err := m.sleep(CState(7), 0, 200); err == nil {
+		t.Error("sleeping to an undefined state must fail")
+	}
+	if _, err := m.wake(0, 200); err == nil {
 		t.Error("waking a running server must fail")
 	}
-	if _, err := m.sleep(C6, 0); err != nil {
+	if _, err := m.sleep(C6, 0, 200); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.sleep(C3, 1000); err == nil {
+	if _, err := m.sleep(C3, 1000, 200); err == nil {
 		t.Error("sleeping while asleep must fail")
 	}
 	// Wake during the enter transition must fail (C6 enter latency 5s).
-	if _, err := m.wake(2); err == nil {
+	if _, err := m.wake(2, 200); err == nil {
 		t.Error("waking during an in-flight transition must fail")
 	}
-	if _, err := m.wake(10); err != nil {
+	if _, err := m.wake(10, 200); err != nil {
 		t.Errorf("wake after transition completes: %v", err)
 	}
 }
 
 func TestManagerSleepPowerPanicsInC0(t *testing.T) {
-	m, _ := newACPIManager(200, nil)
+	var m acpiManager
 	defer func() {
 		if recover() == nil {
 			t.Error("SleepPower in C0 must panic")
 		}
 	}()
-	m.sleepPower()
+	m.sleepPower(200)
 }
 
+// TestManagerSpecLookup: the spec table holds every state at its own
+// index, and DefaultSpecs hands out a copy the table does not share.
 func TestManagerSpecLookup(t *testing.T) {
-	m, _ := newACPIManager(200, nil)
-	s, err := m.spec(C6)
-	if err != nil || s.state != C6 {
-		t.Error("Spec(C6) lookup failed")
+	for c := C0; c <= C6; c++ {
+		if specTable[c].state != c {
+			t.Errorf("specTable[%v] holds %v", c, specTable[c].state)
+		}
 	}
-	if _, err := m.spec(CState(42)); err == nil {
-		t.Error("unknown state must error")
+	specs := DefaultSpecs()
+	if specs != specTable {
+		t.Error("DefaultSpecs differs from the table")
+	}
+	specs[C6].wakeLatency = 1
+	if specTable[C6].wakeLatency != 260 {
+		t.Error("DefaultSpecs shares the table")
 	}
 }
 
 func TestManagerCrash(t *testing.T) {
-	m, err := newACPIManager(200, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var m acpiManager
 	// Crash mid-sleep-entry: the transition is abandoned, the state is
 	// back in C0, and the already-spent entry energy is kept.
-	if _, err := m.sleep(C6, 100); err != nil {
+	if _, err := m.sleep(C6, 100, 200); err != nil {
 		t.Fatal(err)
 	}
 	if !m.busy(102) {
@@ -178,10 +179,10 @@ func TestManagerCrash(t *testing.T) {
 	}
 
 	// Crash mid-wake: same contract, and no wake energy is charged twice.
-	if _, err := m.sleep(C3, 200); err != nil {
+	if _, err := m.sleep(C3, 200, 200); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.wake(300); err != nil {
+	if _, err := m.wake(300, 200); err != nil {
 		t.Fatal(err)
 	}
 	if !m.busy(310) {
@@ -193,7 +194,7 @@ func TestManagerCrash(t *testing.T) {
 		t.Error("crash mid-wake left transition state or energy inconsistent")
 	}
 	// A crashed (rebooted) manager accepts a fresh sleep immediately.
-	if _, err := m.sleep(C3, 400); err != nil {
+	if _, err := m.sleep(C3, 400, 200); err != nil {
 		t.Errorf("sleep after crash: %v", err)
 	}
 }
@@ -201,40 +202,33 @@ func TestManagerCrash(t *testing.T) {
 // TestManagerReset: Reset must return the manager to its initial state
 // with a new peak, so a recycled server's ACPI history starts clean.
 func TestManagerReset(t *testing.T) {
-	m, err := newACPIManager(200, nil)
-	if err != nil {
+	s := newServer(t)
+	if err := s.Sleep(C3, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.sleep(C3, 10); err != nil {
+	if _, err := s.Wake(100); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.wake(100); err != nil {
-		t.Fatal(err)
-	}
-	if m.transitionEnergy == 0 || m.wakeCount != 1 {
+	if s.acpi.transitionEnergy == 0 || !s.CStateBusy(110) {
 		t.Fatal("setup: expected transition history")
 	}
 
-	if err := m.reset(300); err != nil {
+	if err := s.Reset(resetConfig(t, 1, 300)); err != nil {
 		t.Fatal(err)
 	}
-	if m.state != C0 || m.busy(0) || m.transitionEnergy != 0 ||
-		m.wakeCount != 0 || m.sleepCount != 0 {
-		t.Errorf("Reset left history: state=%v busy=%v energy=%v wakes=%d sleeps=%d",
-			m.state, m.busy(0), m.transitionEnergy, m.wakeCount, m.sleepCount)
+	if s.acpi != (acpiManager{}) {
+		t.Errorf("Reset left history: %+v", s.acpi)
 	}
 	// The new peak must drive sleep power.
-	if _, err := m.sleep(C6, 0); err != nil {
+	if err := s.Sleep(C6, 0); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := m.spec(C6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := m.sleepPower(), spec.SleepPower(300); got != want {
+	if got, want := s.acpi.sleepPower(s.pm.Peak()), specTable[C6].SleepPower(300); got != want {
 		t.Errorf("sleep power %v, want %v (new peak not applied)", got, want)
 	}
-	if err := m.reset(0); err == nil {
+	bad := resetConfig(t, 1, 300)
+	bad.Power = LinearPower{}
+	if err := s.Reset(bad); err == nil {
 		t.Error("Reset accepted a non-positive peak")
 	}
 }

@@ -82,12 +82,12 @@ func (p MigrationParams) Validate() error {
 type MigrationResult struct {
 	Rounds       int           // pre-copy rounds before the stop-and-copy
 	Bytes        units.Bytes   // total bytes moved, including the final copy
-	roundBytes   []units.Bytes // per-round volumes (diagnostics/tests)
 	Total        units.Seconds // wall-clock time, start to resume
 	Downtime     units.Seconds // VM pause duration
 	Energy       units.Joules  // endpoint overheads + network transfer
 	Converged    bool          // false when the round cap forced the stop
-	liveFraction float64       // fraction of Total during which the VM ran
+	roundBytes   []units.Bytes // per-round volumes (LiveMigration only)
+	liveFraction float64       // fraction of Total the VM ran (LiveMigration only)
 }
 
 // LiveMigration computes the cost of pre-copy live migration of v under
@@ -100,7 +100,7 @@ func LiveMigration(v *VM, p MigrationParams) (MigrationResult, error) {
 }
 
 // LiveMigrationCost computes exactly the same result as LiveMigration
-// without recording the per-round volumes (roundBytes stays nil) — the
+// without the diagnostics (roundBytes stays nil, liveFraction zero) — the
 // allocation-free variant for the simulation hot path, which prices
 // thousands of migrations per reallocation interval and never reads the
 // round trace.
@@ -122,7 +122,10 @@ func checkMigration(v *VM, p MigrationParams) error {
 	return nil
 }
 
-func liveMigration(v *VM, p MigrationParams, recordRounds bool) MigrationResult {
+// liveMigration prices the pre-copy rounds; record adds the diagnostics
+// (per-round volumes and the live fraction) that only LiveMigration's
+// callers read.
+func liveMigration(v *VM, p MigrationParams, record bool) MigrationResult {
 	var res MigrationResult
 	bw := float64(p.Bandwidth)
 	dirtyRate := float64(v.DirtyRate)
@@ -134,7 +137,7 @@ func liveMigration(v *VM, p MigrationParams, recordRounds bool) MigrationResult 
 		t := volume / bw
 		liveTime += t
 		res.Bytes += units.Bytes(volume)
-		if recordRounds {
+		if record {
 			res.roundBytes = append(res.roundBytes, units.Bytes(volume))
 		}
 		res.Rounds++
@@ -158,7 +161,7 @@ func liveMigration(v *VM, p MigrationParams, recordRounds bool) MigrationResult 
 	res.Downtime = units.Seconds(final/bw) + p.SwitchLatency
 	res.Bytes += units.Bytes(final)
 	res.Total = units.Seconds(liveTime) + res.Downtime
-	if res.Total > 0 {
+	if record && res.Total > 0 {
 		res.liveFraction = float64(units.Seconds(liveTime)) / float64(res.Total)
 	}
 

@@ -6,23 +6,11 @@ import (
 	"ealb/internal/units"
 )
 
-// PowerModel maps CPU utilization to electrical power draw: the
-// power-vs-utilization model the paper builds on (§2), for
-// non-energy-proportional servers that draw ~50% of peak power when
-// idle.
-type PowerModel interface {
-	// Power returns the draw at utilization u in [0,1]. Implementations
-	// clamp out-of-range inputs.
-	Power(u units.Fraction) units.Watts
-	// Idle returns the draw at zero utilization.
-	Idle() units.Watts
-	// Peak returns the draw at full utilization.
-	Peak() units.Watts
-}
-
-// LinearPower is the standard affine server power model: idle floor plus
+// LinearPower is the standard affine server power model — the
+// power-vs-utilization model the paper builds on (§2): idle floor plus
 // a linear utilization-proportional component. Typical volume servers
 // have Idle ≈ 0.5×Peak — the non-proportionality the paper targets.
+// A Server holds its model by value.
 type LinearPower struct {
 	idleW units.Watts
 	peakW units.Watts
@@ -36,14 +24,14 @@ func NewLinearPower(idle, peak units.Watts) (LinearPower, error) {
 	return LinearPower{idleW: idle, peakW: peak}, nil
 }
 
-// Power implements PowerModel.
+// Power returns the draw at utilization u, clamped to [0,1].
 func (l LinearPower) Power(u units.Fraction) units.Watts {
 	u = u.Clamp()
 	return l.idleW + units.Watts(float64(l.peakW-l.idleW)*float64(u))
 }
 
-// Idle implements PowerModel.
+// Idle returns the draw at zero utilization.
 func (l LinearPower) Idle() units.Watts { return l.idleW }
 
-// Peak implements PowerModel.
+// Peak returns the draw at full utilization.
 func (l LinearPower) Peak() units.Watts { return l.peakW }

@@ -17,14 +17,7 @@ func resetConfig(t *testing.T, id ID, peak units.Watts) Config {
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return Config{
-		ID:                 id,
-		Boundaries:         b,
-		Power:              pm,
-		Migration:          DefaultMigrationParams(),
-		ControlMsgEnergy:   1,
-		VerticalCostEnergy: 0.5,
-	}
+	return Config{ID: id, Boundaries: b, Power: pm}
 }
 
 func hostedPair(t *testing.T, appID AppID, demand units.Fraction) Hosted {
@@ -43,10 +36,7 @@ func hostedPair(t *testing.T, appID AppID, demand units.Fraction) Hosted {
 // TestResetMatchesNew: a recycled server must be indistinguishable from a
 // freshly constructed one — empty, in C0, zero energy, new identity.
 func TestResetMatchesNew(t *testing.T) {
-	s, err := New(resetConfig(t, 1, 200))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := build(t, resetConfig(t, 1, 200))
 	if err := s.Place(hostedPair(t, 1, 0.4), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -56,18 +46,19 @@ func TestResetMatchesNew(t *testing.T) {
 	if s.Energy() == 0 {
 		t.Fatal("expected energy after accounting")
 	}
+	if s.QCost(DefaultMigrationParams(), 1) == 1 {
+		t.Fatal("expected a priced VM")
+	}
 
 	cfg2 := resetConfig(t, 7, 300)
 	if err := s.Reset(cfg2); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := New(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := build(t, cfg2)
 	if s.ID() != fresh.ID() || s.NumApps() != 0 || s.Energy() != 0 ||
 		s.CState() != fresh.CState() || s.Load() != fresh.Load() ||
-		s.Boundaries() != fresh.Boundaries() {
+		s.Boundaries() != fresh.Boundaries() || s.PowerModel() != fresh.PowerModel() ||
+		s.qVM != nil || s.QCost(DefaultMigrationParams(), 1) != 1 {
 		t.Errorf("reset server differs from fresh: %+v vs %+v", s, fresh)
 	}
 	// The accounting clock must restart at zero.
@@ -76,53 +67,16 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 	// Reset must reject the same invalid configs New rejects.
 	bad := cfg2
-	bad.Power = nil
+	bad.Power = LinearPower{}
 	if err := s.Reset(bad); err == nil {
-		t.Error("Reset accepted a nil power model")
-	}
-}
-
-// TestResetRevertsCustomSleepSpecs: a server built with a custom spec
-// table must come back on the default table when Reset's config selects
-// it — reusing the old manager would leak the custom wake latencies.
-func TestResetRevertsCustomSleepSpecs(t *testing.T) {
-	specs := DefaultSpecs()
-	fast := specs[C6]
-	fast.wakeLatency = 1
-	specs[C6] = fast
-
-	cfg := resetConfig(t, 1, 200)
-	cfg.SleepSpecs = specs
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Sleep(C6, 0); err != nil {
-		t.Fatal(err)
-	}
-	if lat, err := s.WakeLatency(); err != nil || lat != 1 {
-		t.Fatalf("custom wake latency = %v, %v; want 1", lat, err)
-	}
-
-	if err := s.Reset(resetConfig(t, 1, 200)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Sleep(C6, 0); err != nil {
-		t.Fatal(err)
-	}
-	want := DefaultSpecs()[C6].wakeLatency
-	if lat, err := s.WakeLatency(); err != nil || lat != want {
-		t.Errorf("wake latency after default-spec Reset = %v, %v; want %v (custom table leaked)", lat, err, want)
+		t.Error("Reset accepted a zero power model")
 	}
 }
 
 // TestAppendHostedReusesBuffer: AppendHosted into a reused buffer must
 // equal Hosted and not allocate once the buffer is warm.
 func TestAppendHostedReusesBuffer(t *testing.T) {
-	s, err := New(resetConfig(t, 1, 200))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := build(t, resetConfig(t, 1, 200))
 	for i := 1; i <= 4; i++ {
 		if err := s.Place(hostedPair(t, AppID(i), units.Fraction(float64(i)*0.05)), 0); err != nil {
 			t.Fatal(err)

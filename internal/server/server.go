@@ -36,24 +36,18 @@ type Hosted struct {
 type Config struct {
 	ID         ID
 	Boundaries Boundaries
-	Power      PowerModel
-	SleepSpecs map[CState]Spec // nil selects DefaultSpecs
-	// Migration prices in-cluster VM moves for the q_k estimate.
-	Migration MigrationParams
-	// ControlMsgEnergy prices one leader round-trip for the j_k estimate.
-	ControlMsgEnergy units.Joules
-	// VerticalCostEnergy is the fixed (small) cost of a local vertical
-	// scaling action p_k: a hypervisor reconfiguration, no data movement.
-	VerticalCostEnergy units.Joules
+	Power      LinearPower
 }
 
-// Server is one simulated cluster member.
+// Server is one simulated cluster member. It holds only what the
+// per-interval walks read, all inline — no pointer but the hosted list
+// and the last priced VM — so a cluster can lay its servers out as one
+// contiguous slab.
 type Server struct {
 	id         ID
 	boundaries Boundaries
-	pm         PowerModel
-	acpi       *acpiManager
-	cfg        Config
+	pm         LinearPower
+	acpi       acpiManager
 
 	// hosted holds the application/VM pairs in insertion order — the
 	// canonical demand summation order. Hosted sets are small (a handful
@@ -70,18 +64,13 @@ type Server struct {
 	raw   units.Fraction
 	rawOK bool
 
-	// eval memoizes Evaluate, which is a pure function of the hosted set,
-	// its demands, and static config; it shares raw's invalidation points.
-	eval   Evaluation
-	evalOK bool
-
 	// qVM/qShare/qCost cache the live-migration cost of the last q_k
 	// pricing. LiveMigrationCost is a pure function of the VM's
-	// (CPUShare, Memory, DirtyRate) and the static migration params;
-	// Memory and DirtyRate are immutable and CPUShare changes only when
-	// the VM actually migrates, so pricing the same VM at the same share
-	// can reuse the previous result even after demand evolution has
-	// invalidated the full evaluation.
+	// (CPUShare, Memory, DirtyRate) and the migration params, which the
+	// caller keeps fixed between Resets; Memory and DirtyRate are
+	// immutable and CPUShare changes only when the VM actually migrates,
+	// so pricing the same VM at the same share reuses the previous
+	// result even after demand evolution moved the rest of the server.
 	qVM    *VM
 	qShare units.Fraction
 	qCost  units.Joules
@@ -90,64 +79,29 @@ type Server struct {
 	lastAccount units.Seconds
 }
 
-// New builds a server in C0 with no load.
-func New(cfg Config) (*Server, error) {
-	s := &Server{}
-	if err := s.Reset(cfg); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Reset re-seeds the server in place for a fresh simulation: new static
-// configuration, no hosted applications, zeroed energy account, back in
-// C0. It reuses the server's allocations (the hosted list and — when cfg
-// keeps the default sleep specs — the ACPI manager), which is what lets a
-// sweep rebuild a 10^4-server cluster without reconstructing the object
-// graph. A Reset server is indistinguishable from one freshly built by
-// New with the same Config.
+// Reset seeds the server in place for a fresh simulation: new static
+// configuration, no hosted applications, zeroed energy account, in C0
+// with nothing armed. The zero Server is not usable until Reset. Reset
+// keeps only the hosted list's capacity, which is what lets a sweep
+// rebuild a 10^5-server cluster in place without allocating per server;
+// a Reset server is otherwise indistinguishable from a fresh one.
 func (s *Server) Reset(cfg Config) error {
-	if cfg.Power == nil {
-		return fmt.Errorf("server %d: nil power model", cfg.ID)
+	if cfg.Power.Peak() <= 0 {
+		return fmt.Errorf("server %d: non-positive peak power %v", cfg.ID, cfg.Power.Peak())
 	}
 	if err := cfg.Boundaries.Validate(); err != nil {
 		return fmt.Errorf("server %d: %w", cfg.ID, err)
 	}
-	if err := cfg.Migration.Validate(); err != nil {
-		return fmt.Errorf("server %d: %w", cfg.ID, err)
-	}
-	if cfg.ControlMsgEnergy < 0 || cfg.VerticalCostEnergy < 0 {
-		return fmt.Errorf("server %d: negative cost parameter", cfg.ID)
-	}
-	// The manager is reusable only when both the old and the new config
-	// select the default spec table; a custom-spec manager must not leak
-	// its table into a default-spec reset (or vice versa).
-	if s.acpi != nil && cfg.SleepSpecs == nil && s.cfg.SleepSpecs == nil {
-		if err := s.acpi.reset(cfg.Power.Peak()); err != nil {
-			return fmt.Errorf("server %d: %w", cfg.ID, err)
-		}
-	} else {
-		mgr, err := newACPIManager(cfg.Power.Peak(), cfg.SleepSpecs)
-		if err != nil {
-			return fmt.Errorf("server %d: %w", cfg.ID, err)
-		}
-		s.acpi = mgr
-	}
-	s.id = cfg.ID
-	s.boundaries = cfg.Boundaries
-	s.pm = cfg.Power
-	s.cfg = cfg
-	s.hosted = s.hosted[:0]
-	s.raw = 0
-	s.rawOK = true
-	s.evalOK = false
 	// A rebuild may hand the same *VM address a different memory size
-	// or dirty rate (arena reuse), and may change the migration params.
-	s.qVM = nil
-	s.qShare = 0
-	s.qCost = 0
-	s.energy = 0
-	s.lastAccount = 0
+	// or dirty rate (arena reuse), and may change the migration params,
+	// so the q_k cache goes with everything else.
+	*s = Server{
+		id:         cfg.ID,
+		boundaries: cfg.Boundaries,
+		pm:         cfg.Power,
+		hosted:     s.hosted[:0],
+		rawOK:      true,
+	}
 	return nil
 }
 
@@ -158,7 +112,7 @@ func (s *Server) ID() ID { return s.id }
 func (s *Server) Boundaries() Boundaries { return s.boundaries }
 
 // PowerModel returns the server's power model.
-func (s *Server) PowerModel() PowerModel { return s.pm }
+func (s *Server) PowerModel() LinearPower { return s.pm }
 
 // CState returns the current ACPI state.
 func (s *Server) CState() CState { return s.acpi.state }
@@ -189,6 +143,8 @@ func (s *Server) Load() units.Fraction {
 // Summation follows insertion order so results are bit-for-bit
 // reproducible. The sum is memoized; callers that mutate a hosted
 // application's demand in place must invalidate it via MarkDemandDirty.
+//
+//ealb:hotpath
 func (s *Server) RawDemand() units.Fraction {
 	if !s.rawOK {
 		var sum units.Fraction
@@ -201,14 +157,11 @@ func (s *Server) RawDemand() units.Fraction {
 	return s.raw
 }
 
-// MarkDemandDirty invalidates the memoized demand sum and evaluation
-// after a hosted application's demand was mutated in place (the cluster's
-// demand-evolution step does this). The next RawDemand/Evaluate call
-// recomputes from the hosted list in insertion order.
-func (s *Server) MarkDemandDirty() {
-	s.rawOK = false
-	s.evalOK = false
-}
+// MarkDemandDirty invalidates the memoized demand sum after a hosted
+// application's demand was mutated in place (the cluster's
+// demand-evolution step does this). The next RawDemand call recomputes
+// from the hosted list in insertion order.
+func (s *Server) MarkDemandDirty() { s.rawOK = false }
 
 // Regime classifies the server's current load (§4 eqs. 1-5).
 func (s *Server) Regime() Region { return s.boundaries.Classify(s.Load()) }
@@ -260,7 +213,6 @@ func (s *Server) Place(h Hosted, now units.Seconds) error {
 		// insertion-ordered sum with the new last element.
 		s.raw += h.App.Demand
 	}
-	s.evalOK = false
 	return nil
 }
 
@@ -274,7 +226,6 @@ func (s *Server) Remove(id AppID) (Hosted, error) {
 			h := s.hosted[i]
 			s.hosted = append(s.hosted[:i], s.hosted[i+1:]...)
 			s.rawOK = false
-			s.evalOK = false
 			return h, nil
 		}
 	}
@@ -286,6 +237,8 @@ func (s *Server) Remove(id AppID) (Hosted, error) {
 // current load; sleeping draw from the ACPI table. The caller must invoke
 // it whenever load or state is about to change so the integral uses the
 // correct power level for each segment.
+//
+//ealb:hotpath
 func (s *Server) AccountTo(now units.Seconds) (units.Joules, error) {
 	if now < s.lastAccount {
 		return 0, fmt.Errorf("server %d: accounting backwards from %v to %v", s.id, s.lastAccount, now)
@@ -293,7 +246,7 @@ func (s *Server) AccountTo(now units.Seconds) (units.Joules, error) {
 	d := now - s.lastAccount
 	var p units.Watts
 	if s.Sleeping() {
-		p = s.acpi.sleepPower()
+		p = s.acpi.sleepPower(s.pm.peakW)
 	} else {
 		p = s.pm.Power(s.Load())
 	}
@@ -305,6 +258,8 @@ func (s *Server) AccountTo(now units.Seconds) (units.Joules, error) {
 
 // Energy returns the cumulative energy account including ACPI transition
 // costs.
+//
+//ealb:hotpath
 func (s *Server) Energy() units.Joules { return s.energy + s.acpi.transitionEnergy }
 
 // SkipTo advances the accounting clock to now without charging energy —
@@ -344,7 +299,7 @@ func (s *Server) Sleep(target CState, now units.Seconds) error {
 	if _, err := s.AccountTo(now); err != nil {
 		return err
 	}
-	_, err := s.acpi.sleep(target, now)
+	_, err := s.acpi.sleep(target, now, s.pm.peakW)
 	return err
 }
 
@@ -354,73 +309,45 @@ func (s *Server) Wake(now units.Seconds) (units.Seconds, error) {
 	if _, err := s.AccountTo(now); err != nil {
 		return 0, err
 	}
-	return s.acpi.wake(now)
+	return s.acpi.wake(now, s.pm.peakW)
 }
 
 // WakeLatency returns how long a wake from the current state takes.
-func (s *Server) WakeLatency() (units.Seconds, error) {
-	spec, err := s.acpi.spec(s.acpi.state)
-	if err != nil {
-		return 0, err
+func (s *Server) WakeLatency() units.Seconds { return specTable[s.acpi.state].wakeLatency }
+
+// PCost is the §4 estimate p_k of one vertical scaling action: a local
+// hypervisor reconfiguration, no data movement, so a small fixed cost.
+const PCost units.Joules = 0.5
+
+// QCost is the §4 estimate q_k of one horizontal scaling action for the
+// next interval: migrating the server's largest VM — the one the
+// negotiation step would move first — under p, or, with nothing to
+// migrate, one control message of energy msg (a minimal image start).
+// p must have passed Validate and stay the same between Resets; the
+// live-migration price is cached per VM and CPU share.
+//
+//ealb:hotpath
+func (s *Server) QCost(p MigrationParams, msg units.Joules) units.Joules {
+	v := s.largestVM()
+	if v == nil {
+		return msg
 	}
-	return spec.wakeLatency, nil
+	if v != s.qVM || v.CPUShare != s.qShare {
+		s.qVM, s.qShare, s.qCost = v, v.CPUShare, LiveMigrationCost(v, p).Energy
+	}
+	return s.qCost
 }
 
-// Evaluation is the end-of-interval self-assessment of §4: the projected
-// regime plus the three cost estimates the server reports to the leader.
-type Evaluation struct {
-	Server  ID
-	Load    units.Fraction
-	Regime  Region
-	NumApps int
-	// QCost estimates one horizontal scaling action (in-cluster VM
-	// migration) in Joules.
-	QCost units.Joules
-	// PCost estimates one vertical scaling action (local) in Joules.
-	PCost units.Joules
-	// JCost estimates the interval's leader communication in Joules.
-	JCost units.Joules
-}
-
-// Evaluate computes the server's evaluation for the next interval. The
-// q_k estimate prices migrating the server's largest VM — the one the
-// negotiation step would move first. The result is a pure function of the
-// hosted set, its demands, and static configuration, so it is memoized
-// under the same invalidation points as RawDemand.
-func (s *Server) Evaluate() Evaluation {
-	if s.evalOK {
-		return s.eval
-	}
-	ev := Evaluation{
-		Server:  s.id,
-		Load:    s.Load(),
-		Regime:  s.Regime(),
-		NumApps: s.NumApps(),
-		PCost:   s.cfg.VerticalCostEnergy,
-	}
-	// j_k: one report plus one candidate-list round trip per interval,
-	// scaled by how much negotiation the regime implies.
+// JCost is the §4 estimate j_k of a server's leader communication over
+// the next interval when it sits in region r: one report plus one
+// candidate-list round trip, plus two negotiation messages off the
+// optimal region, each of energy msg.
+func JCost(r Region, msg units.Joules) units.Joules {
 	msgs := 2.0
-	if ev.Regime != R3 {
+	if r != R3 {
 		msgs += 2 // negotiation traffic
 	}
-	ev.JCost = units.Joules(msgs * float64(s.cfg.ControlMsgEnergy))
-
-	if v := s.largestVM(); v != nil {
-		if v == s.qVM && v.CPUShare == s.qShare {
-			ev.QCost = s.qCost
-		} else {
-			res := LiveMigrationCost(v, s.cfg.Migration)
-			s.qVM, s.qShare, s.qCost = v, v.CPUShare, res.Energy
-			ev.QCost = res.Energy
-		}
-	} else {
-		// Nothing to migrate: price a minimal image start instead.
-		ev.QCost = s.cfg.ControlMsgEnergy
-	}
-	s.eval = ev
-	s.evalOK = true
-	return ev
+	return units.Joules(msgs * float64(msg))
 }
 
 // largestVM returns the hosted VM with the largest CPU share, or nil.

@@ -14,22 +14,28 @@ func testConfig(t *testing.T, id ID) Config {
 		t.Fatal(err)
 	}
 	return Config{
-		ID:                 id,
-		Boundaries:         Boundaries{SoptLow: 0.22, OptLow: 0.35, OptHigh: 0.70, SoptHigh: 0.82},
-		Power:              pm,
-		Migration:          DefaultMigrationParams(),
-		ControlMsgEnergy:   0.01,
-		VerticalCostEnergy: 0.5,
+		ID:         id,
+		Boundaries: Boundaries{SoptLow: 0.22, OptLow: 0.35, OptHigh: 0.70, SoptHigh: 0.82},
+		Power:      pm,
 	}
+}
+
+// testMsgEnergy prices one control message in the cost tests.
+const testMsgEnergy units.Joules = 0.01
+
+// build returns a server Reset to cfg.
+func build(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	s := new(Server)
+	if err := s.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func newServer(t *testing.T) *Server {
 	t.Helper()
-	s, err := New(testConfig(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return build(t, testConfig(t, 1))
 }
 
 func hosted(t *testing.T, aid AppID, demand units.Fraction) Hosted {
@@ -48,25 +54,16 @@ func hosted(t *testing.T, aid AppID, demand units.Fraction) Hosted {
 }
 
 func TestNewValidation(t *testing.T) {
+	var s Server
 	cfg := testConfig(t, 1)
-	cfg.Power = nil
-	if _, err := New(cfg); err == nil {
-		t.Error("nil power model must fail")
+	cfg.Power = LinearPower{}
+	if err := s.Reset(cfg); err == nil {
+		t.Error("zero power model must fail")
 	}
 	cfg = testConfig(t, 1)
 	cfg.Boundaries.SoptLow = 0.9
-	if _, err := New(cfg); err == nil {
+	if err := s.Reset(cfg); err == nil {
 		t.Error("invalid boundaries must fail")
-	}
-	cfg = testConfig(t, 1)
-	cfg.Migration.Bandwidth = 0
-	if _, err := New(cfg); err == nil {
-		t.Error("invalid migration params must fail")
-	}
-	cfg = testConfig(t, 1)
-	cfg.ControlMsgEnergy = -1
-	if _, err := New(cfg); err == nil {
-		t.Error("negative cost must fail")
 	}
 }
 
@@ -244,47 +241,66 @@ func TestPlaceRejectsSleepingServer(t *testing.T) {
 func TestWakeLatency(t *testing.T) {
 	s := newServer(t)
 	_ = s.Sleep(C6, 0)
-	lat, err := s.WakeLatency()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat != 260 {
+	if lat := s.WakeLatency(); lat != 260 {
 		t.Errorf("C6 wake latency = %v, want 260s", lat)
 	}
 }
 
 func TestEvaluate(t *testing.T) {
 	s := newServer(t)
-	_ = s.Place(hosted(t, 1, 0.5), 0)
-	ev := s.Evaluate()
-	if ev.Regime != R3 || ev.NumApps != 1 {
-		t.Errorf("evaluation = %+v", ev)
+	h := hosted(t, 1, 0.5)
+	_ = s.Place(h, 0)
+	if s.Regime() != R3 {
+		t.Fatalf("regime %v, want R3", s.Regime())
 	}
-	if ev.QCost <= ev.PCost {
-		t.Errorf("horizontal cost %v must exceed vertical cost %v (the premise of Fig. 3)", ev.QCost, ev.PCost)
+	p := DefaultMigrationParams()
+	q := s.QCost(p, testMsgEnergy)
+	if want := LiveMigrationCost(h.VM, p).Energy; q != want {
+		t.Errorf("q_k = %v, want the live migration of the only VM, %v", q, want)
 	}
-	if ev.JCost <= 0 {
+	if q <= PCost {
+		t.Errorf("horizontal cost %v must exceed vertical cost %v (the premise of Fig. 3)", q, PCost)
+	}
+	if JCost(s.Regime(), testMsgEnergy) <= 0 {
 		t.Error("leader communication must cost something")
+	}
+	// q_k prices the VM of the largest demand: smaller apps leave it
+	// in place, removing it hands q_k to the next largest.
+	big := hosted(t, 2, 0.3)
+	big.VM.Memory = 3 * units.GB
+	small := hosted(t, 3, 0.1)
+	_ = s.Place(big, 0)
+	_ = s.Place(small, 0)
+	if got := s.QCost(p, testMsgEnergy); got != q {
+		t.Errorf("q_k = %v after placing smaller apps, want %v", got, q)
+	}
+	if _, err := s.Remove(1); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.QCost(p, testMsgEnergy), LiveMigrationCost(big.VM, p).Energy; got != want {
+		t.Errorf("q_k = %v after removing the largest app, want %v", got, want)
 	}
 }
 
 func TestEvaluateEmptyServer(t *testing.T) {
 	s := newServer(t)
-	ev := s.Evaluate()
-	if ev.Regime != R1 || ev.QCost <= 0 {
-		t.Errorf("empty evaluation = %+v", ev)
+	if s.Regime() != R1 {
+		t.Errorf("empty server regime %v, want R1", s.Regime())
+	}
+	if q := s.QCost(DefaultMigrationParams(), testMsgEnergy); q != testMsgEnergy {
+		t.Errorf("empty q_k = %v, want one control message %v", q, testMsgEnergy)
 	}
 }
 
 func TestEvaluateJCostGrowsOffOptimal(t *testing.T) {
-	s := newServer(t)
-	_ = s.Place(hosted(t, 1, 0.5), 0) // R3
-	evOpt := s.Evaluate()
-	s2 := newServer(t)
-	_ = s2.Place(hosted(t, 1, 0.9), 0) // R5
-	evBad := s2.Evaluate()
-	if evBad.JCost <= evOpt.JCost {
-		t.Error("off-optimal regimes imply negotiation traffic: higher j_k")
+	opt := JCost(R3, testMsgEnergy)
+	if opt != 2*testMsgEnergy {
+		t.Errorf("R3 j_k = %v, want two messages", opt)
+	}
+	for _, r := range []Region{R1, R2, R4, R5} {
+		if bad := JCost(r, testMsgEnergy); bad <= opt {
+			t.Errorf("%v j_k %v not above R3's %v: off-optimal regimes imply negotiation traffic", r, bad, opt)
+		}
 	}
 }
 
