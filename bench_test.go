@@ -16,7 +16,6 @@ import (
 	"ealb/internal/engine"
 	"ealb/internal/experiments"
 	"ealb/internal/policy"
-	"ealb/internal/queueing"
 	"ealb/internal/workload"
 )
 
@@ -121,7 +120,7 @@ func BenchmarkEngineSweep(b *testing.B) {
 
 // BenchmarkErlangC measures the farm QoS model's per-slot query.
 func BenchmarkErlangC(b *testing.B) {
-	q := queueing.MMc{Lambda: 900, Mu: 10, C: 100}
+	q := policy.MMc{Lambda: 900, Mu: 10, C: 100}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := q.MeanResponse(); err != nil {

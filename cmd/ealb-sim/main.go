@@ -3,6 +3,10 @@
 // streams per-interval statistics, suitable for piping into plotting
 // tools.
 //
+// The flags describe one engine.Scenario cell, which runs through the
+// engine's sweep executor exactly as an ealb-serve run of the same cell
+// does; the service's caps and checks apply.
+//
 // Usage:
 //
 //	ealb-sim -size 1000 -load high -intervals 40 -seed 42
@@ -16,241 +20,216 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
-	"ealb"
+	"ealb/internal/engine"
+	"ealb/internal/trace"
+	"ealb/internal/units"
 )
 
 func main() {
-	// All post-flag work lives in run so error paths (including a Ctrl-C
-	// abandon) unwind through the deferred profile flushes — os.Exit here
-	// would leave a truncated CPU profile.
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "ealb-sim:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
+// run is the whole command: it returns the exit status so error paths
+// (including a Ctrl-C abandon) unwind through the deferred profile
+// flushes — os.Exit inside would leave a truncated CPU profile.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("ealb-sim", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		size       = flag.Int("size", 1000, "cluster size (number of servers, per cluster when -clusters > 1)")
-		load       = flag.String("load", "low", "initial load band: low (20-40%) or high (60-80%)")
-		intervals  = flag.Int("intervals", 40, "reallocation intervals to simulate")
-		seed       = flag.Uint64("seed", 2014, "simulation seed")
-		sleep      = flag.String("sleep", "auto", "sleep policy: auto, c3, c6, never")
-		mtbf       = flag.Float64("mtbf", 0, "mean time between failures per server in seconds; 0 disables churn")
-		mttr       = flag.Float64("mttr", 300, "mean time to repair a failed server in seconds (used when -mtbf > 0)")
-		clusters   = flag.Int("clusters", 1, "number of federated clusters; above 1 runs a farm behind a front-end dispatcher")
-		dispatch   = flag.String("dispatch", "round-robin", "farm dispatch policy: round-robin, least-loaded, energy-headroom")
-		arrivals   = flag.Float64("arrivals", -1, "mean new applications arriving per interval farm-wide (-1 selects the default open workload)")
-		csv        = flag.Bool("csv", false, "emit CSV instead of a table")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
-		memprofile = flag.String("memprofile", "", "write an allocation profile (after the run) to this file")
-		tracePath  = flag.String("trace", "", "write decision events and phase timings as NDJSON to this file and print a phase-timing summary on exit")
+		size       = flags.Int("size", 1000, "cluster size (number of servers, per cluster when -clusters > 1); 1 < size <= 100000 and clusters × size <= 100000")
+		load       = flags.String("load", "low", "initial load band: low (20-40%), high (60-80%) or lo-hi fractions such as 0.25-0.45")
+		intervals  = flags.Int("intervals", 40, "reallocation intervals to simulate")
+		seed       = flags.Uint64("seed", 2014, "simulation seed")
+		sleep      = flags.String("sleep", "auto", "sleep policy: auto, c3 (or c3-only), c6 (or c6-only), never (or always-on)")
+		mtbf       = flags.Float64("mtbf", 0, "mean time between failures per server in seconds; 0 disables churn")
+		mttr       = flags.Float64("mttr", 300, "mean time to repair a failed server in seconds (inert when -mtbf is 0)")
+		clusters   = flags.Int("clusters", 1, "number of federated clusters; above 1 runs a farm behind a front-end dispatcher")
+		dispatch   = flags.String("dispatch", "", "farm dispatch policy: round-robin (the default), least-loaded, energy-headroom")
+		arrivals   = flags.Float64("arrivals", -1, "mean new applications arriving per interval farm-wide (-1 selects the default open workload)")
+		csv        = flags.Bool("csv", false, "emit CSV instead of a table")
+		cpuprofile = flags.String("cpuprofile", "", "write a CPU profile of the simulation to this file (sizes above 100000: profile BenchmarkClusterIntervals instead)")
+		memprofile = flags.String("memprofile", "", "write an allocation profile (after the run) to this file")
+		tracePath  = flags.String("trace", "", "write decision events and phase timings as NDJSON to this file and print a phase-timing summary on exit")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "ealb-sim:", err)
+		return 1
+	}
 
-	// Profiling hooks: the single-cluster CLI is the convenient harness
-	// for capturing hot-path profiles at any size without test scaffolding
+	// Scenario.Normalized reads a zero size, interval count or cluster
+	// count as "use the default", so the flags refuse them here.
+	if *size <= 0 || *intervals <= 0 || *clusters <= 0 {
+		return fail(errors.New("-size, -intervals and -clusters must be positive"))
+	}
+	s := engine.Scenario{
+		Seed:      engine.SeedOf(*seed),
+		Size:      *size,
+		Band:      *load,
+		Intervals: *intervals,
+		Sleep:     *sleep,
+		MTBF:      engine.RateOf(*mtbf),
+		MTTR:      engine.RateOf(*mttr),
+		Dispatch:  *dispatch,
+	}
+	if *arrivals != -1 {
+		s.ArrivalRate = engine.RateOf(*arrivals)
+	}
+	if *clusters > 1 {
+		s.Kind, s.Clusters = engine.KindFarm, *clusters
+	}
+	// Validation refuses farm-only fields on a cluster run, churn without
+	// a repair time and everything outside the service's caps.
+	ex, err := engine.SweepSpec{Scenario: s}.Expand()
+	if err != nil {
+		return fail(err)
+	}
+
+	// Profiling hooks: the CLI is the convenient harness for capturing
+	// hot-path profiles at any size without test scaffolding
 	// (`ealb-sim -size 10000 -cpuprofile cpu.out`, then `go tool pprof`).
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		defer func() {
 			runtime.GC() // flush accurate allocation stats before the snapshot
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "ealb-sim:", err)
+				fmt.Fprintln(stderr, "ealb-sim:", err)
 			}
 			f.Close()
 		}()
 	}
 
-	// Ctrl-C abandons the simulation at its next interval/slot.
+	// Ctrl-C abandons the simulation at its next interval.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	// Decision tracing: NDJSON to the file, aggregate summary to stderr.
 	// Attaching the tracer cannot change the simulated output — the
 	// digests are byte-identical either way (the trace package contract).
-	var tracer ealb.Tracer
+	var hooks engine.RunHooks
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		tw := ealb.NewTraceWriter(f)
-		rec := ealb.NewTraceRecorder()
-		tracer = ealb.MultiTracer(tw, rec)
+		tw := trace.NewWriter(f)
+		rec := trace.NewRecorder()
+		tracer := trace.Multi(tw, rec)
+		hooks.TracerFor = func(int) trace.Tracer { return tracer }
 		defer func() {
 			if err := tw.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "ealb-sim: trace:", err)
+				fmt.Fprintln(stderr, "ealb-sim: trace:", err)
 			}
 			f.Close()
-			fmt.Fprint(os.Stderr, "\n"+rec.Summary())
+			fmt.Fprint(stderr, "\n"+rec.Summary())
 		}()
 	}
 
-	var band ealb.Band
-	switch *load {
-	case "low":
-		band = ealb.LowLoad()
-	case "high":
-		band = ealb.HighLoad()
-	default:
-		return fmt.Errorf("unknown load band %q (want low or high)", *load)
-	}
-
-	cfg := ealb.DefaultClusterConfig(*size, band, *seed)
-	switch *sleep {
-	case "auto":
-		cfg.Sleep = ealb.SleepAuto
-	case "c3":
-		cfg.Sleep = ealb.SleepC3Only
-	case "c6":
-		cfg.Sleep = ealb.SleepC6Only
-	case "never":
-		cfg.Sleep = ealb.SleepNever
-	default:
-		return fmt.Errorf("unknown sleep policy %q", *sleep)
-	}
-	if *mtbf < 0 || *mttr <= 0 {
-		return fmt.Errorf("-mtbf %v must be >= 0 and -mttr %v must be positive", *mtbf, *mttr)
-	}
-	if *mtbf > 0 {
-		cfg.MTBF = ealb.Seconds(*mtbf)
-		cfg.MTTR = ealb.Seconds(*mttr)
-	}
-
-	if *clusters < 1 {
-		return fmt.Errorf("-clusters %d must be at least 1", *clusters)
-	}
-	if *clusters > 1 {
-		return runFarm(ctx, *clusters, cfg, *dispatch, *arrivals, *intervals, *seed, *csv, tracer)
-	}
-	cfg.Tracer = tracer
-	// Farm-only flags on a single-cluster run would be silently ignored;
-	// refuse instead so the user knows the run they asked for needs
-	// -clusters.
-	var farmOnly []string
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "dispatch" || f.Name == "arrivals" {
-			farmOnly = append(farmOnly, "-"+f.Name)
-		}
-	})
-	if len(farmOnly) > 0 {
-		return fmt.Errorf("%s only apply to farm runs; add -clusters N (N > 1)", strings.Join(farmOnly, ", "))
-	}
-
-	c, err := ealb.NewCluster(cfg)
+	res, err := engine.NewPool(0).RunExpandedHooked(ctx, ex, hooks)
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	stats, err := c.RunIntervals(ctx, *intervals)
-	if err != nil {
-		return err
+	cell := res.Cells[0]
+	if cell.Farm != nil {
+		printFarm(stdout, stderr, *cell.Farm, *csv, *mtbf > 0)
+	} else {
+		printCluster(stdout, stderr, *cell.Cluster, *csv, *mtbf > 0)
 	}
+	return 0
+}
 
-	if *csv {
-		fmt.Println("interval,ratio,local,incluster,migrations,sleeping,woken,sla_violations,cluster_load,interval_energy_j,avg_q_j,avg_p_j,avg_j_j")
-		for _, s := range stats {
-			fmt.Printf("%d,%.6f,%d,%d,%d,%d,%d,%d,%.6f,%.1f,%.2f,%.2f,%.4f\n",
+// printCluster renders a cluster run: the interval table or CSV on
+// stdout, the run summary on stderr.
+func printCluster(stdout, stderr io.Writer, run engine.ClusterRun, csv, churn bool) {
+	migrations := 0
+	if csv {
+		fmt.Fprintln(stdout, "interval,ratio,local,incluster,migrations,sleeping,woken,sla_violations,cluster_load,interval_energy_j,avg_q_j,avg_p_j,avg_j_j")
+	} else {
+		fmt.Fprintf(stdout, "%-8s %-8s %-7s %-10s %-10s %-9s %-6s %-8s\n",
+			"interval", "ratio", "local", "in-cluster", "migrations", "sleeping", "SLA", "load")
+	}
+	for _, s := range run.Stats {
+		migrations += s.Migrations
+		if csv {
+			fmt.Fprintf(stdout, "%d,%.6f,%d,%d,%d,%d,%d,%d,%.6f,%.1f,%.2f,%.2f,%.4f\n",
 				s.Index, s.Ratio, s.Decisions.Local, s.Decisions.InCluster,
 				s.Migrations, s.Sleeping, s.Woken, s.SLAViolations,
 				float64(s.ClusterLoad), float64(s.IntervalEnergy),
 				float64(s.AvgQCost), float64(s.AvgPCost), float64(s.AvgJCost))
-		}
-	} else {
-		fmt.Printf("%-8s %-8s %-7s %-10s %-10s %-9s %-6s %-8s\n",
-			"interval", "ratio", "local", "in-cluster", "migrations", "sleeping", "SLA", "load")
-		for _, s := range stats {
-			fmt.Printf("%-8d %-8.3f %-7d %-10d %-10d %-9d %-6d %-8.3f\n",
+		} else {
+			fmt.Fprintf(stdout, "%-8d %-8.3f %-7d %-10d %-10d %-9d %-6d %-8.3f\n",
 				s.Index, s.Ratio, s.Decisions.Local, s.Decisions.InCluster,
 				s.Migrations, s.Sleeping, s.SLAViolations, float64(s.ClusterLoad))
 		}
 	}
 
-	fmt.Fprintf(os.Stderr,
+	fmt.Fprintf(stderr,
 		"\ntotal energy: %v  migrations: %d  wakes: %d  sleeping at end: %d  mean ratio: %.4f (std %.4f)\n",
-		c.TotalEnergy(), c.Migrations(), c.Wakes(), c.SleepingCount(),
-		c.Ledger().MeanRatio(), c.Ledger().StdDevRatio())
-	if *mtbf > 0 {
-		fmt.Fprintf(os.Stderr,
+		units.Joules(run.Energy), migrations, run.Wakes, run.Sleeping, run.MeanRatio, run.StdRatio)
+	if churn {
+		fmt.Fprintf(stderr,
 			"churn: failures: %d  repairs: %d  apps replaced: %d  apps lost: %d  failed at end: %d\n",
-			c.Failures(), c.Repairs(), c.AppsReplaced(), c.AppsLost(), c.FailedCount())
+			run.Failures, run.Repairs, run.AppsReplaced, run.AppsLost, run.Stats[len(run.Stats)-1].FailedCount)
 	}
-	return nil
 }
 
-// runFarm simulates a federated farm: clusters × size servers behind the
-// chosen dispatcher, the per-interval advance phase parallelized on an
-// engine sized to the machine.
-func runFarm(ctx context.Context, clusters int, ccfg ealb.ClusterConfig, dispatch string, arrivals float64, intervals int, seed uint64, csv bool, tracer ealb.Tracer) error {
-	policy, err := ealb.ParseDispatchPolicy(dispatch)
-	if err != nil {
-		return err
-	}
-	cfg := ealb.DefaultClusterFarmConfig(clusters, ccfg.Size, ccfg.InitialLoad, seed)
-	cfg.Dispatch = policy
-	cfg.Cluster = ccfg
-	// The farm stamps each member cluster's index onto the shared stream.
-	cfg.Tracer = tracer
-	if arrivals >= 0 {
-		cfg.ArrivalRate = arrivals
-	}
-	f, err := ealb.NewClusterFarm(cfg)
-	if err != nil {
-		return err
-	}
-	stats, err := f.RunIntervals(ctx, intervals, ealb.NewEngine(0))
-	if err != nil {
-		return err
-	}
-
+// printFarm renders a federated farm run: the interval table or CSV on
+// stdout, the run summary on stderr.
+func printFarm(stdout, stderr io.Writer, run engine.FarmRun, csv, churn bool) {
 	if csv {
-		fmt.Println("interval,mean_load,sleeping,woken,migrations,dispatched,rejected,sla_violations,overload_fraction,total_power_w,interval_energy_j")
-		for _, s := range stats {
-			fmt.Printf("%d,%.6f,%d,%d,%d,%d,%d,%d,%.6f,%.1f,%.1f\n",
+		fmt.Fprintln(stdout, "interval,mean_load,sleeping,woken,migrations,dispatched,rejected,sla_violations,overload_fraction,total_power_w,interval_energy_j")
+	} else {
+		fmt.Fprintf(stdout, "%-8s %-8s %-9s %-10s %-10s %-9s %-6s %-10s\n",
+			"interval", "load", "sleeping", "migrations", "dispatched", "rejected", "SLA", "power(W)")
+	}
+	for _, s := range run.Stats {
+		if csv {
+			fmt.Fprintf(stdout, "%d,%.6f,%d,%d,%d,%d,%d,%d,%.6f,%.1f,%.1f\n",
 				s.Index, float64(s.MeanLoad), s.Sleeping, s.Woken, s.Migrations,
 				s.Dispatched, s.Rejected, s.SLAViolations, s.OverloadFraction,
 				float64(s.TotalPower), float64(s.IntervalEnergy))
-		}
-	} else {
-		fmt.Printf("%-8s %-8s %-9s %-10s %-10s %-9s %-6s %-10s\n",
-			"interval", "load", "sleeping", "migrations", "dispatched", "rejected", "SLA", "power(W)")
-		for _, s := range stats {
-			fmt.Printf("%-8d %-8.3f %-9d %-10d %-10d %-9d %-6d %-10.0f\n",
+		} else {
+			fmt.Fprintf(stdout, "%-8d %-8.3f %-9d %-10d %-10d %-9d %-6d %-10.0f\n",
 				s.Index, float64(s.MeanLoad), s.Sleeping, s.Migrations,
 				s.Dispatched, s.Rejected, s.SLAViolations, float64(s.TotalPower))
 		}
 	}
 
-	fmt.Fprintf(os.Stderr,
+	fmt.Fprintf(stderr,
 		"\nfarm (%d clusters × %d servers, %s dispatch): total energy: %v  migrations: %d  wakes: %d  sleeping at end: %d  dispatched: %d  rejected: %d\n",
-		clusters, ccfg.Size, policy, f.TotalEnergy(), f.Migrations(), f.Wakes(),
-		f.SleepingCount(), f.Dispatched(), f.Rejected())
-	if ccfg.MTBF > 0 {
-		fmt.Fprintf(os.Stderr,
+		run.Clusters, run.Size, run.Dispatch, units.Joules(run.Energy), run.Migrations, run.Wakes,
+		run.Sleeping, run.Dispatched, run.Rejected)
+	if churn {
+		fmt.Fprintf(stderr,
 			"churn: failures: %d  repairs: %d  apps replaced: %d  apps lost: %d\n",
-			f.Failures(), f.Repairs(), f.AppsReplaced(), f.AppsLost())
+			run.Failures, run.Repairs, run.AppsReplaced, run.AppsLost)
 	}
-	return nil
 }

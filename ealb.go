@@ -44,7 +44,6 @@ import (
 	"ealb/internal/experiments"
 	"ealb/internal/farm"
 	"ealb/internal/policy"
-	"ealb/internal/trace"
 	"ealb/internal/units"
 	"ealb/internal/workload"
 )
@@ -167,19 +166,8 @@ func StandardPoliciesFor(cfg FarmConfig, rate RateFunc) []Policy {
 	return policy.StandardSetFor(cfg, rate)
 }
 
-// Workload profiles for the policy farm.
-var (
-	// ConstantRate is a flat arrival-rate profile.
-	ConstantRate = workload.ConstantRate
-	// DiurnalRate is a daily-cycle profile.
-	DiurnalRate = workload.DiurnalRate
-	// SpikeRate overlays a flash crowd on a base rate.
-	SpikeRate = workload.SpikeRate
-	// TrendRate grows linearly.
-	TrendRate = workload.TrendRate
-	// ComposeRates sums several profiles.
-	ComposeRates = workload.Compose
-)
+// ConstantRate is a flat arrival-rate profile for the policy farm.
+var ConstantRate = workload.ConstantRate
 
 // WorkloadProfile builds a named arrival-rate profile (see
 // WorkloadProfileNames) scaled to the given horizon: the farm idles at
@@ -228,39 +216,8 @@ func RunAllExperiments(w io.Writer, opt ExperimentOptions) error {
 // RunClusterExperiment runs one (size, band) cluster simulation with the
 // paper's defaults and returns the raw measurements.
 func RunClusterExperiment(size int, band Band, seed uint64, intervals int) (ClusterRun, error) {
-	return experiments.RunCluster(size, band, seed, intervals, nil)
+	return engine.RunCluster(context.Background(), size, band, seed, intervals, nil)
 }
-
-// Decision tracing and phase timing. A Tracer attached to a
-// ClusterConfig or ClusterFarmConfig receives every balance decision,
-// admission, failure/repair and dispatch as a structured event plus
-// per-interval phase timings. Tracing is strictly observational: it
-// consumes no random numbers and changes no simulated output (runs are
-// byte-identical with and without a tracer), and a nil Tracer costs a
-// single branch per hook site.
-type (
-	// Tracer receives decision events and phase timings; implementations
-	// must be safe for concurrent use and must not feed back into the
-	// simulation.
-	Tracer = trace.Tracer
-	// TraceRecorder aggregates phase-latency histograms and per-kind
-	// event counts; its Summary renders ealb-sim's exit report.
-	TraceRecorder = trace.Recorder
-	// TraceWriter streams events and phase timings as NDJSON.
-	TraceWriter = trace.Writer
-)
-
-// NewTraceRecorder returns an empty aggregating tracer.
-func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
-
-// NewTraceWriter returns a tracer writing NDJSON to w; call Flush
-// before closing w.
-func NewTraceWriter(w io.Writer) *TraceWriter { return trace.NewWriter(w) }
-
-// MultiTracer composes tracers: every event and timing goes to each
-// non-nil tracer in order. All-nil input collapses to nil (tracing
-// disabled).
-func MultiTracer(ts ...Tracer) Tracer { return trace.Multi(ts...) }
 
 // Simulation engine.
 type (

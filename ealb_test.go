@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"ealb/internal/workload"
 )
 
 func TestFacadeClusterRoundTrip(t *testing.T) {
@@ -95,8 +97,10 @@ func TestFacadeRunClusterExperiment(t *testing.T) {
 	}
 }
 
+// TestFacadeComposedWorkloads: a composed profile is a RateFunc the
+// facade's policy entry points accept.
 func TestFacadeComposedWorkloads(t *testing.T) {
-	r := ComposeRates(ConstantRate(10), TrendRate(0, 1), SpikeRate(0, 100, 5, 10), DiurnalRate(0, 0, 100))
+	var r RateFunc = workload.Compose(ConstantRate(10), workload.TrendRate(0, 1), workload.SpikeRate(0, 100, 5, 10), workload.DiurnalRate(0, 0, 100))
 	if r(6) != 10+6+100 {
 		t.Errorf("composed rate = %v", r(6))
 	}

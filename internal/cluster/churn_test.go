@@ -82,9 +82,9 @@ func TestChurnProcessRuns(t *testing.T) {
 			failures, repairs, replaced, lost,
 			c.Failures(), c.Repairs(), c.AppsReplaced(), c.AppsLost())
 	}
-	if c.Failures()-c.Repairs() != c.FailedCount() {
+	if c.Failures()-c.Repairs() != c.failedCount {
 		t.Fatalf("failures %d - repairs %d != currently failed %d",
-			c.Failures(), c.Repairs(), c.FailedCount())
+			c.Failures(), c.Repairs(), c.failedCount)
 	}
 }
 
@@ -163,7 +163,7 @@ func TestChurnRebuildMatchesNew(t *testing.T) {
 	if _, err := dirty.RunIntervals(context.Background(), 12); err != nil {
 		t.Fatal(err)
 	}
-	if dirty.FailedCount() == 0 {
+	if dirty.failedCount == 0 {
 		t.Fatal("warm-up churn left nothing failed; pick a harsher config")
 	}
 

@@ -117,9 +117,6 @@ func (c *Cluster) Failed(id server.ID) bool {
 	return int(id) >= 0 && int(id) < len(c.failed) && c.failed[id]
 }
 
-// FailedCount returns the number of currently failed servers.
-func (c *Cluster) FailedCount() int { return c.failedCount }
-
 // Failures returns the cumulative number of injected failures.
 func (c *Cluster) Failures() int { return c.failures }
 

@@ -42,7 +42,7 @@ func TestFailServerReplacesWorkload(t *testing.T) {
 	if appsAfter != appsBefore-lost {
 		t.Errorf("app conservation broken: %d -> %d (lost %d)", appsBefore, appsAfter, lost)
 	}
-	if !c.Failed(victim.ID()) || c.FailedCount() != 1 || c.Failures() != 1 {
+	if !c.Failed(victim.ID()) || c.failedCount != 1 || c.Failures() != 1 {
 		t.Error("failure bookkeeping wrong")
 	}
 }
@@ -58,9 +58,9 @@ func TestFailedServerExcludedFromProtocol(t *testing.T) {
 	for _, n := range countsBefore {
 		total += n
 	}
-	if total+c.SleepingCount()+c.FailedCount() != 80 {
+	if total+c.SleepingCount()+c.failedCount != 80 {
 		t.Errorf("partition with failures broken: %d awake, %d sleeping, %d failed",
-			total, c.SleepingCount(), c.FailedCount())
+			total, c.SleepingCount(), c.failedCount)
 	}
 	// The cluster keeps running; no app ever lands on the failed server.
 	if _, err := c.RunIntervals(context.Background(), 10); err != nil {
@@ -91,7 +91,7 @@ func TestRepairReturnsServerToService(t *testing.T) {
 	if err := c.Repair(victim.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if c.Failed(victim.ID()) || c.FailedCount() != 0 {
+	if c.Failed(victim.ID()) || c.failedCount != 0 {
 		t.Error("repair bookkeeping wrong")
 	}
 	// The repaired server can host again.
@@ -146,9 +146,9 @@ func partitionHolds(t *testing.T, c *Cluster, size int) {
 	for _, n := range c.RegimeCounts() {
 		total += n
 	}
-	if total+c.SleepingCount()+c.FailedCount() != size {
+	if total+c.SleepingCount()+c.failedCount != size {
 		t.Fatalf("partition broken: %d awake + %d sleeping + %d failed != %d",
-			total, c.SleepingCount(), c.FailedCount(), size)
+			total, c.SleepingCount(), c.failedCount, size)
 	}
 }
 

@@ -164,13 +164,13 @@ func TestRebuildResetsFailureState(t *testing.T) {
 	if _, _, err := c.FailServer(3); err != nil {
 		t.Fatal(err)
 	}
-	if c.FailedCount() != 1 || c.Failures() != 1 {
-		t.Fatalf("unexpected failure counts: %d current, %d total", c.FailedCount(), c.Failures())
+	if c.failedCount != 1 || c.Failures() != 1 {
+		t.Fatalf("unexpected failure counts: %d current, %d total", c.failedCount, c.Failures())
 	}
 	if err := c.Rebuild(DefaultConfig(60, workload.LowLoad(), 5)); err != nil {
 		t.Fatal(err)
 	}
-	if c.FailedCount() != 0 || c.Failures() != 0 || c.Failed(3) {
+	if c.failedCount != 0 || c.Failures() != 0 || c.Failed(3) {
 		t.Error("failure state leaked through Rebuild")
 	}
 	if c.Interval() != 0 || c.Now() != 0 || c.Migrations() != 0 || c.Wakes() != 0 {

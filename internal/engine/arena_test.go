@@ -31,7 +31,7 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 		{Size: 80, Band: "low", Seed: SeedOf(5), Intervals: 12},
 	}
 	for i, s := range scenarios {
-		res, err := p.RunScenario(context.Background(), s)
+		res, err := runOne(context.Background(), p, s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,7 +43,7 @@ var churnGoldenDigests = []struct {
 // count and hashes the JSON-encoded cluster interval stream.
 func clusterDigest(t *testing.T, workers int, s Scenario) string {
 	t.Helper()
-	res, err := NewPool(workers).RunScenario(context.Background(), s)
+	res, err := runOne(context.Background(), NewPool(workers), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestChurnArenaReuseIsInvisible(t *testing.T) {
 		s    Scenario
 		want []byte
 	}{{churned, wantChurned}, {plain, wantPlain}, {churned, wantChurned}} {
-		res, err := p.RunScenario(context.Background(), c.s)
+		res, err := runOne(context.Background(), p, c.s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestChurnSweepAxes(t *testing.T) {
 	}
 
 	// A churned cell re-run individually must match its sweep slot.
-	single, err := NewPool(2).RunScenario(context.Background(), res.Cells[3].Scenario)
+	single, err := runOne(context.Background(), NewPool(2), res.Cells[3].Scenario)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestChurnScenarioValidation(t *testing.T) {
 	if err := inert.Validate(); err != nil {
 		t.Fatalf("mttr with churn disabled rejected: %v", err)
 	}
-	res, err := NewPool(1).RunScenario(context.Background(), inert)
+	res, err := runOne(context.Background(), NewPool(1), inert)
 	if err != nil {
 		t.Fatal(err)
 	}

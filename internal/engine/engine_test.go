@@ -24,6 +24,20 @@ func panelSpec(sizes ...int) SweepSpec {
 	return spec
 }
 
+// runOne runs one scenario as a one-cell sweep, the path the service and
+// ealb-sim take, and returns the cell's result.
+func runOne(ctx context.Context, p *Pool, s Scenario) (Result, error) {
+	ex, err := SweepSpec{Scenario: s}.Expand()
+	if err != nil {
+		return Result{}, err
+	}
+	res, err := p.RunExpandedHooked(ctx, ex, RunHooks{})
+	if err != nil {
+		return Result{}, err
+	}
+	return res.Cells[0], nil
+}
+
 // TestParallelSweepMatchesSerial is the engine's core guarantee: the same
 // sweep on one worker and on many workers yields byte-identical results.
 func TestParallelSweepMatchesSerial(t *testing.T) {
@@ -136,7 +150,7 @@ func TestMapRecoversPanics(t *testing.T) {
 
 func TestRunScenarioClusterDefaults(t *testing.T) {
 	p := NewPool(2)
-	res, err := p.RunScenario(context.Background(), Scenario{Kind: KindCluster, Size: 50, Intervals: 5, CompareBaseline: true})
+	res, err := runOne(context.Background(), p, Scenario{Kind: KindCluster, Size: 50, Intervals: 5, CompareBaseline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +174,7 @@ func TestRunScenarioClusterDefaults(t *testing.T) {
 // TestScenarioMatchesDirectRun: a scenario run must be bit-identical to
 // calling the underlying experiment runner directly.
 func TestScenarioMatchesDirectRun(t *testing.T) {
-	res, err := NewPool(4).RunScenario(context.Background(), Scenario{Size: 60, Band: "high", Seed: SeedOf(7), Intervals: 6, Sleep: "c6"})
+	res, err := runOne(context.Background(), NewPool(4), Scenario{Size: 60, Band: "high", Seed: SeedOf(7), Intervals: 6, Sleep: "c6"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +192,7 @@ func TestScenarioMatchesDirectRun(t *testing.T) {
 func TestRunScenarioPolicyProfiles(t *testing.T) {
 	p := NewPool(4)
 	for _, profile := range workload.ProfileNames() {
-		res, err := p.RunScenario(context.Background(), Scenario{
+		res, err := runOne(context.Background(), p, Scenario{
 			Kind: KindPolicy, Profile: profile, Servers: 40, HorizonSeconds: 600,
 		})
 		if err != nil {
@@ -203,7 +217,7 @@ func TestPolicyCountersAtMaxRate(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"kind":"policy","base_rate":1e7,"servers":10,"horizon_seconds":600}`), &s); err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewPool(1).RunScenario(context.Background(), s)
+	res, err := runOne(context.Background(), NewPool(1), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +249,8 @@ func TestScenarioValidation(t *testing.T) {
 			t.Errorf("scenario %d (%+v) unexpectedly valid", i, s)
 		}
 	}
-	if _, err := NewPool(1).RunScenario(context.Background(), Scenario{Kind: "quantum"}); err == nil {
-		t.Error("RunScenario accepted an invalid scenario")
+	if _, err := runOne(context.Background(), NewPool(1), Scenario{Kind: "quantum"}); err == nil {
+		t.Error("a one-cell sweep accepted an invalid scenario")
 	}
 }
 

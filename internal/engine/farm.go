@@ -53,20 +53,6 @@ func farmRegimes(f *farm.Farm) [5]int {
 	return out
 }
 
-// RunFarm executes one federated simulation: cfg.Clusters independent
-// clusters behind the configured dispatcher, advanced for the given
-// number of intervals on r (nil runs the clusters serially; a Pool runs
-// them concurrently with byte-identical results). Every random stream
-// derives from cfg.Seed, so the result is identical no matter which
-// worker — or how many — runs it.
-func RunFarm(ctx context.Context, cfg farm.Config, intervals int, r farm.Runner) (FarmRun, error) {
-	f, err := farm.New(cfg)
-	if err != nil {
-		return FarmRun{}, err
-	}
-	return measureFarm(ctx, f, intervals, r)
-}
-
 // measureFarm runs the experiment on an already-built (fresh or rebuilt)
 // farm and collects the FarmRun measurements.
 func measureFarm(ctx context.Context, f *farm.Farm, intervals int, r farm.Runner) (FarmRun, error) {

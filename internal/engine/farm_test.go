@@ -40,7 +40,7 @@ var farmGoldenDigests = []struct {
 // count and hashes the JSON-encoded farm interval stream.
 func farmDigest(t *testing.T, workers int, s Scenario) string {
 	t.Helper()
-	res, err := NewPool(workers).RunScenario(context.Background(), s)
+	res, err := runOne(context.Background(), NewPool(workers), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,11 @@ func TestFarmArenaReuseIsInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunFarm(context.Background(), cfg, scenario.Intervals, nil)
+	f, err := farm.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := measureFarm(context.Background(), f, scenario.Intervals, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +105,7 @@ func TestFarmArenaReuseIsInvisible(t *testing.T) {
 	// A differently-shaped farm first (more clusters, other size and
 	// band), so the reference cells rebuild from foreign state.
 	spec := SweepSpec{Scenario: Scenario{Kind: KindFarm, Band: "low", Intervals: 8, Seed: SeedOf(5), Size: 50}}
-	warm, err := p.RunScenario(context.Background(), Scenario{Kind: KindFarm, Clusters: 4, Size: 30, Band: "high", Seed: SeedOf(9), Intervals: 5})
+	warm, err := runOne(context.Background(), p, Scenario{Kind: KindFarm, Clusters: 4, Size: 30, Band: "high", Seed: SeedOf(9), Intervals: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +123,7 @@ func TestFarmArenaReuseIsInvisible(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(got) != string(want) {
-			t.Errorf("arena-reused farm cell %d diverged from direct RunFarm", i)
+			t.Errorf("arena-reused farm cell %d diverged from a direct farm run", i)
 		}
 	}
 }
@@ -171,7 +175,7 @@ func TestFarmSweepAxes(t *testing.T) {
 	}
 
 	// A farm cell must match the same scenario run individually.
-	single, err := NewPool(2).RunScenario(context.Background(), res.Cells[3].Scenario)
+	single, err := runOne(context.Background(), NewPool(2), res.Cells[3].Scenario)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +235,7 @@ func TestClosedFarmRate(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"kind":"farm","clusters":2,"size":40,"intervals":6,"arrival_rate":0}`), &closed); err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewPool(2).RunScenario(context.Background(), closed)
+	res, err := runOne(context.Background(), NewPool(2), closed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +256,11 @@ func TestClosedFarmRate(t *testing.T) {
 func TestRunFarmRespectsBand(t *testing.T) {
 	cfg := farm.DefaultConfig(2, 40, workload.HighLoad(), 3)
 	cfg.Dispatch = farm.DispatchLeastLoaded
-	run, err := RunFarm(context.Background(), cfg, 5, nil)
+	f, err := farm.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := measureFarm(context.Background(), f, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,11 +15,12 @@
 //     Map primitive and atomic run/energy counters (the engine's
 //     observability surface, exported by ealb-serve's /metrics endpoint);
 //   - Scenario/Result, a JSON-friendly description of one simulation
-//     request (cluster protocol run or §3 policy-farm comparison)
-//     executed with (*Pool).RunScenario;
+//     cell (cluster protocol run, federated farm, or §3 policy-farm
+//     comparison) and its outcome;
 //   - SweepSpec/SweepResult, the multi-axis generalization behind
-//     `POST /v1/runs`: axis lists expand into a cross-product of
-//     Scenario cells executed with (*Pool).RunSweep, which returns
+//     `POST /v1/runs` and ealb-sim: SweepSpec.Expand turns axis lists
+//     into a cross-product of Scenario cells (a scalar spec is one
+//     cell), and (*Pool).RunExpandedHooked executes them, returning
 //     per-cell results plus per-group aggregate statistics.
 //
 // Every entry point takes a context.Context; cancellation stops running

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -388,26 +387,4 @@ type Result struct {
 	JoulesSaved    float64 `json:"joules_saved,omitempty"`
 	// Policies holds the §3 line-up results of a policy scenario.
 	Policies []policy.Result `json:"policies,omitempty"`
-}
-
-// RunScenario normalizes, validates and executes one scenario on the
-// pool, blocking until it completes. It is exactly a one-cell sweep
-// through RunExpandedHooked — the path RunSweep takes too, which is what
-// keeps sweep cells bit-identical to individual runs by construction. Cancelling
-// the context stops the underlying simulations at their next preemption
-// point and returns ctx.Err() (possibly wrapped).
-func (p *Pool) RunScenario(ctx context.Context, s Scenario) (Result, error) {
-	s = s.Normalized()
-	if err := s.Validate(); err != nil {
-		return Result{}, err
-	}
-	ex := ExpandedSweep{
-		spec:  SweepSpec{Scenario: Scenario{Kind: s.Kind}},
-		cells: []Scenario{s},
-	}
-	res, err := p.RunExpandedHooked(ctx, ex, RunHooks{})
-	if err != nil {
-		return Result{}, err
-	}
-	return res.Cells[0], nil
 }

@@ -344,7 +344,7 @@ type SweepResult struct {
 
 // RunSweep expands, validates and executes a sweep spec on the pool,
 // blocking until every cell completes. Cell results are bit-identical to
-// running each cell individually with RunScenario: every cell derives
+// running each cell individually as a one-cell sweep: every cell derives
 // its own random streams from its seed and lands in an order-preserving
 // slot. Cancelling the context stops running simulations at their next
 // interval and fails unstarted cells promptly.
@@ -395,8 +395,8 @@ type RunHooks struct {
 // expanded the spec for validation (the HTTP service does, on submit)
 // need not pay for a second expansion — with optional live observation,
 // per-cell tracing, completion hooks and resumption from checkpointed
-// cells. It is the engine's one sweep executor: RunSweep and RunScenario
-// both end here.
+// cells. It is the engine's one sweep executor: RunSweep, the service
+// and ealb-sim all end here.
 func (p *Pool) RunExpandedHooked(ctx context.Context, ex ExpandedSweep, h RunHooks) (SweepResult, error) {
 	p.runsStarted.Add(1)
 	res, err := p.runSweep(ctx, ex.spec, ex.cells, h)

@@ -186,7 +186,7 @@ func TestSweepReplicationsDeriveSeeds(t *testing.T) {
 
 // TestRunSweepMatchesIndividualRuns is the v2 acceptance criterion: a
 // sweep's per-cell results are bit-identical to running the same cells
-// individually through RunScenario.
+// individually as one-cell sweeps.
 func TestRunSweepMatchesIndividualRuns(t *testing.T) {
 	ctx := context.Background()
 	var spec SweepSpec
@@ -203,7 +203,7 @@ func TestRunSweepMatchesIndividualRuns(t *testing.T) {
 	_, cells := mustExpand(t, spec)
 	single := NewPool(1)
 	for i, cell := range cells {
-		direct, err := single.RunScenario(ctx, cell)
+		direct, err := runOne(ctx, single, cell)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func TestRunScenarioCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := NewPool(2)
-	if _, err := p.RunScenario(ctx, Scenario{Size: 40, Intervals: 5}); !errors.Is(err, context.Canceled) {
+	if _, err := runOne(ctx, p, Scenario{Size: 40, Intervals: 5}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
 	if st := p.Stats(); st.RunsFailed != 1 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"ealb/internal/report"
 	"ealb/internal/server"
 	"ealb/internal/units"
 )
@@ -56,7 +55,7 @@ func RunDVFSStudy() ([]DVFSStudy, error) {
 
 // RenderDVFSRows writes the P-state selection table.
 func RenderDVFSRows(w io.Writer, rows []DVFSStudy) error {
-	t := report.NewTable(
+	t := NewTable(
 		"Extension — DVFS (QoS-safe P-state per demand level, 100/200 W volume server)",
 		"Demand", "P-state", "Power (W)", "Saving vs P0")
 	for _, r := range rows {

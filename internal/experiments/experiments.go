@@ -11,9 +11,7 @@ import (
 	"io"
 	"strconv"
 
-	"ealb/internal/cluster"
 	"ealb/internal/engine"
-	"ealb/internal/report"
 	"ealb/internal/workload"
 )
 
@@ -36,14 +34,6 @@ var PaperBands = []workload.Band{workload.LowLoad(), workload.HighLoad()}
 // measurement so parallel sweeps and the HTTP service share one
 // implementation with the serial runners here.
 type ClusterRun = engine.ClusterRun
-
-// RunCluster executes the §5 experiment for one cluster size and load
-// band and returns the measurements behind Figures 2-3 and Table 2. The
-// experiment runners are batch reproductions, so they run uncancelled;
-// services that need cancellation call engine.RunCluster directly.
-func RunCluster(size int, band workload.Band, seed uint64, intervals int, mutate func(*cluster.Config)) (ClusterRun, error) {
-	return engine.RunCluster(context.Background(), size, band, seed, intervals, mutate)
-}
 
 // clusterSweep runs the sizes × bands × seeds cross-product of §5
 // cluster cells as one engine sweep and returns the cell results in
@@ -94,14 +84,14 @@ func RenderFigure2(w io.Writer, runs []ClusterRun) error {
 	fmt.Fprintln(w, "(final counts cover awake servers; sleeping servers are listed separately)")
 	for _, r := range runs {
 		fmt.Fprintf(w, "\nCluster size %d, average load %.0f%%\n", r.Size, r.Band.Mean()*100)
-		chart := report.NewBarChart("  initial", 40)
+		chart := NewBarChart("  initial", 40)
 		for i, n := range r.Before {
 			chart.Add(fmt.Sprintf("R%d", i+1), float64(n))
 		}
 		if err := chart.Render(w); err != nil {
 			return err
 		}
-		chart = report.NewBarChart("  final", 40)
+		chart = NewBarChart("  final", 40)
 		for i, n := range r.After {
 			chart.Add(fmt.Sprintf("R%d", i+1), float64(n))
 		}
@@ -119,7 +109,7 @@ func RenderFigure3(w io.Writer, runs []ClusterRun) error {
 	for _, r := range runs {
 		title := fmt.Sprintf("\nCluster size %d, average load %.0f%% (crossover at interval %d)",
 			r.Size, r.Band.Mean()*100, r.Crossover())
-		plot := report.NewLinePlot(title, 10)
+		plot := NewLinePlot(title, 10)
 		plot.AddSeries(r.Ratios())
 		if err := plot.Render(w); err != nil {
 			return err
@@ -130,7 +120,7 @@ func RenderFigure3(w io.Writer, runs []ClusterRun) error {
 
 // RenderTable2 writes the Table 2 summary for the given runs.
 func RenderTable2(w io.Writer, runs []ClusterRun) error {
-	t := report.NewTable(
+	t := NewTable(
 		"Table 2 — in-cluster to local decision ratios",
 		"Cluster size", "Avg load", "Avg # sleeping", "Average ratio", "Std deviation")
 	for _, r := range runs {
@@ -189,7 +179,7 @@ func EnergySavingsSweepOn(p *engine.Pool, sizes []int, bands []workload.Band, se
 
 // RenderEnergySavings writes the measured E_ref/E_opt table.
 func RenderEnergySavings(w io.Writer, rows []EnergySavings) error {
-	t := report.NewTable(
+	t := NewTable(
 		"Energy savings — always-on baseline vs energy-aware cluster (measured eq. 12)",
 		"Cluster size", "Avg load", "Always-on (kWh)", "Energy-aware (kWh)", "E_ref/E_opt")
 	for _, r := range rows {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,11 +17,11 @@ func testOptions() Options {
 }
 
 func TestRunClusterShapes(t *testing.T) {
-	low, err := RunCluster(200, workload.LowLoad(), 7, 40, nil)
+	low, err := engine.RunCluster(context.Background(), 200, workload.LowLoad(), 7, 40, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := RunCluster(200, workload.HighLoad(), 7, 40, nil)
+	high, err := engine.RunCluster(context.Background(), 200, workload.HighLoad(), 7, 40, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestRunClusterShapes(t *testing.T) {
 }
 
 func TestRatiosLength(t *testing.T) {
-	run, err := RunCluster(60, workload.LowLoad(), 3, 10, nil)
+	run, err := engine.RunCluster(context.Background(), 60, workload.LowLoad(), 3, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestRobustness(t *testing.T) {
 }
 
 func TestWriteRatioCSV(t *testing.T) {
-	run, err := RunCluster(40, workload.LowLoad(), 3, 5, nil)
+	run, err := engine.RunCluster(context.Background(), 40, workload.LowLoad(), 3, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 
 	"ealb/internal/analytic"
 	"ealb/internal/cluster"
+	"ealb/internal/engine"
 	"ealb/internal/policy"
-	"ealb/internal/report"
 	"ealb/internal/server"
 	"ealb/internal/units"
 	"ealb/internal/workload"
@@ -21,7 +21,7 @@ func RenderTable1(w io.Writer) error {
 	for _, y := range table1Years {
 		headers = append(headers, fmt.Sprintf("%d", y))
 	}
-	t := report.NewTable("Table 1 — estimated average server power use (Watts) [Koomey]", headers...)
+	t := NewTable("Table 1 — estimated average server power use (Watts) [Koomey]", headers...)
 	for _, class := range []serverClass{classVolume, classMidRange, classHighEnd} {
 		row := []string{class.String()}
 		series, err := table1Row(class)
@@ -56,7 +56,7 @@ func RenderHomogeneous(w io.Writer) error {
 	fmt.Fprintf(w, "E_ref/E_opt = %.4f (paper: 2.25), energy saving %.1f%%, n_sleep = %.0f of %d\n\n",
 		ratio, sav*100, m.SleepCount(), m.N)
 
-	t := report.NewTable("Sweep: E_ref/E_opt as the optimized operating point varies",
+	t := NewTable("Sweep: E_ref/E_opt as the optimized operating point varies",
 		"a_opt", "b_opt", "E_ref/E_opt", "servers asleep")
 	for _, aOpt := range []float64{0.6, 0.7, 0.8, 0.9, 1.0} {
 		for _, bOpt := range []float64{0.7, 0.8, 0.9} {
@@ -106,7 +106,7 @@ func RenderPolicies(w io.Writer, cfg policy.FarmConfig) error {
 		if err != nil {
 			return err
 		}
-		t := report.NewTable(
+		t := NewTable(
 			fmt.Sprintf("Policy comparison — %s workload (farm %d servers, setup %v)", name, cfg.Servers, cfg.SetupTime),
 			"Policy", "Energy (kWh)", "Drop rate", "RT violations", "Mean RT (ms)", "Avg active")
 		for _, r := range results {
@@ -174,7 +174,7 @@ func RunSleepAblation(size int, band workload.Band, seed uint64, intervals int) 
 
 // RenderSleepAblation writes the §6 ablation table.
 func RenderSleepAblation(w io.Writer, rows []SleepAblation) error {
-	t := report.NewTable("Ablation — sleep-state selection (§6's 60% rule vs fixed states)",
+	t := NewTable("Ablation — sleep-state selection (§6's 60% rule vs fixed states)",
 		"Policy", "Energy (kWh)", "Sleeping", "Wakes", "Wake exposure (s)")
 	for _, r := range rows {
 		if err := t.AddRow(
@@ -222,7 +222,7 @@ func RunDeltaAblation(size int, band workload.Band, seed uint64, intervals int, 
 			OptHigh:  [2]float64{float64(b.OptHigh), float64(b.OptHigh) + eps},
 			SoptHigh: [2]float64{float64(b.SoptHigh), float64(b.SoptHigh) + eps},
 		}
-		run, err := RunCluster(size, band, seed, intervals, func(c *cluster.Config) {
+		run, err := engine.RunCluster(context.Background(), size, band, seed, intervals, func(c *cluster.Config) {
 			c.Ranges = ranges
 		})
 		if err != nil {
@@ -246,7 +246,7 @@ func RunDeltaAblation(size int, band workload.Band, seed uint64, intervals int, 
 
 // RenderDeltaAblation writes the δ sweep table.
 func RenderDeltaAblation(w io.Writer, rows []DeltaAblation) error {
-	t := report.NewTable("Ablation — optimal-region width δ (§3: δ = (0.05-0.1)×E_opt)",
+	t := NewTable("Ablation — optimal-region width δ (§3: δ = (0.05-0.1)×E_opt)",
 		"delta", "Migrations", "Mean ratio", "Final in R3", "Sleeping", "Energy (kWh)")
 	for _, r := range rows {
 		if err := t.AddRow(
@@ -267,17 +267,17 @@ func RenderDeltaAblation(w io.Writer, rows []DeltaAblation) error {
 // (the acceptor-stays-underloaded reading of §4 step 1, which reproduces
 // the near-zero sleep counts of the paper's Table 2).
 func ConsolidationAblation(w io.Writer, size int, seed uint64, intervals int) error {
-	def, err := RunCluster(size, workload.LowLoad(), seed, intervals, nil)
+	def, err := engine.RunCluster(context.Background(), size, workload.LowLoad(), seed, intervals, nil)
 	if err != nil {
 		return err
 	}
-	cons, err := RunCluster(size, workload.LowLoad(), seed, intervals, func(c *cluster.Config) {
+	cons, err := engine.RunCluster(context.Background(), size, workload.LowLoad(), seed, intervals, func(c *cluster.Config) {
 		c.ConservativeConsolidation = true
 	})
 	if err != nil {
 		return err
 	}
-	t := report.NewTable("Ablation — consolidation acceptor rule (30% load)",
+	t := NewTable("Ablation — consolidation acceptor rule (30% load)",
 		"Rule", "Sleeping", "Avg sleeping", "Mean ratio", "Energy (kWh)")
 	for _, row := range []struct {
 		name string

@@ -1,10 +1,9 @@
-// Package report renders experiment output: aligned text tables (the
-// paper's Tables 1 and 2), ASCII bar charts and line plots (Figures 2
-// and 3), and CSV files for external plotting.
-//
+// Text rendering of experiment output: aligned tables (the paper's
+// Tables 1 and 2), ASCII bar charts and line plots (Figures 2 and 3).
 // Everything renders to an io.Writer so the same code serves the command
 // line tools, the examples, and golden tests.
-package report
+
+package experiments
 
 import (
 	"fmt"

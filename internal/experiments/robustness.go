@@ -7,7 +7,6 @@ import (
 
 	"ealb/internal/cluster"
 	"ealb/internal/engine"
-	"ealb/internal/report"
 	"ealb/internal/stats"
 	"ealb/internal/workload"
 )
@@ -56,12 +55,12 @@ func RunRobustnessOn(p *engine.Pool, size int, band workload.Band, seeds []uint6
 func (r Robustness) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Robustness — %d seeds, %d servers, %.0f%% average load\n",
 		len(r.Seeds), r.Size, r.Band.Mean()*100)
-	plot := report.NewLinePlot("  mean in-cluster/local ratio per interval (across seeds)", 10)
+	plot := NewLinePlot("  mean in-cluster/local ratio per interval (across seeds)", 10)
 	plot.AddSeries(r.Agg.Mean)
 	if err := plot.Render(w); err != nil {
 		return err
 	}
-	t := report.NewTable("", "Seed", "Crossover interval", "Final sleeping")
+	t := NewTable("", "Seed", "Crossover interval", "Final sleeping")
 	for i, s := range r.Seeds {
 		if err := t.AddRow(
 			fmt.Sprintf("%d", s),

@@ -52,8 +52,6 @@ var reachKeep = map[string]string{
 	"ealb/internal/stats.Running.N":          "the stats tests check the observation count",
 	"ealb/internal/stats.Running.Variance":   "the stats and workload tests check population variance",
 	"ealb/internal/stats.Running.StdDev":     "the stats tests check population deviation",
-	"ealb/internal/engine.RunFarm":           "the farm tests compare arena-reused farm cells with a direct run",
-	"ealb/internal/engine.Pool.RunScenario":  "the engine tests run single scenarios against the sweep path",
 	"ealb/internal/server.AppGenerator.Next": "the server tests check NextInto against the allocating draw",
 
 	// The §4 closed-form equations the analytic tests pin.
@@ -66,7 +64,7 @@ var reachKeep = map[string]string{
 	"ealb/internal/cluster.Cluster.Admitted":     "the cluster and farm tests check admission counts",
 	"ealb/internal/cluster.Cluster.Config":       "the cluster tests check the normalized config",
 	"ealb/internal/cluster.Cluster.Interval":     "the cluster and leader tests check the interval counter",
-	"ealb/internal/cluster.Cluster.Failed":       "the fuzz and leader tests check a server's failed flag",
+	"ealb/internal/cluster.Cluster.Failed":       "the fuzz, leader and ealb-sim tests check a server's failed flag",
 	"ealb/internal/farm.Farm.Interval":           "the farm tests check the interval counter",
 	"ealb/internal/serve.Server.Wait":            "the serve and engine tests wait for a run to finish",
 	"ealb/internal/server.Server.PowerModel":     "the cluster tests check each server's linear power model",

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"ealb/internal/queueing"
 	"ealb/internal/units"
 	"ealb/internal/workload"
 	"ealb/internal/xrand"
@@ -210,7 +209,7 @@ func Simulate(ctx context.Context, cfg FarmConfig, pol Policy, rate workload.Rat
 		// An unstable slot (ρ ≥ 1) has unbounded response time — an
 		// automatic violation.
 		offered := float64(arrivals) / float64(cfg.Dt)
-		mmc := queueing.MMc{Lambda: offered, Mu: cfg.PerServerRate, C: maxInt(active, 1)}
+		mmc := MMc{Lambda: offered, Mu: cfg.PerServerRate, C: maxInt(active, 1)}
 		rt, err := mmc.MeanResponse()
 		if err != nil {
 			return Result{}, err

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 
-	"ealb/internal/queueing"
 	"ealb/internal/stats"
 	"ealb/internal/units"
 	"ealb/internal/workload"
@@ -210,7 +209,7 @@ func (o Oracle) Target(h History, need func(float64) int) int {
 	}
 	// Size the pool for the response-time SLA, not just throughput; cap
 	// the search generously above the throughput need.
-	c, ok, err := queueing.MinServers(peak, o.Mu, target, base*2+16)
+	c, ok, err := MinServers(peak, o.Mu, target, base*2+16)
 	if err != nil || !ok {
 		return base
 	}

@@ -1,13 +1,14 @@
-// Package queueing provides the M/M/c results the farm simulation's
-// response-time QoS model is built on: Erlang-C waiting probability, mean
-// queue wait, and mean response time for a pool of c identical servers
-// fed by Poisson arrivals.
+// The M/M/c results the farm simulation's response-time QoS model is
+// built on: Erlang-C waiting probability, mean queue wait, and mean
+// response time for a pool of c identical servers fed by Poisson
+// arrivals.
 //
 // The paper's QoS constraint is the response time (§1, §3 "Consistency:
 // ... minimize the response time"); a server farm behind a load balancer
 // is the textbook M/M/c system, so this is the right fidelity for
 // deciding whether a provisioning level meets the SLA.
-package queueing
+
+package policy
 
 import (
 	"fmt"

@@ -1,13 +1,17 @@
-package queueing
+// Package queueing_test checks the M/M/c model of package policy through
+// its exported API.
+package queueing_test
 
 import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"ealb/internal/policy"
 )
 
 func TestValidate(t *testing.T) {
-	bad := []MMc{
+	bad := []policy.MMc{
 		{Lambda: -1, Mu: 1, C: 1},
 		{Lambda: 1, Mu: 0, C: 1},
 		{Lambda: 1, Mu: 1, C: 0},
@@ -17,14 +21,14 @@ func TestValidate(t *testing.T) {
 			t.Errorf("case %d: invalid system accepted", i)
 		}
 	}
-	if err := (MMc{Lambda: 1, Mu: 2, C: 1}).Validate(); err != nil {
+	if err := (policy.MMc{Lambda: 1, Mu: 2, C: 1}).Validate(); err != nil {
 		t.Errorf("valid system rejected: %v", err)
 	}
 }
 
 func TestMM1ClosedForm(t *testing.T) {
 	// For c=1, Erlang C reduces to ρ, wait to ρ/(μ-λ), response to 1/(μ-λ).
-	q := MMc{Lambda: 3, Mu: 5, C: 1}
+	q := policy.MMc{Lambda: 3, Mu: 5, C: 1}
 	rho := q.Utilization()
 	pc, err := q.ErlangC()
 	if err != nil {
@@ -45,7 +49,7 @@ func TestMM1ClosedForm(t *testing.T) {
 func TestKnownErlangCValue(t *testing.T) {
 	// Classic textbook point: λ=2, μ=1, c=3 → a=2, ρ=2/3,
 	// P(wait) = 0.444..., Wq = 4/9.
-	q := MMc{Lambda: 2, Mu: 1, C: 3}
+	q := policy.MMc{Lambda: 2, Mu: 1, C: 3}
 	pc, err := q.ErlangC()
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +67,7 @@ func TestKnownErlangCValue(t *testing.T) {
 }
 
 func TestUnstableSystem(t *testing.T) {
-	q := MMc{Lambda: 10, Mu: 1, C: 5}
+	q := policy.MMc{Lambda: 10, Mu: 1, C: 5}
 	if q.Stable() {
 		t.Fatal("ρ=2 cannot be stable")
 	}
@@ -85,8 +89,8 @@ func TestMoreServersNeverHurtProperty(t *testing.T) {
 	f := func(lRaw, cRaw uint8) bool {
 		lambda := float64(lRaw%50) + 1
 		c := int(cRaw%20) + 1
-		q1 := MMc{Lambda: lambda, Mu: 2, C: c}
-		q2 := MMc{Lambda: lambda, Mu: 2, C: c + 1}
+		q1 := policy.MMc{Lambda: lambda, Mu: 2, C: c}
+		q2 := policy.MMc{Lambda: lambda, Mu: 2, C: c + 1}
 		rt1, err1 := q1.MeanResponse()
 		rt2, err2 := q2.MeanResponse()
 		if err1 != nil || err2 != nil {
@@ -102,7 +106,7 @@ func TestMoreServersNeverHurtProperty(t *testing.T) {
 func TestErlangCStableForLargePools(t *testing.T) {
 	// Factorial-based implementations overflow near c=170; the iterative
 	// form must stay finite and within [0,1] for big farms.
-	q := MMc{Lambda: 450, Mu: 1, C: 500}
+	q := policy.MMc{Lambda: 450, Mu: 1, C: 500}
 	pc, err := q.ErlangC()
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +118,7 @@ func TestErlangCStableForLargePools(t *testing.T) {
 
 func TestMinServers(t *testing.T) {
 	// λ=100 req/s, μ=10/s per server, target 150 ms (service is 100 ms).
-	c, ok, err := MinServers(100, 10, 0.15, 100)
+	c, ok, err := policy.MinServers(100, 10, 0.15, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +126,13 @@ func TestMinServers(t *testing.T) {
 		t.Fatal("target must be achievable")
 	}
 	// Verify minimality: c meets the target, c-1 does not.
-	qc := MMc{Lambda: 100, Mu: 10, C: c}
+	qc := policy.MMc{Lambda: 100, Mu: 10, C: c}
 	rt, _ := qc.MeanResponse()
 	if rt > 0.15 {
 		t.Errorf("c=%d response %v misses target", c, rt)
 	}
 	if c > 1 {
-		qprev := MMc{Lambda: 100, Mu: 10, C: c - 1}
+		qprev := policy.MMc{Lambda: 100, Mu: 10, C: c - 1}
 		if qprev.Stable() {
 			rtPrev, _ := qprev.MeanResponse()
 			if rtPrev <= 0.15 {
@@ -137,11 +141,11 @@ func TestMinServers(t *testing.T) {
 		}
 	}
 	// Unachievable target.
-	_, ok, err = MinServers(100, 10, 0.0001, 50)
+	_, ok, err = policy.MinServers(100, 10, 0.0001, 50)
 	if err != nil || ok {
 		t.Error("sub-service-time target must be unachievable")
 	}
-	if _, _, err := MinServers(-1, 1, 1, 10); err == nil {
+	if _, _, err := policy.MinServers(-1, 1, 1, 10); err == nil {
 		t.Error("invalid inputs must error")
 	}
 }

@@ -1,12 +1,16 @@
-package report
+// Package report_test checks the text renderers of package experiments
+// through their exported API.
+package report_test
 
 import (
 	"strings"
 	"testing"
+
+	"ealb/internal/experiments"
 )
 
 func TestTableRender(t *testing.T) {
-	tb := NewTable("Power", "Type", "2000", "2006")
+	tb := experiments.NewTable("Power", "Type", "2000", "2006")
 	if err := tb.AddRow("Vol", "186", "225"); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +39,7 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestTableRowValidation(t *testing.T) {
-	tb := NewTable("", "A", "B")
+	tb := experiments.NewTable("", "A", "B")
 	if err := tb.AddRow("1", "2", "3"); err == nil {
 		t.Error("overlong row must error")
 	}
@@ -49,7 +53,7 @@ func TestTableRowValidation(t *testing.T) {
 }
 
 func TestBarChart(t *testing.T) {
-	c := NewBarChart("Regimes", 20)
+	c := experiments.NewBarChart("Regimes", 20)
 	c.Add("R1", 10)
 	c.Add("R2", 40)
 	c.Add("R3", 0)
@@ -77,14 +81,14 @@ func TestBarChart(t *testing.T) {
 }
 
 func TestBarChartDefaults(t *testing.T) {
-	c := NewBarChart("", 0)
+	c := experiments.NewBarChart("", 0)
 	if c.Width != 50 {
 		t.Errorf("default width = %d", c.Width)
 	}
 }
 
 func TestLinePlot(t *testing.T) {
-	p := NewLinePlot("Ratio", 5)
+	p := experiments.NewLinePlot("Ratio", 5)
 	p.AddSeries([]float64{0, 1, 2, 3, 4, 3, 2, 1, 0})
 	var sb strings.Builder
 	if err := p.Render(&sb); err != nil {
@@ -105,7 +109,7 @@ func TestLinePlot(t *testing.T) {
 }
 
 func TestLinePlotEdgeCases(t *testing.T) {
-	p := NewLinePlot("empty", 4)
+	p := experiments.NewLinePlot("empty", 4)
 	var sb strings.Builder
 	if err := p.Render(&sb); err != nil {
 		t.Fatal(err)
@@ -113,7 +117,7 @@ func TestLinePlotEdgeCases(t *testing.T) {
 	if !strings.Contains(sb.String(), "no data") {
 		t.Error("empty plot must say so")
 	}
-	flat := NewLinePlot("flat", 4)
+	flat := experiments.NewLinePlot("flat", 4)
 	flat.AddSeries([]float64{2, 2, 2})
 	sb.Reset()
 	if err := flat.Render(&sb); err != nil {

@@ -809,11 +809,15 @@ func holdPool(t *testing.T, pool *engine.Pool) (release func()) {
 // run's answer must carry those same stats.
 func checkCell(t *testing.T, st store.RunStore, url string, snap *Run, cell int, got []string) {
 	t.Helper()
-	fresh, err := engine.NewPool(1).RunScenario(context.Background(), snap.expanded.Cells()[cell])
+	ex, err := engine.SweepSpec{Scenario: snap.expanded.Cells()[cell]}.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := fresh.Cluster.Stats
+	fresh, err := engine.NewPool(1).RunExpandedHooked(context.Background(), ex, engine.RunHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := fresh.Cells[0].Cluster.Stats
 	if answered := viewOf(t, snap).Sweep.Cells[cell].Cluster.Stats; !reflect.DeepEqual(answered, stats) {
 		t.Errorf("cell %d: the run's answer holds %d stats that differ from the engine's %d", cell, len(answered), len(stats))
 	}
