@@ -68,7 +68,7 @@ func BenchmarkPolicies(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rate := workload.DiurnalRate(1000, 4000, cfg.Horizon)
-		if _, err := policy.Compare(context.Background(), cfg, policy.StandardSet(cfg.SetupTime, rate), rate); err != nil {
+		if _, err := policy.Compare(context.Background(), cfg, policy.StandardSet(rate), rate); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -152,18 +152,22 @@ func ComparePolicies(ctx context.Context, cfg FarmConfig, pols []Policy, rate Ra
 	return policy.Compare(ctx, cfg, pols, rate)
 }
 
+// FarmSetupTime is how long an off server in the policy farm takes to
+// become active (§3).
+const FarmSetupTime = policy.SetupTime
+
 // StandardPolicies returns the §3 policy line-up: reactive, reactive with
 // extra capacity, autoscale, moving-window, linear-regression, and the
-// optimal oracle (which needs the true rate function and setup time).
-func StandardPolicies(setup Seconds, rate RateFunc) []Policy {
-	return policy.StandardSet(setup, rate)
+// optimal oracle (which needs the true rate function).
+func StandardPolicies(rate RateFunc) []Policy {
+	return policy.StandardSet(rate)
 }
 
 // StandardPoliciesFor is StandardPolicies with the oracle matched to the
 // farm's service rate and response-time target, making it SLA-optimal
 // (the paper's "optimal policy ... does not produce any SLA violations").
-func StandardPoliciesFor(cfg FarmConfig, rate RateFunc) []Policy {
-	return policy.StandardSetFor(cfg, rate)
+func StandardPoliciesFor(rate RateFunc) []Policy {
+	return policy.StandardSetFor(rate)
 }
 
 // ConstantRate is a flat arrival-rate profile for the policy farm.

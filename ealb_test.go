@@ -37,7 +37,7 @@ func TestFacadePolicyRoundTrip(t *testing.T) {
 	cfg := DefaultFarmConfig()
 	cfg.Horizon = 600
 	rate := ConstantRate(1000)
-	results, err := ComparePolicies(context.Background(), cfg, StandardPolicies(cfg.SetupTime, rate), rate)
+	results, err := ComparePolicies(context.Background(), cfg, StandardPolicies(rate), rate)
 	if err != nil {
 		t.Fatal(err)
 	}

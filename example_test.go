@@ -56,7 +56,7 @@ func ExampleSimulatePolicy() {
 
 // ealbReactive picks the reactive policy out of the standard set.
 func ealbReactive() ealb.Policy {
-	return ealb.StandardPolicies(260, ealb.ConstantRate(1000))[0]
+	return ealb.StandardPolicies(ealb.ConstantRate(1000))[0]
 }
 
 // ExampleEngine_RunSweep submits one multi-seed sweep request and reads

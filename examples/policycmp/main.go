@@ -40,12 +40,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	results, err := ealb.ComparePolicies(context.Background(), cfg, ealb.StandardPoliciesFor(cfg, rate), rate)
+	results, err := ealb.ComparePolicies(context.Background(), cfg, ealb.StandardPoliciesFor(rate), rate)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("farm: %d servers, setup time %v, %q workload\n\n", cfg.Servers, cfg.SetupTime, *profile)
+	fmt.Printf("farm: %d servers, setup time %v, %q workload\n\n", cfg.Servers, ealb.FarmSetupTime, *profile)
 	fmt.Printf("%-20s %-13s %-16s %-11s %-11s\n",
 		"policy", "energy (kWh)", "violation slots", "drop rate", "avg active")
 	for _, r := range results {

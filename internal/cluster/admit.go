@@ -50,7 +50,7 @@ func (c *Cluster) Admit(demand units.Fraction) (server.ID, bool, error) {
 	}
 	// A fresh arrival gets the tight right-sized reservation of a restart;
 	// vertical scaling takes over once demand outgrows it.
-	a.Provision(units.Fraction(c.cfg.ReservationQuantum / 2))
+	a.Provision(reservationQuantum / 2)
 	h, err := c.newHosted(a, c.rng)
 	if err != nil {
 		return 0, false, err

@@ -15,8 +15,8 @@ import (
 // without collapsing the cluster.
 func churnConfig(size int, band workload.Band, seed uint64) Config {
 	cfg := DefaultConfig(size, band, seed)
-	cfg.MTBF = 20 * cfg.Tau
-	cfg.MTTR = 5 * cfg.Tau
+	cfg.MTBF = 20 * Tau
+	cfg.MTTR = 5 * Tau
 	return cfg
 }
 
@@ -213,8 +213,8 @@ func TestManualInjectionUnderChurnHonorsDeadlines(t *testing.T) {
 	// auto-repaired at the next boundary the test catches it; the odds
 	// of a legitimate sub-4-interval exponential draw at this mean are
 	// ~exp(-something tiny), i.e. zero for any seed.
-	cfg.MTBF = 1e9 * cfg.Tau
-	cfg.MTTR = 1e9 * cfg.Tau
+	cfg.MTBF = 1e9 * Tau
+	cfg.MTTR = 1e9 * Tau
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
 	"ealb/internal/server"
 	"ealb/internal/trace"
@@ -76,6 +75,44 @@ func (p SleepPolicy) String() string {
 	}
 }
 
+// The model constants: parameters every run shares. DESIGN.md's "Model
+// constants" table gives each one's unit and source.
+const (
+	// Tau is the reallocation interval τ (§4).
+	Tau units.Seconds = 60
+	// AppSizeMin and AppSizeMax bound individual application demands,
+	// at placement and at a restart alike.
+	AppSizeMin, AppSizeMax = 0.05, 0.15
+
+	// lambdaMin and lambdaMax bound the per-application demand change
+	// rate λ per interval.
+	lambdaMin, lambdaMax = 0.01, 0.05
+	// changeProb is the probability an application's demand changes in a
+	// given interval.
+	changeProb = 0.5
+	// resetProb is the per-interval probability an application restarts
+	// at a fresh right-sized demand level, releasing its accumulated
+	// reservation (what keeps vertical-scaling activity alive in steady
+	// state).
+	resetProb = 0.005
+	// peakPower and idleFraction define every server's linear power model.
+	peakPower    units.Watts = 200
+	idleFraction             = 0.5
+	// maxReservationSlack caps the CPU headroom provisioned above an
+	// application's demand at placement time; vertical scaling (a local
+	// decision) is needed only once demand outgrows the reservation.
+	maxReservationSlack = 0.15
+	// slackBase and slackFactor set the provisioning slack formula
+	// base + factor × freeCapacity/numApps: servers packed tight (high
+	// load) grant little headroom, lightly loaded servers grant more.
+	slackBase, slackFactor = 0.03, 0.4
+	// reservationQuantum is the step hypervisor CPU reservations grow in.
+	reservationQuantum units.Fraction = 0.05
+)
+
+// migration prices VM moves.
+var migration = server.DefaultMigrationParams()
+
 // Config parameterizes a cluster simulation. The zero value is not
 // usable; start from DefaultConfig.
 type Config struct {
@@ -83,46 +120,10 @@ type Config struct {
 	Size int
 	// Seed makes the whole simulation reproducible.
 	Seed uint64
-	// Tau is the reallocation interval τ (§4).
-	Tau units.Seconds
 	// InitialLoad is the band initial server loads are drawn from.
 	InitialLoad workload.Band
-	// AppSize bounds individual application demands.
-	AppSize [2]float64
-	// Lambda bounds the per-application demand change rate λ per interval.
-	Lambda [2]float64
-	// ChangeProb is the probability an application's demand changes in a
-	// given interval.
-	ChangeProb float64
-	// ResetProb is the per-interval probability an application restarts
-	// at a fresh right-sized demand level, releasing its accumulated
-	// reservation (what keeps vertical-scaling activity alive in steady
-	// state).
-	ResetProb float64
-	// Drift biases demand evolution (0 = stationary workload).
-	Drift float64
-	// PeakPower and IdleFraction define each server's linear power model.
-	PeakPower    units.Watts
-	IdleFraction float64
-	// PeakPowerSpread makes the fleet heterogeneous in hardware as well
-	// as in regime boundaries: each server's peak is drawn uniformly
-	// from PeakPower×[1−spread, 1+spread]. Zero (the default) keeps the
-	// fleet's hardware uniform so energy results are easy to reason
-	// about; the §4 heterogeneous model is exercised via the boundaries
-	// either way.
-	PeakPowerSpread float64
-	// Migration prices VM moves; Net prices control traffic.
-	Migration server.MigrationParams
-	Net       NetParams
 	// Sleep selects the consolidation sleep policy.
 	Sleep SleepPolicy
-	// SleepHysteresis is how many consecutive intervals a server must
-	// spend in R1 before consolidation may empty it.
-	SleepHysteresis int
-	// ConsolidationBudget caps how many servers the leader may empty and
-	// put to sleep per interval (the leader's negotiation capacity).
-	// Zero means no cap.
-	ConsolidationBudget int
 	// ConservativeConsolidation restricts consolidation acceptors to
 	// remain within R1/R2 (load ≤ α^opt,l) instead of filling them to the
 	// optimal region's upper edge. Matching becomes much harder, which
@@ -130,17 +131,6 @@ type Config struct {
 	// default (false) consolidates to the paper's stated objective — the
 	// smallest set of servers at optimal load.
 	ConservativeConsolidation bool
-	// MaxReservationSlack caps the CPU headroom provisioned above an
-	// application's demand at placement time; vertical scaling (a local
-	// decision) is needed only once demand outgrows the reservation.
-	MaxReservationSlack float64
-	// SlackBase and SlackFactor set the provisioning slack formula
-	// base + factor × freeCapacity/numApps: servers packed tight (high
-	// load) grant little headroom, lightly loaded servers grant more.
-	SlackBase   float64
-	SlackFactor float64
-	// ReservationQuantum is the step hypervisor CPU reservations grow in.
-	ReservationQuantum float64
 	// MTBF enables the stochastic churn process: while positive, every
 	// live server draws an exponential time-to-failure with this mean
 	// (seconds) from the cluster's dedicated churn stream, and crashes —
@@ -175,27 +165,11 @@ type Config struct {
 // of the given size and initial load band.
 func DefaultConfig(size int, band workload.Band, seed uint64) Config {
 	return Config{
-		Size:                size,
-		Seed:                seed,
-		Tau:                 60,
-		InitialLoad:         band,
-		AppSize:             [2]float64{0.05, 0.15},
-		Lambda:              [2]float64{0.01, 0.05},
-		ChangeProb:          0.5,
-		ResetProb:           0.005,
-		Drift:               0,
-		PeakPower:           200,
-		IdleFraction:        0.5,
-		Migration:           server.DefaultMigrationParams(),
-		Net:                 DefaultNetParams(),
-		Sleep:               SleepAuto,
-		SleepHysteresis:     0,
-		ConsolidationBudget: max(1, size/50),
-		MaxReservationSlack: 0.15,
-		SlackBase:           0.03,
-		SlackFactor:         0.4,
-		ReservationQuantum:  0.05,
-		Ranges:              server.DefaultRanges(),
+		Size:        size,
+		Seed:        seed,
+		InitialLoad: band,
+		Sleep:       SleepAuto,
+		Ranges:      server.DefaultRanges(),
 	}
 }
 
@@ -205,44 +179,8 @@ func (c Config) Validate() error {
 	if c.Size <= 1 {
 		return fmt.Errorf("cluster: size %d must exceed 1", c.Size)
 	}
-	if !(c.Tau > 0) || math.IsInf(float64(c.Tau), 1) {
-		return fmt.Errorf("cluster: reallocation interval %v not positive and finite", c.Tau)
-	}
 	if err := c.InitialLoad.Validate(); err != nil {
 		return err
-	}
-	if !(c.AppSize[0] > 0 && c.AppSize[1] > c.AppSize[0] && c.AppSize[1] <= 1) {
-		return fmt.Errorf("cluster: invalid app size range %v", c.AppSize)
-	}
-	if !(c.Lambda[0] > 0 && c.Lambda[1] > c.Lambda[0] && c.Lambda[1] <= 1) {
-		return fmt.Errorf("cluster: invalid lambda range %v", c.Lambda)
-	}
-	if !(c.ChangeProb >= 0 && c.ChangeProb <= 1) {
-		return fmt.Errorf("cluster: change probability %v outside [0,1]", c.ChangeProb)
-	}
-	if !(c.ResetProb >= 0 && c.ResetProb <= 1) {
-		return fmt.Errorf("cluster: reset probability %v outside [0,1]", c.ResetProb)
-	}
-	if math.IsNaN(c.Drift) || math.IsInf(c.Drift, 0) {
-		return fmt.Errorf("cluster: drift %v not finite", c.Drift)
-	}
-	if !(c.PeakPower > 0 && c.IdleFraction >= 0 && c.IdleFraction < 1) {
-		return fmt.Errorf("cluster: invalid power parameters peak=%v idle=%v", c.PeakPower, c.IdleFraction)
-	}
-	if !(c.PeakPowerSpread >= 0 && c.PeakPowerSpread < 1) {
-		return fmt.Errorf("cluster: peak power spread %v outside [0,1)", c.PeakPowerSpread)
-	}
-	if c.SleepHysteresis < 0 || c.ConsolidationBudget < 0 {
-		return fmt.Errorf("cluster: negative hysteresis or budget")
-	}
-	if !(c.MaxReservationSlack >= 0 && c.MaxReservationSlack <= 1) {
-		return fmt.Errorf("cluster: reservation slack %v outside [0,1]", c.MaxReservationSlack)
-	}
-	if !(c.SlackBase >= 0 && c.SlackFactor >= 0) {
-		return fmt.Errorf("cluster: invalid slack parameters base=%v factor=%v", c.SlackBase, c.SlackFactor)
-	}
-	if !(c.ReservationQuantum > 0 && c.ReservationQuantum <= 1) {
-		return fmt.Errorf("cluster: reservation quantum %v outside (0,1]", c.ReservationQuantum)
 	}
 	if !(c.MTBF >= 0 && c.MTTR >= 0) {
 		return fmt.Errorf("cluster: invalid churn parameters mtbf=%v mttr=%v", c.MTBF, c.MTTR)
@@ -250,10 +188,7 @@ func (c Config) Validate() error {
 	if c.MTBF > 0 && c.MTTR <= 0 {
 		return fmt.Errorf("cluster: churn (MTBF %v) needs a positive MTTR", c.MTBF)
 	}
-	if err := c.Migration.Validate(); err != nil {
-		return err
-	}
-	return c.Net.validate()
+	return nil
 }
 
 // Cluster is one simulated cluster plus its leader state. Its storage —
@@ -268,9 +203,6 @@ type Cluster struct {
 	slab    []server.Server
 	servers []*server.Server
 	net     network
-	// msgEnergy is the energy of one control message: the unit of the
-	// §4 j_k estimate and q_k's price for a server with nothing to move.
-	msgEnergy units.Joules
 	// rng is the protocol's seeded stream — planpure scratch: a pure
 	// plan may draw from it because the draw is part of the replayable
 	// protocol state, not an observable side effect.
@@ -362,13 +294,17 @@ func (c *Cluster) Rebuild(cfg Config) error {
 	// churn-disabled runs pin that.
 	churnRNG := root.Split()
 
-	gen, err := server.NewAppGenerator(appRNG.Split(), cfg.Lambda[0], cfg.Lambda[1])
+	gen, err := server.NewAppGenerator(appRNG.Split(), lambdaMin, lambdaMax)
+	if err != nil {
+		return err
+	}
+	pm, err := server.NewLinearPower(peakPower*idleFraction, peakPower)
 	if err != nil {
 		return err
 	}
 
 	c.cfg = cfg
-	c.net = network{params: cfg.Net, size: cfg.Size}
+	c.net = network{size: cfg.Size}
 	c.rng = evolveRNG
 	c.appGen = gen
 	c.ledger.reset()
@@ -428,19 +364,8 @@ func (c *Cluster) Rebuild(cfg Config) error {
 	// whole, since growing the slab may have moved it.
 	c.slab = resize(c.slab, cfg.Size)
 	c.servers = resize(c.servers, cfg.Size)
-	c.msgEnergy = units.Joules(float64(controlMsgSize) * float64(cfg.Net.EnergyPerByte))
 	for i := 0; i < cfg.Size; i++ {
 		bounds, err := cfg.Ranges.Random(boundsRNG)
-		if err != nil {
-			return err
-		}
-		peak := cfg.PeakPower
-		if cfg.PeakPowerSpread > 0 {
-			peak = units.Watts(boundsRNG.Uniform(
-				float64(cfg.PeakPower)*(1-cfg.PeakPowerSpread),
-				float64(cfg.PeakPower)*(1+cfg.PeakPowerSpread)))
-		}
-		pm, err := server.NewLinearPower(units.Watts(float64(peak)*cfg.IdleFraction), peak)
 		if err != nil {
 			return err
 		}
@@ -463,9 +388,9 @@ func (c *Cluster) Rebuild(cfg Config) error {
 		}
 		slack := 0.0
 		if len(apps) > 0 {
-			slack = cfg.SlackBase + cfg.SlackFactor*float64(1-placedLoad)/float64(len(apps))
-			if slack > cfg.MaxReservationSlack {
-				slack = cfg.MaxReservationSlack
+			slack = slackBase + slackFactor*float64(1-placedLoad)/float64(len(apps))
+			if slack > maxReservationSlack {
+				slack = maxReservationSlack
 			}
 		}
 		for _, a := range apps {
@@ -490,7 +415,7 @@ func (c *Cluster) Rebuild(cfg Config) error {
 // until the next call.
 func (c *Cluster) populateApps(rng *xrand.Rand, target units.Fraction) ([]*server.App, error) {
 	var err error
-	c.sizeScratch, err = workload.AppendAppSizes(c.sizeScratch[:0], rng, target, c.cfg.AppSize[0], c.cfg.AppSize[1])
+	c.sizeScratch, err = workload.AppendAppSizes(c.sizeScratch[:0], rng, target, AppSizeMin, AppSizeMax)
 	if err != nil {
 		return nil, err
 	}
@@ -524,9 +449,6 @@ func (c *Cluster) newHosted(a *server.App, rng *xrand.Rand) (server.Hosted, erro
 // Servers returns the cluster members (shared, not a copy; callers must
 // not mutate).
 func (c *Cluster) Servers() []*server.Server { return c.servers }
-
-// Config returns the cluster's configuration.
-func (c *Cluster) Config() Config { return c.cfg }
 
 // Now returns the current simulation time.
 func (c *Cluster) Now() units.Seconds { return c.now }
@@ -600,10 +522,3 @@ func (c *Cluster) Wakes() int { return c.totalWakes }
 
 // Ledger exposes the scaling-decision ledger.
 func (c *Cluster) Ledger() *Ledger { return &c.ledger }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -59,8 +59,8 @@ func FuzzPlanBalance(f *testing.F) {
 			// Aggressive stochastic churn: the warm-up intervals then plan
 			// against a snapshot with organically failed and repaired
 			// servers, not just the manual injections below.
-			cfg.MTBF = 10 * cfg.Tau
-			cfg.MTTR = 3 * cfg.Tau
+			cfg.MTBF = 10 * Tau
+			cfg.MTTR = 3 * Tau
 		}
 		c, err := New(cfg)
 		if err != nil {

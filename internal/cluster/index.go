@@ -240,7 +240,7 @@ func (c *Cluster) flushIndex() {
 		r := ix.bounds[id].Classify(load)
 		ix.raw[id] = raw
 		ix.load[id] = load
-		ix.q[id] = s.QCost(c.cfg.Migration, c.msgEnergy)
+		ix.q[id] = s.QCost(migration, msgEnergy)
 		if r != ix.reg[id] {
 			if ix.bucketPos[id] != noPos {
 				ix.removeMember(id)
@@ -266,7 +266,7 @@ func (c *Cluster) rebuildIndex() {
 		ix.raw[i] = raw
 		ix.load[i] = raw.Clamp()
 		ix.reg[i] = ix.bounds[i].Classify(ix.load[i])
-		ix.q[i] = s.QCost(c.cfg.Migration, c.msgEnergy)
+		ix.q[i] = s.QCost(migration, msgEnergy)
 		ix.addMember(server.ID(i))
 	}
 }

@@ -44,7 +44,7 @@ func verifyIndexAgainstRescan(t *testing.T, c *Cluster) {
 		if got, want := ix.reg[id], s.Regime(); got != want {
 			t.Fatalf("server %d: index regime %v, rescan %v", id, got, want)
 		}
-		if got, want := ix.q[id], s.QCost(c.cfg.Migration, c.msgEnergy); got != want {
+		if got, want := ix.q[id], s.QCost(migration, msgEnergy); got != want {
 			t.Fatalf("server %d: index q_k %v, QCost %v", id, got, want)
 		}
 		if got, want := ix.sleeping[id], s.Sleeping(); got != want {
@@ -119,8 +119,8 @@ func TestIndexDifferentialOracle(t *testing.T) {
 		}
 		// Stochastic churn on: crashes and repairs fire organically inside
 		// RunIntervals, exercising onCrash/onRepair under the oracle.
-		cfg.MTBF = 15 * cfg.Tau
-		cfg.MTTR = 4 * cfg.Tau
+		cfg.MTBF = 15 * Tau
+		cfg.MTTR = 4 * Tau
 		// Every interval's §4 cost averages, folded from the index's q
 		// column and regimes, must equal a full reference rescan.
 		var c *Cluster
@@ -186,15 +186,14 @@ func TestIndexDifferentialOracle(t *testing.T) {
 // in server-ID order.
 func liveCostAverages(t *testing.T, c *Cluster) (q, p, j units.Joules) {
 	t.Helper()
-	cfg := c.Config()
-	msg := units.Joules(float64(controlMsgSize) * float64(cfg.Net.EnergyPerByte))
+	msg := units.Joules(float64(controlMsgSize) * float64(netEnergyPerByte))
 	var sq, sp, sj float64
 	n := 0
 	for i, s := range c.servers {
 		if c.failed[i] || s.Sleeping() || s.CStateBusy(c.now) {
 			continue
 		}
-		eq, ep, ej := referenceEvaluate(s, cfg.Migration, msg)
+		eq, ep, ej := referenceEvaluate(s, migration, msg)
 		sq += float64(eq)
 		sp += float64(ep)
 		sj += float64(ej)
@@ -244,8 +243,8 @@ func TestCostFoldMatchesReference(t *testing.T) {
 				cfg.InitialLoad = workload.HighLoad()
 			}
 			if churn {
-				cfg.MTBF = 20 * cfg.Tau
-				cfg.MTTR = 5 * cfg.Tau
+				cfg.MTBF = 20 * Tau
+				cfg.MTTR = 5 * Tau
 			}
 			var c *Cluster
 			checked := 0
@@ -340,8 +339,8 @@ func TestFindAcceptorMatchesLiveScan(t *testing.T) {
 			cfg.InitialLoad = workload.HighLoad()
 		}
 		cfg.Sleep = SleepC6Only // slow wakes stay in flight across intervals
-		cfg.MTBF = 15 * cfg.Tau
-		cfg.MTTR = 4 * cfg.Tau
+		cfg.MTBF = 15 * Tau
+		cfg.MTTR = 4 * Tau
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -378,7 +377,7 @@ func TestFindAcceptorMatchesLiveScan(t *testing.T) {
 				if !c.activeID(s.ID()) || s.NumApps() == 0 {
 					continue
 				}
-				s.At(0).App.Evolve(rng, 0)
+				s.At(0).App.Evolve(rng)
 				c.noteDemandChange(s)
 			}
 

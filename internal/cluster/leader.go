@@ -88,16 +88,15 @@ type balancePlan struct {
 	woken   int // wake-ups in the plan
 }
 
-// leaderState is the Cluster's persistent protocol state: the regime
-// streak counters that outlive an interval, plus every scratch buffer and
+// leaderState is the Cluster's persistent protocol state: the R4
+// streak counter that outlives an interval, plus every scratch buffer and
 // dense projection the plan step needs, reused across intervals so the
 // steady-state hot path does not allocate.
 type leaderState struct {
-	// r1Streak counts consecutive intervals each server ended in R1;
-	// r4Streak does the same for R4. The streaks implement the paper's
-	// urgency distinction: suboptimal and low-undesirable conditions are
-	// acted on only when they persist, undesirable-high immediately.
-	r1Streak []int
+	// r4Streak counts consecutive intervals each server ended in R4. It
+	// implements the paper's urgency distinction: a suboptimal-high
+	// condition is acted on only when it persists, undesirable-high
+	// immediately.
 	r4Streak []int
 
 	// Plan scratch: the relief donor ID list (built from the index's
@@ -231,7 +230,6 @@ func resize[T any](s []T, n int) []T {
 // init sizes the dense state for a cluster of n servers and clears all of
 // it — the Rebuild path. Scratch capacity is retained.
 func (ls *leaderState) init(n int) {
-	ls.r1Streak = resize(ls.r1Streak, n)
 	ls.r4Streak = resize(ls.r4Streak, n)
 	ls.viewTouched = resize(ls.viewTouched, n)
 	ls.viewRaw = resize(ls.viewRaw, n)
@@ -240,7 +238,6 @@ func (ls *leaderState) init(n int) {
 	ls.projected = resize(ls.projected, n)
 	ls.acceptorSel.key = resize(ls.acceptorSel.key, n)
 	ls.consolSel.key = resize(ls.consolSel.key, n)
-	clear(ls.r1Streak)
 	clear(ls.r4Streak)
 	clear(ls.viewTouched)
 	clear(ls.viewRaw)
@@ -626,7 +623,7 @@ func (c *Cluster) planWake() bool {
 	return true
 }
 
-// planConsolidation empties persistent R1 servers into other servers and
+// planConsolidation empties R1 servers into other servers and
 // slates them for sleep (§4 step 1's "transfer its own workload ... and
 // then switch itself to sleep"), bounded by the leader's per-interval
 // budget. The sleep state follows the 60% rule (§6) unless forced by the
@@ -658,7 +655,7 @@ func (c *Cluster) planConsolidation() {
 		if ix.busyUntil[id] > c.now {
 			continue
 		}
-		if c.planRegime(id) == server.R1 && ls.r1Streak[id] >= c.cfg.SleepHysteresis {
+		if c.planRegime(id) == server.R1 {
 			sel.key[id] = c.planLoad(id)
 			sel.heap = append(sel.heap, id)
 		}
@@ -670,21 +667,23 @@ func (c *Cluster) planConsolidation() {
 		if !c.activeID(id) {
 			continue
 		}
-		if c.planRegime(id) == server.R1 && ls.r1Streak[id] >= c.cfg.SleepHysteresis {
+		if c.planRegime(id) == server.R1 {
 			sel.key[id] = c.planLoad(id)
 			sel.heap = append(sel.heap, id)
 		}
 	}
 	sel.build()
 
-	budget := c.cfg.ConsolidationBudget
+	// The budget caps how many servers the leader may empty and put to
+	// sleep per interval: its negotiation capacity.
+	budget := max(1, c.cfg.Size/50)
 	slept := 0
 	for i := 0; ; i++ {
 		d, ok := sel.at(i)
 		if !ok {
 			break
 		}
-		if budget > 0 && slept >= budget {
+		if slept >= budget {
 			break
 		}
 		if !c.planEvacuation(d) {

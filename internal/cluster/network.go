@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
 	"ealb/internal/units"
 )
@@ -20,9 +19,8 @@ import (
 // leader take one.
 //
 // Channels in real interconnects are always on regardless of load (§2);
-// the model therefore also keeps an idle-power account so experiments
-// can compare an always-on fabric against an ideal energy-proportional
-// one (the paper's InfiniBand aside).
+// the model therefore also keeps an idle-power account (the paper's
+// InfiniBand aside).
 
 // nodeID identifies a network endpoint. The leader hub is leaderNode;
 // servers use their non-negative server indices.
@@ -31,41 +29,24 @@ type nodeID int
 // leaderNode is the reserved ID of the cluster leader at the hub.
 const leaderNode nodeID = -1
 
-// controlMsgSize is the modeled wire size of one control message, in
-// bytes.
-const controlMsgSize = 512
-
-// NetParams configures the network model.
-type NetParams struct {
-	EnergyPerByte units.Joules // transfer energy per byte per hop
-	LinkIdlePower units.Watts  // always-on draw per link (plesiochronous channels)
-}
-
-// DefaultNetParams models 5 nJ/byte/hop of transfer energy and a 2 W
-// always-on link draw.
-func DefaultNetParams() NetParams {
-	return NetParams{
-		EnergyPerByte: 5e-9,
-		LinkIdlePower: 2,
-	}
-}
-
-// validate checks the parameters: each must be finite and non-negative,
-// so NaN and +Inf fail.
-func (p NetParams) validate() error {
-	for _, x := range []float64{float64(p.EnergyPerByte), float64(p.LinkIdlePower)} {
-		if !(x >= 0) || math.IsInf(x, 1) {
-			return fmt.Errorf("netsim: negative parameter in %+v", p)
-		}
-	}
-	return nil
-}
+// The fabric's prices: 5 nJ/byte/hop of transfer energy and a 2 W
+// always-on draw per link (plesiochronous channels).
+const (
+	// controlMsgSize is the modeled wire size of one control message,
+	// in bytes.
+	controlMsgSize                = 512
+	netEnergyPerByte units.Joules = 5e-9
+	linkIdlePower    units.Watts  = 2
+	// msgEnergy is the energy of one control message over one hop: the
+	// unit of the §4 j_k estimate and q_k's price for a server with
+	// nothing to move.
+	msgEnergy = controlMsgSize * netEnergyPerByte
+)
 
 // network is the star-topology fabric of one cluster. Rebuild overwrites
 // it whole.
 type network struct {
-	params NetParams
-	size   int // number of member servers (== number of links)
+	size int // number of member servers (== number of links)
 	// energy is the transfer energy of every control message sent.
 	energy units.Joules
 }
@@ -103,13 +84,12 @@ func (n *network) send(from, to nodeID) error {
 	if err != nil {
 		return err
 	}
-	n.energy += units.Joules(float64(controlMsgSize) * float64(n.params.EnergyPerByte) * float64(h))
+	n.energy += msgEnergy * units.Joules(h)
 	return nil
 }
 
 // idleEnergy returns the energy the always-on links burn over duration d
-// regardless of traffic — zero for an ideal energy-proportional fabric
-// (LinkIdlePower = 0).
+// regardless of traffic.
 func (n *network) idleEnergy(d units.Seconds) units.Joules {
-	return units.Joules(float64(n.params.LinkIdlePower) * float64(d) * float64(n.size))
+	return units.Joules(float64(linkIdlePower) * float64(d) * float64(n.size))
 }

@@ -6,28 +6,11 @@ import (
 	"testing"
 
 	"ealb/internal/trace"
-	"ealb/internal/units"
 	"ealb/internal/workload"
 )
 
 func newNet(size int) *network {
-	return &network{params: DefaultNetParams(), size: size}
-}
-
-func TestNetParamsValidate(t *testing.T) {
-	if err := DefaultNetParams().validate(); err != nil {
-		t.Fatalf("default params invalid: %v", err)
-	}
-	for i, p := range []NetParams{
-		{EnergyPerByte: -1, LinkIdlePower: 2},
-		{EnergyPerByte: 5e-9, LinkIdlePower: -1},
-		{EnergyPerByte: units.Joules(math.NaN()), LinkIdlePower: 2},
-		{EnergyPerByte: 5e-9, LinkIdlePower: units.Watts(math.Inf(1))},
-	} {
-		if err := p.validate(); err == nil {
-			t.Errorf("case %d: invalid params accepted: %+v", i, p)
-		}
-	}
+	return &network{size: size}
 }
 
 func TestHopCounts(t *testing.T) {
@@ -72,7 +55,7 @@ func TestEnergyScalesWithHops(t *testing.T) {
 		t.Fatal(err)
 	}
 	one := n.energy
-	if want := controlMsgSize * float64(n.params.EnergyPerByte); math.Abs(float64(one)-want) > 1e-18 {
+	if want := controlMsgSize * float64(netEnergyPerByte); math.Abs(float64(one)-want) > 1e-18 {
 		t.Errorf("1-hop energy %v, want %v", one, want)
 	}
 	if err := n.send(0, 1); err != nil {
@@ -84,24 +67,16 @@ func TestEnergyScalesWithHops(t *testing.T) {
 }
 
 func TestNetworkIdleEnergy(t *testing.T) {
-	p := DefaultNetParams()
-	n := network{params: p, size: 100}
+	n := newNet(100)
 	got := n.idleEnergy(3600)
-	want := float64(p.LinkIdlePower) * 3600 * 100
+	want := float64(linkIdlePower) * 3600 * 100
 	if math.Abs(float64(got)-want) > 1e-6 {
 		t.Errorf("idleEnergy = %v, want %v", got, want)
-	}
-	// Ideal energy-proportional fabric burns nothing when idle.
-	p.LinkIdlePower = 0
-	n2 := network{params: p, size: 100}
-	if n2.idleEnergy(3600) != 0 {
-		t.Error("proportional fabric idle energy must be 0")
 	}
 }
 
 // TestRebuildResetsNetwork: Rebuild must zero the fabric's traffic
-// energy, re-parameterize it, and drop the nodes a smaller cluster no
-// longer has.
+// energy and drop the nodes a smaller cluster no longer has.
 func TestRebuildResetsNetwork(t *testing.T) {
 	c := mustCluster(t, 40, workload.LowLoad(), 3)
 	if _, err := c.RunIntervals(context.Background(), 3); err != nil {
@@ -110,16 +85,11 @@ func TestRebuildResetsNetwork(t *testing.T) {
 	if c.net.energy == 0 {
 		t.Fatal("setup: expected traffic")
 	}
-	cfg := DefaultConfig(8, workload.LowLoad(), 3)
-	cfg.Net.LinkIdlePower = 0
-	if err := c.Rebuild(cfg); err != nil {
+	if err := c.Rebuild(DefaultConfig(8, workload.LowLoad(), 3)); err != nil {
 		t.Fatal(err)
 	}
 	if c.net.size != 8 || c.net.energy != 0 {
 		t.Errorf("fabric after Rebuild: size %d energy %v, want 8 and 0", c.net.size, c.net.energy)
-	}
-	if c.net.idleEnergy(100) != 0 {
-		t.Error("params not re-applied by Rebuild")
 	}
 	if err := c.net.send(20, leaderNode); err == nil {
 		t.Error("send from a dropped node succeeded after the shrink")
@@ -156,7 +126,7 @@ func TestNetworkEnergyMatchesMessageCount(t *testing.T) {
 		t.Fatalf("scenario too quiet: %d wakes, %d admitted, %d migrations", wakes, c.admitted, c.migrations)
 	}
 	hops := float64(reports) + float64(wakes) + float64(c.admitted) + 2*float64(c.migrations)
-	want := controlMsgSize * float64(cfg.Net.EnergyPerByte) * hops
+	want := controlMsgSize * float64(netEnergyPerByte) * hops
 	if got := float64(c.net.energy); math.Abs(got-want) > 1e-9*want {
 		t.Errorf("fabric traffic energy %v J, want %v J (%d reports, %d wakes, %d admitted, %d migrations)",
 			got, want, reports, wakes, c.admitted, c.migrations)

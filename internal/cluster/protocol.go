@@ -102,7 +102,7 @@ func (c *Cluster) RunIntervals(ctx context.Context, n int) ([]IntervalStats, err
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		st, err := c.runInterval(c.now + c.cfg.Tau)
+		st, err := c.runInterval(c.now + Tau)
 		if err != nil {
 			return out, err
 		}
@@ -171,19 +171,13 @@ func (c *Cluster) runInterval(now units.Seconds) (IntervalStats, error) {
 		return IntervalStats{}, err
 	}
 
-	// Update regime streaks for the hysteresis rules, reading the
+	// Update the R4 streak for the hysteresis rule, reading the
 	// reconciled index (post-apply regimes equal the live ones).
 	c.flushIndex()
 	ls := &c.leader
 	ix := &c.idx
 	for i := range c.servers {
-		active := c.activeID(server.ID(i))
-		if active && ix.reg[i] == server.R1 {
-			ls.r1Streak[i]++
-		} else {
-			ls.r1Streak[i] = 0
-		}
-		if active && ix.reg[i] == server.R4 {
+		if c.activeID(server.ID(i)) && ix.reg[i] == server.R4 {
 			ls.r4Streak[i]++
 		} else {
 			ls.r4Streak[i] = 0
@@ -230,7 +224,7 @@ func (c *Cluster) runInterval(now units.Seconds) (IntervalStats, error) {
 		}
 		q += float64(ix.q[i])
 		p += float64(server.PCost)
-		j += float64(server.JCost(ix.reg[i], c.msgEnergy))
+		j += float64(server.JCost(ix.reg[i], msgEnergy))
 		n++
 	}
 	if n > 0 {
@@ -263,31 +257,31 @@ func (c *Cluster) evolveDemand() error {
 		// taken at each server's turn.
 		for i := 0; i < s.NumApps(); {
 			h := s.At(i)
-			if c.rng.Bool(c.cfg.ResetProb) {
+			if c.rng.Bool(resetProb) {
 				// Application restart/right-sizing: fresh demand and a
 				// tight reservation, releasing accumulated headroom.
 				// Re-provisioning the VM is a local vertical-scaling
 				// action, so it counts as a low-cost local decision.
-				fresh := units.Fraction(c.rng.Uniform(c.cfg.AppSize[0], c.cfg.AppSize[1]))
+				fresh := units.Fraction(c.rng.Uniform(AppSizeMin, AppSizeMax))
 				if err := h.App.Reset(fresh); err != nil {
 					return err
 				}
 				c.noteDemandChange(s)
-				h.App.Provision(units.Fraction(c.cfg.ReservationQuantum / 2))
+				h.App.Provision(reservationQuantum / 2)
 				c.ledger.record(vertical, 1)
 				i++
 				continue
 			}
-			if !c.rng.Bool(c.cfg.ChangeProb) {
+			if !c.rng.Bool(changeProb) {
 				i++
 				continue
 			}
-			delta := h.App.Evolve(c.rng, c.cfg.Drift)
+			delta := h.App.Evolve(c.rng)
 			c.noteDemandChange(s)
 			if delta <= 0 {
 				// Demand fell: release over-reservation (scale-down is
 				// the other half of local vertical elasticity).
-				if h.App.VerticalShrink(units.Fraction(c.cfg.ReservationQuantum)) > 0 {
+				if h.App.VerticalShrink(reservationQuantum) > 0 {
 					c.ledger.record(vertical, 1)
 				}
 				i++
@@ -331,7 +325,7 @@ func (c *Cluster) routeGrowth(s *server.Server, h server.Hosted) (bool, error) {
 		}
 	}
 	if h.App.NeedsVerticalScale() {
-		h.App.VerticalScale(units.Fraction(c.cfg.ReservationQuantum))
+		h.App.VerticalScale(reservationQuantum)
 		c.ledger.record(vertical, 1)
 	}
 	return false, nil
@@ -405,7 +399,7 @@ func (c *Cluster) migrate(src, dst *server.Server, h server.Hosted) error {
 	// The VM's CPU share follows current demand so the volume moved
 	// reflects the load being moved.
 	h.VM.CPUShare = h.App.Demand
-	res := server.LiveMigrationCost(h.VM, c.cfg.Migration)
+	res := server.LiveMigrationCost(h.VM, migration)
 	c.migrationEnergy += res.Energy
 	if err := dst.Place(h, c.now); err != nil {
 		return err

@@ -85,8 +85,8 @@ func TestTraceGoldenInvariance(t *testing.T) {
 // tracer-off, bit for bit.
 func TestTraceChurnInvariance(t *testing.T) {
 	cfg := DefaultConfig(100, workload.LowLoad(), 2014)
-	cfg.MTBF = 20 * cfg.Tau
-	cfg.MTTR = 5 * cfg.Tau
+	cfg.MTBF = 20 * Tau
+	cfg.MTTR = 5 * Tau
 	const intervals = 40
 
 	plain := tracedDigest(t, cfg, intervals, nil)

@@ -121,8 +121,8 @@ func TestFarmChurnGoldenDigests(t *testing.T) {
 // direct run.
 func TestChurnArenaReuseIsInvisible(t *testing.T) {
 	churn := func(c *cluster.Config) {
-		c.MTBF = 15 * c.Tau
-		c.MTTR = 4 * c.Tau
+		c.MTBF = 15 * cluster.Tau
+		c.MTTR = 4 * cluster.Tau
 	}
 	directPlain, err := RunCluster(context.Background(), 80, workload.LowLoad(), 5, 12, nil)
 	if err != nil {

@@ -201,7 +201,7 @@ func (sp SweepSpec) Expand() (ExpandedSweep, error) {
 		}
 		sp.Scenario.Profile = ""
 		sp.Scenario.Servers = 0
-		perCellJobs = len(policy.StandardSet(0, nil))
+		perCellJobs = len(policy.StandardSet(nil))
 	default:
 		return fail(fmt.Errorf("engine: unknown scenario kind %q (want %q, %q or %q)", sp.Kind, KindCluster, KindPolicy, KindFarm))
 	}
@@ -240,7 +240,7 @@ func (sp SweepSpec) Expand() (ExpandedSweep, error) {
 			cell.Seed = SeedOf(*c.Seed + uint64(rep))
 			cell = cell.Normalized()
 			if err := cell.Validate(); err != nil {
-				return fmt.Errorf("engine: sweep cell %d: %w", len(cells), err)
+				return fmt.Errorf("sweep cell %d: %w", len(cells), err)
 			}
 			cells = append(cells, cell)
 		}
@@ -559,7 +559,7 @@ func (p *Pool) runPolicyCells(ctx context.Context, cells []Scenario, results []R
 			return err
 		}
 		cfgs[ci], rates[ci] = cfg, rate
-		pols[ci] = policy.StandardSetFor(cfg, rate)
+		pols[ci] = policy.StandardSetFor(rate)
 		results[ci] = Result{Kind: cell.Kind, Scenario: cell, Policies: make([]policy.Result, len(pols[ci]))}
 		for pi := range pols[ci] {
 			jobs = append(jobs, job{cell: ci, pi: pi})

@@ -150,6 +150,17 @@ func TestSweepExpandRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestSweepRefusedCellMessage: a refused cell's error names the cell
+// once and carries the engine prefix once.
+func TestSweepRefusedCellMessage(t *testing.T) {
+	spec := SweepSpec{Scenario: Scenario{Kind: KindCluster, Dispatch: "least-loaded"}}
+	_, err := spec.Expand()
+	const want = `sweep cell 0: engine: "dispatch" does not apply to a cluster scenario`
+	if err == nil || err.Error() != want {
+		t.Errorf("Expand error = %v, want %q", err, want)
+	}
+}
+
 // TestSweepBudgetRejectsWithoutMaterializing: the job budget must be
 // enforced arithmetically, before the cross-product exists — a tiny
 // request body must not be able to force a multi-gigabyte expansion.

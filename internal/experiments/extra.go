@@ -102,12 +102,12 @@ func RenderPolicies(w io.Writer, cfg policy.FarmConfig) error {
 	loads := PolicyWorkloads(cfg.Horizon)
 	for _, name := range names {
 		rate := loads[name]
-		results, err := policy.Compare(context.Background(), cfg, policy.StandardSetFor(cfg, rate), rate)
+		results, err := policy.Compare(context.Background(), cfg, policy.StandardSetFor(rate), rate)
 		if err != nil {
 			return err
 		}
 		t := NewTable(
-			fmt.Sprintf("Policy comparison — %s workload (farm %d servers, setup %v)", name, cfg.Servers, cfg.SetupTime),
+			fmt.Sprintf("Policy comparison — %s workload (farm %d servers, setup %v)", name, cfg.Servers, policy.SetupTime),
 			"Policy", "Energy (kWh)", "Drop rate", "RT violations", "Mean RT (ms)", "Avg active")
 		for _, r := range results {
 			if err := t.AddRow(

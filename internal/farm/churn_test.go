@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"ealb/internal/cluster"
 	"ealb/internal/workload"
 )
 
@@ -12,8 +13,8 @@ import (
 // failure–repair process.
 func churnConfig(clusters, size int, band workload.Band, seed uint64) Config {
 	cfg := DefaultConfig(clusters, size, band, seed)
-	cfg.Cluster.MTBF = 20 * cfg.Cluster.Tau
-	cfg.Cluster.MTTR = 5 * cfg.Cluster.Tau
+	cfg.Cluster.MTBF = 20 * cluster.Tau
+	cfg.Cluster.MTTR = 5 * cluster.Tau
 	return cfg
 }
 

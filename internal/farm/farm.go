@@ -419,7 +419,7 @@ func (f *Farm) dispatch() (dispatched, rejected int, err error) {
 		f.headroom[i] = awakeHeadroom(c)
 	}
 	for k := 0; k < n; k++ {
-		demand := units.Fraction(f.front.Uniform(f.cfg.Cluster.AppSize[0], f.cfg.Cluster.AppSize[1]))
+		demand := units.Fraction(f.front.Uniform(cluster.AppSizeMin, cluster.AppSizeMax))
 		ci := f.pick()
 		sid, ok, err := f.clusters[ci].Admit(demand)
 		if err != nil {
@@ -539,7 +539,7 @@ func (f *Farm) aggregate(dispatched, rejected int) IntervalStats {
 		avail := float64(total-st.FailedCount) / float64(total)
 		st.Availability = &avail
 	}
-	st.TotalPower = units.Watts(float64(st.IntervalEnergy) / float64(f.cfg.Cluster.Tau))
+	st.TotalPower = units.Watts(float64(st.IntervalEnergy) / float64(cluster.Tau))
 	return st
 }
 

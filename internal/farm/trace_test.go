@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ealb/internal/cluster"
 	"ealb/internal/trace"
 	"ealb/internal/workload"
 )
@@ -41,8 +42,8 @@ func farmDigest(t *testing.T, cfg Config, intervals int, tr trace.Tracer) string
 func TestFarmTraceInvariance(t *testing.T) {
 	base := DefaultConfig(3, 50, workload.LowLoad(), 2014)
 	churned := base
-	churned.Cluster.MTBF = 20 * churned.Cluster.Tau
-	churned.Cluster.MTTR = 5 * churned.Cluster.Tau
+	churned.Cluster.MTBF = 20 * cluster.Tau
+	churned.Cluster.MTTR = 5 * cluster.Tau
 
 	for _, tc := range []struct {
 		name string

@@ -62,12 +62,11 @@ var reachKeep = map[string]string{
 
 	// Accessors the tests read state through.
 	"ealb/internal/cluster.Cluster.Admitted":     "the cluster and farm tests check admission counts",
-	"ealb/internal/cluster.Cluster.Config":       "the cluster tests check the normalized config",
 	"ealb/internal/cluster.Cluster.Interval":     "the cluster and leader tests check the interval counter",
 	"ealb/internal/cluster.Cluster.Failed":       "the fuzz, leader and ealb-sim tests check a server's failed flag",
 	"ealb/internal/farm.Farm.Interval":           "the farm tests check the interval counter",
 	"ealb/internal/serve.Server.Wait":            "the serve and engine tests wait for a run to finish",
-	"ealb/internal/server.Server.PowerModel":     "the cluster tests check each server's linear power model",
+	"ealb/internal/server.Server.PowerModel":     "the server tests check Reset rebuilds the linear power model",
 	"ealb/internal/server.Server.CStateBusy":     "the server and cluster tests check the sleep-transition window",
 	"ealb/internal/trace.Recorder.Events":        "the trace and engine tests check per-kind event counts",
 	"ealb/internal/trace.Recorder.PhaseSnapshot": "the trace and cluster tests check phase timings",

@@ -10,46 +10,41 @@ import (
 	"ealb/internal/xrand"
 )
 
+// The policy farm's model constants. DESIGN.md's "Model constants"
+// table gives each one's unit and source.
+const (
+	// SetupTime is how long an off server takes to become active; during
+	// setup it draws close to peak power (§3, [9]).
+	SetupTime units.Seconds = 260
+
+	// perServerRate is how many requests/second one active server
+	// sustains at full utilization.
+	perServerRate = 100
+	// idlePower and peakPower define the linear power model of one
+	// server; sleepPower is the draw of a switched-off (sleeping) server.
+	idlePower, peakPower, sleepPower units.Watts = 100, 200, 5
+	// windowSlots is how many past observations policies may see.
+	windowSlots = 30
+	// dt is the observation/decision slot length.
+	dt units.Seconds = 10
+)
+
 // FarmConfig parameterizes the server-farm simulation.
 type FarmConfig struct {
 	// Servers is the farm size (the provisioning ceiling).
 	Servers int
-	// PerServerRate is how many requests/second one active server
-	// sustains at full utilization.
-	PerServerRate float64
-	// SetupTime is how long an off server takes to become active; during
-	// setup it draws close to peak power (§3, [9]).
-	SetupTime units.Seconds
-	// IdlePower/PeakPower define the linear power model of one server;
-	// SleepPower is the draw of a switched-off (sleeping) server.
-	IdlePower, PeakPower, SleepPower units.Watts
-	// WindowSlots is how many past observations policies may see.
-	WindowSlots int
-	// ResponseTarget is the QoS bound on mean response time (the paper's
-	// canonical SLA constraint). Zero selects five service times.
-	ResponseTarget units.Seconds
-	// Dt is the observation/decision slot length.
-	Dt units.Seconds
 	// Horizon is the total simulated time.
 	Horizon units.Seconds
 	// Seed drives the Poisson arrival sampling.
 	Seed uint64
 }
 
-// DefaultFarmConfig returns a 100-server farm with the paper's 260 s
-// setup time, 10 s decision slots and a 2-hour horizon.
+// DefaultFarmConfig returns a 100-server farm with a 2-hour horizon.
 func DefaultFarmConfig() FarmConfig {
 	return FarmConfig{
-		Servers:       100,
-		PerServerRate: 100,
-		SetupTime:     260,
-		IdlePower:     100,
-		PeakPower:     200,
-		SleepPower:    5,
-		WindowSlots:   30,
-		Dt:            10,
-		Horizon:       7200,
-		Seed:          1,
+		Servers: 100,
+		Horizon: 7200,
+		Seed:    1,
 	}
 }
 
@@ -58,17 +53,8 @@ func (c FarmConfig) Validate() error {
 	if c.Servers <= 0 {
 		return fmt.Errorf("policy: non-positive farm size %d", c.Servers)
 	}
-	if c.PerServerRate <= 0 {
-		return fmt.Errorf("policy: non-positive per-server rate %v", c.PerServerRate)
-	}
-	if c.SetupTime < 0 || c.Dt <= 0 || c.Horizon < c.Dt {
-		return fmt.Errorf("policy: invalid timing setup=%v dt=%v horizon=%v", c.SetupTime, c.Dt, c.Horizon)
-	}
-	if c.IdlePower < 0 || c.PeakPower <= 0 || c.IdlePower > c.PeakPower || c.SleepPower < 0 {
-		return fmt.Errorf("policy: invalid power parameters")
-	}
-	if c.WindowSlots < 1 {
-		return fmt.Errorf("policy: window must hold at least one slot")
+	if c.Horizon < dt {
+		return fmt.Errorf("policy: invalid timing setup=%v dt=%v horizon=%v", SetupTime, dt, c.Horizon)
 	}
 	return nil
 }
@@ -140,13 +126,12 @@ func Simulate(ctx context.Context, cfg FarmConfig, pol Policy, rate workload.Rat
 
 	rng := xrand.New(cfg.Seed)
 	res := Result{Policy: pol.Name()}
-	serviceTime := 1 / cfg.PerServerRate
-	target := cfg.ResponseTarget
-	if target <= 0 {
-		target = units.Seconds(5 * serviceTime)
-	}
+	// The QoS bound on mean response time (the paper's canonical SLA
+	// constraint) is five service times.
+	serviceTime := 1 / float64(perServerRate)
+	target := units.Seconds(5 * serviceTime)
 	need := func(r float64) int {
-		n := int(float64(r)/cfg.PerServerRate + 0.999999)
+		n := int(float64(r)/perServerRate + 0.999999)
 		if n > cfg.Servers {
 			n = cfg.Servers
 		}
@@ -158,12 +143,12 @@ func Simulate(ctx context.Context, cfg FarmConfig, pol Policy, rate workload.Rat
 
 	active := need(rate(0)) // start provisioned for the initial rate
 	var setups []units.Seconds
-	window := make([]float64, 0, cfg.WindowSlots)
+	window := make([]float64, 0, windowSlots)
 
 	var sumActive, sumSetup float64
 	var sumRT float64
 	rtSlots := 0
-	for now := units.Seconds(0); now < cfg.Horizon; now += cfg.Dt {
+	for now := units.Seconds(0); now < cfg.Horizon; now += dt {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
@@ -179,8 +164,8 @@ func Simulate(ctx context.Context, cfg FarmConfig, pol Policy, rate workload.Rat
 		setups = remaining
 
 		// Arrivals for this slot.
-		arrivals := workload.Arrivals(rng, rate, now, cfg.Dt)
-		capacity := int(float64(active) * cfg.PerServerRate * float64(cfg.Dt))
+		arrivals := workload.Arrivals(rng, rate, now, dt)
+		capacity := int(float64(active) * perServerRate * float64(dt))
 		served := arrivals
 		if served > capacity {
 			res.Dropped += int64(served - capacity)
@@ -194,11 +179,11 @@ func Simulate(ctx context.Context, cfg FarmConfig, pol Policy, rate workload.Rat
 		if capacity > 0 {
 			util = float64(served) / float64(capacity)
 		}
-		perActive := cfg.IdlePower + units.Watts(float64(cfg.PeakPower-cfg.IdlePower)*util)
+		perActive := idlePower + units.Watts(float64(peakPower-idlePower)*util)
 		off := cfg.Servers - active - len(setups)
-		res.Energy += units.Joules(float64(units.Energy(perActive, cfg.Dt)) * float64(active))
-		res.Energy += units.Joules(float64(units.Energy(cfg.PeakPower, cfg.Dt)) * float64(len(setups)))
-		res.Energy += units.Joules(float64(units.Energy(cfg.SleepPower, cfg.Dt)) * float64(off))
+		res.Energy += units.Joules(float64(units.Energy(perActive, dt)) * float64(active))
+		res.Energy += units.Joules(float64(units.Energy(peakPower, dt)) * float64(len(setups)))
+		res.Energy += units.Joules(float64(units.Energy(sleepPower, dt)) * float64(off))
 
 		sumActive += float64(active)
 		sumSetup += float64(len(setups))
@@ -208,8 +193,8 @@ func Simulate(ctx context.Context, cfg FarmConfig, pol Policy, rate workload.Rat
 		// M/M/c system; estimate the slot's mean response via Erlang C.
 		// An unstable slot (ρ ≥ 1) has unbounded response time — an
 		// automatic violation.
-		offered := float64(arrivals) / float64(cfg.Dt)
-		mmc := MMc{Lambda: offered, Mu: cfg.PerServerRate, C: maxInt(active, 1)}
+		offered := float64(arrivals) / float64(dt)
+		mmc := MMc{Lambda: offered, Mu: perServerRate, C: maxInt(active, 1)}
 		rt, err := mmc.MeanResponse()
 		if err != nil {
 			return Result{}, err
@@ -225,13 +210,13 @@ func Simulate(ctx context.Context, cfg FarmConfig, pol Policy, rate workload.Rat
 		}
 
 		// Observe, then decide the next slot's capacity.
-		obs := float64(arrivals) / float64(cfg.Dt)
-		if len(window) == cfg.WindowSlots {
+		obs := float64(arrivals) / float64(dt)
+		if len(window) == windowSlots {
 			copy(window, window[1:])
-			window = window[:cfg.WindowSlots-1]
+			window = window[:windowSlots-1]
 		}
 		window = append(window, obs)
-		target := pol.Target(History{Window: window, Now: now + cfg.Dt}, need)
+		target := pol.Target(History{Window: window, Now: now + dt}, need)
 		if target > cfg.Servers {
 			target = cfg.Servers
 		}
@@ -243,7 +228,7 @@ func Simulate(ctx context.Context, cfg FarmConfig, pol Policy, rate workload.Rat
 		switch {
 		case target > provisioned:
 			for i := 0; i < target-provisioned; i++ {
-				setups = append(setups, now+cfg.Dt+cfg.SetupTime)
+				setups = append(setups, now+dt+SetupTime)
 			}
 		case target < provisioned:
 			drop := provisioned - target
@@ -281,32 +266,27 @@ func Compare(ctx context.Context, cfg FarmConfig, pols []Policy, rate workload.R
 	return out, nil
 }
 
-// StandardSet returns fresh instances of the §3 policy line-up for a farm
-// with the given setup time and rate function (needed by the oracle).
-// The oracle here is throughput-optimal only; StandardSetFor builds one
-// that also knows the farm's service rate and response target.
-func StandardSet(setup units.Seconds, rate workload.RateFunc) []Policy {
+// StandardSet returns fresh instances of the §3 policy line-up for the
+// given rate function (needed by the oracle). The oracle here is
+// throughput-optimal only; StandardSetFor builds one that also knows the
+// farm's service rate.
+func StandardSet(rate workload.RateFunc) []Policy {
 	return []Policy{
 		Reactive{},
 		ReactiveExtra{Margin: 0.2},
 		NewAutoScale(0.1, 12),
 		MovingWindow{},
 		LinearRegression{},
-		Oracle{Rate: rate, Setup: setup},
+		Oracle{Rate: rate, Setup: SetupTime},
 	}
 }
 
 // StandardSetFor returns the standard line-up with an oracle fully
-// matched to the farm configuration (service rate and response-time
+// matched to the farm (its service rate, and so its response-time
 // target), making it SLA-optimal rather than merely throughput-optimal.
-func StandardSetFor(cfg FarmConfig, rate workload.RateFunc) []Policy {
-	pols := StandardSet(cfg.SetupTime, rate)
-	pols[len(pols)-1] = Oracle{
-		Rate:     rate,
-		Setup:    cfg.SetupTime,
-		Mu:       cfg.PerServerRate,
-		RTTarget: cfg.ResponseTarget,
-	}
+func StandardSetFor(rate workload.RateFunc) []Policy {
+	pols := StandardSet(rate)
+	pols[len(pols)-1] = Oracle{Rate: rate, Setup: SetupTime, Mu: perServerRate}
 	return pols
 }
 

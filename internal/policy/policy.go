@@ -179,11 +179,10 @@ func (LinearRegression) Target(h History, need func(float64) int) int {
 type Oracle struct {
 	Rate  workload.RateFunc
 	Setup units.Seconds
-	// Mu is the per-server service rate; RTTarget the response-time
-	// bound to provision for (zero: five service times). Both must match
+	// Mu is the per-server service rate; the oracle provisions for the
+	// farm's response-time bound of five service times. Mu must match
 	// the farm being simulated for the oracle to be truly optimal.
-	Mu       float64
-	RTTarget units.Seconds
+	Mu float64
 }
 
 // Name implements Policy.
@@ -203,10 +202,7 @@ func (o Oracle) Target(h History, need func(float64) int) int {
 	if o.Mu <= 0 {
 		return base
 	}
-	target := float64(o.RTTarget)
-	if target <= 0 {
-		target = 5 / o.Mu
-	}
+	target := 5 / o.Mu
 	// Size the pool for the response-time SLA, not just throughput; cap
 	// the search generously above the throughput need.
 	c, ok, err := MinServers(peak, o.Mu, target, base*2+16)

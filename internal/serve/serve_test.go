@@ -241,6 +241,26 @@ func TestSubmitRejectsBadScenarios(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusedCellMessage: the 400 body carries Expand's message
+// for a refused cell, with one engine prefix.
+func TestSubmitRefusedCellMessage(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := `{"kind":"cluster","size":10,"intervals":2,"dispatch":"least-loaded"}`
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	const want = `sweep cell 0: engine: "dispatch" does not apply to a cluster scenario`
+	if resp.StatusCode != http.StatusBadRequest || got["error"] != want {
+		t.Errorf("status %d, error %q; want 400 and %q", resp.StatusCode, got["error"], want)
+	}
+}
+
 func TestGetUnknownRun(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/v1/runs/run-999999")

@@ -102,11 +102,10 @@ func (a *App) VerticalScale(quantum units.Fraction) units.Fraction {
 }
 
 // Evolve advances the demand by one reallocation interval: a uniform step
-// in [-λ, +λ], an optional deterministic drift, and a mean-reversion pull
-// toward base, clamped to [minDemand, 1]. It returns the signed change
-// actually applied.
-func (a *App) Evolve(rng *xrand.Rand, drift float64) units.Fraction {
-	step := units.Fraction(rng.Uniform(-float64(a.lambda), float64(a.lambda)) + drift +
+// in [-λ, +λ] and a mean-reversion pull toward base, clamped to
+// [minDemand, 1]. It returns the signed change actually applied.
+func (a *App) Evolve(rng *xrand.Rand) units.Fraction {
+	step := units.Fraction(rng.Uniform(-float64(a.lambda), float64(a.lambda)) +
 		a.reversion*float64(a.base-a.Demand))
 	// The paper's bound applies to increases; clamp the step so a single
 	// interval can never add more than λ.

@@ -104,8 +104,8 @@ func LiveMigration(v *VM, p MigrationParams) (MigrationResult, error) {
 // allocation-free variant for the simulation hot path, which prices
 // thousands of migrations per reallocation interval and never reads the
 // round trace.
-// It does not check its inputs: p must have passed Validate (the server
-// and cluster configurations validate it once) and v must be non-nil.
+// It does not check its inputs: p must pass Validate (the cluster prices
+// every move with DefaultMigrationParams) and v must be non-nil.
 func LiveMigrationCost(v *VM, p MigrationParams) MigrationResult {
 	return liveMigration(v, p, false)
 }

@@ -6,13 +6,13 @@ import (
 	"time"
 )
 
-// DefaultMemoryRetention is how many finished runs' stream buffers a
+// memoryRetention is how many finished runs' stream buffers a
 // Memory store keeps before evicting the oldest. Records are never
 // evicted — only the interval/trace payloads, which is what stops a
 // long-lived process from pinning every event of every run it ever
 // served (the pre-store service kept failed-run interval tails and all
 // trace tails for its whole lifetime).
-const DefaultMemoryRetention = 64
+const memoryRetention = 64
 
 // Memory is the in-process RunStore: the service's historical default.
 // Nothing survives a restart — checkpoints and leases behave uniformly
@@ -41,12 +41,12 @@ type memRun struct {
 }
 
 // NewMemory returns an in-process store retaining the stream buffers of
-// the DefaultMemoryRetention most recently finished runs.
-func NewMemory() *Memory { return NewMemoryRetain(DefaultMemoryRetention) }
+// the memoryRetention most recently finished runs.
+func NewMemory() *Memory { return newMemoryRetain(memoryRetention) }
 
-// NewMemoryRetain returns an in-process store retaining the stream
+// newMemoryRetain returns an in-process store retaining the stream
 // buffers of at most retain finished runs (retain < 1 keeps none).
-func NewMemoryRetain(retain int) *Memory {
+func newMemoryRetain(retain int) *Memory {
 	return &Memory{runs: make(map[string]*memRun), retain: retain}
 }
 

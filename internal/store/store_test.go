@@ -305,7 +305,7 @@ func TestDiskConformance(t *testing.T) {
 // finish, the oldest runs' stream buffers are evicted while their
 // records — and the newest runs' streams — survive.
 func TestMemoryRetention(t *testing.T) {
-	m := NewMemoryRetain(2)
+	m := newMemoryRetain(2)
 	var ids []string
 	for i := 0; i < 4; i++ {
 		id, seq, err := m.NewID()
