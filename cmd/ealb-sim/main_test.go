@@ -11,6 +11,7 @@ import (
 	"ealb/internal/cluster"
 	"ealb/internal/farm"
 	"ealb/internal/server"
+	"ealb/internal/stats"
 	"ealb/internal/units"
 	"ealb/internal/workload"
 )
@@ -42,8 +43,8 @@ func (c simCase) args() []string {
 }
 
 // reference renders c the way ealb-sim did before it ran on the engine:
-// a cluster or farm built and driven directly, its totals read from the
-// simulation's own accessors.
+// a cluster or farm built and driven directly, its totals summed from
+// the interval records it returns.
 func reference(t *testing.T, c simCase) (string, string) {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
@@ -92,13 +93,24 @@ func reference(t *testing.T, c simCase) (string, string) {
 					s.Dispatched, s.Rejected, s.SLAViolations, float64(s.TotalPower))
 			}
 		}
+		var sum farm.IntervalStats
+		for _, s := range stats {
+			sum.Migrations += s.Migrations
+			sum.Woken += s.Woken
+			sum.Dispatched += s.Dispatched
+			sum.Rejected += s.Rejected
+			sum.Failures += s.Failures
+			sum.Repairs += s.Repairs
+			sum.AppsReplaced += s.AppsReplaced
+			sum.AppsLost += s.AppsLost
+		}
 		fmt.Fprintf(&stderr,
 			"\nfarm (%d clusters × %d servers, %s dispatch): total energy: %v  migrations: %d  wakes: %d  sleeping at end: %d  dispatched: %d  rejected: %d\n",
-			c.clusters, c.size, dispatch, f.TotalEnergy(), f.Migrations(), f.Wakes(),
-			f.SleepingCount(), f.Dispatched(), f.Rejected())
+			c.clusters, c.size, dispatch, f.TotalEnergy(), sum.Migrations, sum.Woken,
+			stats[len(stats)-1].Sleeping, sum.Dispatched, sum.Rejected)
 		if c.mtbf > 0 {
 			fmt.Fprintf(&stderr, "churn: failures: %d  repairs: %d  apps replaced: %d  apps lost: %d\n",
-				f.Failures(), f.Repairs(), f.AppsReplaced(), f.AppsLost())
+				sum.Failures, sum.Repairs, sum.AppsReplaced, sum.AppsLost)
 		}
 		return stdout.String(), stderr.String()
 	}
@@ -107,13 +119,13 @@ func reference(t *testing.T, c simCase) (string, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := cl.RunIntervals(ctx, c.intervals)
+	sts, err := cl.RunIntervals(ctx, c.intervals)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.csv {
 		fmt.Fprintln(&stdout, "interval,ratio,local,incluster,migrations,sleeping,woken,sla_violations,cluster_load,interval_energy_j,avg_q_j,avg_p_j,avg_j_j")
-		for _, s := range stats {
+		for _, s := range sts {
 			fmt.Fprintf(&stdout, "%d,%.6f,%d,%d,%d,%d,%d,%d,%.6f,%.1f,%.2f,%.2f,%.4f\n",
 				s.Index, s.Ratio, s.Decisions.Local, s.Decisions.InCluster,
 				s.Migrations, s.Sleeping, s.Woken, s.SLAViolations,
@@ -123,16 +135,27 @@ func reference(t *testing.T, c simCase) (string, string) {
 	} else {
 		fmt.Fprintf(&stdout, "%-8s %-8s %-7s %-10s %-10s %-9s %-6s %-8s\n",
 			"interval", "ratio", "local", "in-cluster", "migrations", "sleeping", "SLA", "load")
-		for _, s := range stats {
+		for _, s := range sts {
 			fmt.Fprintf(&stdout, "%-8d %-8.3f %-7d %-10d %-10d %-9d %-6d %-8.3f\n",
 				s.Index, s.Ratio, s.Decisions.Local, s.Decisions.InCluster,
 				s.Migrations, s.Sleeping, s.SLAViolations, float64(s.ClusterLoad))
 		}
 	}
+	var sum cluster.IntervalStats
+	ratios := make([]float64, len(sts))
+	for i, s := range sts {
+		sum.Migrations += s.Migrations
+		sum.Woken += s.Woken
+		sum.Failures += s.Failures
+		sum.Repairs += s.Repairs
+		sum.AppsReplaced += s.AppsReplaced
+		sum.AppsLost += s.AppsLost
+		ratios[i] = s.Ratio
+	}
 	fmt.Fprintf(&stderr,
 		"\ntotal energy: %v  migrations: %d  wakes: %d  sleeping at end: %d  mean ratio: %.4f (std %.4f)\n",
-		cl.TotalEnergy(), cl.Migrations(), cl.Wakes(), cl.SleepingCount(),
-		cl.Ledger().MeanRatio(), cl.Ledger().StdDevRatio())
+		cl.TotalEnergy(), sum.Migrations, sum.Woken, cl.SleepingCount(),
+		stats.Mean(ratios), stats.SampleStdDev(ratios))
 	if c.mtbf > 0 {
 		failed := 0
 		for id := 0; id < c.size; id++ {
@@ -142,7 +165,7 @@ func reference(t *testing.T, c simCase) (string, string) {
 		}
 		fmt.Fprintf(&stderr,
 			"churn: failures: %d  repairs: %d  apps replaced: %d  apps lost: %d  failed at end: %d\n",
-			cl.Failures(), cl.Repairs(), cl.AppsReplaced(), cl.AppsLost(), failed)
+			sum.Failures, sum.Repairs, sum.AppsReplaced, sum.AppsLost, failed)
 	}
 	return stdout.String(), stderr.String()
 }

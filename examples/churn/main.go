@@ -68,14 +68,20 @@ func main() {
 		}
 
 		var avail float64
+		var failures, replaced, lost, dispatched, rejected int
 		for _, st := range stats {
 			if st.Availability != nil {
 				avail += *st.Availability
 			}
+			failures += st.Failures
+			replaced += st.AppsReplaced
+			lost += st.AppsLost
+			dispatched += st.Dispatched
+			rejected += st.Rejected
 		}
 		fmt.Printf("%-17s %-13.2f %-10.5f %-9d %-9d %-9d %-10d %-9d\n",
 			name, f.TotalEnergy().KWh(), avail/float64(len(stats)),
-			f.Failures(), f.AppsReplaced(), f.AppsLost(), f.Dispatched(), f.Rejected())
+			failures, replaced, lost, dispatched, rejected)
 	}
 
 	fmt.Println("\nreading the table:")

@@ -62,15 +62,18 @@ func main() {
 		}
 
 		var asleep, power, overload float64
+		var dispatched, rejected int
 		for _, st := range stats {
 			asleep += float64(st.Sleeping)
 			power += float64(st.TotalPower)
 			overload += st.OverloadFraction
+			dispatched += st.Dispatched
+			rejected += st.Rejected
 		}
 		n := float64(len(stats))
 		fmt.Printf("%-17s %-13.2f %-13.0f %-11.1f %-10.5f %-10d %-9d\n",
 			name, f.TotalEnergy().KWh(), power/n, asleep/n, overload/n,
-			f.Dispatched(), f.Rejected())
+			dispatched, rejected)
 	}
 
 	fmt.Println("\nreading the table:")

@@ -76,15 +76,15 @@ func TestChurnProcessRuns(t *testing.T) {
 	if failures == 0 || repairs == 0 {
 		t.Fatalf("churn injected %d failures, %d repairs; want both > 0", failures, repairs)
 	}
-	if failures != c.Failures() || repairs != c.Repairs() ||
-		replaced != c.AppsReplaced() || lost != c.AppsLost() {
+	if failures != c.failures || repairs != c.repairs ||
+		replaced != c.appsReplaced || lost != c.appsLost {
 		t.Fatalf("interval stream (%d,%d,%d,%d) disagrees with counters (%d,%d,%d,%d)",
 			failures, repairs, replaced, lost,
-			c.Failures(), c.Repairs(), c.AppsReplaced(), c.AppsLost())
+			c.failures, c.repairs, c.appsReplaced, c.appsLost)
 	}
-	if c.Failures()-c.Repairs() != c.failedCount {
+	if failures-repairs != c.failedCount {
 		t.Fatalf("failures %d - repairs %d != currently failed %d",
-			c.Failures(), c.Repairs(), c.failedCount)
+			failures, repairs, c.failedCount)
 	}
 }
 
@@ -103,7 +103,8 @@ func TestChurnConservation(t *testing.T) {
 			for _, s := range c.Servers() {
 				seeded += s.NumApps()
 			}
-			if _, err := c.RunIntervals(context.Background(), 20); err != nil {
+			first, err := c.RunIntervals(context.Background(), 20)
+			if err != nil {
 				t.Fatalf("band %v seed %d: %v", band, seed, err)
 			}
 			// A few admissions after churn has knocked servers out, then
@@ -116,8 +117,15 @@ func TestChurnConservation(t *testing.T) {
 					admitted++
 				}
 			}
-			if _, err := c.RunIntervals(context.Background(), 10); err != nil {
+			second, err := c.RunIntervals(context.Background(), 10)
+			if err != nil {
 				t.Fatal(err)
+			}
+			var failures, replaced, lost int
+			for _, st := range append(first, second...) {
+				failures += st.Failures
+				replaced += st.AppsReplaced
+				lost += st.AppsLost
 			}
 
 			surviving := 0
@@ -139,12 +147,12 @@ func TestChurnConservation(t *testing.T) {
 					surviving++
 				}
 			}
-			if surviving+c.AppsLost() != seeded+admitted {
+			if surviving+lost != seeded+admitted {
 				t.Fatalf("band %v seed %d: surviving %d + lost %d != seeded %d + admitted %d",
-					band, seed, surviving, c.AppsLost(), seeded, admitted)
+					band, seed, surviving, lost, seeded, admitted)
 			}
-			if c.AppsReplaced()+c.AppsLost() == 0 && c.Failures() > 0 {
-				t.Fatalf("band %v seed %d: %d failures orphaned nothing", band, seed, c.Failures())
+			if replaced+lost == 0 && failures > 0 {
+				t.Fatalf("band %v seed %d: %d failures orphaned nothing", band, seed, failures)
 			}
 		}
 	}
@@ -191,9 +199,9 @@ func TestChurnRebuildMatchesNew(t *testing.T) {
 		if string(gotJSON) != string(wantJSON) {
 			t.Errorf("%s rebuild diverged from fresh construction", name)
 		}
-		if fresh.Failures() != dirty.Failures() || fresh.AppsLost() != dirty.AppsLost() {
+		if fresh.failures != dirty.failures || fresh.appsLost != dirty.appsLost {
 			t.Errorf("%s rebuild counters (%d,%d) != fresh (%d,%d)", name,
-				dirty.Failures(), dirty.AppsLost(), fresh.Failures(), fresh.AppsLost())
+				dirty.failures, dirty.appsLost, fresh.failures, fresh.appsLost)
 		}
 		// Leave the arena dirty again for the next target.
 		if _, err := dirty.RunIntervals(context.Background(), 2); err != nil {
@@ -250,11 +258,18 @@ func TestManualInjectionUnderChurnHonorsDeadlines(t *testing.T) {
 // the golden tests; here the direct counters are asserted.
 func TestChurnDisabledDrawsNothing(t *testing.T) {
 	c := mustCluster(t, 60, workload.LowLoad(), 9)
-	if _, err := c.RunIntervals(context.Background(), 10); err != nil {
+	sts, err := c.RunIntervals(context.Background(), 10)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Failures() != 0 || c.Repairs() != 0 || c.AppsReplaced() != 0 || c.AppsLost() != 0 {
-		t.Fatalf("churn-free run injected failures: %d/%d/%d/%d",
-			c.Failures(), c.Repairs(), c.AppsReplaced(), c.AppsLost())
+	var failures, repairs, replaced, lost int
+	for _, st := range sts {
+		failures += st.Failures
+		repairs += st.Repairs
+		replaced += st.AppsReplaced
+		lost += st.AppsLost
+	}
+	if failures != 0 || repairs != 0 || replaced != 0 || lost != 0 {
+		t.Fatalf("churn-free run injected failures: %d/%d/%d/%d", failures, repairs, replaced, lost)
 	}
 }

@@ -209,7 +209,8 @@ type Cluster struct {
 	//ealb:scratch
 	rng    *xrand.Rand
 	appGen *server.AppGenerator
-	ledger Ledger
+	// decisions counts the open interval's scaling decisions (scaling.go).
+	decisions Counts
 
 	now      units.Seconds
 	interval int
@@ -225,22 +226,20 @@ type Cluster struct {
 	idx serverIndex
 
 	migrationEnergy    units.Joules
-	migrations         int
 	intervalMigrations int
-	totalWakes         int
 	admitted           int
 	nextVMID           server.VMID
 
 	// failed tracks crashed servers (failure-injection extension),
-	// densely indexed by server ID; failures counts injections
-	// cumulatively.
+	// densely indexed by server ID.
 	failed      []bool
 	failedCount int
-	failures    int
 
-	// Resilience counters (cumulative, like failures): repairs performed,
-	// orphaned applications re-placed on survivors, and applications lost
-	// because no survivor could take them.
+	// Resilience counters, cumulative since Rebuild: failures, repairs,
+	// orphaned applications re-placed on survivors, and applications
+	// lost because no survivor could take them. runInterval reports
+	// their change across the churn step as the interval's fields.
+	failures     int
 	repairs      int
 	appsReplaced int
 	appsLost     int
@@ -273,7 +272,7 @@ func New(cfg Config) (*Cluster, error) {
 // Rebuild re-seeds the cluster in place for cfg, producing a state
 // bit-identical to New(cfg) while reusing the receiver's allocations:
 // servers are Reset in place in one contiguous slab, applications and
-// VMs come from per-cluster arenas, and the network, ledger, and leader
+// VMs come from per-cluster arenas, and the network, decision counts and leader
 // state are cleared in place. It is the engine's arena path for sweeps
 // that simulate many cells per worker.
 //
@@ -307,13 +306,11 @@ func (c *Cluster) Rebuild(cfg Config) error {
 	c.net = network{size: cfg.Size}
 	c.rng = evolveRNG
 	c.appGen = gen
-	c.ledger.reset()
+	c.decisions = Counts{}
 	c.now = 0
 	c.interval = 0
 	c.migrationEnergy = 0
-	c.migrations = 0
 	c.intervalMigrations = 0
-	c.totalWakes = 0
 	c.admitted = 0
 	c.nextVMID = 1
 	c.failedCount = 0
@@ -513,12 +510,3 @@ func (c *Cluster) TotalEnergy() units.Joules {
 	e += c.net.idleEnergy(c.now)
 	return e
 }
-
-// Migrations returns the cumulative number of VM migrations performed.
-func (c *Cluster) Migrations() int { return c.migrations }
-
-// Wakes returns the cumulative number of servers woken by the leader.
-func (c *Cluster) Wakes() int { return c.totalWakes }
-
-// Ledger exposes the scaling-decision ledger.
-func (c *Cluster) Ledger() *Ledger { return &c.ledger }

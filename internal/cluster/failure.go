@@ -72,7 +72,7 @@ func (c *Cluster) FailServer(id server.ID) (replaced, lost int, err error) {
 		if err := c.migrate(s, dst, h); err != nil {
 			return replaced, lost, err
 		}
-		c.ledger.record(horizontal, 1)
+		c.decisions.InCluster++
 		replaced++
 	}
 	c.appsReplaced += replaced
@@ -116,20 +116,6 @@ func (c *Cluster) Repair(id server.ID) error {
 func (c *Cluster) Failed(id server.ID) bool {
 	return int(id) >= 0 && int(id) < len(c.failed) && c.failed[id]
 }
-
-// Failures returns the cumulative number of injected failures.
-func (c *Cluster) Failures() int { return c.failures }
-
-// Repairs returns the cumulative number of repairs performed.
-func (c *Cluster) Repairs() int { return c.repairs }
-
-// AppsReplaced returns how many orphaned applications failures have
-// re-placed on surviving servers, cumulatively.
-func (c *Cluster) AppsReplaced() int { return c.appsReplaced }
-
-// AppsLost returns how many applications failures have dropped because
-// no surviving server could take them, cumulatively.
-func (c *Cluster) AppsLost() int { return c.appsLost }
 
 func (c *Cluster) serverByID(id server.ID) (*server.Server, error) {
 	if int(id) < 0 || int(id) >= len(c.servers) {

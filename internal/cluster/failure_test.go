@@ -42,7 +42,7 @@ func TestFailServerReplacesWorkload(t *testing.T) {
 	if appsAfter != appsBefore-lost {
 		t.Errorf("app conservation broken: %d -> %d (lost %d)", appsBefore, appsAfter, lost)
 	}
-	if !c.Failed(victim.ID()) || c.failedCount != 1 || c.Failures() != 1 {
+	if !c.Failed(victim.ID()) || c.failedCount != 1 || c.failures != 1 {
 		t.Error("failure bookkeeping wrong")
 	}
 }
@@ -392,4 +392,57 @@ func (c *Cluster) syncServer(id server.ID) error {
 	ix.markDirty(id)
 	c.flushIndex()
 	return nil
+}
+
+// TestManualFailureWindows pins which interval record counts a manual
+// FailServer and Repair made between two intervals. The churn fields
+// measure the churn step alone, so the next record's Failures, Repairs,
+// AppsReplaced and AppsLost leave the manual events out. The moves that
+// re-placed the orphans fall in the open interval, so its Migrations
+// and in-cluster decisions count them.
+func TestManualFailureWindows(t *testing.T) {
+	c := mustCluster(t, 80, workload.LowLoad(), 41)
+	if _, err := c.RunIntervals(context.Background(), 3); err != nil {
+		t.Fatal(err)
+	}
+	var victim *server.Server
+	for _, s := range c.Servers() {
+		if !s.Sleeping() && s.NumApps() > 0 {
+			victim = s
+			break
+		}
+	}
+	if victim == nil {
+		t.Fatal("no awake server hosts anything")
+	}
+	replaced, _, err := c.FailServer(victim.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replaced == 0 {
+		t.Fatal("the failure re-placed nothing; pick another seed")
+	}
+	if err := c.Repair(victim.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if c.intervalMigrations != replaced || c.decisions.InCluster != replaced {
+		t.Fatalf("open interval holds %d migrations and %d in-cluster decisions, want %d each",
+			c.intervalMigrations, c.decisions.InCluster, replaced)
+	}
+	sts, err := c.RunIntervals(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sts[0]
+	if st.Failures != 0 || st.Repairs != 0 || st.AppsReplaced != 0 || st.AppsLost != 0 {
+		t.Errorf("next interval counted the manual churn: failures %d repairs %d replaced %d lost %d",
+			st.Failures, st.Repairs, st.AppsReplaced, st.AppsLost)
+	}
+	if st.Migrations < replaced || st.Decisions.InCluster < replaced {
+		t.Errorf("next interval has %d migrations and %d in-cluster decisions, want at least the %d re-placements",
+			st.Migrations, st.Decisions.InCluster, replaced)
+	}
+	if st.FailedCount != 0 {
+		t.Errorf("repaired server still counted failed: %d", st.FailedCount)
+	}
 }

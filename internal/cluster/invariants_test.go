@@ -18,8 +18,7 @@ import (
 //     creates or destroys);
 //  4. per-interval ratios are finite and non-negative;
 //  5. energy increases monotonically and every interval costs energy;
-//  6. cluster load stays a valid fraction;
-//  7. the decision ledger is consistent with the stats stream.
+//  6. cluster load stays a valid fraction.
 func TestProtocolInvariantsAcrossSeeds(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		for _, band := range []workload.Band{workload.LowLoad(), workload.HighLoad()} {
@@ -77,17 +76,6 @@ func TestProtocolInvariantsAcrossSeeds(t *testing.T) {
 			}
 			if appsAfter != appsBefore {
 				t.Fatalf("seed %d band %v: app count changed %d -> %d", seed, band, appsBefore, appsAfter)
-			}
-
-			// Ledger totals match the per-interval stream.
-			tot := ledgerTotals(c.Ledger())
-			var local, in int
-			for _, st := range sts {
-				local += st.Decisions.Local
-				in += st.Decisions.InCluster
-			}
-			if tot.Local != local || tot.InCluster != in {
-				t.Fatalf("seed %d: ledger totals %+v != stats stream %d/%d", seed, tot, local, in)
 			}
 		}
 	}

@@ -40,13 +40,13 @@ func TestPlanBalanceIsPure(t *testing.T) {
 	if got, want := planned.TotalEnergy(), control.TotalEnergy(); got != want {
 		t.Errorf("planBalance changed total energy: %v != %v", got, want)
 	}
-	if got, want := planned.Migrations(), control.Migrations(); got != want {
+	if got, want := planned.intervalMigrations, control.intervalMigrations; got != want {
 		t.Errorf("planBalance performed migrations: %d != %d", got, want)
 	}
 	if got, want := planned.SleepingCount(), control.SleepingCount(); got != want {
 		t.Errorf("planBalance changed sleep states: %d != %d", got, want)
 	}
-	if got, want := ledgerTotals(&planned.ledger), ledgerTotals(&control.ledger); got != want {
+	if got, want := planned.decisions, control.decisions; got != want {
 		t.Errorf("planBalance recorded decisions: %+v != %+v", got, want)
 	}
 	for i, s := range planned.servers {
@@ -164,16 +164,16 @@ func TestRebuildResetsFailureState(t *testing.T) {
 	if _, _, err := c.FailServer(3); err != nil {
 		t.Fatal(err)
 	}
-	if c.failedCount != 1 || c.Failures() != 1 {
-		t.Fatalf("unexpected failure counts: %d current, %d total", c.failedCount, c.Failures())
+	if c.failedCount != 1 || c.failures != 1 {
+		t.Fatalf("unexpected failure counts: %d current, %d total", c.failedCount, c.failures)
 	}
 	if err := c.Rebuild(DefaultConfig(60, workload.LowLoad(), 5)); err != nil {
 		t.Fatal(err)
 	}
-	if c.failedCount != 0 || c.Failures() != 0 || c.Failed(3) {
+	if c.failedCount != 0 || c.failures != 0 || c.Failed(3) {
 		t.Error("failure state leaked through Rebuild")
 	}
-	if c.Interval() != 0 || c.Now() != 0 || c.Migrations() != 0 || c.Wakes() != 0 {
+	if c.Interval() != 0 || c.Now() != 0 || c.intervalMigrations != 0 || c.decisions != (Counts{}) {
 		t.Error("run counters leaked through Rebuild")
 	}
 }

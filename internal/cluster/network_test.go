@@ -100,9 +100,9 @@ func TestRebuildResetsNetwork(t *testing.T) {
 // energy against a count taken independently of the network: every
 // regime report, wake command and admission is one one-hop control
 // message, and every migration one two-hop message between its
-// endpoints. Migrations are counted from the cluster, not from move
-// events, because the growth-routing and failure-evacuation migrations
-// emit no move event.
+// endpoints. Migrations are summed from the interval records, not from
+// move events, because the growth-routing and failure-evacuation
+// migrations emit no move event.
 func TestNetworkEnergyMatchesMessageCount(t *testing.T) {
 	cfg := DefaultConfig(300, workload.HighLoad(), 1)
 	cfg.MTBF, cfg.MTTR = 2000, 300
@@ -112,23 +112,26 @@ func TestNetworkEnergyMatchesMessageCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	migrations := 0
 	for i := 0; i < 40; i++ {
-		if _, err := c.RunIntervals(context.Background(), 1); err != nil {
+		sts, err := c.RunIntervals(context.Background(), 1)
+		if err != nil {
 			t.Fatal(err)
 		}
+		migrations += sts[0].Migrations
 		if _, _, err := c.Admit(0.05); err != nil {
 			t.Fatal(err)
 		}
 	}
 	reports := rec.Events(trace.KindReport)
 	wakes := rec.Events(trace.KindWake)
-	if wakes == 0 || c.admitted == 0 || c.migrations == 0 {
-		t.Fatalf("scenario too quiet: %d wakes, %d admitted, %d migrations", wakes, c.admitted, c.migrations)
+	if wakes == 0 || c.admitted == 0 || migrations == 0 {
+		t.Fatalf("scenario too quiet: %d wakes, %d admitted, %d migrations", wakes, c.admitted, migrations)
 	}
-	hops := float64(reports) + float64(wakes) + float64(c.admitted) + 2*float64(c.migrations)
+	hops := float64(reports) + float64(wakes) + float64(c.admitted) + 2*float64(migrations)
 	want := controlMsgSize * float64(netEnergyPerByte) * hops
 	if got := float64(c.net.energy); math.Abs(got-want) > 1e-9*want {
 		t.Errorf("fabric traffic energy %v J, want %v J (%d reports, %d wakes, %d admitted, %d migrations)",
-			got, want, reports, wakes, c.admitted, c.migrations)
+			got, want, reports, wakes, c.admitted, migrations)
 	}
 }

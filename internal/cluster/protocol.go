@@ -206,7 +206,8 @@ func (c *Cluster) runInterval(now units.Seconds) (IntervalStats, error) {
 			st.SLAViolations++
 		}
 	}
-	st.Decisions = c.ledger.closeInterval()
+	st.Decisions = c.decisions
+	c.decisions = Counts{}
 	st.Ratio = st.Decisions.ratio()
 	st.Migrations = c.intervalMigrations
 	c.intervalMigrations = 0
@@ -268,7 +269,7 @@ func (c *Cluster) evolveDemand() error {
 				}
 				c.noteDemandChange(s)
 				h.App.Provision(reservationQuantum / 2)
-				c.ledger.record(vertical, 1)
+				c.decisions.Local++
 				i++
 				continue
 			}
@@ -282,7 +283,7 @@ func (c *Cluster) evolveDemand() error {
 				// Demand fell: release over-reservation (scale-down is
 				// the other half of local vertical elasticity).
 				if h.App.VerticalShrink(reservationQuantum) > 0 {
-					c.ledger.record(vertical, 1)
+					c.decisions.Local++
 				}
 				i++
 				continue
@@ -320,13 +321,13 @@ func (c *Cluster) routeGrowth(s *server.Server, h server.Hosted) (bool, error) {
 			if err := c.migrate(s, dst, h); err != nil {
 				return false, err
 			}
-			c.ledger.record(horizontal, 1)
+			c.decisions.InCluster++
 			return true, nil
 		}
 	}
 	if h.App.NeedsVerticalScale() {
 		h.App.VerticalScale(reservationQuantum)
-		c.ledger.record(vertical, 1)
+		c.decisions.Local++
 	}
 	return false, nil
 }
@@ -406,7 +407,6 @@ func (c *Cluster) migrate(src, dst *server.Server, h server.Hosted) error {
 	}
 	c.idx.markDirty(src.ID())
 	c.idx.markDirty(dst.ID())
-	c.migrations++
 	c.intervalMigrations++
 	// Negotiation and plan messages (src↔dst direct, per §4's "negotiates
 	// directly with the potential partners").
@@ -458,8 +458,8 @@ func (c *Cluster) emit(e trace.Event) {
 }
 
 // applyBalance executes a balance plan against the cluster: control-plane
-// charges, VM migrations, wake transitions, sleep transitions, and ledger
-// records. Actions replay in plan order, which preserves the historical
+// charges, VM migrations, wake transitions, sleep transitions, and
+// decision counts. Actions replay in plan order, which preserves the historical
 // interleaving of energy charges (reports, then per relief donor its
 // moves and wake, then per consolidation donor its moves and sleep) — the
 // float accumulators are order-sensitive, and the golden digest test pins
@@ -494,7 +494,7 @@ func (c *Cluster) applyBalance(plan *balancePlan) error {
 			if err := c.migrate(src, dst, h); err != nil {
 				return err
 			}
-			c.ledger.record(horizontal, 1)
+			c.decisions.InCluster++
 			if tr != nil {
 				c.emit(trace.Event{Kind: trace.KindMove, Src: int(a.src), Dst: int(a.dst), App: int(a.app), Demand: demand})
 			}
@@ -511,7 +511,6 @@ func (c *Cluster) applyBalance(plan *balancePlan) error {
 				return err
 			}
 			c.idx.onWake(a.src, ready)
-			c.totalWakes++
 			if tr != nil {
 				c.emit(trace.Event{Kind: trace.KindWake, Src: int(a.src), Dst: -1, App: -1})
 			}

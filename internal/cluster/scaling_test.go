@@ -1,28 +1,11 @@
 package cluster
 
 import (
-	"math"
+	"context"
 	"testing"
+
+	"ealb/internal/workload"
 )
-
-// ledgerTotals sums the ledger's closed intervals.
-func ledgerTotals(l *Ledger) Counts {
-	var t Counts
-	for _, c := range l.closed {
-		t.Local += c.Local
-		t.InCluster += c.InCluster
-	}
-	return t
-}
-
-func TestDecisionKindString(t *testing.T) {
-	if vertical.String() != "vertical(local)" || horizontal.String() != "horizontal(in-cluster)" {
-		t.Error("kind names wrong")
-	}
-	if decisionKind(9).String() != "Kind(9)" {
-		t.Error("unknown kind must render with value")
-	}
-}
 
 func TestCountsRatio(t *testing.T) {
 	tests := []struct {
@@ -42,87 +25,90 @@ func TestCountsRatio(t *testing.T) {
 	}
 }
 
+// TestLedgerFlow: decisions counted in the open interval close into that
+// interval's record, with its ratio, and the next interval starts from
+// an empty tally. The decision counts feed nothing in the protocol, so
+// a twin cluster without the extra decisions is the reference.
 func TestLedgerFlow(t *testing.T) {
-	var l Ledger
-	l.record(vertical, 3)
-	l.record(horizontal, 6)
-	c := l.closeInterval()
-	if c.Local != 3 || c.InCluster != 6 {
-		t.Errorf("interval counts = %+v", c)
+	c := mustCluster(t, 60, workload.LowLoad(), 4)
+	twin := mustCluster(t, 60, workload.LowLoad(), 4)
+	c.decisions.Local += 3
+	c.decisions.InCluster += 6
+	got, err := c.RunIntervals(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	l.record(vertical, 4)
-	l.closeInterval()
-	series := l.ratioSeries()
-	if len(series) != 2 || series[0] != 2 || series[1] != 0 {
-		t.Errorf("ratio series = %v", series)
+	want, err := twin.RunIntervals(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := l.MeanRatio(); got != 1 {
-		t.Errorf("MeanRatio = %v, want 1", got)
+	d := got[0].Decisions
+	if d.Local != want[0].Decisions.Local+3 || d.InCluster != want[0].Decisions.InCluster+6 {
+		t.Errorf("interval 1 decisions = %+v, want the twin's %+v plus 3 local and 6 in-cluster", d, want[0].Decisions)
 	}
-	if got := l.StdDevRatio(); math.Abs(got-math.Sqrt2) > 1e-12 {
-		t.Errorf("StdDevRatio = %v, want sqrt(2)", got)
+	if got[0].Ratio != d.ratio() {
+		t.Errorf("interval 1 ratio = %v, want %v", got[0].Ratio, d.ratio())
 	}
-	tot := ledgerTotals(&l)
-	if tot.Local != 7 || tot.InCluster != 6 {
-		t.Errorf("totals = %+v", tot)
+	if got[1].Decisions != want[1].Decisions || got[1].Ratio != want[1].Ratio {
+		t.Errorf("interval 2 = %+v (ratio %v), want the twin's %+v (ratio %v)",
+			got[1].Decisions, got[1].Ratio, want[1].Decisions, want[1].Ratio)
 	}
 }
 
+// TestCurrentIntervalNotLeaked: at every interval boundary the open
+// decision tally and migration count are empty, so no interval's
+// decisions or moves carry into the next record.
 func TestCurrentIntervalNotLeaked(t *testing.T) {
-	var l Ledger
-	l.record(vertical, 1)
-	if len(l.closed) != 0 {
-		t.Error("open interval must not appear among the closed intervals")
+	c := mustCluster(t, 80, workload.HighLoad(), 6)
+	moved := 0
+	for range 15 {
+		sts, err := c.RunIntervals(context.Background(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved += sts[0].Migrations
+		if c.decisions != (Counts{}) || c.intervalMigrations != 0 {
+			t.Fatalf("interval %d left %+v decisions and %d migrations open",
+				sts[0].Index, c.decisions, c.intervalMigrations)
+		}
 	}
-	l.closeInterval()
-	l.record(horizontal, 5)
-	if got := ledgerTotals(&l); got.InCluster != 0 {
-		t.Error("totals must cover only closed intervals")
-	}
-}
-
-func TestLedgerRecordPanics(t *testing.T) {
-	var l Ledger
-	for _, f := range []func(){
-		func() { l.record(vertical, -1) },
-		func() { l.record(decisionKind(9), 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
+	if moved == 0 {
+		t.Fatal("no interval migrated anything; the check saw nothing close")
 	}
 }
 
-func TestEmptyLedgerStats(t *testing.T) {
-	var l Ledger
-	if l.MeanRatio() != 0 || l.StdDevRatio() != 0 {
-		t.Error("empty ledger stats must be zero")
-	}
-	if len(l.ratioSeries()) != 0 {
-		t.Error("empty ledger series must be empty")
-	}
-}
-
-// TestLedgerReset: reset must discard the full decision history so a
-// rebuilt simulation starts from a clean ledger.
+// TestLedgerReset: Rebuild discards the open interval's decisions, so a
+// rebuilt cluster's first records equal a fresh cluster's.
 func TestLedgerReset(t *testing.T) {
-	var l Ledger
-	l.record(vertical, 3)
-	l.record(horizontal, 2)
-	l.closeInterval()
-	l.record(vertical, 1)
-
-	l.reset()
-	if len(l.closed) != 0 {
-		t.Errorf("closed intervals survived reset")
+	cfg := DefaultConfig(60, workload.LowLoad(), 8)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The open interval must be empty too.
-	if got := l.closeInterval(); got != (Counts{}) {
-		t.Errorf("open interval survived reset: %+v", got)
+	if _, err := c.RunIntervals(context.Background(), 3); err != nil {
+		t.Fatal(err)
+	}
+	c.decisions = Counts{Local: 5, InCluster: 2}
+	c.intervalMigrations = 2
+	if err := c.Rebuild(cfg); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.RunIntervals(context.Background(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.RunIntervals(context.Background(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i].Decisions != want[i].Decisions || got[i].Migrations != want[i].Migrations {
+			t.Errorf("interval %d after Rebuild: %+v, %d migrations; fresh: %+v, %d migrations",
+				i+1, got[i].Decisions, got[i].Migrations, want[i].Decisions, want[i].Migrations)
+		}
 	}
 }

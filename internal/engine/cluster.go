@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"ealb/internal/cluster"
+	"ealb/internal/stats"
 	"ealb/internal/workload"
 )
 
@@ -54,7 +55,9 @@ func RunCluster(ctx context.Context, size int, band workload.Band, seed uint64, 
 }
 
 // measureCluster runs the experiment on an already-built (fresh or
-// rebuilt) cluster and collects the ClusterRun measurements.
+// rebuilt) cluster and collects the ClusterRun measurements. The run
+// totals fold from the interval records, which tally every interval
+// since the build.
 func measureCluster(ctx context.Context, c *cluster.Cluster, size int, band workload.Band, intervals int) (ClusterRun, error) {
 	run := ClusterRun{Size: size, Band: band, Before: c.RegimeCounts()}
 	st, err := c.RunIntervals(ctx, intervals)
@@ -64,24 +67,22 @@ func measureCluster(ctx context.Context, c *cluster.Cluster, size int, band work
 	run.Stats = st
 	run.After = c.RegimeCounts()
 	run.Sleeping = c.SleepingCount()
-	run.Wakes = c.Wakes()
-	var asleep float64
+	run.Energy = float64(c.TotalEnergy())
+	var asleep, avail float64
 	for _, s := range st {
 		asleep += float64(s.Sleeping)
+		avail += 1 - float64(s.FailedCount)/float64(size)
+		run.Wakes += s.Woken
+		run.Failures += s.Failures
+		run.Repairs += s.Repairs
+		run.AppsReplaced += s.AppsReplaced
+		run.AppsLost += s.AppsLost
 	}
 	run.AvgAsleep = asleep / float64(len(st))
-	run.MeanRatio = c.Ledger().MeanRatio()
-	run.StdRatio = c.Ledger().StdDevRatio()
-	run.Energy = float64(c.TotalEnergy())
-	run.Failures = c.Failures()
-	run.Repairs = c.Repairs()
-	run.AppsReplaced = c.AppsReplaced()
-	run.AppsLost = c.AppsLost()
-	var avail float64
-	for _, s := range st {
-		avail += 1 - float64(s.FailedCount)/float64(size)
-	}
 	run.Availability = avail / float64(len(st))
+	ratios := run.Ratios()
+	run.MeanRatio = stats.Mean(ratios)
+	run.StdRatio = stats.SampleStdDev(ratios)
 	return run, nil
 }
 

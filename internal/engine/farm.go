@@ -54,7 +54,8 @@ func farmRegimes(f *farm.Farm) [5]int {
 }
 
 // measureFarm runs the experiment on an already-built (fresh or rebuilt)
-// farm and collects the FarmRun measurements.
+// farm and collects the FarmRun measurements. The run totals fold from
+// the interval records, which tally every interval since the build.
 func measureFarm(ctx context.Context, f *farm.Farm, intervals int, r farm.Runner) (FarmRun, error) {
 	cfg := f.Config()
 	run := FarmRun{
@@ -70,26 +71,23 @@ func measureFarm(ctx context.Context, f *farm.Farm, intervals int, r farm.Runner
 	}
 	run.Stats = st
 	run.After = farmRegimes(f)
-	run.Sleeping = f.SleepingCount()
-	run.Dispatched = f.Dispatched()
-	run.Rejected = f.Rejected()
-	run.Wakes = f.Wakes()
-	run.Migrations = f.Migrations()
-	var asleep float64
+	run.Sleeping = st[len(st)-1].Sleeping
+	run.Energy = float64(f.TotalEnergy())
+	total := float64(cfg.Clusters * cfg.Cluster.Size)
+	var asleep, avail float64
 	for _, s := range st {
 		asleep += float64(s.Sleeping)
+		avail += 1 - float64(s.FailedCount)/total
+		run.Dispatched += s.Dispatched
+		run.Rejected += s.Rejected
+		run.Wakes += s.Woken
+		run.Migrations += s.Migrations
+		run.Failures += s.Failures
+		run.Repairs += s.Repairs
+		run.AppsReplaced += s.AppsReplaced
+		run.AppsLost += s.AppsLost
 	}
 	run.AvgAsleep = asleep / float64(len(st))
-	run.Energy = float64(f.TotalEnergy())
-	run.Failures = f.Failures()
-	run.Repairs = f.Repairs()
-	run.AppsReplaced = f.AppsReplaced()
-	run.AppsLost = f.AppsLost()
-	total := float64(cfg.Clusters * cfg.Cluster.Size)
-	var avail float64
-	for _, s := range st {
-		avail += 1 - float64(s.FailedCount)/total
-	}
 	run.Availability = avail / float64(len(st))
 	return run, nil
 }
@@ -116,10 +114,10 @@ func (p *Pool) runFarmArena(ctx context.Context, cfg farm.Config, intervals int,
 	return measureFarm(ctx, f, intervals, r)
 }
 
-// runFarmCells executes the farm cells of a sweep. A single cell fans
-// its clusters out across the pool per interval; a multi-cell sweep
-// instead parallelizes across cells (each cell advancing its clusters
-// serially, which is byte-identical by the farm's determinism
+// runFarmCells executes the farm cells of a sweep. A single untraced
+// cell fans its clusters out across the pool per interval; a multi-cell
+// sweep instead parallelizes across cells (each cell advancing its
+// clusters serially, which is byte-identical by the farm's determinism
 // contract) — cells are independent and usually outnumber one farm's
 // clusters, and a cell-level Map must not nest another Map inside it,
 // which would deadlock a saturated pool.

@@ -153,14 +153,17 @@ func RunSleepAblation(size int, band workload.Band, seed uint64, intervals int) 
 		if err != nil {
 			return nil, err
 		}
-		if _, err := c.RunIntervals(context.Background(), intervals); err != nil {
+		sts, err := c.RunIntervals(context.Background(), intervals)
+		if err != nil {
 			return nil, err
 		}
 		ab := SleepAblation{
 			Policy:   pol,
 			Energy:   float64(c.TotalEnergy()),
 			Sleeping: c.SleepingCount(),
-			Wakes:    c.Wakes(),
+		}
+		for _, st := range sts {
+			ab.Wakes += st.Woken
 		}
 		for _, s := range c.Servers() {
 			if s.Sleeping() {

@@ -37,9 +37,9 @@ func RunRobustnessOn(p *engine.Pool, size int, band workload.Band, seeds []uint6
 		return Robustness{}, err
 	}
 	out := Robustness{Size: size, Band: band, Seeds: seeds}
-	var runs []series
+	var runs [][]cluster.IntervalStats
 	for _, r := range clusterRuns(cells) {
-		runs = append(runs, fromRun(r.Stats))
+		runs = append(runs, r.Stats)
 		out.Crossover = append(out.Crossover, r.Crossover())
 		out.Sleeping = append(out.Sleeping, r.Sleeping)
 	}
@@ -76,7 +76,7 @@ func (r Robustness) Render(w io.Writer) error {
 // WriteRatioCSV exports one cluster run's per-interval metrics for
 // external plotting (matplotlib regeneration of Figure 3).
 func WriteRatioCSV(w io.Writer, run ClusterRun) error {
-	return fromRun(run.Stats).writeCSV(w)
+	return writeCSV(w, run.Stats)
 }
 
 // robustnessRunner registers the experiment.
@@ -97,59 +97,22 @@ func robustnessRunner(w io.Writer, opt Options) error {
 	return nil
 }
 
-// intervalRecord is one reallocation interval's measurements in flat,
-// portable form: a row of the Figure 3 CSV export.
-type intervalRecord struct {
-	Interval      int
-	Ratio         float64
-	Local         int
-	InCluster     int
-	Migrations    int
-	Sleeping      int
-	Woken         int
-	SLAViolations int
-	ClusterLoad   float64
-	EnergyJ       float64
-}
-
-// series is a full run's records.
-type series []intervalRecord
-
-// fromRun converts the simulator's native interval stats.
-func fromRun(sts []cluster.IntervalStats) series {
-	out := make(series, len(sts))
-	for i, st := range sts {
-		out[i] = intervalRecord{
-			Interval:      st.Index,
-			Ratio:         st.Ratio,
-			Local:         st.Decisions.Local,
-			InCluster:     st.Decisions.InCluster,
-			Migrations:    st.Migrations,
-			Sleeping:      st.Sleeping,
-			Woken:         st.Woken,
-			SLAViolations: st.SLAViolations,
-			ClusterLoad:   float64(st.ClusterLoad),
-			EnergyJ:       float64(st.IntervalEnergy),
-		}
-	}
-	return out
-}
-
 // csvHeader is the fixed column layout of writeCSV.
 var csvHeader = []string{
 	"interval", "ratio", "local", "incluster", "migrations",
 	"sleeping", "woken", "sla_violations", "cluster_load", "energy_j",
 }
 
-// writeCSV writes the series with a header row.
-func (s series) writeCSV(w io.Writer) error {
+// writeCSV writes one row per interval record, after a header row.
+func writeCSV(w io.Writer, sts []cluster.IntervalStats) error {
 	if _, err := io.WriteString(w, strings.Join(csvHeader, ",")+"\n"); err != nil {
 		return err
 	}
-	for _, r := range s {
+	for _, st := range sts {
 		_, err := fmt.Fprintf(w, "%d,%g,%d,%d,%d,%d,%d,%d,%g,%g\n",
-			r.Interval, r.Ratio, r.Local, r.InCluster, r.Migrations,
-			r.Sleeping, r.Woken, r.SLAViolations, r.ClusterLoad, r.EnergyJ)
+			st.Index, st.Ratio, st.Decisions.Local, st.Decisions.InCluster,
+			st.Migrations, st.Sleeping, st.Woken, st.SLAViolations,
+			float64(st.ClusterLoad), float64(st.IntervalEnergy))
 		if err != nil {
 			return err
 		}
@@ -168,7 +131,7 @@ type seriesAggregate struct {
 
 // aggregateSeries combines K same-length runs. It errors on mismatched
 // lengths or empty input.
-func aggregateSeries(runs []series) (seriesAggregate, error) {
+func aggregateSeries(runs [][]cluster.IntervalStats) (seriesAggregate, error) {
 	if len(runs) == 0 {
 		return seriesAggregate{}, fmt.Errorf("experiments: no runs to aggregate")
 	}

@@ -27,29 +27,17 @@ func sampleStats() cluster.IntervalStats {
 	}
 }
 
-func TestFromIntervalStats(t *testing.T) {
-	s := fromRun([]cluster.IntervalStats{sampleStats()})
-	if len(s) != 1 {
-		t.Fatalf("series length %d, want 1", len(s))
-	}
-	r := s[0]
-	if r.Interval != 3 || r.Ratio != 0.4 || r.Local != 10 || r.InCluster != 4 ||
-		r.Migrations != 4 || r.Sleeping != 5 || r.Woken != 1 ||
-		r.SLAViolations != 2 || r.ClusterLoad != 0.31 || r.EnergyJ != 1234.5 {
-		t.Errorf("conversion wrong: %+v", r)
-	}
-}
-
 // TestWriteCSVExactBytes pins the CSV layout: the header row, the column
-// order, and %g for the float columns.
+// order, which record field fills each column, and %g for the float
+// columns.
 func TestWriteCSVExactBytes(t *testing.T) {
-	s := series{
-		fromRun([]cluster.IntervalStats{sampleStats()})[0],
-		{Interval: 4, Ratio: 1.25, Local: 8, InCluster: 10, Migrations: 10,
-			Sleeping: 6, Woken: 0, SLAViolations: 0, ClusterLoad: 0.305, EnergyJ: 2000},
+	sts := []cluster.IntervalStats{
+		sampleStats(),
+		{Index: 4, Ratio: 1.25, Decisions: cluster.Counts{Local: 8, InCluster: 10}, Migrations: 10,
+			Sleeping: 6, ClusterLoad: 0.305, IntervalEnergy: 2000},
 	}
 	var sb strings.Builder
-	if err := s.writeCSV(&sb); err != nil {
+	if err := writeCSV(&sb, sts); err != nil {
 		t.Fatal(err)
 	}
 	want := "interval,ratio,local,incluster,migrations,sleeping,woken,sla_violations,cluster_load,energy_j\n" +
@@ -61,9 +49,9 @@ func TestWriteCSVExactBytes(t *testing.T) {
 }
 
 func TestAggregateSeries(t *testing.T) {
-	a := series{{Ratio: 1, Sleeping: 2}, {Ratio: 3, Sleeping: 4}}
-	b := series{{Ratio: 3, Sleeping: 4}, {Ratio: 5, Sleeping: 8}}
-	agg, err := aggregateSeries([]series{a, b})
+	a := []cluster.IntervalStats{{Ratio: 1, Sleeping: 2}, {Ratio: 3, Sleeping: 4}}
+	b := []cluster.IntervalStats{{Ratio: 3, Sleeping: 4}, {Ratio: 5, Sleeping: 8}}
+	agg, err := aggregateSeries([][]cluster.IntervalStats{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +73,14 @@ func TestAggregateSeriesErrors(t *testing.T) {
 	if _, err := aggregateSeries(nil); err == nil {
 		t.Error("empty aggregation must error")
 	}
-	if _, err := aggregateSeries([]series{{{Ratio: 1}}, {}}); err == nil {
+	if _, err := aggregateSeries([][]cluster.IntervalStats{{{Ratio: 1}}, {}}); err == nil {
 		t.Error("mismatched lengths must error")
 	}
 }
 
-// TestFromRunAndCSVOnRealSimulation: a real cluster run converts record
-// for record, and its CSV carries one row per interval, in order, with
-// every ratio written at full precision.
+// TestFromRunAndCSVOnRealSimulation: the CSV of a real cluster run
+// carries one row per interval record, in order, with every ratio
+// written at full precision.
 func TestFromRunAndCSVOnRealSimulation(t *testing.T) {
 	c, err := cluster.New(cluster.DefaultConfig(40, workload.LowLoad(), 9))
 	if err != nil {
@@ -102,12 +90,8 @@ func TestFromRunAndCSVOnRealSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := fromRun(sts)
-	if len(s) != 8 {
-		t.Fatalf("series length %d", len(s))
-	}
 	var sb strings.Builder
-	if err := s.writeCSV(&sb); err != nil {
+	if err := writeCSV(&sb, sts); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")

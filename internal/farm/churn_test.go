@@ -79,11 +79,8 @@ func TestFarmChurnAggregates(t *testing.T) {
 	if failures == 0 || repairs == 0 {
 		t.Fatalf("churned farm saw %d failures, %d repairs; want both > 0", failures, repairs)
 	}
-	if failures != f.Failures() || repairs != f.Repairs() ||
-		replaced != f.AppsReplaced() || lost != f.AppsLost() {
-		t.Fatalf("stream totals (%d,%d,%d,%d) disagree with accessors (%d,%d,%d,%d)",
-			failures, repairs, replaced, lost,
-			f.Failures(), f.Repairs(), f.AppsReplaced(), f.AppsLost())
+	if replaced+lost == 0 {
+		t.Fatalf("%d failures orphaned nothing", failures)
 	}
 }
 
@@ -100,8 +97,13 @@ func TestFarmChurnConservation(t *testing.T) {
 			seeded += s.NumApps()
 		}
 	}
-	if _, err := f.RunIntervals(context.Background(), 25, testRunner{4}); err != nil {
+	sts, err := f.RunIntervals(context.Background(), 25, testRunner{4})
+	if err != nil {
 		t.Fatal(err)
+	}
+	lost := 0
+	for _, st := range sts {
+		lost += st.AppsLost
 	}
 	surviving, admitted := 0, 0
 	for ci, c := range f.Clusters() {
@@ -113,8 +115,8 @@ func TestFarmChurnConservation(t *testing.T) {
 			surviving += s.NumApps()
 		}
 	}
-	if surviving+f.AppsLost() != seeded+admitted {
+	if surviving+lost != seeded+admitted {
 		t.Fatalf("surviving %d + lost %d != seeded %d + admitted %d",
-			surviving, f.AppsLost(), seeded, admitted)
+			surviving, lost, seeded, admitted)
 	}
 }

@@ -121,8 +121,10 @@ type Config struct {
 	// plus — wrapped with each cluster's index — every member cluster's
 	// decision events and phase timings. Like cluster.Config.Tracer it
 	// is strictly observational; the template's own Tracer field is
-	// overridden per cluster. The tracer must be safe for concurrent
-	// use: the advance phase delivers cluster events in parallel.
+	// overridden per cluster. A traced farm advances its clusters
+	// serially, so the events arrive in one order on every run: each
+	// interval's dispatch decisions, then every cluster's events in
+	// cluster order.
 	Tracer trace.Tracer
 }
 
@@ -232,9 +234,6 @@ type Farm struct {
 	rr       int         // round-robin cursor
 	interval int
 
-	dispatched int
-	rejected   int
-
 	// Per-interval scratch, cluster-indexed.
 	stats    []cluster.IntervalStats
 	loads    []float64 // projected mean load during the dispatch phase
@@ -266,8 +265,6 @@ func (f *Farm) Rebuild(cfg Config) error {
 	f.cfg = cfg
 	f.rr = 0
 	f.interval = 0
-	f.dispatched = 0
-	f.rejected = 0
 	if len(f.clusters) > cfg.Clusters {
 		for i := cfg.Clusters; i < len(f.clusters); i++ {
 			f.clusters[i] = nil
@@ -317,12 +314,6 @@ func (f *Farm) Config() Config { return f.cfg }
 // Interval returns how many farm intervals have completed.
 func (f *Farm) Interval() int { return f.interval }
 
-// Dispatched returns how many arrivals the front-end has placed.
-func (f *Farm) Dispatched() int { return f.dispatched }
-
-// Rejected returns how many arrivals no cluster could admit.
-func (f *Farm) Rejected() int { return f.rejected }
-
 // TotalEnergy returns the farm-wide energy account.
 func (f *Farm) TotalEnergy() units.Joules {
 	var e units.Joules
@@ -330,33 +321,6 @@ func (f *Farm) TotalEnergy() units.Joules {
 		e += c.TotalEnergy()
 	}
 	return e
-}
-
-// SleepingCount returns how many servers are asleep across the farm.
-func (f *Farm) SleepingCount() int {
-	n := 0
-	for _, c := range f.clusters {
-		n += c.SleepingCount()
-	}
-	return n
-}
-
-// Migrations returns the cumulative farm-wide migration count.
-func (f *Farm) Migrations() int {
-	n := 0
-	for _, c := range f.clusters {
-		n += c.Migrations()
-	}
-	return n
-}
-
-// Wakes returns the cumulative farm-wide wake count.
-func (f *Farm) Wakes() int {
-	n := 0
-	for _, c := range f.clusters {
-		n += c.Wakes()
-	}
-	return n
 }
 
 // awakeHeadroom returns the capacity a cluster's awake, healthy servers
@@ -445,8 +409,6 @@ func (f *Farm) dispatch() (dispatched, rejected int, err error) {
 		f.loads[ci] += float64(demand) * perServer
 		f.headroom[ci] -= float64(demand) * perServer
 	}
-	f.dispatched += dispatched
-	f.rejected += rejected
 	return dispatched, rejected, nil
 }
 
@@ -454,7 +416,8 @@ func (f *Farm) dispatch() (dispatched, rejected int, err error) {
 // farm statistics. Each interval is a sequential dispatch phase followed
 // by an advance phase executed on r — every cluster runs exactly one
 // reallocation interval, in parallel when r is a worker pool, serially
-// when r is nil, with byte-identical results either way.
+// when r is nil or a Tracer is set, with byte-identical results either
+// way.
 //
 // The context is checked between farm intervals and inside every
 // cluster's interval; cancelling it stops the simulation at the next
@@ -483,7 +446,9 @@ func (f *Farm) RunIntervals(ctx context.Context, n int, r Runner) ([]IntervalSta
 			f.stats[i] = st[0]
 			return nil
 		}
-		if r == nil {
+		// A traced farm advances serially so its shared event stream
+		// comes out in cluster order, the same on every run.
+		if r == nil || f.cfg.Tracer != nil {
 			for i := range f.clusters {
 				if err := advance(i); err != nil {
 					return out, err
@@ -541,42 +506,4 @@ func (f *Farm) aggregate(dispatched, rejected int) IntervalStats {
 	}
 	st.TotalPower = units.Watts(float64(st.IntervalEnergy) / float64(cluster.Tau))
 	return st
-}
-
-// Failures returns the cumulative farm-wide failure count.
-func (f *Farm) Failures() int {
-	n := 0
-	for _, c := range f.clusters {
-		n += c.Failures()
-	}
-	return n
-}
-
-// Repairs returns the cumulative farm-wide repair count.
-func (f *Farm) Repairs() int {
-	n := 0
-	for _, c := range f.clusters {
-		n += c.Repairs()
-	}
-	return n
-}
-
-// AppsReplaced returns the cumulative farm-wide count of orphaned
-// applications failures re-placed on surviving servers.
-func (f *Farm) AppsReplaced() int {
-	n := 0
-	for _, c := range f.clusters {
-		n += c.AppsReplaced()
-	}
-	return n
-}
-
-// AppsLost returns the cumulative farm-wide count of applications
-// failures dropped for lack of surviving capacity.
-func (f *Farm) AppsLost() int {
-	n := 0
-	for _, c := range f.clusters {
-		n += c.AppsLost()
-	}
-	return n
 }

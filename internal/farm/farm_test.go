@@ -117,13 +117,19 @@ func TestRoundRobinSpreadsArrivals(t *testing.T) {
 	cfg := DefaultConfig(4, 50, workload.LowLoad(), 5)
 	cfg.ArrivalRate = 6
 	f := mustFarm(t, cfg)
-	if _, err := f.RunIntervals(context.Background(), 10, nil); err != nil {
+	sts, err := f.RunIntervals(context.Background(), 10, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Rejected() != 0 {
-		t.Fatalf("low-load farm rejected %d arrivals", f.Rejected())
+	var dispatched, rejected int
+	for _, st := range sts {
+		dispatched += st.Dispatched
+		rejected += st.Rejected
 	}
-	if f.Dispatched() == 0 {
+	if rejected != 0 {
+		t.Fatalf("low-load farm rejected %d arrivals", rejected)
+	}
+	if dispatched == 0 {
 		t.Fatal("no arrivals dispatched")
 	}
 	min, max := int(^uint(0)>>1), 0
@@ -141,9 +147,8 @@ func TestRoundRobinSpreadsArrivals(t *testing.T) {
 	}
 }
 
-// TestDispatchAccountingConsistent: the front-end's dispatch ledger,
-// the per-cluster admission counters, and the interval stream must all
-// agree.
+// TestDispatchAccountingConsistent: the interval stream's dispatch
+// counts and the per-cluster admission counters must agree.
 func TestDispatchAccountingConsistent(t *testing.T) {
 	cfg := DefaultConfig(2, 60, workload.HighLoad(), 9)
 	cfg.Dispatch = DispatchLeastLoaded
@@ -157,17 +162,16 @@ func TestDispatchAccountingConsistent(t *testing.T) {
 	for _, c := range f.Clusters() {
 		admitted += c.Admitted()
 	}
-	if admitted != f.Dispatched() {
-		t.Fatalf("dispatched %d but clusters admitted %d", f.Dispatched(), admitted)
-	}
 	var dispatched, rejected int
 	for _, st := range sts {
 		dispatched += st.Dispatched
 		rejected += st.Rejected
 	}
-	if dispatched != f.Dispatched() || rejected != f.Rejected() {
-		t.Errorf("interval stream (%d,%d) disagrees with totals (%d,%d)",
-			dispatched, rejected, f.Dispatched(), f.Rejected())
+	if admitted != dispatched {
+		t.Fatalf("dispatched %d but clusters admitted %d", dispatched, admitted)
+	}
+	if dispatched+rejected == 0 {
+		t.Fatal("no arrivals reached the front-end")
 	}
 }
 

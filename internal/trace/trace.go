@@ -137,8 +137,8 @@ func (p Phase) String() string {
 }
 
 // Tracer receives decision events and phase timings. Implementations
-// must be safe for concurrent use: a farm advances its clusters in
-// parallel, and all of them share (a wrapped view of) one tracer.
+// must be safe for concurrent use: a sweep runs its cells in parallel,
+// and they may share one tracer.
 // Implementations must not feed anything back into the simulation.
 type Tracer interface {
 	// Event records one decision event.

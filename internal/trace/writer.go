@@ -18,7 +18,7 @@ type phaseRecord struct {
 
 // Writer is an NDJSON tracer: one JSON object per line, events and
 // phase timings interleaved in emission order. Writes are buffered and
-// mutex-serialized (a farm's clusters trace concurrently); errors are
+// mutex-serialized (a sweep's cells may trace concurrently); errors are
 // sticky — the first write error stops all further output and is
 // reported by Flush.
 type Writer struct {
