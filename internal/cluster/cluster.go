@@ -272,9 +272,9 @@ func New(cfg Config) (*Cluster, error) {
 // Rebuild re-seeds the cluster in place for cfg, producing a state
 // bit-identical to New(cfg) while reusing the receiver's allocations:
 // servers are Reset in place in one contiguous slab, applications and
-// VMs come from per-cluster arenas, and the network, decision counts and leader
-// state are cleared in place. It is the engine's arena path for sweeps
-// that simulate many cells per worker.
+// VMs come from per-cluster arenas, and the network, decision counts
+// and leader state are cleared in place. It is the engine's arena path
+// for sweeps that simulate many cells per worker.
 //
 // Rebuild invalidates everything previously reachable from the cluster —
 // server, application, and VM pointers as well as in-flight statistics —

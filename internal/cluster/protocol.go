@@ -459,11 +459,11 @@ func (c *Cluster) emit(e trace.Event) {
 
 // applyBalance executes a balance plan against the cluster: control-plane
 // charges, VM migrations, wake transitions, sleep transitions, and
-// decision counts. Actions replay in plan order, which preserves the historical
-// interleaving of energy charges (reports, then per relief donor its
-// moves and wake, then per consolidation donor its moves and sleep) — the
-// float accumulators are order-sensitive, and the golden digest test pins
-// that order.
+// decision counts. Actions replay in plan order, which preserves the
+// historical interleaving of energy charges (reports, then per relief
+// donor its moves and wake, then per consolidation donor its moves and
+// sleep) — the float accumulators are order-sensitive, and the golden
+// digest test pins that order.
 //
 //ealb:hotpath
 func (c *Cluster) applyBalance(plan *balancePlan) error {

@@ -25,7 +25,8 @@
 // advance phase may run on a worker pool: each cluster writes only its
 // own statistics slot, and a farm advanced in parallel is byte-identical
 // to the same farm advanced serially. The engine exploits this by
-// running a farm's clusters on its existing pool.
+// running an untraced farm's clusters on its existing pool; a traced
+// farm advances serially so its shared trace stream has one order.
 package farm
 
 import (
