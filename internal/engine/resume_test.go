@@ -3,8 +3,13 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
+	"time"
+
+	"ealb/internal/trace"
 )
 
 // runHookedResume runs spec twice — uninterrupted, then resumed from a
@@ -161,4 +166,129 @@ func TestCellDoneCompleteSweep(t *testing.T) {
 			t.Errorf("cell %d: CellDone fired before the baseline comparison landed: %+v", ci, r)
 		}
 	}
+}
+
+// eventLog is a tracer that keeps one cell's decision events as JSON
+// lines; phase timings are wall-clock and are dropped.
+type eventLog struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *eventLog) Event(e trace.Event) {
+	raw, _ := json.Marshal(e)
+	l.mu.Lock()
+	l.lines = append(l.lines, string(raw))
+	l.mu.Unlock()
+}
+
+func (l *eventLog) Phase(trace.Phase, time.Duration) {}
+
+// hookStreams is what the hooks of one run saw, per expansion index:
+// the observed interval stats and traced events as JSON lines, and the
+// cells CellDone fired for.
+type hookStreams struct {
+	mu       sync.Mutex
+	observed map[int][]string
+	traced   map[int]*eventLog
+	done     map[int]int
+}
+
+func runWithHooks(t *testing.T, ex ExpandedSweep, completed map[int]Result) (SweepResult, *hookStreams) {
+	t.Helper()
+	hs := &hookStreams{observed: map[int][]string{}, traced: map[int]*eventLog{}, done: map[int]int{}}
+	res, err := NewPool(3).RunExpandedHooked(context.Background(), ex, RunHooks{
+		Completed: completed,
+		Observe: func(cell int, st any) {
+			raw, err := json.Marshal(st)
+			if err != nil {
+				t.Error(err)
+			}
+			hs.mu.Lock()
+			hs.observed[cell] = append(hs.observed[cell], string(raw))
+			hs.mu.Unlock()
+		},
+		TracerFor: func(cell int) trace.Tracer {
+			hs.mu.Lock()
+			defer hs.mu.Unlock()
+			if hs.traced[cell] != nil {
+				t.Errorf("TracerFor consulted twice for cell %d", cell)
+			}
+			hs.traced[cell] = &eventLog{}
+			return hs.traced[cell]
+		},
+		CellDone: func(cell int, _ Result) {
+			hs.mu.Lock()
+			hs.done[cell]++
+			hs.mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, hs
+}
+
+// TestResumeHookIndices: resumed from a checkpoint of cells 0 and 2, a
+// 4-cell cluster sweep and a 4-cell farm sweep call Observe, TracerFor
+// and CellDone with expansion indices 1 and 3 only, and each cell's
+// observed and traced streams equal its streams in an uninterrupted run.
+func TestResumeHookIndices(t *testing.T) {
+	for _, body := range []string{
+		`{"sizes":[40,60],"seeds":[1,2],"intervals":5,"mtbfs":[3000],"mttrs":[300],"compare_baseline":true}`,
+		`{"kind":"farm","cluster_counts":[2,3],"dispatches":["round-robin","least-loaded"],"size":20,"seeds":[7],"intervals":4}`,
+	} {
+		var spec SweepSpec
+		if err := json.Unmarshal([]byte(body), &spec); err != nil {
+			t.Fatal(err)
+		}
+		ex, err := spec.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ex.Cells()) != 4 {
+			t.Fatalf("%s: %d cells, want 4", body, len(ex.Cells()))
+		}
+		full, fullHooks := runWithHooks(t, ex, nil)
+		completed := map[int]Result{0: full.Cells[0], 2: full.Cells[2]}
+		resumed, hooks := runWithHooks(t, ex, completed)
+
+		want := []int{1, 3}
+		for name, seen := range map[string][]int{
+			"Observe":   keys(hooks.observed),
+			"TracerFor": keys(hooks.traced),
+			"CellDone":  keys(hooks.done),
+		} {
+			if !reflect.DeepEqual(seen, want) {
+				t.Errorf("%s: %s saw cells %v, want %v", body, name, seen, want)
+			}
+		}
+		for _, ci := range want {
+			if hooks.done[ci] != 1 {
+				t.Errorf("%s: CellDone fired %d times for cell %d", body, hooks.done[ci], ci)
+			}
+			if !reflect.DeepEqual(hooks.observed[ci], fullHooks.observed[ci]) {
+				t.Errorf("%s: cell %d observed stream differs from the uninterrupted run", body, ci)
+			}
+			got, wantEvents := hooks.traced[ci].lines, fullHooks.traced[ci].lines
+			if len(wantEvents) == 0 || !reflect.DeepEqual(got, wantEvents) {
+				t.Errorf("%s: cell %d traced %d events, the uninterrupted run %d", body, ci, len(got), len(wantEvents))
+			}
+		}
+		a, _ := json.Marshal(full)
+		b, _ := json.Marshal(resumed)
+		if string(a) != string(b) {
+			t.Errorf("%s: resumed sweep differs from the uninterrupted run", body)
+		}
+	}
+}
+
+// keys returns a map's keys in ascending order.
+func keys[V any](m map[int]V) []int {
+	out := make([]int, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Ints(out)
+	return out
 }

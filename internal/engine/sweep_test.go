@@ -2,11 +2,15 @@ package engine
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -335,5 +339,100 @@ func TestSweepObserverSeesEveryInterval(t *testing.T) {
 		if res.Cells[cell].AlwaysOnJoules <= 0 {
 			t.Errorf("cell %d baseline missing", cell)
 		}
+	}
+}
+
+// expandPinBodies are multi-axis bodies of every kind, beside the fuzz
+// seeds: every list axis with replications, both churn axes as lists
+// and as scalars, both farm axes, and refusals whose text names the
+// refused cell's expansion index.
+var expandPinBodies = []string{
+	`{"sizes":[40,60],"bands":["low","high"],"sleeps":["auto","c6"],"mtbfs":[0,900],"mttrs":[120,240],"seeds":[3,5],"replications":2,"intervals":4}`,
+	`{"mtbf":900,"mttrs":[60,120],"seeds":[1],"replications":3,"intervals":4}`,
+	`{"mtbfs":[600,0],"sizes":[50],"intervals":3,"compare_baseline":true}`,
+	`{"kind":"farm","sizes":[20,30],"bands":["low","0.3-0.5"],"sleeps":["c3"],"mtbfs":[0,1200],"mttrs":[300],"cluster_counts":[2,3],"dispatches":["round-robin","least-loaded"],"seeds":[7,8],"replications":2,"intervals":3}`,
+	`{"kind":"farm","mtbf":900,"mttr":100,"arrival_rate":3,"cluster_counts":[1,2],"size":30,"replications":2,"intervals":3}`,
+	`{"kind":"farm","mttrs":[50,70],"dispatch":"energy-headroom","clusters":4,"sizes":[10,20],"seed":0}`,
+	`{"kind":"policy","profiles":["constant","burst","diurnal"],"server_counts":[10,20],"seeds":[1,2],"replications":2,"horizon_seconds":300}`,
+	`{"kind":"policy","profile":"spike","server_counts":[5,10],"base_rate":100,"peak_rate":300,"replications":3}`,
+	`{"kind":"farm","dispatches":["round-robin","nope"],"seeds":[1,2]}`,
+	`{"sizes":[40,1],"seeds":[1,2],"replications":2}`,
+	`{"kind":"farm","cluster_counts":[2,2000],"size":20}`,
+	`{"mtbfs":[900,-1],"mttrs":[0,60]}`,
+	`{"kind":"policy","server_counts":[10,-1],"profiles":["trend"]}`,
+	`{"cluster_counts":[2]}`,
+	`{"kind":"policy","mtbfs":[900]}`,
+	`{"sizes":[100,200],"seeds":[1,2],"replications":1025}`,
+}
+
+// expandOutcome is what Expand makes of one request body: the
+// normalized spec and the cells as JSON, or the error text.
+func expandOutcome(t *testing.T, body string) string {
+	t.Helper()
+	var spec SweepSpec
+	dec := json.NewDecoder(strings.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return "undecodable"
+	}
+	ex, err := spec.Expand()
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	rawSpec, err := json.Marshal(ex.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawCells, err := json.Marshal(ex.Cells())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No cell may share a churn pointer with the spec or with a cell of
+	// another parameter combination: a caller editing one cell's rate
+	// must not edit another's. The replications of one combination
+	// (group i/Replications) still share theirs.
+	sp := ex.Spec()
+	type owner struct {
+		who   string
+		group int
+	}
+	owners := map[*float64]owner{}
+	claim := func(p *float64, who string, group int) {
+		if p == nil {
+			return
+		}
+		if prev, ok := owners[p]; ok && (group < 0 || prev.group != group) {
+			t.Errorf("%s: %s shares a churn pointer with %s", body, who, prev.who)
+		}
+		owners[p] = owner{who, group}
+	}
+	claim(sp.MTBF, "spec mtbf", -1)
+	claim(sp.MTTR, "spec mttr", -1)
+	for i := range sp.MTBFs {
+		claim(&sp.MTBFs[i], "spec mtbfs", -1)
+	}
+	for i := range sp.MTTRs {
+		claim(&sp.MTTRs[i], "spec mttrs", -1)
+	}
+	for i, c := range ex.Cells() {
+		claim(c.MTBF, fmt.Sprintf("cell %d mtbf", i), i/sp.Replications)
+		claim(c.MTTR, fmt.Sprintf("cell %d mttr", i), i/sp.Replications)
+	}
+	return string(rawSpec) + "\n" + string(rawCells)
+}
+
+// TestExpandPinned pins Expand's outcome — normalized spec, cells in
+// order, or refusal text — over the fuzz seeds and the multi-axis
+// bodies to one digest, so a change to how the cross product is built
+// cannot move a cell, a default or an error message unnoticed.
+func TestExpandPinned(t *testing.T) {
+	const want = "e4e8b171cc0f1fe18501273aefb1c3cd42c6e660ede895f0d12523dcbc6d594e"
+	h := sha256.New()
+	for _, body := range append(append([]string(nil), scenarioSpecSeeds...), expandPinBodies...) {
+		out := expandOutcome(t, body)
+		fmt.Fprintf(h, "%s\n%s\n", body, out)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("expansion digest %s, want %s", got, want)
 	}
 }
