@@ -114,14 +114,14 @@ func (p *Pool) runFarmArena(ctx context.Context, cfg farm.Config, intervals int,
 	return measureFarm(ctx, f, intervals, r)
 }
 
-// runFarmCells executes the farm cells of a sweep. A single untraced
-// cell fans its clusters out across the pool per interval; a multi-cell
-// sweep instead parallelizes across cells (each cell advancing its
+// runFarmCells executes the pending farm cells of a sweep. A lone
+// pending cell fans its clusters out across the pool per interval; more
+// cells instead parallelize across cells (each cell advancing its
 // clusters serially, which is byte-identical by the farm's determinism
 // contract) — cells are independent and usually outnumber one farm's
 // clusters, and a cell-level Map must not nest another Map inside it,
 // which would deadlock a saturated pool.
-func (p *Pool) runFarmCells(ctx context.Context, cells []Scenario, results []Result, h RunHooks) error {
+func (p *Pool) runFarmCells(ctx context.Context, cells []Scenario, pending []int, results []Result, h RunHooks) error {
 	runCell := func(ci int, r farm.Runner) error {
 		cell := cells[ci]
 		cfg, err := cell.farmSimConfig()
@@ -148,10 +148,10 @@ func (p *Pool) runFarmCells(ctx context.Context, cells []Scenario, results []Res
 		}
 		return nil
 	}
-	if len(cells) == 1 {
-		return runCell(0, p)
+	if len(pending) == 1 {
+		return runCell(pending[0], p)
 	}
-	return p.Map(ctx, len(cells), func(ci int) error { return runCell(ci, nil) })
+	return p.Map(ctx, len(pending), func(i int) error { return runCell(pending[i], nil) })
 }
 
 // farmSimConfig derives the farm configuration of a normalized farm

@@ -292,3 +292,39 @@ func keys[V any](m map[int]V) []int {
 	sort.Ints(out)
 	return out
 }
+
+// TestResumeLoneFarmCellFansOut: when one farm cell is left to run, it
+// advances its clusters on the pool each interval, as a one-cell farm
+// sweep does, and still reproduces the uninterrupted result.
+func TestResumeLoneFarmCellFansOut(t *testing.T) {
+	var spec SweepSpec
+	body := `{"kind":"farm","cluster_counts":[2,3],"dispatches":["round-robin","least-loaded"],"size":20,"seeds":[7],"intervals":4}`
+	if err := json.Unmarshal([]byte(body), &spec); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	full, err := NewPool(3).RunExpandedHooked(ctx, ex, RunHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(3)
+	resumed, err := p.RunExpandedHooked(ctx, ex, RunHooks{
+		Completed: map[int]Result{0: full.Cells[0], 1: full.Cells[1], 2: full.Cells[2]},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(full)
+	b, _ := json.Marshal(resumed)
+	if string(a) != string(b) {
+		t.Error("resumed sweep differs from the uninterrupted run")
+	}
+	cell := ex.Cells()[3]
+	if got, want := p.Stats().JobsSubmitted, uint64(cell.Intervals*cell.Clusters); got != want {
+		t.Errorf("lone pending farm cell ran %d pool jobs, want one per cluster and interval (%d)", got, want)
+	}
+}

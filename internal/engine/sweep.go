@@ -28,12 +28,11 @@ const MaxScenarioJobs = 4096
 // Cluster axes: Seeds, Sizes, Bands, Sleeps, MTBFs, MTTRs. Farm axes:
 // the cluster axes (sizing each member cluster) plus ClusterCounts and
 // Dispatches. Policy axes: Seeds, Profiles, ServerCounts. Cells expand
-// in deterministic order — the rightmost axis varies fastest: sizes →
-// bands → sleeps → mtbfs → mttrs → seeds → replications for cluster
-// sweeps, with cluster counts → dispatches inserted before seeds for
-// farm sweeps, and profiles → server counts → seeds → replications for
-// policy sweeps — and every cell records its fully normalized Scenario,
-// so any cell can be re-run individually with a bit-identical result.
+// in one fixed order, the rightmost axis varying fastest: sizes → bands
+// → sleeps → mtbfs → mttrs → cluster counts → dispatches → profiles →
+// server counts → seeds → replications, where a kind skips the axes it
+// does not read. Every cell records its fully normalized Scenario, so
+// any cell can be re-run individually with a bit-identical result.
 //
 //ealb:digest
 type SweepSpec struct {
@@ -160,27 +159,12 @@ func (sp SweepSpec) Expand() (ExpandedSweep, error) {
 		if sp.Kind == KindCluster && (len(sp.ClusterCounts) > 0 || len(sp.Dispatches) > 0) {
 			return fail(fmt.Errorf(`engine: "cluster_counts"/"dispatches" are farm axes; this is a %q sweep`, sp.Kind))
 		}
-		if len(sp.Sizes) == 0 {
-			sp.Sizes = []int{sp.Scenario.Size}
-		}
-		if len(sp.Bands) == 0 {
-			sp.Bands = []string{sp.Scenario.Band}
-		}
-		if len(sp.Sleeps) == 0 {
-			sp.Sleeps = []string{sp.Scenario.Sleep}
-		}
-		sp.Scenario.Size = 0
-		sp.Scenario.Band = ""
-		sp.Scenario.Sleep = ""
+		promote(&sp.Sizes, &sp.Scenario.Size)
+		promote(&sp.Bands, &sp.Scenario.Band)
+		promote(&sp.Sleeps, &sp.Scenario.Sleep)
 		if sp.Kind == KindFarm {
-			if len(sp.ClusterCounts) == 0 {
-				sp.ClusterCounts = []int{sp.Scenario.Clusters}
-			}
-			if len(sp.Dispatches) == 0 {
-				sp.Dispatches = []string{sp.Scenario.Dispatch}
-			}
-			sp.Scenario.Clusters = 0
-			sp.Scenario.Dispatch = ""
+			promote(&sp.ClusterCounts, &sp.Scenario.Clusters)
+			promote(&sp.Dispatches, &sp.Scenario.Dispatch)
 		}
 		if sp.CompareBaseline {
 			// Farm cells reject the flag per cell in Validate.
@@ -193,14 +177,8 @@ func (sp SweepSpec) Expand() (ExpandedSweep, error) {
 		if len(sp.ClusterCounts) > 0 || len(sp.Dispatches) > 0 {
 			return fail(fmt.Errorf(`engine: "cluster_counts"/"dispatches" are farm axes; this is a %q sweep`, sp.Kind))
 		}
-		if len(sp.Profiles) == 0 {
-			sp.Profiles = []string{sp.Scenario.Profile}
-		}
-		if len(sp.ServerCounts) == 0 {
-			sp.ServerCounts = []int{sp.Scenario.Servers}
-		}
-		sp.Scenario.Profile = ""
-		sp.Scenario.Servers = 0
+		promote(&sp.Profiles, &sp.Scenario.Profile)
+		promote(&sp.ServerCounts, &sp.Scenario.Servers)
 		perCellJobs = len(policy.StandardSet(nil))
 	default:
 		return fail(fmt.Errorf("engine: unknown scenario kind %q (want %q, %q or %q)", sp.Kind, KindCluster, KindPolicy, KindFarm))
@@ -225,110 +203,76 @@ func (sp SweepSpec) Expand() (ExpandedSweep, error) {
 		jobs *= factor
 	}
 
-	// The churn axes expand like the others but keep "absent" absent: an
-	// explicit list iterates its entries, while a missing list is a
-	// single-cell axis carrying the scalar (possibly nil, i.e. churn
-	// disabled) — so a pre-churn request body expands to exactly its
-	// historical cells, recorded scenarios included.
-	mtbfAxis := churnAxis(sp.Scenario.MTBF, sp.MTBFs)
-	mttrAxis := churnAxis(sp.Scenario.MTTR, sp.MTTRs)
-
-	var cells []Scenario
-	addCell := func(c Scenario) error {
-		for rep := 0; rep < sp.Replications; rep++ {
-			cell := c
-			cell.Seed = SeedOf(*c.Seed + uint64(rep))
-			cell = cell.Normalized()
-			if err := cell.Validate(); err != nil {
-				return fmt.Errorf("sweep cell %d: %w", len(cells), err)
-			}
-			cells = append(cells, cell)
+	// The cells are the cross product of the axes, applied in one fixed
+	// order, the last varying fastest. The axes a kind does not read are
+	// empty (refused above when given), and so are the churn lists when
+	// absent: an empty list leaves the spec's scalar — possibly nil,
+	// churn disabled — in every cell, so a pre-churn request body
+	// expands to exactly its historical cells.
+	cells := []Scenario{sp.Scenario}
+	cells = cross(cells, sp.Sizes, func(c *Scenario, v int) { c.Size = v })
+	cells = cross(cells, sp.Bands, func(c *Scenario, v string) { c.Band = v })
+	cells = cross(cells, sp.Sleeps, func(c *Scenario, v string) { c.Sleep = v })
+	cells = cross(cells, sp.MTBFs, func(c *Scenario, v float64) { c.MTBF = &v })
+	cells = cross(cells, sp.MTTRs, func(c *Scenario, v float64) { c.MTTR = &v })
+	cells = cross(cells, sp.ClusterCounts, func(c *Scenario, v int) { c.Clusters = v })
+	cells = cross(cells, sp.Dispatches, func(c *Scenario, v string) { c.Dispatch = v })
+	cells = cross(cells, sp.Profiles, func(c *Scenario, v string) { c.Profile = v })
+	cells = cross(cells, sp.ServerCounts, func(c *Scenario, v int) { c.Servers = v })
+	// Replication r of seed s runs with seed s + r, right after s.
+	seeds := make([]uint64, 0, len(sp.Seeds)*sp.Replications)
+	for _, s := range sp.Seeds {
+		for r := 0; r < sp.Replications; r++ {
+			seeds = append(seeds, s+uint64(r))
 		}
-		return nil
 	}
-	switch sp.Kind {
-	case KindCluster:
-		for _, size := range sp.Sizes {
-			for _, band := range sp.Bands {
-				for _, sleep := range sp.Sleeps {
-					for _, mtbf := range mtbfAxis {
-						for _, mttr := range mttrAxis {
-							for _, seed := range sp.Seeds {
-								cell := sp.Scenario
-								cell.Size, cell.Band, cell.Sleep = size, band, sleep
-								cell.MTBF, cell.MTTR = copyRate(mtbf), copyRate(mttr)
-								cell.Seed = SeedOf(seed)
-								if err := addCell(cell); err != nil {
-									return fail(err)
-								}
-							}
-						}
-					}
-				}
-			}
+	cells = cross(cells, seeds, func(c *Scenario, v uint64) {
+		c.Seed = SeedOf(v)
+		// Every cell owns its churn rates: none aliases the spec's or
+		// another cell's.
+		if c.MTBF != nil {
+			c.MTBF = RateOf(*c.MTBF)
 		}
-	case KindFarm:
-		for _, size := range sp.Sizes {
-			for _, band := range sp.Bands {
-				for _, sleep := range sp.Sleeps {
-					for _, mtbf := range mtbfAxis {
-						for _, mttr := range mttrAxis {
-							for _, clusters := range sp.ClusterCounts {
-								for _, dispatch := range sp.Dispatches {
-									for _, seed := range sp.Seeds {
-										cell := sp.Scenario
-										cell.Size, cell.Band, cell.Sleep = size, band, sleep
-										cell.MTBF, cell.MTTR = copyRate(mtbf), copyRate(mttr)
-										cell.Clusters, cell.Dispatch = clusters, dispatch
-										cell.Seed = SeedOf(seed)
-										if err := addCell(cell); err != nil {
-											return fail(err)
-										}
-									}
-								}
-							}
-						}
-					}
-				}
-			}
+		if c.MTTR != nil {
+			c.MTTR = RateOf(*c.MTTR)
 		}
-	case KindPolicy:
-		for _, profile := range sp.Profiles {
-			for _, servers := range sp.ServerCounts {
-				for _, seed := range sp.Seeds {
-					cell := sp.Scenario
-					cell.Profile, cell.Servers = profile, servers
-					cell.Seed = SeedOf(seed)
-					if err := addCell(cell); err != nil {
-						return fail(err)
-					}
-				}
-			}
+	})
+	for i := range cells {
+		cells[i] = cells[i].Normalized()
+		if err := cells[i].Validate(); err != nil {
+			return fail(fmt.Errorf("sweep cell %d: %w", i, err))
 		}
 	}
 	return ExpandedSweep{spec: sp, cells: cells}, nil
 }
 
-// churnAxis returns the mtbf/mttr expansion axis: the explicit list, or
-// the scalar — possibly nil, meaning absent — as a single-cell axis.
-func churnAxis(scalar *float64, list []float64) []*float64 {
-	if len(list) == 0 {
-		return []*float64{scalar}
+// promote turns an absent list axis into the one-element axis of its
+// scalar and clears the scalar, so the cells take the value from the
+// list.
+func promote[T any](list *[]T, scalar *T) {
+	if len(*list) == 0 {
+		*list = []T{*scalar}
 	}
-	out := make([]*float64, len(list))
-	for i := range list {
-		out[i] = &list[i]
-	}
-	return out
+	var zero T
+	*scalar = zero
 }
 
-// copyRate clones an optional rate so cells never alias the spec's axis
-// storage.
-func copyRate(p *float64) *float64 {
-	if p == nil {
-		return nil
+// cross applies one list axis to the cells built so far: every cell is
+// copied once per value, in value order, and set applied to the copy.
+// An empty list leaves the cells as they are.
+func cross[T any](cells []Scenario, vals []T, set func(*Scenario, T)) []Scenario {
+	if len(vals) == 0 {
+		return cells
 	}
-	return RateOf(*p)
+	out := make([]Scenario, 0, len(cells)*len(vals))
+	for _, c := range cells {
+		for _, v := range vals {
+			cell := c
+			set(&cell, v)
+			out = append(out, cell)
+		}
+	}
+	return out
 }
 
 // SweepResult is the outcome of a sweep: the normalized spec, every
@@ -411,65 +355,42 @@ func (p *Pool) RunExpandedHooked(ctx context.Context, ex ExpandedSweep, h RunHoo
 // runSweep executes the expanded cells. Cluster cells flatten into one
 // pool-level job list (nesting Map calls would deadlock a saturated
 // pool); policy cells flatten into one job per (cell, policy) pair;
-// farm cells run one after another, each fanning its clusters out
-// across the pool per interval. Cells found in h.Completed are skipped:
-// the remaining cells run as a compact sub-sweep whose hooks are
-// remapped back to original expansion indices, and the checkpointed
-// results merge in before aggregation (a pure function of the full cell
-// slice, so a resumed sweep aggregates identically).
+// farm cells run one job each. Cells found in h.Completed fill their
+// slots up front and are not run: the rest run by expansion index and
+// write their results in place, so every hook sees expansion indices
+// and aggregation (a pure function of the full cell slice) matches an
+// uninterrupted run.
 func (p *Pool) runSweep(ctx context.Context, spec SweepSpec, cells []Scenario, h RunHooks) (SweepResult, error) {
-	full := make([]Result, len(cells))
-	pending := cells
-	pendingResults := full
-	var pmap []int // compact index → expansion index; nil means identity
-	if len(h.Completed) > 0 {
-		pending = nil
-		for ci := range cells {
-			if res, ok := h.Completed[ci]; ok {
-				full[ci] = res
-				continue
-			}
-			pending = append(pending, cells[ci])
-			pmap = append(pmap, ci)
+	results := make([]Result, len(cells))
+	pending := make([]int, 0, len(cells))
+	for ci := range cells {
+		if res, ok := h.Completed[ci]; ok {
+			results[ci] = res
+		} else {
+			pending = append(pending, ci)
 		}
-		pendingResults = make([]Result, len(pending))
-		orig := h
-		sub := RunHooks{}
-		if orig.Observe != nil {
-			sub.Observe = func(i int, st any) { orig.Observe(pmap[i], st) }
-		}
-		if orig.TracerFor != nil {
-			sub.TracerFor = func(i int) trace.Tracer { return orig.TracerFor(pmap[i]) }
-		}
-		if orig.CellDone != nil {
-			sub.CellDone = func(i int, res Result) { orig.CellDone(pmap[i], res) }
-		}
-		h = sub
 	}
 	var err error
 	switch spec.Kind {
 	case KindCluster:
-		err = p.runClusterCells(ctx, pending, pendingResults, h)
+		err = p.runClusterCells(ctx, cells, pending, results, h)
 	case KindFarm:
-		err = p.runFarmCells(ctx, pending, pendingResults, h)
+		err = p.runFarmCells(ctx, cells, pending, results, h)
 	case KindPolicy:
-		err = p.runPolicyCells(ctx, pending, pendingResults, h)
+		err = p.runPolicyCells(ctx, cells, pending, results, h)
 	}
 	if err != nil {
 		return SweepResult{}, err
 	}
-	for i, ci := range pmap {
-		full[ci] = pendingResults[i]
-	}
-	return SweepResult{Spec: spec, Cells: full, Aggregates: Aggregates(full)}, nil
+	return SweepResult{Spec: spec, Cells: results, Aggregates: Aggregates(results)}, nil
 }
 
-// runClusterCells flattens the cluster cells into one pool-level job
-// list: each cell's main run, followed by its always-on baseline when the
-// cell asks for a comparison. The baseline inherits the cell's churn so
-// the savings comparison stays apples-to-apples under failures; only the
-// main run is observed and traced.
-func (p *Pool) runClusterCells(ctx context.Context, cells []Scenario, results []Result, h RunHooks) error {
+// runClusterCells flattens the pending cluster cells into one
+// pool-level job list: each cell's main run, followed by its always-on
+// baseline when the cell asks for a comparison. The baseline inherits
+// the cell's churn so the savings comparison stays apples-to-apples
+// under failures; only the main run is observed and traced.
+func (p *Pool) runClusterCells(ctx context.Context, cells []Scenario, pending []int, results []Result, h RunHooks) error {
 	type job struct {
 		cell int
 		cfg  cluster.Config
@@ -479,10 +400,11 @@ func (p *Pool) runClusterCells(ctx context.Context, cells []Scenario, results []
 	// comparison, one otherwise. The worker that decrements a cell's
 	// counter to zero assembles the cell's Result and fires CellDone; the
 	// atomic decrement orders it after the other job's runs[] write.
+	// A baseline runs as the job right after its cell's main run.
 	mainJob := make([]int, len(cells))
-	baseJob := make([]int, len(cells))
 	remaining := make([]atomic.Int32, len(cells))
-	for ci, cell := range cells {
+	for _, ci := range pending {
+		cell := cells[ci]
 		band, err := ParseBand(cell.Band)
 		if err != nil {
 			return err
@@ -502,11 +424,10 @@ func (p *Pool) runClusterCells(ctx context.Context, cells []Scenario, results []
 		if h.TracerFor != nil {
 			cfg.Tracer = h.TracerFor(ci)
 		}
-		mainJob[ci], baseJob[ci] = len(jobs), -1
+		mainJob[ci] = len(jobs)
 		jobs = append(jobs, job{cell: ci, cfg: cfg})
 		remaining[ci].Store(1)
 		if cell.CompareBaseline {
-			baseJob[ci] = len(jobs)
 			jobs = append(jobs, job{cell: ci, cfg: base})
 			remaining[ci].Store(2)
 		}
@@ -532,8 +453,8 @@ func (p *Pool) runClusterCells(ctx context.Context, cells []Scenario, results []
 		res.Kind = cells[ci].Kind
 		res.Scenario = cells[ci]
 		res.Cluster = &main
-		if baseJob[ci] >= 0 {
-			res.AlwaysOnJoules = runs[baseJob[ci]].Energy
+		if cells[ci].CompareBaseline {
+			res.AlwaysOnJoules = runs[mainJob[ci]+1].Energy
 			res.JoulesSaved = res.AlwaysOnJoules - main.Energy
 			p.addSaved(res.JoulesSaved)
 		}
@@ -544,7 +465,7 @@ func (p *Pool) runClusterCells(ctx context.Context, cells []Scenario, results []
 	})
 }
 
-func (p *Pool) runPolicyCells(ctx context.Context, cells []Scenario, results []Result, h RunHooks) error {
+func (p *Pool) runPolicyCells(ctx context.Context, cells []Scenario, pending []int, results []Result, h RunHooks) error {
 	type job struct {
 		cell, pi int
 	}
@@ -552,7 +473,9 @@ func (p *Pool) runPolicyCells(ctx context.Context, cells []Scenario, results []R
 	pols := make([][]policy.Policy, len(cells))
 	cfgs := make([]policy.FarmConfig, len(cells))
 	rates := make([]workload.RateFunc, len(cells))
-	for ci, cell := range cells {
+	remaining := make([]atomic.Int32, len(cells))
+	for _, ci := range pending {
+		cell := cells[ci]
 		cfg := cell.farmConfig()
 		rate, err := workload.Profile(cell.Profile, cell.BaseRate, cell.PeakRate, cfg.Horizon)
 		if err != nil {
@@ -564,10 +487,7 @@ func (p *Pool) runPolicyCells(ctx context.Context, cells []Scenario, results []R
 		for pi := range pols[ci] {
 			jobs = append(jobs, job{cell: ci, pi: pi})
 		}
-	}
-	remaining := make([]atomic.Int32, len(cells))
-	for _, j := range jobs {
-		remaining[j.cell].Add(1)
+		remaining[ci].Store(int32(len(pols[ci])))
 	}
 	return p.Map(ctx, len(jobs), func(i int) error {
 		j := jobs[i]

@@ -387,36 +387,30 @@ func expandOutcome(t *testing.T, body string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No cell may share a churn pointer with the spec or with a cell of
-	// another parameter combination: a caller editing one cell's rate
-	// must not edit another's. The replications of one combination
-	// (group i/Replications) still share theirs.
+	// No cell may share a churn pointer with another cell or the spec:
+	// a caller editing one cell's rate must not edit another's.
 	sp := ex.Spec()
-	type owner struct {
-		who   string
-		group int
-	}
-	owners := map[*float64]owner{}
-	claim := func(p *float64, who string, group int) {
+	owner := map[*float64]string{}
+	claim := func(p *float64, who string) {
 		if p == nil {
 			return
 		}
-		if prev, ok := owners[p]; ok && (group < 0 || prev.group != group) {
-			t.Errorf("%s: %s shares a churn pointer with %s", body, who, prev.who)
+		if prev, ok := owner[p]; ok {
+			t.Errorf("%s: %s shares a churn pointer with %s", body, who, prev)
 		}
-		owners[p] = owner{who, group}
+		owner[p] = who
 	}
-	claim(sp.MTBF, "spec mtbf", -1)
-	claim(sp.MTTR, "spec mttr", -1)
+	claim(sp.MTBF, "spec mtbf")
+	claim(sp.MTTR, "spec mttr")
 	for i := range sp.MTBFs {
-		claim(&sp.MTBFs[i], "spec mtbfs", -1)
+		claim(&sp.MTBFs[i], "spec mtbfs")
 	}
 	for i := range sp.MTTRs {
-		claim(&sp.MTTRs[i], "spec mttrs", -1)
+		claim(&sp.MTTRs[i], "spec mttrs")
 	}
 	for i, c := range ex.Cells() {
-		claim(c.MTBF, fmt.Sprintf("cell %d mtbf", i), i/sp.Replications)
-		claim(c.MTTR, fmt.Sprintf("cell %d mttr", i), i/sp.Replications)
+		claim(c.MTBF, fmt.Sprintf("cell %d mtbf", i))
+		claim(c.MTTR, fmt.Sprintf("cell %d mttr", i))
 	}
 	return string(rawSpec) + "\n" + string(rawCells)
 }
