@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"ealb/internal/cluster"
 	"ealb/internal/farm"
@@ -232,6 +233,39 @@ func TestRejectsBadFlags(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%v: refused run wrote %q to stdout", args, stdout.String())
+		}
+	}
+}
+
+// TestRefusesNonFiniteRates: a NaN or infinite rate flag is refused
+// with the scenario check's message, never run (a NaN arrival rate used
+// to spin the farm's Poisson draw forever).
+func TestRefusesNonFiniteRates(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-clusters", "2", "-arrivals", "NaN"},
+			"ealb-sim: sweep cell 0: engine: farm scenario needs 0 <= arrival_rate <= 100000, got NaN\n"},
+		{[]string{"-clusters", "2", "-arrivals", "+Inf"},
+			"ealb-sim: sweep cell 0: engine: farm scenario needs 0 <= arrival_rate <= 100000, got +Inf\n"},
+		{[]string{"-mtbf", "NaN"},
+			"ealb-sim: sweep cell 0: engine: cluster scenario needs finite mtbf/mttr, got NaN/300\n"},
+		{[]string{"-clusters", "2", "-mtbf", "600", "-mttr", "Inf"},
+			"ealb-sim: sweep cell 0: engine: farm scenario needs finite mtbf/mttr, got 600/+Inf\n"},
+	} {
+		args := append([]string{"-size", "50", "-intervals", "2"}, tc.args...)
+		var stdout, stderr bytes.Buffer
+		code := make(chan int, 1)
+		go func() { code <- run(args, &stdout, &stderr) }()
+		select {
+		case c := <-code:
+			if c != 1 || stderr.String() != tc.want || stdout.Len() != 0 {
+				t.Errorf("%v: exit %d, stderr %q, stdout %q; want exit 1, stderr %q",
+					tc.args, c, stderr.String(), stdout.String(), tc.want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%v: still running after 10 s", tc.args)
 		}
 	}
 }

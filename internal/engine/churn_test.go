@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -294,5 +295,38 @@ func TestAggregateStdDevSemantics(t *testing.T) {
 	}
 	if st.Mean != stats.Mean(xs) {
 		t.Errorf("statOf Mean = %v, want %v", st.Mean, stats.Mean(xs))
+	}
+}
+
+// TestScenarioRefusesNonFiniteRates: NaN and infinite churn and arrival
+// rates are refused by Validate (NaN passes every `< 0` check), while a
+// finite out-of-range value keeps its message.
+func TestScenarioRefusesNonFiniteRates(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		s    Scenario
+		want string
+	}{
+		{Scenario{Kind: KindFarm, ArrivalRate: RateOf(nan)},
+			"engine: farm scenario needs 0 <= arrival_rate <= 100000, got NaN"},
+		{Scenario{Kind: KindFarm, ArrivalRate: RateOf(inf)},
+			"engine: farm scenario needs 0 <= arrival_rate <= 100000, got +Inf"},
+		{Scenario{Kind: KindFarm, ArrivalRate: RateOf(-1)},
+			"engine: farm scenario needs 0 <= arrival_rate <= 100000, got -1"},
+		{Scenario{Kind: KindCluster, MTBF: RateOf(nan)},
+			"engine: cluster scenario needs finite mtbf/mttr, got NaN/0"},
+		{Scenario{Kind: KindCluster, MTBF: RateOf(-inf)},
+			"engine: cluster scenario needs finite mtbf/mttr, got -Inf/0"},
+		{Scenario{Kind: KindFarm, MTBF: RateOf(600), MTTR: RateOf(nan)},
+			"engine: farm scenario needs finite mtbf/mttr, got 600/NaN"},
+		{Scenario{Kind: KindCluster, MTTR: RateOf(inf)},
+			"engine: cluster scenario needs finite mtbf/mttr, got 0/+Inf"},
+		{Scenario{Kind: KindCluster, MTBF: RateOf(-1)},
+			"engine: cluster scenario needs non-negative mtbf/mttr, got -1/0"},
+	} {
+		err := tc.s.Normalized().Validate()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%+v: Validate = %v, want %q", tc.s, err, tc.want)
+		}
 	}
 }

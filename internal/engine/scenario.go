@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -237,6 +238,9 @@ func (s Scenario) Validate() error {
 		if s.MTTR != nil {
 			mttr = *s.MTTR
 		}
+		if math.IsNaN(mtbf) || math.IsInf(mtbf, 0) || math.IsNaN(mttr) || math.IsInf(mttr, 0) {
+			return fmt.Errorf("engine: %s scenario needs finite mtbf/mttr, got %v/%v", s.Kind, mtbf, mttr)
+		}
 		if mtbf < 0 || mttr < 0 {
 			return fmt.Errorf("engine: %s scenario needs non-negative mtbf/mttr, got %v/%v", s.Kind, mtbf, mttr)
 		}
@@ -250,7 +254,8 @@ func (s Scenario) Validate() error {
 			if s.Clusters*s.Size > MaxScenarioSize {
 				return fmt.Errorf("engine: farm scenario needs clusters × size <= %d, got %d", MaxScenarioSize, s.Clusters*s.Size)
 			}
-			if s.ArrivalRate != nil && (*s.ArrivalRate < 0 || *s.ArrivalRate > MaxScenarioArrivalRate) {
+			// Written so NaN, which fails every comparison, is refused.
+			if s.ArrivalRate != nil && !(*s.ArrivalRate >= 0 && *s.ArrivalRate <= MaxScenarioArrivalRate) {
 				return fmt.Errorf("engine: farm scenario needs 0 <= arrival_rate <= %d, got %v", MaxScenarioArrivalRate, *s.ArrivalRate)
 			}
 			if _, err := farm.ParseDispatch(s.Dispatch); err != nil {

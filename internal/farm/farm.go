@@ -32,6 +32,7 @@ package farm
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"ealb/internal/cluster"
@@ -156,6 +157,9 @@ func (c Config) Validate() error {
 	}
 	if c.ArrivalRate < 0 {
 		return fmt.Errorf("farm: negative arrival rate %v", c.ArrivalRate)
+	}
+	if math.IsNaN(c.ArrivalRate) || math.IsInf(c.ArrivalRate, 0) {
+		return fmt.Errorf("farm: non-finite arrival rate %v", c.ArrivalRate)
 	}
 	switch c.Dispatch {
 	case DispatchRoundRobin, DispatchLeastLoaded, DispatchEnergyHeadroom:

@@ -3,6 +3,7 @@ package farm
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -183,6 +184,8 @@ func TestConfigValidation(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
 		"no clusters":      func(c *Config) { c.Clusters = 0 },
 		"negative rate":    func(c *Config) { c.ArrivalRate = -1 },
+		"NaN rate":         func(c *Config) { c.ArrivalRate = math.NaN() },
+		"infinite rate":    func(c *Config) { c.ArrivalRate = math.Inf(1) },
 		"bad dispatch":     func(c *Config) { c.Dispatch = DispatchPolicy(42) },
 		"bad cluster size": func(c *Config) { c.Cluster.Size = 1 },
 	} {
@@ -194,6 +197,13 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Error("zero config unexpectedly built")
+	}
+	// New refuses a NaN rate with Validate's message rather than spin in
+	// the front-end's Poisson draw.
+	nan := good
+	nan.ArrivalRate = math.NaN()
+	if _, err := New(nan); err == nil || err.Error() != "farm: non-finite arrival rate NaN" {
+		t.Errorf("New with a NaN arrival rate: %v", err)
 	}
 }
 
