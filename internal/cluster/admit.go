@@ -64,14 +64,8 @@ func (c *Cluster) Admit(demand units.Fraction) (server.ID, bool, error) {
 	if err := c.net.send(leaderNode, nodeID(dst.ID())); err != nil {
 		return 0, false, err
 	}
-	c.admitted++
 	if c.cfg.Tracer != nil {
 		c.emit(trace.Event{Kind: trace.KindAdmit, Src: -1, Dst: int(dst.ID()), App: int(a.ID), Demand: float64(demand), OK: true})
 	}
 	return dst.ID(), true, nil
 }
-
-// Admitted returns how many applications have been admitted into the
-// cluster after construction (Rebuild resets the count along with the
-// population).
-func (c *Cluster) Admitted() int { return c.admitted }

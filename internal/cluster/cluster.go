@@ -227,7 +227,6 @@ type Cluster struct {
 
 	migrationEnergy    units.Joules
 	intervalMigrations int
-	admitted           int
 	nextVMID           server.VMID
 
 	// failed tracks crashed servers (failure-injection extension),
@@ -311,7 +310,6 @@ func (c *Cluster) Rebuild(cfg Config) error {
 	c.interval = 0
 	c.migrationEnergy = 0
 	c.intervalMigrations = 0
-	c.admitted = 0
 	c.nextVMID = 1
 	c.failedCount = 0
 	c.failures = 0

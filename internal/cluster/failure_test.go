@@ -318,6 +318,14 @@ func TestAdmitAllFailedCluster(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	apps := func(c *Cluster) int {
+		n := 0
+		for _, s := range c.Servers() {
+			n += s.NumApps()
+		}
+		return n
+	}
+	before := apps(c)
 	id, ok, err := c.Admit(0.1)
 	if err != nil {
 		t.Fatalf("all-failed admission errored: %v", err)
@@ -325,8 +333,8 @@ func TestAdmitAllFailedCluster(t *testing.T) {
 	if ok {
 		t.Fatalf("all-failed cluster admitted onto server %d", id)
 	}
-	if c.Admitted() != 0 {
-		t.Errorf("admission counter moved on rejection: %d", c.Admitted())
+	if after := apps(c); after != before {
+		t.Errorf("app population moved on rejection: %d -> %d", before, after)
 	}
 
 	// Mixed dead cluster: sleepers plus failures, zero live servers.

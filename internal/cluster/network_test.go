@@ -112,26 +112,30 @@ func TestNetworkEnergyMatchesMessageCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	migrations := 0
+	migrations, admitted := 0, 0
 	for i := 0; i < 40; i++ {
 		sts, err := c.RunIntervals(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		migrations += sts[0].Migrations
-		if _, _, err := c.Admit(0.05); err != nil {
+		_, ok, err := c.Admit(0.05)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if ok {
+			admitted++
 		}
 	}
 	reports := rec.Events(trace.KindReport)
 	wakes := rec.Events(trace.KindWake)
-	if wakes == 0 || c.admitted == 0 || migrations == 0 {
-		t.Fatalf("scenario too quiet: %d wakes, %d admitted, %d migrations", wakes, c.admitted, migrations)
+	if wakes == 0 || admitted == 0 || migrations == 0 {
+		t.Fatalf("scenario too quiet: %d wakes, %d admitted, %d migrations", wakes, admitted, migrations)
 	}
-	hops := float64(reports) + float64(wakes) + float64(c.admitted) + 2*float64(migrations)
+	hops := float64(reports) + float64(wakes) + float64(admitted) + 2*float64(migrations)
 	want := controlMsgSize * float64(netEnergyPerByte) * hops
 	if got := float64(c.net.energy); math.Abs(got-want) > 1e-9*want {
 		t.Errorf("fabric traffic energy %v J, want %v J (%d reports, %d wakes, %d admitted, %d migrations)",
-			got, want, reports, wakes, c.admitted, migrations)
+			got, want, reports, wakes, admitted, migrations)
 	}
 }

@@ -90,6 +90,7 @@ func TestFarmChurnAggregates(t *testing.T) {
 func TestFarmChurnConservation(t *testing.T) {
 	cfg := churnConfig(2, 60, workload.LowLoad(), 19)
 	cfg.ArrivalRate = 4
+	admits := countAdmits(&cfg)
 	f := mustFarm(t, cfg)
 	seeded := 0
 	for _, c := range f.Clusters() {
@@ -101,13 +102,16 @@ func TestFarmChurnConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lost := 0
+	lost, dispatched := 0, 0
 	for _, st := range sts {
 		lost += st.AppsLost
+		dispatched += st.Dispatched
 	}
-	surviving, admitted := 0, 0
+	surviving, admitted := 0, admits.total()
+	if admitted != dispatched {
+		t.Fatalf("clusters admitted %d but the interval stream dispatched %d", admitted, dispatched)
+	}
 	for ci, c := range f.Clusters() {
-		admitted += c.Admitted()
 		for _, s := range c.Servers() {
 			if n := s.NumApps(); n > 0 && (c.Failed(s.ID()) || s.Sleeping()) {
 				t.Fatalf("cluster %d server %d hosts %d apps while failed/sleeping", ci, s.ID(), n)

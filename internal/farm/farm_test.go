@@ -7,7 +7,9 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
+	"ealb/internal/trace"
 	"ealb/internal/workload"
 )
 
@@ -37,6 +39,38 @@ func (r testRunner) Map(ctx context.Context, n int, fn func(i int) error) error 
 		}
 	}
 	return nil
+}
+
+// admitCounter is a test tracer that counts each cluster's successful
+// admissions: one OK admit event per application a cluster took in.
+// A traced farm advances its clusters serially, whatever its runner.
+type admitCounter struct {
+	mu     sync.Mutex
+	counts []int
+}
+
+func countAdmits(cfg *Config) *admitCounter {
+	a := &admitCounter{counts: make([]int, cfg.Clusters)}
+	cfg.Tracer = a
+	return a
+}
+
+func (a *admitCounter) Event(e trace.Event) {
+	if e.Kind == trace.KindAdmit && e.OK {
+		a.mu.Lock()
+		a.counts[e.Cluster]++
+		a.mu.Unlock()
+	}
+}
+
+func (a *admitCounter) Phase(trace.Phase, time.Duration) {}
+
+func (a *admitCounter) total() int {
+	n := 0
+	for _, c := range a.counts {
+		n += c
+	}
+	return n
 }
 
 func mustFarm(t *testing.T, cfg Config) *Farm {
@@ -117,6 +151,7 @@ func TestRebuildMatchesNew(t *testing.T) {
 func TestRoundRobinSpreadsArrivals(t *testing.T) {
 	cfg := DefaultConfig(4, 50, workload.LowLoad(), 5)
 	cfg.ArrivalRate = 6
+	admits := countAdmits(&cfg)
 	f := mustFarm(t, cfg)
 	sts, err := f.RunIntervals(context.Background(), 10, nil)
 	if err != nil {
@@ -133,9 +168,11 @@ func TestRoundRobinSpreadsArrivals(t *testing.T) {
 	if dispatched == 0 {
 		t.Fatal("no arrivals dispatched")
 	}
+	if admits.total() != dispatched {
+		t.Fatalf("dispatched %d but clusters admitted %d", dispatched, admits.total())
+	}
 	min, max := int(^uint(0)>>1), 0
-	for _, c := range f.Clusters() {
-		n := c.Admitted()
+	for _, n := range admits.counts {
 		if n < min {
 			min = n
 		}
@@ -154,15 +191,13 @@ func TestDispatchAccountingConsistent(t *testing.T) {
 	cfg := DefaultConfig(2, 60, workload.HighLoad(), 9)
 	cfg.Dispatch = DispatchLeastLoaded
 	cfg.ArrivalRate = 4
+	admits := countAdmits(&cfg)
 	f := mustFarm(t, cfg)
 	sts, err := f.RunIntervals(context.Background(), 15, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	admitted := 0
-	for _, c := range f.Clusters() {
-		admitted += c.Admitted()
-	}
+	admitted := admits.total()
 	var dispatched, rejected int
 	for _, st := range sts {
 		dispatched += st.Dispatched

@@ -25,6 +25,7 @@ func TestFarmConservation(t *testing.T) {
 			cfg := DefaultConfig(3, 70, workload.LowLoad(), seed)
 			cfg.Dispatch = dispatch
 			cfg.ArrivalRate = 5
+			admits := countAdmits(&cfg)
 			f := mustFarm(t, cfg)
 
 			before := 0
@@ -41,10 +42,9 @@ func TestFarmConservation(t *testing.T) {
 
 			seen := make(map[*server.App]struct{})
 			after := 0
-			admitted := 0
+			admitted := admits.total()
 			var appDemand, serverDemand float64
 			for ci, c := range f.Clusters() {
-				admitted += c.Admitted()
 				for _, s := range c.Servers() {
 					if s.Sleeping() && s.NumApps() != 0 {
 						t.Fatalf("dispatch %v seed %d: sleeping server %d of cluster %d hosts %d apps",

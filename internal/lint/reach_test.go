@@ -61,7 +61,6 @@ var reachKeep = map[string]string{
 	"ealb/internal/analytic.Model.OptimizedOps":    "the analytic tests pin the §4 optimized operations equation",
 
 	// Accessors the tests read state through.
-	"ealb/internal/cluster.Cluster.Admitted":     "the cluster and farm tests check admission counts",
 	"ealb/internal/cluster.Cluster.Interval":     "the cluster and leader tests check the interval counter",
 	"ealb/internal/cluster.Cluster.Failed":       "the fuzz, leader and ealb-sim tests check a server's failed flag",
 	"ealb/internal/farm.Farm.Interval":           "the farm tests check the interval counter",
