@@ -45,8 +45,7 @@ type FarmRun struct {
 func farmRegimes(f *farm.Farm) [5]int {
 	var out [5]int
 	for _, c := range f.Clusters() {
-		rc := c.RegimeCounts()
-		for i, n := range rc {
+		for i, n := range c.RegimeCounts() {
 			out[i] += n
 		}
 	}

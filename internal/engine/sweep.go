@@ -156,9 +156,6 @@ func (sp SweepSpec) Expand() (ExpandedSweep, error) {
 		if len(sp.Profiles) > 0 || len(sp.ServerCounts) > 0 {
 			return fail(fmt.Errorf(`engine: "profiles"/"server_counts" are policy axes; this is a %q sweep`, sp.Kind))
 		}
-		if sp.Kind == KindCluster && (len(sp.ClusterCounts) > 0 || len(sp.Dispatches) > 0) {
-			return fail(fmt.Errorf(`engine: "cluster_counts"/"dispatches" are farm axes; this is a %q sweep`, sp.Kind))
-		}
 		promote(&sp.Sizes, &sp.Scenario.Size)
 		promote(&sp.Bands, &sp.Scenario.Band)
 		promote(&sp.Sleeps, &sp.Scenario.Sleep)
@@ -174,14 +171,14 @@ func (sp SweepSpec) Expand() (ExpandedSweep, error) {
 		if len(sp.Sizes) > 0 || len(sp.Bands) > 0 || len(sp.Sleeps) > 0 || len(sp.MTBFs) > 0 || len(sp.MTTRs) > 0 {
 			return fail(fmt.Errorf(`engine: "sizes"/"bands"/"sleeps"/"mtbfs"/"mttrs" are cluster axes; this is a %q sweep`, sp.Kind))
 		}
-		if len(sp.ClusterCounts) > 0 || len(sp.Dispatches) > 0 {
-			return fail(fmt.Errorf(`engine: "cluster_counts"/"dispatches" are farm axes; this is a %q sweep`, sp.Kind))
-		}
 		promote(&sp.Profiles, &sp.Scenario.Profile)
 		promote(&sp.ServerCounts, &sp.Scenario.Servers)
 		perCellJobs = len(policy.StandardSet(nil))
 	default:
 		return fail(fmt.Errorf("engine: unknown scenario kind %q (want %q, %q or %q)", sp.Kind, KindCluster, KindPolicy, KindFarm))
+	}
+	if sp.Kind != KindFarm && (len(sp.ClusterCounts) > 0 || len(sp.Dispatches) > 0) {
+		return fail(fmt.Errorf(`engine: "cluster_counts"/"dispatches" are farm axes; this is a %q sweep`, sp.Kind))
 	}
 
 	// The job budget, checked by division before each multiplication so
@@ -189,10 +186,8 @@ func (sp SweepSpec) Expand() (ExpandedSweep, error) {
 	// overflow the product past the comparison.
 	jobs := perCellJobs
 	for _, factor := range []int{
-		len(sp.Seeds), len(sp.Sizes), len(sp.Bands), len(sp.Sleeps),
-		len(sp.MTBFs), len(sp.MTTRs),
-		len(sp.ClusterCounts), len(sp.Dispatches),
-		len(sp.Profiles), len(sp.ServerCounts), sp.Replications,
+		len(sp.Seeds), len(sp.Sizes), len(sp.Bands), len(sp.Sleeps), len(sp.MTBFs), len(sp.MTTRs),
+		len(sp.ClusterCounts), len(sp.Dispatches), len(sp.Profiles), len(sp.ServerCounts), sp.Replications,
 	} {
 		if factor == 0 {
 			continue
