@@ -420,9 +420,16 @@ func expandOutcome(t *testing.T, body string) string {
 // bodies to one digest, so a change to how the cross product is built
 // cannot move a cell, a default or an error message unnoticed.
 func TestExpandPinned(t *testing.T) {
-	const want = "e4e8b171cc0f1fe18501273aefb1c3cd42c6e660ede895f0d12523dcbc6d594e"
+	const want = "14e03a20c7dd156f654eb258f8ac935201939e91ef2ec810f775f8f38bc3ef1b"
+	// Where int has 32 bits this replication count does not decode, so
+	// its outcome depends on the platform; TestSweepExpandRejectsBadSpecs
+	// checks its refusal on each.
+	const platformDependent = `{"seeds":[1,2],"replications":4611686018427387904}`
 	h := sha256.New()
 	for _, body := range append(append([]string(nil), scenarioSpecSeeds...), expandPinBodies...) {
+		if body == platformDependent {
+			continue
+		}
 		out := expandOutcome(t, body)
 		fmt.Fprintf(h, "%s\n%s\n", body, out)
 	}
