@@ -45,7 +45,8 @@ type FarmRun struct {
 func farmRegimes(f *farm.Farm) [5]int {
 	var out [5]int
 	for _, c := range f.Clusters() {
-		for i, n := range c.RegimeCounts() {
+		rc := c.RegimeCounts()
+		for i, n := range rc {
 			out[i] += n
 		}
 	}

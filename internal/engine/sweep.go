@@ -186,8 +186,10 @@ func (sp SweepSpec) Expand() (ExpandedSweep, error) {
 	// overflow the product past the comparison.
 	jobs := perCellJobs
 	for _, factor := range []int{
-		len(sp.Seeds), len(sp.Sizes), len(sp.Bands), len(sp.Sleeps), len(sp.MTBFs), len(sp.MTTRs),
-		len(sp.ClusterCounts), len(sp.Dispatches), len(sp.Profiles), len(sp.ServerCounts), sp.Replications,
+		len(sp.Seeds), len(sp.Sizes), len(sp.Bands), len(sp.Sleeps),
+		len(sp.MTBFs), len(sp.MTTRs),
+		len(sp.ClusterCounts), len(sp.Dispatches),
+		len(sp.Profiles), len(sp.ServerCounts), sp.Replications,
 	} {
 		if factor == 0 {
 			continue
@@ -336,29 +338,19 @@ type RunHooks struct {
 // per-cell tracing, completion hooks and resumption from checkpointed
 // cells. It is the engine's one sweep executor: RunSweep, the service
 // and ealb-sim all end here.
+//
+// Cluster cells flatten into one pool-level job list (nesting Map calls
+// would deadlock a saturated pool); policy cells flatten into one job
+// per (cell, policy) pair; farm cells run one job each. Cells found in
+// h.Completed fill their slots up front and are not run: the rest run
+// by expansion index and write their results in place, so every hook
+// sees expansion indices and aggregation (a pure function of the full
+// cell slice) matches an uninterrupted run.
 func (p *Pool) RunExpandedHooked(ctx context.Context, ex ExpandedSweep, h RunHooks) (SweepResult, error) {
 	p.runsStarted.Add(1)
-	res, err := p.runSweep(ctx, ex.spec, ex.cells, h)
-	if err != nil {
-		p.runsFailed.Add(1)
-		return SweepResult{}, err
-	}
-	p.runsCompleted.Add(1)
-	return res, nil
-}
-
-// runSweep executes the expanded cells. Cluster cells flatten into one
-// pool-level job list (nesting Map calls would deadlock a saturated
-// pool); policy cells flatten into one job per (cell, policy) pair;
-// farm cells run one job each. Cells found in h.Completed fill their
-// slots up front and are not run: the rest run by expansion index and
-// write their results in place, so every hook sees expansion indices
-// and aggregation (a pure function of the full cell slice) matches an
-// uninterrupted run.
-func (p *Pool) runSweep(ctx context.Context, spec SweepSpec, cells []Scenario, h RunHooks) (SweepResult, error) {
-	results := make([]Result, len(cells))
-	pending := make([]int, 0, len(cells))
-	for ci := range cells {
+	results := make([]Result, len(ex.cells))
+	pending := make([]int, 0, len(ex.cells))
+	for ci := range ex.cells {
 		if res, ok := h.Completed[ci]; ok {
 			results[ci] = res
 		} else {
@@ -366,18 +358,20 @@ func (p *Pool) runSweep(ctx context.Context, spec SweepSpec, cells []Scenario, h
 		}
 	}
 	var err error
-	switch spec.Kind {
+	switch ex.spec.Kind {
 	case KindCluster:
-		err = p.runClusterCells(ctx, cells, pending, results, h)
+		err = p.runClusterCells(ctx, ex.cells, pending, results, h)
 	case KindFarm:
-		err = p.runFarmCells(ctx, cells, pending, results, h)
+		err = p.runFarmCells(ctx, ex.cells, pending, results, h)
 	case KindPolicy:
-		err = p.runPolicyCells(ctx, cells, pending, results, h)
+		err = p.runPolicyCells(ctx, ex.cells, pending, results, h)
 	}
 	if err != nil {
+		p.runsFailed.Add(1)
 		return SweepResult{}, err
 	}
-	return SweepResult{Spec: spec, Cells: results, Aggregates: Aggregates(results)}, nil
+	p.runsCompleted.Add(1)
+	return SweepResult{Spec: ex.spec, Cells: results, Aggregates: Aggregates(results)}, nil
 }
 
 // runClusterCells flattens the pending cluster cells into one
