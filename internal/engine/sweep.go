@@ -225,13 +225,12 @@ func (sp SweepSpec) Expand() (ExpandedSweep, error) {
 	}
 	cells = cross(cells, seeds, func(c *Scenario, v uint64) {
 		c.Seed = SeedOf(v)
-		// Every cell owns its churn rates: none aliases the spec's or
-		// another cell's.
-		if c.MTBF != nil {
-			c.MTBF = RateOf(*c.MTBF)
-		}
-		if c.MTTR != nil {
-			c.MTTR = RateOf(*c.MTTR)
+		// Every cell owns its rates: none aliases the spec's or another
+		// cell's.
+		for _, rate := range []**float64{&c.ArrivalRate, &c.MTBF, &c.MTTR} {
+			if *rate != nil {
+				*rate = RateOf(**rate)
+			}
 		}
 	})
 	for i := range cells {

@@ -387,8 +387,8 @@ func expandOutcome(t *testing.T, body string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No cell may share a churn pointer with another cell or the spec:
-	// a caller editing one cell's rate must not edit another's.
+	// No cell may share a rate pointer with another cell or the spec: a
+	// caller editing one cell's rate must not edit another's.
 	sp := ex.Spec()
 	owner := map[*float64]string{}
 	claim := func(p *float64, who string) {
@@ -396,10 +396,11 @@ func expandOutcome(t *testing.T, body string) string {
 			return
 		}
 		if prev, ok := owner[p]; ok {
-			t.Errorf("%s: %s shares a churn pointer with %s", body, who, prev)
+			t.Errorf("%s: %s shares a rate pointer with %s", body, who, prev)
 		}
 		owner[p] = who
 	}
+	claim(sp.ArrivalRate, "spec arrival_rate")
 	claim(sp.MTBF, "spec mtbf")
 	claim(sp.MTTR, "spec mttr")
 	for i := range sp.MTBFs {
@@ -409,6 +410,7 @@ func expandOutcome(t *testing.T, body string) string {
 		claim(&sp.MTTRs[i], "spec mttrs")
 	}
 	for i, c := range ex.Cells() {
+		claim(c.ArrivalRate, fmt.Sprintf("cell %d arrival_rate", i))
 		claim(c.MTBF, fmt.Sprintf("cell %d mtbf", i))
 		claim(c.MTTR, fmt.Sprintf("cell %d mttr", i))
 	}
