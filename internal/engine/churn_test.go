@@ -298,9 +298,11 @@ func TestAggregateStdDevSemantics(t *testing.T) {
 	}
 }
 
-// TestScenarioRefusesNonFiniteRates: NaN and infinite churn and arrival
-// rates are refused by Validate (NaN passes every `< 0` check), while a
-// finite out-of-range value keeps its message.
+// TestScenarioRefusesNonFiniteRates: NaN and infinite churn, arrival
+// and policy rates, and a NaN policy horizon, are refused by Validate
+// (NaN passes every `< 0` check; a NaN base rate would spin the policy
+// farm's Poisson draw forever), while a finite out-of-range value keeps
+// its message.
 func TestScenarioRefusesNonFiniteRates(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
@@ -323,6 +325,12 @@ func TestScenarioRefusesNonFiniteRates(t *testing.T) {
 			"engine: cluster scenario needs finite mtbf/mttr, got 0/+Inf"},
 		{Scenario{Kind: KindCluster, MTBF: RateOf(-1)},
 			"engine: cluster scenario needs non-negative mtbf/mttr, got -1/0"},
+		{Scenario{Kind: KindPolicy, BaseRate: nan},
+			"engine: policy scenario needs 0 <= base_rate, peak_rate <= 10000000, got NaN"},
+		{Scenario{Kind: KindPolicy, PeakRate: inf},
+			"engine: policy scenario needs 0 <= base_rate, peak_rate <= 10000000, got +Inf"},
+		{Scenario{Kind: KindPolicy, HorizonSeconds: nan},
+			"engine: policy scenario needs 0 <= horizon_seconds <= 2592000.000s"},
 	} {
 		err := tc.s.Normalized().Validate()
 		if err == nil || err.Error() != tc.want {

@@ -266,11 +266,12 @@ func (s Scenario) Validate() error {
 		if s.Servers < 0 || s.Servers > MaxScenarioServers {
 			return fmt.Errorf("engine: policy scenario needs 0 <= servers <= %d, got %d", MaxScenarioServers, s.Servers)
 		}
-		if s.HorizonSeconds < 0 || units.Seconds(s.HorizonSeconds) > MaxScenarioHorizon {
+		// Written, like the rate checks, so NaN is refused.
+		if !(s.HorizonSeconds >= 0 && units.Seconds(s.HorizonSeconds) <= MaxScenarioHorizon) {
 			return fmt.Errorf("engine: policy scenario needs 0 <= horizon_seconds <= %v", MaxScenarioHorizon)
 		}
 		for _, r := range []float64{s.BaseRate, s.PeakRate} {
-			if r < 0 || r > MaxScenarioRate {
+			if !(r >= 0 && r <= MaxScenarioRate) {
 				return fmt.Errorf("engine: policy scenario needs 0 <= base_rate, peak_rate <= %d, got %v", MaxScenarioRate, r)
 			}
 		}
