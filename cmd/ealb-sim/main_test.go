@@ -238,8 +238,8 @@ func TestRejectsBadFlags(t *testing.T) {
 }
 
 // TestRefusesNonFiniteRates: a NaN or infinite rate flag is refused
-// with the scenario check's message, never run (a NaN arrival rate used
-// to spin the farm's Poisson draw forever).
+// with the scenario check's message, never run: a NaN arrival rate
+// would spin the farm's Poisson draw forever.
 func TestRefusesNonFiniteRates(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
