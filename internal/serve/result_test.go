@@ -285,9 +285,16 @@ func TestUnreadableRecordedResult(t *testing.T) {
 		return raw
 	}
 	created := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	// stat is a single cluster result whose one interval stat holds v.
+	// The structural walker finds its Stats array whatever v is, so only
+	// the validator stands between an invalid v and the answers.
+	stat := func(v string) string {
+		return `{"kind":"cluster","cluster":{"Stats":[{"Index":1,"X":` + v + `}]}}`
+	}
 	cases := []struct {
 		name, result, reason string
 		single               bool
+		walkable             bool // statsOffsets finds every cell's Stats
 	}{
 		{name: "cells not an array", result: `{"cells":"oops"}`, reason: "cell 0 has no interval stats"},
 		{name: "second cell missing", result: `{"spec":{},"cells":[{"kind":"cluster","cluster":{"Stats":[{"Index":1}]}}],"aggregates":[]}`,
@@ -299,6 +306,16 @@ func TestUnreadableRecordedResult(t *testing.T) {
 		// Recover skips as corrupt (TestRecoverSkipsCorruptRecord).
 		{name: "not JSON", result: `{"kind":"cluster","cluster":}`, single: true, reason: "not valid JSON"},
 		{name: "empty", result: ``, single: true, reason: "not valid JSON"},
+		{name: "raw control byte", result: stat("\"a\x1fb\""), single: true, walkable: true, reason: "not valid JSON"},
+		{name: "unknown escape", result: stat(`"a\xb"`), single: true, walkable: true, reason: "not valid JSON"},
+		{name: "bad unicode escape", result: stat(`"\u12G4"`), single: true, walkable: true, reason: "not valid JSON"},
+		{name: "leading zero", result: stat(`01`), single: true, walkable: true, reason: "not valid JSON"},
+		{name: "no fraction digits", result: stat(`1.`), single: true, walkable: true, reason: "not valid JSON"},
+		{name: "lone minus", result: stat(`-`), single: true, walkable: true, reason: "not valid JSON"},
+		// The object, cluster, Stats and stat levels plus 9,997 arrays:
+		// one level past encoding/json's limit of 10,000.
+		{name: "nested 10001 deep", result: stat(strings.Repeat("[", 9997) + strings.Repeat("]", 9997)),
+			single: true, walkable: true, reason: "not valid JSON"},
 	}
 	for _, backend := range []string{"memory", "disk"} {
 		for _, tc := range cases {
@@ -318,6 +335,14 @@ func TestUnreadableRecordedResult(t *testing.T) {
 					Created: created, Started: &created, Finished: &created}
 				if tc.single {
 					rec.Spec = spec(`{"size":20,"intervals":2}`)
+				}
+				if tc.walkable {
+					if json.Valid(rec.Result) {
+						t.Fatal("result is valid JSON")
+					}
+					if _, err := statsOffsets(rec.Result, tc.single, 1); err != nil {
+						t.Fatalf("the walker does not accept the result: %v", err)
+					}
 				}
 				if backend == "disk" && tc.result != "" && !json.Valid(rec.Result) {
 					putRecordByHand(t, dir, rec)
