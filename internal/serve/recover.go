@@ -23,7 +23,7 @@ import (
 // executed; their streams serve the lines the shared store holds.
 //
 // A done run's recorded result is validated here, once, whatever the
-// store (checkResult's json.Valid); the disk store cuts the result out
+// store (checkResult's store.Valid); the disk store cuts the result out
 // of its record without scanning it. A result that fails is reported on
 // its run. Recover returns on the first store read error; individual
 // corrupt records — a record that does not decode (empty or torn by a

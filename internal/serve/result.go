@@ -120,10 +120,11 @@ func appendArray(dst []byte, vals [][]byte) []byte {
 
 // checkResult checks a recorded result Recover read back and returns
 // the offsets a streaming run's interval streams walk from (nil for
-// other runs). The result must be valid JSON, and each cell of a
-// streaming run must hold a Stats array.
+// other runs). The result must be valid JSON (store.Valid, which
+// accepts what json.Valid does), and each cell of a streaming run must
+// hold a Stats array.
 func checkResult(result []byte, single, streaming bool, cells int) ([]int, error) {
-	if !json.Valid(result) {
+	if !store.Valid(result) {
 		return nil, errors.New("not valid JSON")
 	}
 	if !streaming {

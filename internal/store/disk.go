@@ -142,7 +142,7 @@ func (d *Disk) getRunLocked(id string) (Record, bool, error) {
 
 // decodeRecord decodes a run.json record as json.Unmarshal does, without
 // scanning the result: a finished run's result is nearly all of its
-// record, and Recover validates it once (json.Valid) before serving it.
+// record, and Recover validates it once (Valid) before serving it.
 // The walker finds the last top-level member keyed exactly "result",
 // json.Unmarshal decodes the record without that member, and Result is
 // the member's value, a slice of raw. The result bytes of a record whose

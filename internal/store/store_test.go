@@ -591,7 +591,7 @@ func TestDiskConcurrentReservation(t *testing.T) {
 // FuzzDecodeRecord pins decodeRecord to json.Unmarshal: a record
 // json.Unmarshal decodes, decodeRecord decodes to the same Record; a
 // record json.Unmarshal rejects, decodeRecord rejects too or returns a
-// Result that is not valid JSON, which Recover's json.Valid then
+// Result that is not valid JSON, which Recover's Valid then
 // reports on the run.
 //
 //	go test ./internal/store -run '^$' -fuzz FuzzDecodeRecord -fuzztime 15s
