@@ -255,17 +255,23 @@ func promote[T any](list *[]T, scalar *T) {
 
 // cross applies one list axis to the cells built so far: every cell is
 // copied once per value, in value order, and set applied to the copy.
-// An empty list leaves the cells as they are.
+// An empty list leaves the cells as they are, and a one-value list is
+// set on them in place.
 func cross[T any](cells []Scenario, vals []T, set func(*Scenario, T)) []Scenario {
-	if len(vals) == 0 {
+	switch len(vals) {
+	case 0:
+		return cells
+	case 1:
+		for i := range cells {
+			set(&cells[i], vals[0])
+		}
 		return cells
 	}
 	out := make([]Scenario, 0, len(cells)*len(vals))
 	for _, c := range cells {
 		for _, v := range vals {
-			cell := c
-			set(&cell, v)
-			out = append(out, cell)
+			out = append(out, c)
+			set(&out[len(out)-1], v)
 		}
 	}
 	return out
