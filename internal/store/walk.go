@@ -158,10 +158,7 @@ func Valid(b []byte) bool {
 		// Past a value: close the levels that end here, up to the next
 		// value or the end of b.
 		for {
-			if i < len(b) && space[b[i]] {
-				i = skipSpace(b, i)
-			}
-			if depth == 0 {
+			if i = skipSpace(b, i); depth == 0 {
 				return i == len(b)
 			}
 			if i >= len(b) {
