@@ -32,6 +32,7 @@ func (c *Cluster) Admit(demand units.Fraction) (server.ID, bool, error) {
 	if demand <= 0 || demand > 1 {
 		return 0, false, fmt.Errorf("cluster: admission demand %v outside (0,1]", demand)
 	}
+	c.endEnergyOK = false
 	dst := c.findAcceptor(demand, nil, acceptToOptHigh)
 	if dst == nil {
 		// Emergency placement, like failure re-placement: a full cluster

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"context"
 	"testing"
+	"time"
 	"unsafe"
 
 	"ealb/internal/server"
+	"ealb/internal/trace"
 	"ealb/internal/workload"
 )
 
@@ -51,18 +54,57 @@ func TestArenaResetAllocFree(t *testing.T) {
 	}
 }
 
-// TestServerFootprint pins the flat server layout: a server value fits
-// in three cache lines on 64-bit builds, and re-seeding a cluster in
-// place allocates nothing per server, so a same-size Rebuild costs the
-// same number of allocations at every size.
-func TestServerFootprint(t *testing.T) {
+// planPeek calls fn at the end of every plan phase, while the plan and
+// its view are still populated.
+type planPeek func()
+
+func (planPeek) Event(trace.Event) {}
+
+func (fn planPeek) Phase(p trace.Phase, _ time.Duration) {
+	if p == trace.PhasePlan {
+		fn()
+	}
+}
+
+// TestFootprint pins the bytes the interval walks per app and per
+// server on 64-bit builds, and checks that the leader's plan view keeps
+// storage for no more servers than the largest single plan touched,
+// not for every server some plan ever touched.
+func TestFootprint(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) == 8 {
-		if size := unsafe.Sizeof(server.Server{}); size > 192 {
-			t.Errorf("server.Server is %d bytes, want at most 192", size)
+		if size := unsafe.Sizeof(server.App{}); size != 48 {
+			t.Errorf("server.App is %d bytes, want 48", size)
+		}
+		if size := unsafe.Sizeof(server.Server{}); size != 152 {
+			t.Errorf("server.Server is %d bytes, want 152", size)
 		}
 	} else {
-		t.Logf("pointer size %d: the 64-bit size bound does not apply", unsafe.Sizeof(uintptr(0)))
+		t.Logf("pointer size %d: the 64-bit sizes do not apply", unsafe.Sizeof(uintptr(0)))
 	}
+
+	cfg := DefaultConfig(1000, workload.LowLoad(), 1)
+	var c *Cluster
+	largest := 0
+	cfg.Tracer = planPeek(func() { largest = max(largest, len(c.leader.touched)) })
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunIntervals(context.Background(), 50); err != nil {
+		t.Fatal(err)
+	}
+	if largest == 0 {
+		t.Fatal("no plan touched a server; the test shows nothing")
+	}
+	if got := len(c.leader.viewApps); got > largest {
+		t.Errorf("the plan view keeps %d app lists, but no plan touched more than %d servers", got, largest)
+	}
+}
+
+// TestServerFootprint: re-seeding a cluster in place allocates nothing
+// per server, so a same-size Rebuild costs the same number of
+// allocations at every size. TestFootprint pins the server's size.
+func TestServerFootprint(t *testing.T) {
 	rebuildAllocs := func(size int) float64 {
 		cfg := DefaultConfig(size, workload.LowLoad(), 1)
 		c, err := New(cfg)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"ealb/internal/trace"
@@ -114,17 +115,30 @@ func BenchmarkClusterIntervalsChurn(b *testing.B) {
 
 // BenchmarkClusterConstruction measures building and populating clusters
 // from scratch — the per-cell cost a sweep pays without the engine's
-// arena reuse.
+// arena reuse. Its heap-B/server metric is the live heap one built
+// cluster holds, per server: the set-up footprint behind perfbench's
+// cluster-100k setup_rss_mb, without the benchmark module.
 func BenchmarkClusterConstruction(b *testing.B) {
-	for _, size := range []int{100, 1000} {
+	for _, size := range []int{100, 1000, 100000} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
 			cfg := DefaultConfig(size, workload.LowLoad(), 1)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
 			b.ReportAllocs()
+			b.ResetTimer()
+			var c *Cluster
 			for i := 0; i < b.N; i++ {
-				if _, err := New(cfg); err != nil {
+				var err error
+				if c, err = New(cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(c)
+			b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(size), "heap-B/server")
 		})
 	}
 }

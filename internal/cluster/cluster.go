@@ -229,6 +229,13 @@ type Cluster struct {
 	intervalMigrations int
 	nextVMID           server.VMID
 
+	// endEnergy is TotalEnergy at the end of the last interval, which
+	// the next interval takes as its start sum while endEnergyOK holds.
+	// Between intervals only FailServer and Admit can charge energy;
+	// they, Repair, Rebuild and applyBalance clear endEnergyOK.
+	endEnergy   units.Joules
+	endEnergyOK bool
+
 	// failed tracks crashed servers (failure-injection extension),
 	// densely indexed by server ID.
 	failed      []bool
@@ -310,6 +317,7 @@ func (c *Cluster) Rebuild(cfg Config) error {
 	c.interval = 0
 	c.migrationEnergy = 0
 	c.intervalMigrations = 0
+	c.endEnergyOK = false
 	c.nextVMID = 1
 	c.failedCount = 0
 	c.failures = 0

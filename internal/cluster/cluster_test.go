@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -340,6 +341,64 @@ func TestClockAndEnergyAdvance(t *testing.T) {
 		if s.EndTime != units.Seconds(i+1)*Tau {
 			t.Errorf("interval %d end time %v", i, s.EndTime)
 		}
+	}
+}
+
+// TestIntervalEnergyAfterMutators: an interval takes the last
+// interval's end energy as its start sum, so each public mutator that
+// may run between intervals must drop that cached sum. The next
+// IntervalEnergy must then be, bit for bit, the end sum minus a
+// TotalEnergy read just before the interval.
+func TestIntervalEnergyAfterMutators(t *testing.T) {
+	const victim server.ID = 3
+	for _, tc := range []struct {
+		name    string
+		charges bool // the mutator changes TotalEnergy
+		mutate  func(c *Cluster) error
+	}{
+		{"none", false, func(*Cluster) error { return nil }},
+		{"FailServer", true, func(c *Cluster) error {
+			replaced, _, err := c.FailServer(victim)
+			if err == nil && replaced == 0 {
+				err = fmt.Errorf("server %d had nothing to re-place", victim)
+			}
+			return err
+		}},
+		{"Repair", false, func(c *Cluster) error { return c.Repair(victim) }},
+		{"Admit", true, func(c *Cluster) error {
+			_, ok, err := c.Admit(0.1)
+			if err == nil && !ok {
+				err = fmt.Errorf("admission refused")
+			}
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := mustCluster(t, 60, workload.HighLoad(), 7)
+			if tc.name == "Repair" {
+				if _, _, err := c.FailServer(victim); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := c.RunIntervals(context.Background(), 2); err != nil {
+				t.Fatal(err)
+			}
+			end := c.TotalEnergy()
+			if err := tc.mutate(c); err != nil {
+				t.Fatal(err)
+			}
+			e := c.TotalEnergy()
+			if tc.charges && e == end {
+				t.Fatalf("%s charged no energy; the test shows nothing", tc.name)
+			}
+			sts, err := c.RunIntervals(context.Background(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := sts[0].IntervalEnergy, c.TotalEnergy()-e; got != want {
+				t.Errorf("IntervalEnergy = %v, want %v (end sum minus the total before the interval)", got, want)
+			}
+		})
 	}
 }
 

@@ -37,6 +37,7 @@ func (c *Cluster) FailServer(id server.ID) (replaced, lost int, err error) {
 	if err := s.Crash(c.now); err != nil {
 		return 0, 0, err
 	}
+	c.endEnergyOK = false
 	c.failed[id] = true
 	c.failedCount++
 	c.failures++
@@ -98,6 +99,7 @@ func (c *Cluster) Repair(id server.ID) error {
 	if err := s.SkipTo(c.now); err != nil {
 		return err
 	}
+	c.endEnergyOK = false
 	c.failed[id] = false
 	c.failedCount--
 	c.repairs++

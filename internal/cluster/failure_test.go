@@ -399,6 +399,9 @@ func (c *Cluster) syncServer(id server.ID) error {
 	}
 	ix.markDirty(id)
 	c.flushIndex()
+	// A sleep entry may charge transition energy behind the cluster's
+	// back too.
+	c.endEnergyOK = false
 	return nil
 }
 

@@ -8,9 +8,9 @@ package cluster
 // ordered action list without mutating any server, VM, ledger, or network
 // state. Decisions that depend on the loads earlier decisions will have
 // produced (an acceptor filling up, a relief donor draining) read them
-// through a projected-load view: a dense, server-ID-indexed overlay over
-// the incremental index (index.go) that tracks the planned placement
-// changes.
+// through a projected-load view: an overlay over the incremental index
+// (index.go) that tracks the planned placement changes, holding a working
+// app list only for the servers the plan touches.
 //
 // The plan step never dereferences a *server.Server for load, regime,
 // capacity, or sleep state: those live in the index's structure-of-arrays
@@ -37,10 +37,10 @@ package cluster
 //     the historical ID-order scans produced.
 //
 // All plan state lives in leaderState, owned by the Cluster and reused
-// across intervals: dense slices indexed by server ID replace the
-// per-interval map and slice allocations of the historical
-// implementation, which is what makes the steady-state interval loop
-// allocation-free.
+// across intervals: dense slices indexed by server ID (and the view's
+// slot-indexed lists) replace the per-interval map and slice allocations
+// of the historical implementation, which is what makes the steady-state
+// interval loop allocation-free.
 
 import (
 	"slices"
@@ -106,11 +106,14 @@ type leaderState struct {
 
 	// Projected-load view. A server is "touched" once a planned move
 	// involves it; from then on its working app list and raw demand sum
-	// live here. touched lists the IDs to reset in O(touched).
-	viewTouched []bool
-	viewApps    [][]server.Hosted
-	viewRaw     []units.Fraction
-	touched     []server.ID
+	// live here, in the slot viewSlot gives it (noPos while untouched).
+	// touched lists the touched IDs in slot order, to reset in
+	// O(touched). viewApps and viewRaw are indexed by slot, so their
+	// retained capacity is bounded by the largest plan, not the fleet.
+	viewSlot []int32
+	viewApps [][]server.Hosted
+	viewRaw  []units.Fraction
+	touched  []server.ID
 
 	// Planned wake/sleep markers (dense), with their reset list.
 	plannedSleep []bool
@@ -231,23 +234,19 @@ func resize[T any](s []T, n int) []T {
 // it — the Rebuild path. Scratch capacity is retained.
 func (ls *leaderState) init(n int) {
 	ls.r4Streak = resize(ls.r4Streak, n)
-	ls.viewTouched = resize(ls.viewTouched, n)
-	ls.viewRaw = resize(ls.viewRaw, n)
+	ls.viewSlot = resize(ls.viewSlot, n)
 	ls.plannedSleep = resize(ls.plannedSleep, n)
 	ls.plannedWake = resize(ls.plannedWake, n)
 	ls.projected = resize(ls.projected, n)
 	ls.acceptorSel.key = resize(ls.acceptorSel.key, n)
 	ls.consolSel.key = resize(ls.consolSel.key, n)
 	clear(ls.r4Streak)
-	clear(ls.viewTouched)
-	clear(ls.viewRaw)
+	for i := range ls.viewSlot {
+		ls.viewSlot[i] = noPos
+	}
 	clear(ls.plannedSleep)
 	clear(ls.plannedWake)
 	clear(ls.projected)
-	ls.viewApps = resize(ls.viewApps, n)
-	for i := range ls.viewApps {
-		ls.viewApps[i] = ls.viewApps[i][:0]
-	}
 	ls.touched = ls.touched[:0]
 	ls.planned = ls.planned[:0]
 	ls.projTouched = ls.projTouched[:0]
@@ -267,8 +266,7 @@ func (ls *leaderState) init(n int) {
 // projection is empty and every plan-side read equals the live index.
 func (ls *leaderState) resetPlan() {
 	for _, id := range ls.touched {
-		ls.viewTouched[id] = false
-		ls.viewApps[id] = ls.viewApps[id][:0]
+		ls.viewSlot[id] = noPos
 	}
 	ls.touched = ls.touched[:0]
 	for _, id := range ls.planned {
@@ -292,18 +290,26 @@ func rawSum(hs []server.Hosted) units.Fraction {
 
 // planTouch materializes the working copy of id's hosted list on first
 // contact with the plan — the only plan-side read that follows the
-// server pointer (the app list lives there).
+// server pointer (the app list lives there) — and returns id's view
+// slot. Slots are handed out in touch order; a slot's app list keeps
+// its backing array from earlier plans.
 //
 //ealb:pure
-func (c *Cluster) planTouch(id server.ID) {
+func (c *Cluster) planTouch(id server.ID) int32 {
 	ls := &c.leader
-	if ls.viewTouched[id] {
-		return
+	if slot := ls.viewSlot[id]; slot != noPos {
+		return slot
 	}
-	ls.viewTouched[id] = true
+	slot := int32(len(ls.touched))
+	ls.viewSlot[id] = slot
 	ls.touched = append(ls.touched, id)
-	ls.viewApps[id] = c.servers[id].AppendHosted(ls.viewApps[id][:0])
-	ls.viewRaw[id] = rawSum(ls.viewApps[id])
+	if int(slot) == len(ls.viewApps) {
+		ls.viewApps = append(ls.viewApps, nil)
+		ls.viewRaw = append(ls.viewRaw, 0)
+	}
+	ls.viewApps[slot] = c.servers[id].AppendHosted(ls.viewApps[slot][:0])
+	ls.viewRaw[slot] = rawSum(ls.viewApps[slot])
+	return slot
 }
 
 // planLoad returns id's load as the plan's moves so far would leave it:
@@ -311,8 +317,8 @@ func (c *Cluster) planTouch(id server.ID) {
 //
 //ealb:pure
 func (c *Cluster) planLoad(id server.ID) units.Fraction {
-	if c.leader.viewTouched[id] {
-		return c.leader.viewRaw[id].Clamp()
+	if slot := c.leader.viewSlot[id]; slot != noPos {
+		return c.leader.viewRaw[slot].Clamp()
 	}
 	return c.idx.load[id]
 }
@@ -349,8 +355,8 @@ func (c *Cluster) planActive(id server.ID) bool {
 //ealb:pure
 func (c *Cluster) planAppsByDemand(id server.ID) []server.Hosted {
 	ls := &c.leader
-	if ls.viewTouched[id] {
-		ls.appsScratch = append(ls.appsScratch[:0], ls.viewApps[id]...)
+	if slot := ls.viewSlot[id]; slot != noPos {
+		ls.appsScratch = append(ls.appsScratch[:0], ls.viewApps[slot]...)
 	} else {
 		ls.appsScratch = c.servers[id].AppendHosted(ls.appsScratch[:0])
 	}
@@ -366,20 +372,20 @@ func (c *Cluster) planAppsByDemand(id server.ID) []server.Hosted {
 //
 //ealb:pure
 func (c *Cluster) planMove(src, dst server.ID, h server.Hosted) {
-	c.planTouch(src)
-	c.planTouch(dst)
+	from := c.planTouch(src)
+	to := c.planTouch(dst)
 	ls := &c.leader
-	apps := ls.viewApps[src]
+	apps := ls.viewApps[from]
 	for i := range apps {
 		if apps[i].App.ID == h.App.ID {
 			apps = append(apps[:i], apps[i+1:]...)
 			break
 		}
 	}
-	ls.viewApps[src] = apps
-	ls.viewRaw[src] = rawSum(apps)
-	ls.viewApps[dst] = append(ls.viewApps[dst], h)
-	ls.viewRaw[dst] += h.App.Demand
+	ls.viewApps[from] = apps
+	ls.viewRaw[from] = rawSum(apps)
+	ls.viewApps[to] = append(ls.viewApps[to], h)
+	ls.viewRaw[to] += h.App.Demand
 	ls.plan.actions = append(ls.plan.actions, action{
 		kind: actMove, src: src, dst: dst, app: h.App.ID,
 	})

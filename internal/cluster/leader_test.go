@@ -61,9 +61,12 @@ func TestPlanBalanceIsPure(t *testing.T) {
 	// its server in the projection, and every move's app exists on its
 	// planned source at apply time (applying must succeed).
 	for _, a := range plan.actions {
-		if a.kind == actSleep && len(planned.leader.viewApps[a.src]) != 0 {
+		if a.kind != actSleep {
+			continue
+		}
+		if slot := planned.leader.viewSlot[a.src]; slot != noPos && len(planned.leader.viewApps[slot]) != 0 {
 			t.Errorf("planned sleep of server %d with %d apps left in projection",
-				a.src, len(planned.leader.viewApps[a.src]))
+				a.src, len(planned.leader.viewApps[slot]))
 		}
 	}
 	if err := planned.applyBalance(plan); err != nil {

@@ -118,9 +118,14 @@ func (c *Cluster) RunIntervals(ctx context.Context, n int) ([]IntervalStats, err
 // now: account energy, evolve demand (handling growth), run the leader
 // protocol (plan, then apply), and collect statistics. The regime, load,
 // SLA and §4 cost statistics are read from the flushed index; only the
-// energy account walks the servers.
+// energy account walks the servers. The start energy is the last
+// interval's end sum unless something charged energy since.
 func (c *Cluster) runInterval(now units.Seconds) (IntervalStats, error) {
-	e0 := c.TotalEnergy()
+	e0 := c.endEnergy
+	if !c.endEnergyOK {
+		e0 = c.TotalEnergy()
+	}
+	c.endEnergyOK = false
 	c.now = now
 	c.interval++
 
@@ -171,19 +176,9 @@ func (c *Cluster) runInterval(now units.Seconds) (IntervalStats, error) {
 		return IntervalStats{}, err
 	}
 
-	// Update the R4 streak for the hysteresis rule, reading the
-	// reconciled index (post-apply regimes equal the live ones).
+	// Everything below reads the reconciled index (post-apply regimes
+	// equal the live ones).
 	c.flushIndex()
-	ls := &c.leader
-	ix := &c.idx
-	for i := range c.servers {
-		if c.activeID(server.ID(i)) && ix.reg[i] == server.R4 {
-			ls.r4Streak[i]++
-		} else {
-			ls.r4Streak[i] = 0
-		}
-	}
-
 	st := IntervalStats{
 		Index:        c.interval,
 		EndTime:      c.now,
@@ -201,26 +196,35 @@ func (c *Cluster) runInterval(now units.Seconds) (IntervalStats, error) {
 		avail := float64(c.cfg.Size-c.failedCount) / float64(c.cfg.Size)
 		st.Availability = &avail
 	}
-	for i := range c.servers {
-		if !ix.sleeping[i] && ix.raw[i] > 1+1e-9 {
-			st.SLAViolations++
-		}
-	}
 	st.Decisions = c.decisions
 	c.decisions = Counts{}
 	st.Ratio = st.Decisions.ratio()
 	st.Migrations = c.intervalMigrations
 	c.intervalMigrations = 0
-	st.IntervalEnergy = c.TotalEnergy() - e0
+	c.endEnergy = c.TotalEnergy()
+	c.endEnergyOK = true
+	st.IntervalEnergy = c.endEnergy - e0
 
-	// The §4 end-of-interval cost evaluations (q_k, p_k, j_k), averaged
-	// over the active fleet in server-ID order: q_k from the index's q
+	// One pass in server-ID order: the R4 streak for the hysteresis rule,
+	// the SLA count, and the §4 end-of-interval cost evaluations (q_k,
+	// p_k, j_k) averaged over the active fleet — q_k from the index's q
 	// column (each server's own QCost), p_k the constant, and j_k from
 	// the flushed regime.
+	ls := &c.leader
+	ix := &c.idx
 	var q, p, j float64
 	n := 0
-	for i := range ix.q {
-		if !c.activeID(server.ID(i)) {
+	for i := range c.servers {
+		active := c.activeID(server.ID(i))
+		if active && ix.reg[i] == server.R4 {
+			ls.r4Streak[i]++
+		} else {
+			ls.r4Streak[i] = 0
+		}
+		if !ix.sleeping[i] && ix.raw[i] > 1+1e-9 {
+			st.SLAViolations++
+		}
+		if !active {
 			continue
 		}
 		q += float64(ix.q[i])
@@ -467,6 +471,9 @@ func (c *Cluster) emit(e trace.Event) {
 //
 //ealb:hotpath
 func (c *Cluster) applyBalance(plan *balancePlan) error {
+	// Applying charges energy; a caller driving it between intervals
+	// must not leave the cached end-of-interval sum standing.
+	c.endEnergyOK = false
 	tr := c.cfg.Tracer
 	for _, a := range plan.actions {
 		switch a.kind {

@@ -25,9 +25,6 @@ type App struct {
 	Demand units.Fraction
 	// lambda bounds the demand increase in one reallocation interval.
 	lambda units.Fraction
-	// minDemand floors the demand so an application never evaporates
-	// entirely (a stopped app is removed instead).
-	minDemand units.Fraction
 	// reserved is the CPU share currently reserved for the application's
 	// VM on its host. Demand fluctuating under the reservation costs
 	// nothing; outgrowing it requires a vertical scaling action (a local
@@ -41,10 +38,18 @@ type App struct {
 	// reversion a bounded random walk drifts to the middle of [0,1] and
 	// the cluster load inflates unrealistically over a 40-interval run.
 	base units.Fraction
+}
+
+// The demand-process constants every application shares (DESIGN.md,
+// "Model constants").
+const (
+	// minDemand floors the demand so an application never evaporates
+	// entirely (a stopped app is removed instead).
+	minDemand units.Fraction = 0.01
 	// reversion is the mean-reversion strength κ: each Evolve step pulls
 	// demand toward base by κ·(base−Demand).
-	reversion float64
-}
+	reversion = 0.15
+)
 
 // initApp validates and initializes an App value in place, so
 // simulations can recycle App storage across rebuilds. Every field is
@@ -56,7 +61,7 @@ func initApp(a *App, id AppID, demand, lambda units.Fraction) error {
 	if !lambda.Valid() || lambda == 0 {
 		return fmt.Errorf("app %d: lambda %v outside (0,1]", id, lambda)
 	}
-	*a = App{ID: id, Demand: demand, lambda: lambda, minDemand: 0.01, reserved: demand, base: demand, reversion: 0.15}
+	*a = App{ID: id, Demand: demand, lambda: lambda, reserved: demand, base: demand}
 	return nil
 }
 
@@ -106,7 +111,7 @@ func (a *App) VerticalScale(quantum units.Fraction) units.Fraction {
 // [minDemand, 1]. It returns the signed change actually applied.
 func (a *App) Evolve(rng *xrand.Rand) units.Fraction {
 	step := units.Fraction(rng.Uniform(-float64(a.lambda), float64(a.lambda)) +
-		a.reversion*float64(a.base-a.Demand))
+		reversion*float64(a.base-a.Demand))
 	// The paper's bound applies to increases; clamp the step so a single
 	// interval can never add more than λ.
 	if step > a.lambda {
@@ -114,8 +119,8 @@ func (a *App) Evolve(rng *xrand.Rand) units.Fraction {
 	}
 	before := a.Demand
 	next := a.Demand + step
-	if next < a.minDemand {
-		next = a.minDemand
+	if next < minDemand {
+		next = minDemand
 	}
 	if next > 1 {
 		next = 1
@@ -146,7 +151,7 @@ func (a *App) VerticalShrink(quantum units.Fraction) units.Fraction {
 // and the reservation all move to the new level; the caller re-provisions
 // slack afterwards.
 func (a *App) Reset(demand units.Fraction) error {
-	if !demand.Valid() || demand < a.minDemand {
+	if !demand.Valid() || demand < minDemand {
 		return fmt.Errorf("app %d: reset demand %v invalid", a.ID, demand)
 	}
 	a.Demand = demand

@@ -38,7 +38,7 @@ func TestEvolveBoundedByLambda(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		before := a.Demand
 		delta := a.Evolve(rng)
-		if a.Demand < a.minDemand || a.Demand > 1 {
+		if a.Demand < minDemand || a.Demand > 1 {
 			t.Fatalf("demand %v escaped [min,1]", a.Demand)
 		}
 		// The increase bound is the paper's λ constraint; decreases can
@@ -101,7 +101,7 @@ func TestEvolveFloorsAtMinDemand(t *testing.T) {
 	a.base = 0 // reversion pulls downward, so steps keep pushing below the floor
 	for i := 0; i < 100; i++ {
 		a.Evolve(rng)
-		if a.Demand < a.minDemand {
+		if a.Demand < minDemand {
 			t.Fatalf("demand fell below floor: %v", a.Demand)
 		}
 	}
@@ -196,7 +196,7 @@ func TestInitAppOverwrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirty := App{ID: 99, Demand: 0.9, reserved: 1, slack: 0.5, base: 0.9, reversion: 9}
+	dirty := App{ID: 99, Demand: 0.9, reserved: 1, slack: 0.5, base: 0.9, lambda: 9}
 	if err := initApp(&dirty, 7, 0.3, 0.02); err != nil {
 		t.Fatal(err)
 	}

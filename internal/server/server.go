@@ -64,16 +64,16 @@ type Server struct {
 	raw   units.Fraction
 	rawOK bool
 
-	// qVM/qShare/qCost cache the live-migration cost of the last q_k
-	// pricing. LiveMigrationCost is a pure function of the VM's
-	// (CPUShare, Memory, DirtyRate) and the migration params, which the
-	// caller keeps fixed between Resets; Memory and DirtyRate are
-	// immutable and CPUShare changes only when the VM actually migrates,
-	// so pricing the same VM at the same share reuses the previous
-	// result even after demand evolution moved the rest of the server.
-	qVM    *VM
-	qShare units.Fraction
-	qCost  units.Joules
+	// qVM/qCost cache the live-migration cost of the last q_k pricing,
+	// keyed by the VM pointer alone. LiveMigrationCost is a pure function
+	// of the VM and the migration params, which the caller keeps fixed
+	// between Resets. A hosted VM is never rewritten in place (the
+	// cluster sets CPUShare only while the VM moves, just before Place),
+	// so Place clears the cache when it receives qVM, and pricing the
+	// same VM again reuses the previous result even after demand
+	// evolution moved the rest of the server.
+	qVM   *VM
+	qCost units.Joules
 
 	energy      units.Joules
 	lastAccount units.Seconds
@@ -207,6 +207,11 @@ func (s *Server) Place(h Hosted, now units.Seconds) error {
 		}
 	}
 	s.hosted = append(s.hosted, h)
+	if h.VM == s.qVM {
+		// The VM left and came back, with its CPUShare possibly
+		// rewritten on the way.
+		s.qVM = nil
+	}
 	if s.rawOK {
 		// Appending a term to a left-to-right float sum extends it
 		// exactly: raw + demand is bit-identical to recomputing the
@@ -323,8 +328,9 @@ const PCost units.Joules = 0.5
 // next interval: migrating the server's largest VM — the one the
 // negotiation step would move first — under p, or, with nothing to
 // migrate, one control message of energy msg (a minimal image start).
-// p must have passed Validate and stay the same between Resets; the
-// live-migration price is cached per VM and CPU share.
+// p must have passed Validate and stay the same between Resets, and a
+// VM may be rewritten only while it is off this server; the
+// live-migration price is cached per VM.
 //
 //ealb:hotpath
 func (s *Server) QCost(p MigrationParams, msg units.Joules) units.Joules {
@@ -332,8 +338,8 @@ func (s *Server) QCost(p MigrationParams, msg units.Joules) units.Joules {
 	if v == nil {
 		return msg
 	}
-	if v != s.qVM || v.CPUShare != s.qShare {
-		s.qVM, s.qShare, s.qCost = v, v.CPUShare, LiveMigrationCost(v, p).Energy
+	if v != s.qVM {
+		s.qVM, s.qCost = v, LiveMigrationCost(v, p).Energy
 	}
 	return s.qCost
 }

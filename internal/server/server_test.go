@@ -282,6 +282,51 @@ func TestEvaluate(t *testing.T) {
 	}
 }
 
+// TestQCostRepricesReturningVM: the q_k cache is keyed by the VM
+// pointer alone, so a VM rewritten while it was off the server must be
+// priced afresh when Place brings it back, and Reset must drop the
+// cache. The cluster rewrites CPUShare on every move; the price reads
+// Memory and DirtyRate, so the test rewrites those too.
+func TestQCostRepricesReturningVM(t *testing.T) {
+	s := newServer(t)
+	big, small := hosted(t, 1, 0.4), hosted(t, 2, 0.1)
+	for _, h := range []Hosted{big, small} {
+		if err := s.Place(h, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := DefaultMigrationParams()
+	before := s.QCost(p, testMsgEnergy)
+	if want := LiveMigrationCost(big.VM, p).Energy; before != want {
+		t.Fatalf("q_k = %v, want the largest VM's price %v", before, want)
+	}
+
+	h, err := s.Remove(big.App.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.VM.CPUShare = 0.35
+	h.VM.Memory = 3 * units.GB
+	h.VM.DirtyRate = 60 * units.MB
+	if err := s.Place(h, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := LiveMigrationCost(h.VM, p).Energy
+	if want == before {
+		t.Fatal("the rewrite did not change the price; the test shows nothing")
+	}
+	if got := s.QCost(p, testMsgEnergy); got != want {
+		t.Errorf("q_k = %v after the VM came back rewritten, want a fresh %v (stale %v)", got, want, before)
+	}
+
+	if err := s.Reset(testConfig(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if s.qVM != nil || s.qCost != 0 {
+		t.Errorf("Reset kept the q_k cache: VM %p, cost %v", s.qVM, s.qCost)
+	}
+}
+
 func TestEvaluateEmptyServer(t *testing.T) {
 	s := newServer(t)
 	if s.Regime() != R1 {
