@@ -439,3 +439,57 @@ func TestExpandPinned(t *testing.T) {
 		t.Errorf("expansion digest %s, want %s", got, want)
 	}
 }
+
+// sweepResultPins are small finished sweeps of each kind with the
+// SHA-256 of their json.Marshal(SweepResult) bytes: the record the
+// service stores and serves for a run. The cluster sweep churns, compares
+// against the always-on baseline and runs two seeds, so every result,
+// run, interval and aggregate field appears; the churn-free farm and
+// policy sweeps carry the nil optional fields that must stay omitted.
+var sweepResultPins = []struct {
+	name, body, digest string
+}{
+	{"cluster",
+		`{"sizes":[40],"seeds":[1,2],"intervals":6,"mtbf":1200,"mttr":300,"compare_baseline":true}`,
+		"fe35130c33b5c5ee91e70113e7cbcf4ee33b708fc43b48786e42100b44f24906"},
+	{"farm",
+		`{"kind":"farm","clusters":2,"size":30,"seed":5,"intervals":4}`,
+		"bd1e6a127306a4338e9152f76f1dbc07ff88438cc25f5396af37f2d7e3b22b47"},
+	{"policy",
+		`{"kind":"policy","profile":"burst","servers":20,"horizon_seconds":600,"seed":3}`,
+		"bdc4136f037c2317dd7cf460722f2644357db3d81c7c92bbceaad72893700b40"},
+}
+
+// TestSweepResultPinned pins the bytes of finished sweeps. The golden
+// digests pin interval streams and TestExpandPinned the expansion; this
+// pin covers the rest of a recorded result — the wire name of every
+// result, run and aggregate field and the omitempty of every optional
+// one — so a renamed field or a dropped omitempty cannot change what a
+// client reads unnoticed. Re-pin only for an intentional, called-out
+// format or simulation change, from the failure output of
+//
+//	go test ./internal/engine -run TestSweepResultPinned -v
+func TestSweepResultPinned(t *testing.T) {
+	for _, pin := range sweepResultPins {
+		t.Run(pin.name, func(t *testing.T) {
+			var spec SweepSpec
+			dec := json.NewDecoder(strings.NewReader(pin.body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&spec); err != nil {
+				t.Fatal(err)
+			}
+			res, err := NewPool(2).RunSweep(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(raw)
+			if got := hex.EncodeToString(sum[:]); got != pin.digest {
+				t.Errorf("sweep result digest %s, want %s", got, pin.digest)
+			}
+		})
+	}
+}
