@@ -14,11 +14,9 @@ import (
 //
 // The JSON encoding of this struct feeds the SHA-256 golden digests and
 // the serve NDJSON streams, so every tag below is explicit and pinned:
-// the historical wire names equal the Go field names, and the jsontag
-// analyzer keeps it that way (a field rename can no longer silently
-// rename the wire field).
-//
-//ealb:digest
+// the historical wire names equal the Go field names, and the golden
+// digests fail if one moves (a field rename cannot silently rename the
+// wire field).
 type IntervalStats struct {
 	Index   int           `json:"Index"`
 	EndTime units.Seconds `json:"EndTime"`
@@ -449,13 +447,8 @@ func (c *Cluster) balance() (int, error) {
 
 // emit stamps the cluster's interval coordinates onto a decision event
 // and delivers it. Callers check c.cfg.Tracer != nil before building
-// the event; the guard here makes the function safe in isolation (and
-// visibly so to the tracenil analyzer) at the cost of one branch on the
-// already-traced path — the nil path never reaches emit.
+// the event, so the nil path never reaches emit.
 func (c *Cluster) emit(e trace.Event) {
-	if c.cfg.Tracer == nil {
-		return
-	}
 	e.Interval = c.interval
 	e.Time = float64(c.now)
 	c.cfg.Tracer.Event(e)

@@ -14,8 +14,6 @@ package cluster
 // Counts tallies the decisions of one reallocation interval. It is
 // embedded in IntervalStats' pinned JSON encoding, so the wire names are
 // explicit (and equal to the historical field names).
-//
-//ealb:digest
 type Counts struct {
 	Local     int `json:"Local"`     // vertical decisions
 	InCluster int `json:"InCluster"` // horizontal decisions

@@ -11,8 +11,6 @@ import (
 // a seed sample from the scenario's run distribution, not the
 // population, so the unbiased estimator is the right one — and it is
 // zero for a single cell, matching stats.Running.SampleStdDev.
-//
-//ealb:digest
 type Stat struct {
 	Mean   float64 `json:"mean"`
 	Min    float64 `json:"min"`
@@ -42,8 +40,6 @@ func statOf(xs []float64) Stat {
 // baseline comparison), and SLA violations (cluster: intervals' violation
 // counts summed over the run; policy: violation slots summed across the
 // policy line-up).
-//
-//ealb:digest
 type Aggregate struct {
 	// Group names the parameter combination, e.g.
 	// "size=100 band=low sleep=auto" or "profile=diurnal servers=100".

@@ -12,8 +12,6 @@ import (
 // the measurements behind the paper's Figures 2-3 and Table 2. Its JSON
 // encoding is part of recorded results (engine.Result), so the tags are
 // explicit and pinned to the historical field names.
-//
-//ealb:digest
 type ClusterRun struct {
 	Size      int                     `json:"Size"`
 	Band      workload.Band           `json:"Band"`

@@ -13,8 +13,6 @@ import (
 // fraction versus dispatcher policy). Its JSON encoding is part of
 // recorded results (engine.Result), so the tags are explicit and pinned
 // to the historical field names.
-//
-//ealb:digest
 type FarmRun struct {
 	Clusters   int                  `json:"Clusters"`
 	Size       int                  `json:"Size"` // servers per cluster

@@ -72,8 +72,6 @@ const (
 // body of `POST /v1/runs` on ealb-serve (a SweepSpec generalizes every
 // axis to a list), so every field is a plain string or number; absent
 // fields select the paper's defaults.
-//
-//ealb:digest
 type Scenario struct {
 	// Kind is "cluster" (default) or "policy".
 	Kind string `json:"kind,omitempty"`
@@ -379,8 +377,6 @@ func ParseSleepPolicy(spec string) (cluster.SleepPolicy, error) {
 }
 
 // Result is the outcome of one scenario.
-//
-//ealb:digest
 type Result struct {
 	Kind     string      `json:"kind"`
 	Scenario Scenario    `json:"scenario"`

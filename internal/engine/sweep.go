@@ -33,8 +33,6 @@ const MaxScenarioJobs = 4096
 // server counts → seeds → replications, where a kind skips the axes it
 // does not read. Every cell records its fully normalized Scenario, so
 // any cell can be re-run individually with a bit-identical result.
-//
-//ealb:digest
 type SweepSpec struct {
 	Scenario
 
@@ -280,8 +278,6 @@ func cross[T any](cells []Scenario, vals []T, set func(*Scenario, T)) []Scenario
 // SweepResult is the outcome of a sweep: the normalized spec, every
 // cell's result in expansion order, and per-parameter-combination
 // aggregate statistics.
-//
-//ealb:digest
 type SweepResult struct {
 	Spec       SweepSpec   `json:"spec"`
 	Cells      []Result    `json:"cells"`

@@ -171,8 +171,6 @@ func (c Config) Validate() error {
 
 // IntervalStats summarizes one completed farm interval: the per-cluster
 // statistics plus their farm-level aggregates.
-//
-//ealb:digest
 type IntervalStats struct {
 	Index   int           `json:"index"`
 	EndTime units.Seconds `json:"end_time"`

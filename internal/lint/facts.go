@@ -32,7 +32,7 @@ import (
 // Known limits, by construction: only statically resolved calls
 // propagate (interface-method and func-value calls do not — the tracer,
 // the one load-bearing interface on the hot path, is handled nominally
-// by planpure/tracenil); standard-library callees have no facts and are
+// by planpure); standard-library callees have no facts and are
 // assumed allocation-free, deterministic, and mutation-free (the
 // contracts below only gate module code; std behavior is the compiler's
 // and runtime's problem).
@@ -290,11 +290,11 @@ func bodySites(fd *ast.FuncDecl, files []*ast.File, info *types.Info, sx *scratc
 			return
 		}
 		if recv != nil && ci.root == recv {
-			visit(site{kind: siteMutate, pos: pos, what: "assigns through receiver state (" + exprString(e) + ")"})
+			visit(site{kind: siteMutate, pos: pos, what: "assigns through receiver state (" + types.ExprString(e) + ")"})
 			return
 		}
 		if v, ok := ci.root.(*types.Var); ok && isPackageLevel(v) {
-			visit(site{kind: siteMutate, pos: pos, what: "assigns package-level state (" + exprString(e) + ")"})
+			visit(site{kind: siteMutate, pos: pos, what: "assigns package-level state (" + types.ExprString(e) + ")"})
 		}
 	}
 	// box reports e when using it as a value of type target stores a

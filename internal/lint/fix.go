@@ -13,64 +13,35 @@ type fixEdit struct {
 	newText    []byte
 }
 
-// CollectFixes flattens the suggested fixes of a diagnostic batch into
-// per-file offset edits, dropping any fix that overlaps an earlier one
-// (first reported wins — re-running ealb-vet -fix converges). Edits
-// from one fix are kept or dropped as a unit.
+// CollectFixes resolves the suggested fixes of a diagnostic batch into
+// per-file offset edits, sorted by offset, dropping any fix that
+// overlaps an earlier one (first reported wins — re-running ealb-vet
+// -fix converges).
 func CollectFixes(fset *token.FileSet, diags []Diagnostic) map[string][]fixEdit {
 	byFile := make(map[string][]fixEdit)
 	for _, d := range diags {
-		for _, fix := range d.SuggestedFixes {
-			resolved := make(map[string][]fixEdit)
-			ok := true
-			for _, e := range fix.Edits {
-				start := fset.Position(e.Pos)
-				end := start
-				if e.End.IsValid() {
-					end = fset.Position(e.End)
-				}
-				if !start.IsValid() || end.Filename != start.Filename || end.Offset < start.Offset {
-					ok = false
-					break
-				}
-				resolved[start.Filename] = append(resolved[start.Filename],
-					fixEdit{start.Offset, end.Offset, []byte(e.NewText)})
-			}
-			if !ok {
-				continue
-			}
-			for name, edits := range resolved {
-				if overlaps(byFile[name], edits) {
-					ok = false
-				}
-			}
-			if !ok {
-				continue
-			}
-			for name, edits := range resolved {
-				byFile[name] = append(byFile[name], edits...)
-			}
+		if d.Fix == nil {
+			continue
+		}
+		start, end := fset.Position(d.Fix.Pos), fset.Position(d.Fix.End)
+		if !start.IsValid() || end.Filename != start.Filename || end.Offset < start.Offset {
+			continue
+		}
+		e := fixEdit{start.Offset, end.Offset, []byte(d.Fix.NewText)}
+		if !overlaps(byFile[start.Filename], e) {
+			byFile[start.Filename] = append(byFile[start.Filename], e)
 		}
 	}
-	for name := range byFile {
-		es := byFile[name]
+	for _, es := range byFile {
 		sort.SliceStable(es, func(i, j int) bool { return es[i].start < es[j].start })
-		byFile[name] = es
 	}
 	return byFile
 }
 
-func overlaps(have, add []fixEdit) bool {
-	for _, a := range add {
-		for _, h := range have {
-			if a.start < h.end && h.start < a.end {
-				return true
-			}
-			// Two pure insertions at the same offset also conflict: the
-			// result depends on application order.
-			if a.start == h.start && a.start == a.end && h.start == h.end {
-				return true
-			}
+func overlaps(have []fixEdit, e fixEdit) bool {
+	for _, h := range have {
+		if e.start < h.end && h.start < e.end {
+			return true
 		}
 	}
 	return false

@@ -40,35 +40,6 @@ func TestStableSortSuggestedFix(t *testing.T) {
 	}
 }
 
-// TestJSONTagSuggestedFix checks both jsontag fix shapes: inserting a
-// missing tag that pins the current wire name, and adding omitempty to
-// an existing tag.
-func TestJSONTagSuggestedFix(t *testing.T) {
-	pkg, diags := analyzeFixture(t, JSONTag, "ealb/internal/lintfixture/jsontag", "jsontag")
-	byFile := CollectFixes(pkg.Fset, diags)
-	if len(byFile) == 0 {
-		t.Fatal("jsontag findings carried no suggested fixes")
-	}
-	fixedAny := false
-	for name, edits := range byFile {
-		src, err := os.ReadFile(filepath.Join("../..", name)) // names are module-relative
-		if err != nil {
-			t.Fatal(err)
-		}
-		fixed, err := ApplyEdits(src, edits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fixedAny = true
-		if string(fixed) == string(src) {
-			t.Errorf("%s: fix applied no change", filepath.Base(name))
-		}
-	}
-	if !fixedAny {
-		t.Fatal("no file was fixed")
-	}
-}
-
 // TestApplyEditsRejectsOverlap pins the splice-safety contract.
 func TestApplyEditsRejectsOverlap(t *testing.T) {
 	src := []byte("abcdef")

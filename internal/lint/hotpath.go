@@ -31,8 +31,7 @@ import (
 // once, at the deepest annotated frame. Standard-library callees carry
 // no facts and are trusted; dynamic calls (interface methods, func
 // values) are invisible to the engine — the tracer, the one hot
-// interface, is guarded by tracenil and banned from plan bodies by
-// planpure.
+// interface, is banned from plan bodies by planpure.
 //
 // Either kind of finding is silenced by //ealb:allow-alloc <reason> on
 // its line, stating why the allocation is acceptable (it happens only

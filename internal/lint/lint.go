@@ -1,11 +1,13 @@
-// Package lint is the project's own static-analysis layer: seven
-// analyzers that mechanically enforce the contracts the test suite only
-// checks dynamically — the serial/parallel determinism guarantee pinned
-// by the golden digests (detrand, stablesort), the PR 3
-// allocation-free leader pass (hotpath), the PR 6
-// zero-overhead-when-nil tracer (tracenil), the PR 5 digest-stability
-// JSON rules (jsontag), the pure plan step (planpure), and the mutex
-// discipline of the concurrent service state (lockguard). cmd/ealb-vet
+// Package lint is the project's own static-analysis layer: five
+// analyzers that mechanically enforce the contracts the test suite
+// cannot check reliably — the serial/parallel determinism guarantee
+// pinned by the golden digests (detrand, stablesort), the PR 3
+// allocation-free leader pass (hotpath), the pure plan step (planpure),
+// and the mutex discipline of the concurrent service state (lockguard).
+// Contracts a test does catch are left to the tests: an unguarded call
+// on the nil tracer panics in the untraced cluster and farm suites, and
+// a renamed wire field or a dropped omitempty moves a golden digest,
+// TestExpandPinned or TestSweepResultPinned. cmd/ealb-vet
 // loads every package of the module from source through the Loader
 // (load.go) and runs the suite over each, in CI and locally.
 //
@@ -25,7 +27,6 @@
 //	//ealb:allow-nondet <reason>    suppresses detrand/stablesort on its
 //	                                line or the line below
 //	//ealb:allow-alloc <reason>     suppresses hotpath the same way
-//	//ealb:tracer-checked <reason>  suppresses tracenil the same way
 //	//ealb:allow-impure <reason>    suppresses planpure the same way
 //	//ealb:allow-unguarded <reason> suppresses lockguard the same way
 //
@@ -35,7 +36,6 @@
 //	//ealb:pure              (func doc) opts the function into planpure
 //	//ealb:scratch           (field or type doc) storage a pure function
 //	                         may mutate
-//	//ealb:digest            (type doc) opts the struct into jsontag
 //	//ealb:guarded-by(mu)    (field doc) opts the field into lockguard
 //	//ealb:locked(mu)        (func doc) the caller holds mu on entry
 //
@@ -65,23 +65,17 @@ type Analyzer struct {
 }
 
 // A Diagnostic is one finding, positioned in the analyzed package's
-// file set. SuggestedFixes, when present, are mechanical text edits
-// that resolve the finding; `ealb-vet -fix` applies them (fix.go).
+// file set. Fix, when present, is the one mechanical edit that resolves
+// the finding; `ealb-vet -fix` applies it (fix.go).
 type Diagnostic struct {
-	Pos            token.Pos
-	Analyzer       string
-	Message        string
-	SuggestedFixes []SuggestedFix
+	Pos      token.Pos
+	Analyzer string
+	Message  string
+	Fix      *TextEdit
 }
 
-// A SuggestedFix is one self-contained resolution of a diagnostic: a
-// set of non-overlapping text edits plus a human-readable description.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
-}
-
-// A TextEdit replaces the source range [Pos, End) with NewText.
+// A TextEdit replaces the source range [Pos, End) of one file with
+// NewText.
 type TextEdit struct {
 	Pos     token.Pos
 	End     token.Pos
@@ -122,12 +116,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ReportFix reports one finding carrying a suggested fix.
-func (p *Pass) ReportFix(pos token.Pos, fix SuggestedFix, format string, args ...any) {
-	p.Report(Diagnostic{
-		Pos: pos, Analyzer: p.Analyzer.Name,
-		Message:        fmt.Sprintf(format, args...),
-		SuggestedFixes: []SuggestedFix{fix},
-	})
+func (p *Pass) ReportFix(pos token.Pos, fix TextEdit, format string, args ...any) {
+	p.Report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...), Fix: &fix})
 }
 
 // calleeFacts resolves a statically known callee to its FactSet — the
@@ -162,11 +152,9 @@ func (p *Pass) scratchIdx() *scratchIndex {
 const (
 	noteAllowNondet    = "ealb:allow-nondet"
 	noteAllowAlloc     = "ealb:allow-alloc"
-	noteTracerChecked  = "ealb:tracer-checked"
 	noteAllowImpure    = "ealb:allow-impure"
 	noteAllowUnguarded = "ealb:allow-unguarded"
 	noteHotpath        = "ealb:hotpath"
-	noteDigest         = "ealb:digest"
 	notePure           = "ealb:pure"
 	noteScratch        = "ealb:scratch"
 	noteGuardedBy      = "ealb:guarded-by" // takes (mutexField)
@@ -197,7 +185,6 @@ func buildNotes(fset *token.FileSet, files []*ast.File) *notes {
 	n := &notes{allow: map[string]map[lineKey]bool{
 		noteAllowNondet:    {},
 		noteAllowAlloc:     {},
-		noteTracerChecked:  {},
 		noteAllowImpure:    {},
 		noteAllowUnguarded: {},
 	}}
@@ -359,15 +346,13 @@ func qualifiedCall(info *types.Info, call *ast.CallExpr, pkgPath string) (string
 	return sel.Sel.Name, true
 }
 
-// Analyzers returns the full suite, in stable order: the four
-// intraprocedural contract checkers first, then the two fact-driven
+// Analyzers returns the full suite, in stable order: the two
+// intraprocedural determinism checkers first, then the two fact-driven
 // interprocedural ones, then lockguard.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DetRand,
 		StableSort,
-		TraceNil,
-		JSONTag,
 		HotPath,
 		PlanPure,
 		LockGuard,

@@ -46,14 +46,6 @@ func TestHotPath(t *testing.T) {
 	runFixture(t, HotPath, "ealb/internal/lintfixture/hotcalldep", "hotcalldep")
 }
 
-func TestTraceNil(t *testing.T) {
-	runFixture(t, TraceNil, "ealb/internal/lintfixture/tracenil", "tracenil")
-}
-
-func TestJSONTag(t *testing.T) {
-	runFixture(t, JSONTag, "ealb/internal/lintfixture/jsontag", "jsontag")
-}
-
 func TestPlanPure(t *testing.T) {
 	runFixture(t, PlanPure, "ealb/internal/cluster/planpurefixture", "planpure")
 }

@@ -13,6 +13,19 @@ import (
 // annotation.
 const clusterPkgPath = "ealb/internal/cluster"
 
+// isTracerType reports whether t is the trace.Tracer interface, whose
+// calls planpure bans from pure functions by name: the facts engine
+// cannot see through an interface call.
+func isTracerType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj != nil && obj.Name() == "Tracer" &&
+		obj.Pkg() != nil && obj.Pkg().Path() == "ealb/internal/trace"
+}
+
 // PlanPure mechanizes the pure-plan/effectful-apply split the golden
 // digests depend on (PR 3): planBalance and its helpers compute the
 // leader's entire decision list without mutating cluster state, so that

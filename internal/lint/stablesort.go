@@ -47,12 +47,7 @@ func runStableSort(pass *Pass) error {
 			if !pass.suppressed(noteAllowNondet, call.Pos()) {
 				// The stable variants take the identical arguments, so the
 				// swap is a pure rename of the callee expression.
-				fix := SuggestedFix{
-					Message: "replace with " + stable,
-					Edits: []TextEdit{{
-						Pos: call.Fun.Pos(), End: call.Fun.End(), NewText: stable,
-					}},
-				}
+				fix := TextEdit{Pos: call.Fun.Pos(), End: call.Fun.End(), NewText: stable}
 				pass.ReportFix(call.Pos(), fix, "sort.%s breaks comparator ties unpredictably; use %s, or annotate //ealb:allow-nondet with a tie-freedom argument", name, stable)
 			}
 			return true
