@@ -1,8 +1,7 @@
 // Command ealb-vet is the project's semantic vet tool. It loads every
 // package of the module enclosing dir from source — perfbench/, cmd/*
 // and examples/* included — and runs the internal/lint analyzer suite
-// (detrand, stablesort, tracenil, jsontag, hotpath, planpure,
-// lockguard) over each:
+// (detrand, stablesort, hotpath, planpure, lockguard) over each:
 //
 //	go build -o bin/ealb-vet ./cmd/ealb-vet
 //	./bin/ealb-vet -list   # each analyzer's name and contract

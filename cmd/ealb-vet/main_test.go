@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -86,5 +87,52 @@ func TestUsageError(t *testing.T) {
 		if code, _ := runVet(t, args...); code != 2 {
 			t.Errorf("ealb-vet %s: exit %d, want 2", strings.Join(args, " "), code)
 		}
+	}
+}
+
+// TestListMatchesDesignTable checks that the analyzers `ealb-vet -list`
+// prints are exactly those named in the Analyzer column of DESIGN.md's
+// contract table, so neither the roster nor the docs can drift alone.
+// A contract a test enforces names no analyzer there.
+func TestListMatchesDesignTable(t *testing.T) {
+	code, out := runVet(t, "-list")
+	if code != 0 {
+		t.Fatalf("-list: exit %d", code)
+	}
+	var listed []string
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		name, _, _ := strings.Cut(line, ":")
+		listed = append(listed, name)
+	}
+
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var documented []string
+	col := -1
+	for _, line := range strings.Split(string(design), "\n") {
+		if !strings.HasPrefix(line, "|") {
+			col = -1
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if col < 0 {
+			col = slices.IndexFunc(cells, func(c string) bool { return strings.TrimSpace(c) == "Analyzer" })
+			continue
+		}
+		if col >= len(cells) {
+			continue
+		}
+		cell := strings.TrimSpace(cells[col])
+		if name, ok := strings.CutPrefix(cell, "`"); ok && strings.HasSuffix(name, "`") {
+			documented = append(documented, strings.TrimSuffix(name, "`"))
+		}
+	}
+
+	slices.Sort(listed)
+	slices.Sort(documented)
+	if len(documented) == 0 || !slices.Equal(listed, documented) {
+		t.Errorf("ealb-vet -list names %v; DESIGN.md's contract table names %v", listed, documented)
 	}
 }
