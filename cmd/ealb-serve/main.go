@@ -69,6 +69,28 @@ import (
 	"ealb/internal/store"
 )
 
+// The HTTP server's limits on a client. A request's header must arrive
+// within readHeaderTimeout and fit in maxHeaderBytes, and an idle
+// keep-alive connection is closed after idleTimeout. There is no write
+// deadline, because the NDJSON streams are long by design; the submit
+// handler bounds its body by size.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer returns the server that serves handler on addr.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
@@ -128,7 +150,7 @@ func main() {
 		mux.Handle("/", handler)
 		handler = mux
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := newHTTPServer(*addr, handler)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

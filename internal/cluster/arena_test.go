@@ -123,3 +123,22 @@ func TestServerFootprint(t *testing.T) {
 	}
 	t.Logf("same-size Rebuild: %.0f allocations at 100 servers, %.0f at 1000", small, large)
 }
+
+// TestNewAllocatesHostedListsOnce: a first build sizes each server's
+// hosted list to its app count before placing anything, so a thousand
+// more servers cost about a thousand more allocations, not the two or
+// three per server that growing each list by doubling made.
+func TestNewAllocatesHostedListsOnce(t *testing.T) {
+	newAllocs := func(size int) float64 {
+		cfg := DefaultConfig(size, workload.LowLoad(), 1)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := New(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := newAllocs(1000), newAllocs(2000)
+	if perServer := (large - small) / 1000; perServer > 1.05 {
+		t.Errorf("New allocates %.2f times per added server (%.0f at 1000 servers, %.0f at 2000); want one hosted list each", perServer, small, large)
+	}
+}

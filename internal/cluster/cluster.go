@@ -344,7 +344,8 @@ func (c *Cluster) Rebuild(cfg Config) error {
 			if ra != rb {
 				return int(rb) - int(ra)
 			}
-			ea, eb := ix.bounds[a].Excess(ix.load[a]), ix.bounds[b].Excess(ix.load[b])
+			ea := c.slab[a].Boundaries().Excess(ix.raw[a].Clamp())
+			eb := c.slab[b].Boundaries().Excess(ix.raw[b].Clamp())
 			if ea != eb {
 				if ea > eb {
 					return -1
@@ -364,7 +365,9 @@ func (c *Cluster) Rebuild(cfg Config) error {
 
 	// The slab keeps its servers' hosted lists across Rebuilds (resize
 	// carries them over when it grows), and the pointer table is rebuilt
-	// whole, since growing the slab may have moved it.
+	// whole, since growing the slab may have moved it. Each hosted list is
+	// grown to its app count before anything is placed on it, so a first
+	// build does not grow it by doubling.
 	c.slab = resize(c.slab, cfg.Size)
 	c.servers = resize(c.servers, cfg.Size)
 	for i := 0; i < cfg.Size; i++ {
@@ -396,6 +399,7 @@ func (c *Cluster) Rebuild(cfg Config) error {
 				slack = maxReservationSlack
 			}
 		}
+		s.GrowHosted(len(apps))
 		for _, a := range apps {
 			a.Provision(units.Fraction(slack))
 			h, err := c.newHosted(a, appRNG)
@@ -481,11 +485,11 @@ func (c *Cluster) AwakeHeadroom() float64 {
 	c.flushIndex()
 	ix := &c.idx
 	var sum float64
-	for i := range ix.load {
+	for i := range ix.raw {
 		if ix.sleeping[i] || c.failed[i] {
 			continue
 		}
-		sum += float64(ix.bounds[i].Headroom(ix.load[i]))
+		sum += float64(c.slab[i].Boundaries().Headroom(ix.raw[i].Clamp()))
 	}
 	return sum
 }

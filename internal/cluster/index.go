@@ -20,12 +20,14 @@ package cluster
 //   - Rebuild                                      → rebuildIndex
 //
 // Dirty-marked servers are reconciled by flushIndex — O(dirty), not
-// O(N) — which recomputes raw/load/regime and the §4 q_k column from the
-// server's own accessors (RawDemand, QCost) and moves the
-// server between regime buckets only when it crossed a boundary. Every
-// reader flushes first, so the index is exact wherever it is read: the
-// leader's plan, the live acceptor search (findAcceptor), the end-of-
-// interval statistics, and the public fleet accessors. evolveDemand also
+// O(N) — which recomputes the raw demand, regime and §4 q_k columns from
+// the server's own accessors (RawDemand, QCost) and moves the server
+// between regime buckets only when it crossed a boundary. A load is
+// raw.Clamp(), as in Server.Load, and regime boundaries are read from the
+// server's slab entry (c.slab[id], no pointer chase), so neither has a
+// column. Every reader flushes first, so the index is exact wherever it
+// is read: the leader's plan, the live acceptor search (findAcceptor),
+// the end-of-interval statistics, and the public fleet accessors. evolveDemand also
 // flushes after each server's application walk, while that server's
 // hosted list is still in cache, which leaves the later flushes little
 // to do. The membership sets hold exactly the servers that are neither
@@ -57,13 +59,10 @@ const noPos = -1
 // serverIndex is the dense, server-ID-indexed fleet mirror. All slices
 // are sized to the cluster and reused across Rebuilds.
 type serverIndex struct {
-	// raw/load/reg mirror RawDemand/Load/Regime for every server, valid
-	// for non-dirty entries. bounds is the static per-Rebuild copy of
-	// each server's regime boundaries (capacity thresholds).
-	raw    []units.Fraction
-	load   []units.Fraction
-	reg    []server.Region
-	bounds []server.Boundaries
+	// raw/reg mirror RawDemand/Regime for every server, valid for
+	// non-dirty entries; Load is raw[id].Clamp().
+	raw []units.Fraction
+	reg []server.Region
 
 	// q mirrors each server's §4 horizontal-scaling estimate q_k
 	// (QCost), valid for non-dirty entries. p_k is a constant and j_k a
@@ -99,9 +98,7 @@ type serverIndex struct {
 // across Rebuilds (the arena path).
 func (ix *serverIndex) init(n int) {
 	ix.raw = resize(ix.raw, n)
-	ix.load = resize(ix.load, n)
 	ix.reg = resize(ix.reg, n)
-	ix.bounds = resize(ix.bounds, n)
 	ix.q = resize(ix.q, n)
 	ix.sleeping = resize(ix.sleeping, n)
 	ix.busyUntil = resize(ix.busyUntil, n)
@@ -110,9 +107,7 @@ func (ix *serverIndex) init(n int) {
 	ix.bucketPos = resize(ix.bucketPos, n)
 	ix.sleeperPos = resize(ix.sleeperPos, n)
 	clear(ix.raw)
-	clear(ix.load)
 	clear(ix.reg)
-	clear(ix.bounds)
 	clear(ix.q)
 	clear(ix.sleeping)
 	clear(ix.busyUntil)
@@ -227,8 +222,8 @@ func (ix *serverIndex) onRepair(id server.ID) {
 }
 
 // flushIndex reconciles every dirty-marked server: raw demand from the
-// server's memoized ordered sum, load and regime by the same expressions
-// the live accessors use, the q column from its QCost, and
+// server's memoized ordered sum, the regime by the same expression the
+// live accessor uses, the q column from its QCost, and
 // a bucket move when the regime crossed a boundary. Cost is O(dirty
 // servers), and flushing twice is a no-op.
 func (c *Cluster) flushIndex() {
@@ -236,10 +231,8 @@ func (c *Cluster) flushIndex() {
 	for _, id := range ix.dirtyIDs {
 		s := c.servers[id]
 		raw := s.RawDemand()
-		load := raw.Clamp()
-		r := ix.bounds[id].Classify(load)
+		r := s.Boundaries().Classify(raw.Clamp())
 		ix.raw[id] = raw
-		ix.load[id] = load
 		ix.q[id] = s.QCost(migration, msgEnergy)
 		if r != ix.reg[id] {
 			if ix.bucketPos[id] != noPos {
@@ -261,11 +254,9 @@ func (c *Cluster) rebuildIndex() {
 	ix := &c.idx
 	ix.init(len(c.servers))
 	for i, s := range c.servers {
-		ix.bounds[i] = s.Boundaries()
 		raw := s.RawDemand()
 		ix.raw[i] = raw
-		ix.load[i] = raw.Clamp()
-		ix.reg[i] = ix.bounds[i].Classify(ix.load[i])
+		ix.reg[i] = s.Boundaries().Classify(raw.Clamp())
 		ix.q[i] = s.QCost(migration, msgEnergy)
 		ix.addMember(server.ID(i))
 	}

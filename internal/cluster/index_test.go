@@ -13,12 +13,12 @@ import (
 )
 
 // verifyIndexAgainstRescan is the differential oracle: it re-derives every
-// server's raw demand, load, regime, §4 q_k, ACPI mirror, and set
-// membership from the live *server.Server values — the full O(N) rescan
-// the incremental index replaced — and fails on any divergence. The comparisons are exact
-// (==, not within-epsilon): the index contract is that flushed entries are
-// bit-identical to the live accessors, because plan construction folds
-// these floats into digested statistics.
+// server's raw demand, regime, §4 q_k, ACPI mirror, and set membership
+// from the live *server.Server values — the full O(N) rescan the
+// incremental index replaced — and fails on any divergence. The
+// comparisons are exact (==, not within-epsilon): the index contract is
+// that flushed entries are bit-identical to the live accessors, because
+// plan construction folds these floats into digested statistics.
 func verifyIndexAgainstRescan(t *testing.T, c *Cluster) {
 	t.Helper()
 	c.flushIndex()
@@ -32,14 +32,8 @@ func verifyIndexAgainstRescan(t *testing.T, c *Cluster) {
 		if ix.dirty[id] {
 			t.Fatalf("server %d still dirty-flagged after flush", id)
 		}
-		if got, want := ix.bounds[id], s.Boundaries(); got != want {
-			t.Fatalf("server %d: index bounds %+v, live %+v", id, got, want)
-		}
 		if got, want := ix.raw[id], s.RawDemand(); got != want {
 			t.Fatalf("server %d: index raw %v, rescan %v", id, got, want)
-		}
-		if got, want := ix.load[id], s.Load(); got != want {
-			t.Fatalf("server %d: index load %v, rescan %v", id, got, want)
 		}
 		if got, want := ix.reg[id], s.Regime(); got != want {
 			t.Fatalf("server %d: index regime %v, rescan %v", id, got, want)
@@ -448,10 +442,10 @@ func TestAcceptorSearchesAcceptExactTie(t *testing.T) {
 	if !c.activeID(id) {
 		t.Fatal("no active server")
 	}
-	load := c.idx.load[id]
+	load := c.planLoad(id)
 	tested := 0
 	for _, limit := range []acceptLimit{acceptToOptLow, acceptToOptMid, acceptToOptHigh, acceptToSoptHigh} {
-		bound := limit.limitAt(c.idx.bounds[id])
+		bound := limit.limitAt(c.slab[id].Boundaries())
 		if bound <= load {
 			continue
 		}

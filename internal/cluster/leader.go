@@ -3,22 +3,26 @@ package cluster
 // The leader's end-of-interval protocol is split into a pure *plan* step
 // and an effectful *apply* step (protocol.go).
 //
-// planBalance computes every decision of §4's reallocation pass — regime
-// reports, overload relief, wake-ups, consolidation-to-sleep — as an
-// ordered action list without mutating any server, VM, ledger, or network
-// state. Decisions that depend on the loads earlier decisions will have
-// produced (an acceptor filling up, a relief donor draining) read them
-// through a projected-load view: an overlay over the incremental index
-// (index.go) that tracks the planned placement changes, holding a working
-// app list only for the servers the plan touches.
+// planBalance computes every decision of §4's reallocation pass —
+// overload relief, wake-ups, consolidation-to-sleep — as an ordered
+// action list without mutating any server, VM, ledger, or network state.
+// The regime reports that open the pass decide nothing, so they are not
+// planned: applyBalance charges them first, one per active server.
+// Decisions that depend on the loads earlier decisions will have produced
+// (an acceptor filling up, a relief donor draining) read them through a
+// projected-load view: an overlay over the incremental index (index.go)
+// that tracks the planned placement changes, holding a working app list
+// only for the servers the plan touches.
 //
-// The plan step never dereferences a *server.Server for load, regime,
-// capacity, or sleep state: those live in the index's structure-of-arrays
-// columns, flushed to O(changed) cost at the start of the pass. Donor and
-// acceptor candidate lists come from the index's regime buckets instead
-// of a fleet scan, so list construction costs O(|relevant buckets|), and
-// the wake pick scans only the sleeper set. Server pointers appear only
-// where hosted app lists are materialized into the projection.
+// The plan step never dereferences a *server.Server for load, regime or
+// sleep state: those live in the index's structure-of-arrays columns,
+// flushed to O(changed) cost at the start of the pass. Capacity (the
+// regime boundaries) is read from the server's slab entry by index, with
+// no pointer chase. Donor and acceptor candidate lists come from the
+// index's regime buckets instead of a fleet scan, so list construction
+// costs O(|relevant buckets|), and the wake pick scans only the sleeper
+// set. Server pointers appear only where hosted app lists are
+// materialized into the projection.
 //
 // Two properties are load-bearing and guarded by the golden digest test:
 //
@@ -52,14 +56,16 @@ import (
 // noServer is the plan-side "no candidate" sentinel.
 const noServer server.ID = -1
 
+// r4Persist is how many consecutive intervals in R4 make a server a
+// relief donor whatever its excess.
+const r4Persist = 2
+
 // actKind discriminates the entries of a balance plan.
 type actKind uint8
 
 const (
-	// actReport is one awake server's regime report to the leader.
-	actReport actKind = iota
 	// actMove migrates one application from src to dst.
-	actMove
+	actMove actKind = iota
 	// actWake wakes the sleeping server src.
 	actWake
 	// actSleep parks the (by then empty) server src in target.
@@ -78,11 +84,12 @@ type action struct {
 }
 
 // balancePlan is the leader's decision list for one reallocation pass, in
-// execution order: reports first, then per relief donor its migrations
-// and (if still undesirable) a wake-up, then per consolidation donor its
-// evacuation migrations followed by its sleep transition. applyBalance
-// replays the list linearly; keeping the historical interleaving means
-// energy accumulators see charges in the historical order.
+// execution order: per relief donor its migrations and (if still
+// undesirable) a wake-up, then per consolidation donor its evacuation
+// migrations followed by its sleep transition. applyBalance charges the
+// regime reports and then replays the list linearly; keeping the
+// historical interleaving means energy accumulators see charges in the
+// historical order.
 type balancePlan struct {
 	actions []action
 	woken   int // wake-ups in the plan
@@ -93,11 +100,12 @@ type balancePlan struct {
 // dense projection the plan step needs, reused across intervals so the
 // steady-state hot path does not allocate.
 type leaderState struct {
-	// r4Streak counts consecutive intervals each server ended in R4. It
+	// r4Streak counts consecutive intervals each server ended in R4,
+	// saturating at r4Persist, the only value it is compared with. It
 	// implements the paper's urgency distinction: a suboptimal-high
 	// condition is acted on only when it persists, undesirable-high
 	// immediately.
-	r4Streak []int
+	r4Streak []uint8
 
 	// Plan scratch: the relief donor ID list (built from the index's
 	// regime buckets) and the plan under construction.
@@ -320,14 +328,14 @@ func (c *Cluster) planLoad(id server.ID) units.Fraction {
 	if slot := c.leader.viewSlot[id]; slot != noPos {
 		return c.leader.viewRaw[slot].Clamp()
 	}
-	return c.idx.load[id]
+	return c.idx.raw[id].Clamp()
 }
 
 // planRegime classifies id's projected load.
 //
 //ealb:pure
 func (c *Cluster) planRegime(id server.ID) server.Region {
-	return c.idx.bounds[id].Classify(c.planLoad(id))
+	return c.slab[id].Boundaries().Classify(c.planLoad(id))
 }
 
 // planFits reports whether dst can take demand under the limit, seen
@@ -335,7 +343,7 @@ func (c *Cluster) planRegime(id server.ID) server.Region {
 //
 //ealb:pure
 func (c *Cluster) planFits(dst server.ID, demand units.Fraction, limit acceptLimit) bool {
-	return c.planLoad(dst)+demand <= limit.limitAt(c.idx.bounds[dst])
+	return c.planLoad(dst)+demand <= limit.limitAt(c.slab[dst].Boundaries())
 }
 
 // planActive reports whether a server can take part in further planning:
@@ -397,7 +405,7 @@ func (c *Cluster) planMove(src, dst server.ID, h server.Hosted) {
 //ealb:pure
 func (c *Cluster) planClusterLoad() units.Fraction {
 	var sum float64
-	for i := range c.idx.load {
+	for i := range c.idx.raw {
 		sum += float64(c.planLoad(server.ID(i)))
 	}
 	return units.Fraction(sum / float64(len(c.servers)))
@@ -438,7 +446,7 @@ func (c *Cluster) planFindAcceptor(demand units.Fraction, exclude server.ID, lim
 			continue
 		}
 		load := c.planLoad(cand) + c.leader.projected[cand]
-		if load+demand <= limit.limitAt(c.idx.bounds[cand]) && (best == noServer || load > bestLoad) {
+		if load+demand <= limit.limitAt(c.slab[cand].Boundaries()) && (best == noServer || load > bestLoad) {
 			best, bestLoad = cand, load
 		}
 	}
@@ -452,8 +460,7 @@ func (c *Cluster) planFindAcceptor(demand units.Fraction, exclude server.ID, lim
 //
 //ealb:hotpath
 //ealb:pure
-func (c *Cluster) planBalance() (*balancePlan, error) {
-	ls := &c.leader
+func (c *Cluster) planBalance() *balancePlan {
 	// Reconcile the index once; the whole pass then runs on its columns.
 	// The flush is the one sanctioned impurity in the plan step: it
 	// folds already-recorded demand deltas into the read-only mirror —
@@ -462,23 +469,11 @@ func (c *Cluster) planBalance() (*balancePlan, error) {
 	//ealb:allow-impure index flush reconciles a mirror of state already committed; not a decision effect
 	c.flushIndex()
 
-	// Step 1: every awake server reports its regime to the leader, in
-	// server-ID order (the report replay order is pinned by the traces).
-	for i := range c.servers {
-		id := server.ID(i)
-		if !c.activeID(id) {
-			continue
-		}
-		ls.plan.actions = append(ls.plan.actions, action{kind: actReport, src: id})
-	}
-
-	if err := c.planRelief(); err != nil {
-		return nil, err
-	}
+	c.planRelief()
 	if c.cfg.Sleep != SleepNever {
 		c.planConsolidation()
 	}
-	return &ls.plan, nil
+	return &c.leader.plan
 }
 
 // planRelief migrates load off R4/R5 servers onto R1/R2 servers — in the
@@ -495,7 +490,7 @@ func (c *Cluster) planBalance() (*balancePlan, error) {
 //
 //ealb:hotpath
 //ealb:pure
-func (c *Cluster) planRelief() error {
+func (c *Cluster) planRelief() {
 	ls := &c.leader
 	ix := &c.idx
 	ls.donors = ls.donors[:0]
@@ -510,7 +505,7 @@ func (c *Cluster) planRelief() error {
 		// act when the deviation is large or has persisted — the paper
 		// notes the time spent in a non-optimal region matters, not just
 		// being there.
-		if ix.busyUntil[id] <= c.now && (ix.bounds[id].Excess(ix.load[id]) >= 0.05 || ls.r4Streak[id] >= 2) {
+		if ix.busyUntil[id] <= c.now && (c.slab[id].Boundaries().Excess(ix.raw[id].Clamp()) >= 0.05 || ls.r4Streak[id] >= r4Persist) {
 			ls.donors = append(ls.donors, id)
 		}
 	}
@@ -518,7 +513,7 @@ func (c *Cluster) planRelief() error {
 		// Nothing overloaded: the acceptor order would never be read.
 		// Skipping its construction has no observable effect (building
 		// and ordering candidates draws no randomness).
-		return nil
+		return
 	}
 	// Most urgent first: R5 before R4, larger excess first, ID tiebreak.
 	// No plan move has happened yet, so projected state equals the index
@@ -538,7 +533,7 @@ func (c *Cluster) planRelief() error {
 	for r := server.R1; r <= server.R2; r++ {
 		for _, id := range ix.buckets[r-server.R1] {
 			if ix.busyUntil[id] <= c.now {
-				sel.key[id] = -ix.load[id]
+				sel.key[id] = -ix.raw[id].Clamp()
 				sel.heap = append(sel.heap, id)
 			}
 		}
@@ -596,7 +591,6 @@ func (c *Cluster) planRelief() error {
 			}
 		}
 	}
-	return nil
 }
 
 // planWake picks the sleeping server with the shortest wake latency (C3

@@ -29,10 +29,7 @@ func TestPlanBalanceIsPure(t *testing.T) {
 	}
 	planned, control := build(), build()
 
-	plan, err := planned.planBalance()
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := planned.planBalance()
 	if len(plan.actions) == 0 {
 		t.Fatal("expected a non-empty plan at 30% load")
 	}

@@ -215,7 +215,7 @@ func (c *Cluster) runInterval(now units.Seconds) (IntervalStats, error) {
 	for i := range c.servers {
 		active := c.activeID(server.ID(i))
 		if active && ix.reg[i] == server.R4 {
-			ls.r4Streak[i]++
+			ls.r4Streak[i] = min(ls.r4Streak[i]+1, r4Persist)
 		} else {
 			ls.r4Streak[i] = 0
 		}
@@ -428,10 +428,7 @@ func (c *Cluster) balance() (int, error) {
 	if tr != nil {
 		t0 = time.Now() //ealb:allow-nondet tracer-gated phase timer; observational only, never feeds the simulation
 	}
-	plan, err := c.planBalance()
-	if err != nil {
-		return 0, err
-	}
+	plan := c.planBalance()
 	if tr != nil {
 		tr.Phase(trace.PhasePlan, time.Since(t0)) //ealb:allow-nondet tracer-gated phase timer; observational only
 		t0 = time.Now()                           //ealb:allow-nondet tracer-gated phase timer; observational only
@@ -456,7 +453,10 @@ func (c *Cluster) emit(e trace.Event) {
 
 // applyBalance executes a balance plan against the cluster: control-plane
 // charges, VM migrations, wake transitions, sleep transitions, and
-// decision counts. Actions replay in plan order, which preserves the
+// decision counts. It first charges every active server's regime report
+// to the leader, in server-ID order; planning changed none of the state
+// activeID reads, so these are exactly the servers the plan was made
+// over. The actions then replay in plan order, which preserves the
 // historical interleaving of energy charges (reports, then per relief
 // donor its moves and wake, then per consolidation donor its moves and
 // sleep) — the float accumulators are order-sensitive, and the golden
@@ -468,15 +468,19 @@ func (c *Cluster) applyBalance(plan *balancePlan) error {
 	// must not leave the cached end-of-interval sum standing.
 	c.endEnergyOK = false
 	tr := c.cfg.Tracer
+	for i := range c.servers {
+		if !c.activeID(server.ID(i)) {
+			continue
+		}
+		if err := c.net.send(nodeID(i), leaderNode); err != nil {
+			return err
+		}
+		if tr != nil {
+			c.emit(trace.Event{Kind: trace.KindReport, Src: i, Dst: -1, App: -1})
+		}
+	}
 	for _, a := range plan.actions {
 		switch a.kind {
-		case actReport:
-			if err := c.net.send(nodeID(a.src), leaderNode); err != nil {
-				return err
-			}
-			if tr != nil {
-				c.emit(trace.Event{Kind: trace.KindReport, Src: int(a.src), Dst: -1, App: -1})
-			}
 		case actMove:
 			src, err := c.serverByID(a.src)
 			if err != nil {

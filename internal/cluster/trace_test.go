@@ -7,8 +7,11 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"slices"
 	"testing"
+	"time"
 
+	"ealb/internal/server"
 	"ealb/internal/trace"
 	"ealb/internal/workload"
 )
@@ -128,5 +131,90 @@ func TestTraceAdmitEvents(t *testing.T) {
 	}
 	if admits == 0 {
 		t.Fatal("no admission succeeded; event coverage for the success path is vacuous")
+	}
+}
+
+// applyOrderTracer records the decision events of each apply phase and,
+// when the plan phase ends, the servers activeID admits at that point.
+// Phase is called once a phase is over, so the apply phase's events are
+// exactly those between the plan's and the apply's Phase calls.
+type applyOrderTracer struct {
+	c       *Cluster
+	inApply bool
+	active  []int
+	events  []trace.Event
+	// done is called with each apply phase's active list and events.
+	done func(active []int, events []trace.Event)
+}
+
+func (a *applyOrderTracer) Event(e trace.Event) {
+	if a.inApply {
+		a.events = append(a.events, e)
+	}
+}
+
+func (a *applyOrderTracer) Phase(p trace.Phase, _ time.Duration) {
+	switch p {
+	case trace.PhasePlan:
+		a.inApply = true
+		a.active, a.events = a.active[:0], a.events[:0]
+		for i := range a.c.servers {
+			if a.c.activeID(server.ID(i)) {
+				a.active = append(a.active, i)
+			}
+		}
+	case trace.PhaseApply:
+		a.inApply = false
+		a.done(a.active, a.events)
+	}
+}
+
+// TestReportsChargedFirstAtApply pins where the regime reports of §4
+// happen: in the apply phase, exactly one per server that is active
+// once planning ends, in ascending server ID, and all of them before the
+// first move, wake or sleep.
+func TestReportsChargedFirstAtApply(t *testing.T) {
+	for _, band := range []workload.Band{workload.LowLoad(), workload.HighLoad()} {
+		cfg := DefaultConfig(200, band, 2014)
+		cfg.MTBF = 20 * Tau
+		cfg.MTTR = 5 * Tau
+		var inactive, decisions int
+		tr := &applyOrderTracer{}
+		tr.done = func(active []int, events []trace.Event) {
+			var reports []int
+			decided := false
+			for _, e := range events {
+				switch e.Kind {
+				case trace.KindReport:
+					if decided {
+						t.Fatalf("interval %d: report from server %d after a move, wake or sleep", e.Interval, e.Src)
+					}
+					reports = append(reports, e.Src)
+				case trace.KindMove, trace.KindWake, trace.KindSleep:
+					decided = true
+					decisions++
+				default:
+					t.Fatalf("interval %d: unexpected %q event in the apply phase", e.Interval, e.Kind)
+				}
+			}
+			if !slices.Equal(reports, active) {
+				t.Fatalf("apply phase reported servers %v, want the active servers %v in ascending ID", reports, active)
+			}
+			inactive += len(tr.c.servers) - len(active)
+		}
+		cfg.Tracer = tr
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.c = c
+		if _, err := c.RunIntervals(context.Background(), 30); err != nil {
+			t.Fatal(err)
+		}
+		// The checks above are vacuous unless some server sat out a
+		// report and some decision followed the reports.
+		if inactive == 0 || decisions == 0 {
+			t.Fatalf("band %v: %d inactive server-intervals and %d decisions; the test needs both", band, inactive, decisions)
+		}
 	}
 }

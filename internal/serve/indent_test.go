@@ -55,6 +55,23 @@ func FuzzAppendIndent(f *testing.F) {
 	})
 }
 
+// TestAppendIndentDeep checks appendIndent against json.Indent at every
+// depth up to well past the indent appendNewline copies in one piece
+// (newlineIndent), where it adds the remaining spaces in further copies.
+func TestAppendIndentDeep(t *testing.T) {
+	for n := 0; n <= len(newlineIndent); n++ {
+		// 2n+1 levels: n objects, each holding an array, around [1,2].
+		compact := []byte(strings.Repeat(`{"a":[`, n) + `[1,2]` + strings.Repeat(`]}`, n))
+		var want bytes.Buffer
+		if err := json.Indent(&want, compact, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendIndent(nil, compact); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%d levels:\n got %q\nwant %q", 2*n+1, got, want.Bytes())
+		}
+	}
+}
+
 // TestGetBodyMatchesIndentEncoder: a finished run's GET body — the
 // envelope appendJSON builds around the recorded result bytes — is the
 // byte stream json.Encoder with SetIndent("", "  ") writes for the

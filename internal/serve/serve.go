@@ -1175,10 +1175,20 @@ func appendIndent(dst, compact []byte) []byte {
 	return append(dst, compact[start:]...)
 }
 
+// newlineIndent is a newline and the indent of depth 16. appendNewline
+// copies a prefix of it in one piece; a deeper level adds the rest of
+// its spaces from the tail.
+const newlineIndent = "\n" + "                                "
+
+// appendNewline appends a newline and the indent of depth: two spaces a
+// level.
 func appendNewline(dst []byte, depth int) []byte {
-	dst = append(dst, '\n')
-	for range depth {
-		dst = append(dst, ' ', ' ')
+	n := 1 + 2*depth
+	k := min(n, len(newlineIndent))
+	dst = append(dst, newlineIndent[:k]...)
+	for n -= k; n > 0; n -= k {
+		k = min(n, len(newlineIndent)-1)
+		dst = append(dst, newlineIndent[1:1+k]...)
 	}
 	return dst
 }

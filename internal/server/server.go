@@ -188,6 +188,18 @@ func (s *Server) Lookup(id AppID) (Hosted, bool) {
 	return Hosted{}, false
 }
 
+// GrowHosted makes room in the hosted list for n more applications, so
+// the next n Places do not reallocate it. A cluster calls it while
+// populating a server whose app count it already knows. It allocates
+// once in every build mode; slices.Grow allocates twice under -race.
+func (s *Server) GrowHosted(n int) {
+	if n > cap(s.hosted)-len(s.hosted) {
+		hosted := make([]Hosted, len(s.hosted), len(s.hosted)+n)
+		copy(hosted, s.hosted)
+		s.hosted = hosted
+	}
+}
+
 // Place adds an application (and its VM) to the server. The server must
 // be running; the paper's protocol wakes a server before directing load
 // to it.
